@@ -22,7 +22,14 @@ module F = Retrofit_fiber
 module D = Retrofit_dwarf
 module B = Retrofit_harness.Bench
 
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
+let smoke =
+  match Array.to_list Sys.argv with
+  | [ _ ] -> false
+  | [ _; "--smoke" ] -> true
+  | _ ->
+      prerr_endline "usage: hotpath.exe [--smoke]";
+      exit 2
+
 let warmups = if smoke then 0 else 2
 let runs = if smoke then 1 else 5
 

@@ -1,4 +1,5 @@
 module F = Retrofit_fiber
+module Counter = Retrofit_util.Counter
 
 (* ------------------------------------------------------------------ *)
 (* The ∞-aware bound domain.  Arithmetic saturates well below the OCaml
@@ -251,116 +252,62 @@ let totals t =
    all) every bound collapses to ∞; [R <= 1] is one-shot-equivalent
    except for the cloning counters themselves. *)
 
-let counter_names =
-  [
-    "perform";
-    "reperform";
-    "eff_tbl_probe";
-    "handle";
-    "fiber_alloc";
-    "resume";
-    "cont_copy";
-    "call";
-    "switch";
-    "overflow_check";
-    "check_elided";
-    "stack_grow";
-    "segment_check";
-    "chunk_commit";
-    "cont_share";
-    "page_fault";
-    "page_commit";
-  ]
-
 let counter_bounds t ~(policy : F.Stack_policy.t) ~multishot ~red_zone =
   let { t_performs = p; t_handles = h; t_resumes = r; t_calls = c } =
     totals t
   in
+  let zero = Fin 0 in
+  (* multishot cloning can add up to R copied chains of at most
+     1 + H fibers each to the live-handler population *)
+  let clones = if multishot then bmul r (badd (Fin 1) h) else zero in
+  let live_handlers = badd h clones in
+  let k =
+    let ext = F.Stack_policy.ext_words policy in
+    if ext = 0 then zero
+    else begin
+      let fmax =
+        Array.fold_left
+          (fun m (cf : F.Compile.cfn) -> max m cf.F.Compile.frame_words)
+          0 t.compiled.F.Compile.fns
+      in
+      Fin (((fmax + red_zone + ext - 1) / ext) + 1)
+    end
+  in
+  let commits =
+    bmul (bmul c k) (badd (Fin 1) (if multishot then r else zero))
+  in
+  (* a policy's own growth/check counters; the others stay at zero *)
+  let under pk b = if policy.F.Stack_policy.pk = pk then b else zero in
+  let bounds =
+    [
+      (Counter.Perform, p);
+      (Counter.Reperform, bmul p live_handlers);
+      (Counter.Eff_tbl_probe, bmul p live_handlers);
+      (Counter.Handle, h);
+      (Counter.Fiber_alloc, h);
+      (Counter.Resume, r);
+      (Counter.Cont_copy, if multishot then r else zero);
+      (Counter.Call, c);
+      (* per perform, resume and handle one switch; every created
+         fiber (installations plus clones) is exited at most once,
+         by return or by an exception crossing its boundary *)
+      (Counter.Switch, badd (badd p r) (badd (bmul (Fin 2) h) clones));
+      (Counter.Overflow_check, under F.Stack_policy.Copy_double c);
+      (Counter.Check_elided, under F.Stack_policy.Copy_double c);
+      (Counter.Stack_grow, under F.Stack_policy.Copy_double c);
+      (Counter.Segment_check, under F.Stack_policy.Segmented c);
+      (Counter.Chunk_commit, under F.Stack_policy.Segmented commits);
+      ( Counter.Cont_share,
+        if policy.F.Stack_policy.cow_clone && multishot then
+          under F.Stack_policy.Segmented (bmul r (badd (Fin 1) h))
+        else zero );
+      (Counter.Page_fault, under F.Stack_policy.Large_reserve c);
+      (Counter.Page_commit, under F.Stack_policy.Large_reserve commits);
+    ]
+  in
   if multishot && ble (Fin 2) r && ble (Fin 1) p then
-    List.map (fun n -> (n, Inf)) counter_names
-  else begin
-    let zero = Fin 0 in
-    (* multishot cloning can add up to R copied chains of at most
-       1 + H fibers each to the live-handler population *)
-    let clones = if multishot then bmul r (badd (Fin 1) h) else zero in
-    let live_handlers = badd h clones in
-    let k =
-      let ext = F.Stack_policy.ext_words policy in
-      if ext = 0 then zero
-      else begin
-        let fmax =
-          Array.fold_left
-            (fun m (cf : F.Compile.cfn) -> max m cf.F.Compile.frame_words)
-            0 t.compiled.F.Compile.fns
-        in
-        Fin (((fmax + red_zone + ext - 1) / ext) + 1)
-      end
-    in
-    let commits =
-      bmul (bmul c k) (badd (Fin 1) (if multishot then r else zero))
-    in
-    let base =
-      [
-        ("perform", p);
-        ("reperform", bmul p live_handlers);
-        ("eff_tbl_probe", bmul p live_handlers);
-        ("handle", h);
-        ("fiber_alloc", h);
-        ("resume", r);
-        ("cont_copy", (if multishot then r else zero));
-        ("call", c);
-        (* per perform, resume and handle one switch; every created
-           fiber (installations plus clones) is exited at most once,
-           by return or by an exception crossing its boundary *)
-        ("switch", badd (badd p r) (badd (bmul (Fin 2) h) clones));
-      ]
-    in
-    let policy_bounds =
-      match policy.F.Stack_policy.pk with
-      | F.Stack_policy.Copy_double ->
-          [
-            ("overflow_check", c);
-            ("check_elided", c);
-            ("stack_grow", c);
-            ("segment_check", zero);
-            ("chunk_commit", zero);
-            ("cont_share", zero);
-            ("page_fault", zero);
-            ("page_commit", zero);
-          ]
-      | F.Stack_policy.Segmented ->
-          [
-            ("overflow_check", zero);
-            ("check_elided", zero);
-            ("stack_grow", zero);
-            ("segment_check", c);
-            ("chunk_commit", commits);
-            ( "cont_share",
-              if policy.F.Stack_policy.cow_clone && multishot then
-                bmul r (badd (Fin 1) h)
-              else zero );
-            ("page_fault", zero);
-            ("page_commit", zero);
-          ]
-      | F.Stack_policy.Large_reserve ->
-          [
-            ("overflow_check", zero);
-            ("check_elided", zero);
-            ("stack_grow", zero);
-            ("segment_check", zero);
-            ("chunk_commit", zero);
-            ("cont_share", zero);
-            ("page_fault", c);
-            ("page_commit", commits);
-          ]
-    in
-    List.map
-      (fun n ->
-        match List.assoc_opt n base with
-        | Some b -> (n, b)
-        | None -> (n, List.assoc n policy_bounds))
-      counter_names
-  end
+    List.map (fun (n, _) -> (n, Inf)) bounds
+  else bounds
 
 (* ------------------------------------------------------------------ *)
 (* Reporting and diagnostics. *)
@@ -402,7 +349,8 @@ let report ?(multishot = false) ?(red_zone = 16) t =
         (Printf.sprintf "  [%s] %s\n" pname
            (String.concat " "
               (List.map
-                 (fun (n, bd) -> Printf.sprintf "%s<=%s" n (bound_to_string bd))
+                 (fun (n, bd) ->
+                   Printf.sprintf "%s<=%s" (Counter.to_string n) (bound_to_string bd))
                  interesting))))
     F.Stack_policy.all;
   Buffer.contents b

@@ -51,16 +51,14 @@ type totals = {
 
 val totals : t -> totals
 
-val counter_names : string list
-(** The machine counters this pass bounds. *)
-
 val counter_bounds :
   t ->
   policy:Retrofit_fiber.Stack_policy.t ->
   multishot:bool ->
   red_zone:int ->
-  (string * bound) list
-(** One entry per {!counter_names}.  Under multishot, if a second
+  (Retrofit_util.Counter.name * bound) list
+(** One entry per machine counter this pass bounds (the 17 control and
+    growth counters), in a fixed order.  Under multishot, if a second
     resume is possible ([R >= 2] with at least one perform) every bound
     is ∞: re-executed cloned suffixes break per-invocation
     accounting. *)

@@ -162,13 +162,14 @@ let bound_contradiction (c : claims) ~(policy : Retrofit_fiber.Stack_policy.t)
       match A.Costbound.finite b with
       | None -> None
       | Some limit ->
-          let v = Retrofit_util.Counter.get counters name in
+          let v = Retrofit_util.Counter.value counters name in
           if v > limit then
             Some
               (Printf.sprintf
                  "counter %s measured %d under policy %s%s, exceeding its \
                   static bound %d"
-                 name v
+                 (Retrofit_util.Counter.to_string name)
+                 v
                  (Retrofit_fiber.Stack_policy.name policy)
                  (if multishot then " (multishot)" else "")
                  limit)

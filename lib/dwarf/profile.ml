@@ -54,7 +54,7 @@ let sample t m =
   | exception Unwind.Unwind_error _ -> t.failures <- t.failures + 1
 
 let on_step t m =
-  let now = Counter.get (Machine.counters m) "instructions" in
+  let now = Counter.value (Machine.counters m) Counter.Instructions in
   if now >= t.next_at then begin
     (* Align the next deadline to the interval grid so a burst of
        expensive instructions costs one sample, not several, and the

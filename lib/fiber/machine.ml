@@ -107,7 +107,7 @@ let fiber_by_id t id = Hashtbl.find_opt t.fibers_live id
 
 let fatal msg = raise (Fatal_error msg)
 
-let charge t n = Counter.add t.t_counters "instructions" n
+let charge t n = Counter.add t.t_counters Counter.Instructions n
 
 let count t name = Counter.incr t.t_counters name
 
@@ -116,10 +116,10 @@ let count t name = Counter.incr t.t_counters name
    guards with [Trace.on ()] so the disabled path is one branch: no
    event is built, no counter is touched, and the frozen cost tables
    stay bit-identical. *)
-let emit_ev t ev = Trace.emit ~ts:(Counter.get t.t_counters "instructions") ev
+let emit_ev t ev = Trace.emit ~ts:(Counter.value t.t_counters Counter.Instructions) ev
 
 let fiber_of_addr t addr =
-  count t "addr_index_probe";
+  count t Counter.Addr_index_probe;
   match Imap.find_last_opt (fun b -> b <= addr) t.by_base with
   | Some (_, f) when Segment.contains f.Fiber.seg addr -> Some f
   | _ -> None
@@ -158,7 +158,7 @@ let take_chunk t ~words =
   | arr :: rest when Array.length arr = words ->
       t.chunk_pool <- rest;
       t.chunk_pool_len <- t.chunk_pool_len - 1;
-      count t "chunk_pool_hit";
+      count t Counter.Chunk_pool_hit;
       Array.fill arr 0 words 0;
       arr
   | _ -> Array.make words 0
@@ -186,19 +186,19 @@ let seg_create t ~size =
   seg
 
 let alloc_segment t ~size =
-  if t.cfg.stack_cache then count t "stack_cache_lookup";
+  if t.cfg.stack_cache then count t Counter.Stack_cache_lookup;
   match if t.cfg.stack_cache then Stack_cache.take t.cache ~size else None with
   | Some seg ->
-      count t "stack_cache_hit";
+      count t Counter.Stack_cache_hit;
       charge t Costs.fiber_alloc_cached;
       if Trace.on () then emit_ev t (Tev.Cache_hit { size });
       seg
   | None ->
       if t.cfg.stack_cache then begin
-        count t "stack_cache_miss";
+        count t Counter.Stack_cache_miss;
         if Trace.on () then emit_ev t (Tev.Cache_miss { size })
       end;
-      count t "malloc";
+      count t Counter.Malloc;
       charge t Costs.fiber_alloc;
       seg_create t ~size
 
@@ -256,7 +256,7 @@ let free_fiber t (f : Fiber.t) =
   f.live <- false;
   Hashtbl.remove t.fibers_live f.id;
   t.by_base <- Imap.remove (Segment.base f.seg) t.by_base;
-  count t "fiber_free";
+  count t Counter.Fiber_free;
   charge t Costs.fiber_free;
   match (mc_policy t).Stack_policy.pk with
   | Stack_policy.Copy_double ->
@@ -289,8 +289,8 @@ let grow t (f : Fiber.t) ~needed =
   let new_size = pick (old_size * 2) in
   let new_seg = alloc_segment t ~size:new_size in
   Segment.blit_into ~src:old_seg ~dst:new_seg;
-  count t "stack_grow";
-  Counter.add t.t_counters "words_copied" old_size;
+  count t Counter.Stack_grow;
+  Counter.add t.t_counters Counter.Words_copied old_size;
   charge t (Costs.grow_base + (Costs.grow_per_word * old_size));
   if Trace.on () then
     emit_ev t
@@ -325,7 +325,7 @@ let switch_to t (f : Fiber.t) =
     emit_ev t
       (Tev.Fiber_switch { from_id = t.current.Fiber.id; to_id = f.Fiber.id });
   t.current <- f;
-  count t "switch"
+  count t Counter.Switch
 
 (* ------------------------------------------------------------------ *)
 (* Calls *)
@@ -400,23 +400,23 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
                      (not checked) fn.is_leaf needed t.cfg.red_zone)
             | _ -> ());
             if checked then begin
-              count t "overflow_check";
+              count t Counter.Overflow_check;
               charge t Costs.check;
               if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
                 grow t f ~needed
             end
-            else count t "check_elided";
+            else count t Counter.Check_elided;
             if f.regs.sp - needed < Segment.limit f.seg then
               fatal (Printf.sprintf "red zone violated by %s" fn.fn_name);
             true
         | Stack_policy.Segmented ->
             (* Every call pays the boundary check; there is no red-zone
                elision to buy back (the libseff segmented trade-off). *)
-            count t "segment_check";
+            count t Counter.Segment_check;
             charge t Costs.segment_check;
             if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
               grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t "chunk_commit";
+                  count t Counter.Chunk_commit;
                   charge t Costs.chunk_commit)
             else true
         | Stack_policy.Large_reserve ->
@@ -424,16 +424,16 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
                Crossing the committed watermark is a modeled fault that
                commits pages in place. *)
             if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then begin
-              count t "page_fault";
+              count t Counter.Page_fault;
               charge t Costs.page_fault;
               grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t "page_commit";
+                  count t Counter.Page_commit;
                   charge t Costs.page_commit)
             end
             else true)
   in
   if ok then begin
-    count t "call";
+    count t Counter.Call;
     charge t Costs.call;
     let ra_addr = f.regs.sp - 1 in
     wr f ra_addr ra;
@@ -450,7 +450,9 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
     f.regs.fn <- fid;
     f.regs.pc <- fn.entry;
     f.regs.sp <- ra_addr - fn.nlocals;
-    Array.iteri (fun i v -> wr f (f.regs.cfa - 2 - i) v) args;
+    for i = 0 to Array.length args - 1 do
+      wr f (f.regs.cfa - 2 - i) args.(i)
+    done;
     match t.on_call with Some hook -> hook t | None -> ()
   end
 
@@ -458,7 +460,7 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
 (* Exceptions *)
 
 let machine_raise t exn_id payload =
-  count t "raise";
+  count t Counter.Raise;
   charge t Costs.raise_;
   if Trace.on () then
     emit_ev t (Tev.Raise { exn = Compile.exn_name t.prog exn_id });
@@ -535,7 +537,7 @@ let fiber_return t result =
   let h =
     match f.handler with Some h -> h | None -> fatal "fiber return without a handler"
   in
-  count t "fiber_return";
+  count t Counter.Fiber_return;
   charge t Costs.fiber_return;
   if Trace.on () then
     emit_ev t
@@ -546,7 +548,7 @@ let fiber_return t result =
   emulate_call t p h.Compile.h_retc [| result |] ~ra:p.regs.pc
 
 let do_perform t eff_id =
-  count t "perform";
+  count t Counter.Perform;
   charge t Costs.perform;
   if Trace.on () then emit_ev t (Tev.Perform { eff = t.prog.eff_names.(eff_id) });
   (* [exec_instr] bumps pc before dispatching, so the PerformI site is
@@ -596,7 +598,7 @@ let do_perform t eff_id =
           machine_raise t t.unhandled_id 0
         end
     | Some h -> (
-        count t "eff_tbl_probe";
+        count t Counter.Eff_tbl_probe;
         relink_last_to cur;
         Vec.push k.fibers cur;
         let p =
@@ -611,7 +613,7 @@ let do_perform t eff_id =
             switch_to t p;
             emulate_call t p fid [| v; kid |] ~ra:p.regs.pc
         | None ->
-            count t "reperform";
+            count t Counter.Reperform;
             charge t Costs.reperform;
             hop p)
   in
@@ -641,17 +643,17 @@ let copy_fiber t (f : Fiber.t) =
     | Stack_policy.Copy_double ->
         let seg = alloc_segment t ~size in
         Segment.blit_into ~src:f.seg ~dst:seg;
-        Counter.add t.t_counters "words_copied" size;
+        Counter.add t.t_counters Counter.Words_copied size;
         charge t (Costs.grow_per_word * size);
         seg
     | Stack_policy.Segmented when pol.Stack_policy.cow_clone ->
         let seg = Segment.share_clone f.seg ~base:t.next_base in
         t.next_base <- t.next_base + Segment.reserve seg + 8;
-        count t "cont_share";
+        count t Counter.Cont_share;
         charge t Costs.cow_share;
         Segment.set_notify_cow seg (fun words ->
-            count t "chunk_cow";
-            Counter.add t.t_counters "cow_words" words;
+            count t Counter.Chunk_cow;
+            Counter.add t.t_counters Counter.Cow_words words;
             charge t (Costs.cow_per_word * words));
         seg
     | Stack_policy.Segmented | Stack_policy.Large_reserve ->
@@ -660,8 +662,8 @@ let copy_fiber t (f : Fiber.t) =
         let seg = alloc_segment t ~size:head in
         let commit_counter, commit_cost =
           match pol.Stack_policy.pk with
-          | Stack_policy.Large_reserve -> ("page_commit", Costs.page_commit)
-          | _ -> ("chunk_commit", Costs.chunk_commit)
+          | Stack_policy.Large_reserve -> (Counter.Page_commit, Costs.page_commit)
+          | _ -> (Counter.Chunk_commit, Costs.chunk_commit)
         in
         for _ = 1 to Segment.ext_count f.seg do
           count t commit_counter;
@@ -669,7 +671,7 @@ let copy_fiber t (f : Fiber.t) =
           Segment.extend seg (take_chunk t ~words:ext)
         done;
         Segment.blit_into ~src:f.seg ~dst:seg;
-        Counter.add t.t_counters "words_copied" size;
+        Counter.add t.t_counters Counter.Words_copied size;
         charge t (Costs.grow_per_word * size);
         seg
   in
@@ -713,7 +715,7 @@ let do_resume t ~raise_instead v kid =
   let k = take_cont t kid in
   if not k.cont_live then machine_raise t t.invalid_arg_id 0
   else begin
-    count t "resume";
+    count t Counter.Resume;
     charge t (Costs.resume + (Costs.resume_per_fiber * Vec.length k.fibers));
     if Trace.on () then begin
       match raise_instead with
@@ -726,7 +728,7 @@ let do_resume t ~raise_instead v kid =
       if t.cfg.multishot then begin
         (* resuming copies the fibers and leaves the continuation as it
            is (§5.2, operational semantics) *)
-        count t "cont_copy";
+        count t Counter.Cont_copy;
         copy_chain t k.fibers
       end
       else begin
@@ -748,7 +750,7 @@ let do_resume t ~raise_instead v kid =
   end
 
 let do_handle t hidx =
-  count t "handle";
+  count t Counter.Handle;
   let spec = t.prog.handles.(hidx) in
   let args = Array.make spec.h_nargs 0 in
   for i = spec.h_nargs - 1 downto 0 do
@@ -761,7 +763,7 @@ let do_handle t hidx =
     new_fiber t ~parent:(Some t.current) ~handler:(Some spec) ~handler_index:hidx
       ~bottom_trap:Layout.trap_forward ~size
   in
-  count t "fiber_alloc";
+  count t Counter.Fiber_alloc;
   if Trace.on () then
     emit_ev t (Tev.Handler_push { hidx; fiber = f.Fiber.id });
   switch_to t f;
@@ -771,7 +773,7 @@ let do_handle t hidx =
 (* Traps *)
 
 let push_trap t (f : Fiber.t) ~hpc =
-  count t "pushtrap";
+  count t Counter.Pushtrap;
   charge t Costs.pushtrap;
   let a = f.regs.sp - 2 in
   wr f a f.regs.exn_ptr;
@@ -781,7 +783,7 @@ let push_trap t (f : Fiber.t) ~hpc =
   Vec.push f.traps (a, Vec.length f.ops)
 
 let pop_trap t (f : Fiber.t) =
-  count t "poptrap";
+  count t Counter.Poptrap;
   charge t Costs.poptrap;
   let a = f.regs.exn_ptr in
   if a <> f.regs.sp then fatal "poptrap with a non-top trap";
@@ -977,27 +979,19 @@ let audit_tick t =
 (* ------------------------------------------------------------------ *)
 (* Instruction dispatch *)
 
-let binop t op a b =
+(* Pushes the result onto [f]'s operand stack, or raises
+   Division_by_zero in the machine. *)
+let binop t f op a b =
   match (op : Ir.binop) with
-  | Ir.Add -> Some (a + b)
-  | Ir.Sub -> Some (a - b)
-  | Ir.Mul -> Some (a * b)
-  | Ir.Div ->
-      if b = 0 then begin
-        machine_raise t t.divzero_id a;
-        None
-      end
-      else Some (a / b)
-  | Ir.Mod ->
-      if b = 0 then begin
-        machine_raise t t.divzero_id a;
-        None
-      end
-      else Some (a mod b)
-  | Ir.Lt -> Some (if a < b then 1 else 0)
-  | Ir.Le -> Some (if a <= b then 1 else 0)
-  | Ir.Eq -> Some (if a = b then 1 else 0)
-  | Ir.Ne -> Some (if a <> b then 1 else 0)
+  | Ir.Add -> push_op f (a + b)
+  | Ir.Sub -> push_op f (a - b)
+  | Ir.Mul -> push_op f (a * b)
+  | Ir.Div -> if b = 0 then machine_raise t t.divzero_id a else push_op f (a / b)
+  | Ir.Mod -> if b = 0 then machine_raise t t.divzero_id a else push_op f (a mod b)
+  | Ir.Lt -> push_op f (if a < b then 1 else 0)
+  | Ir.Le -> push_op f (if a <= b then 1 else 0)
+  | Ir.Eq -> push_op f (if a = b then 1 else 0)
+  | Ir.Ne -> push_op f (if a <> b then 1 else 0)
 
 let require_mc t what =
   match t.cfg.kind with
@@ -1008,7 +1002,7 @@ let require_mc t what =
 let rec exec_instr t =
   if t.fuel <= 0 then fatal "out of fuel";
   t.fuel <- t.fuel - 1;
-  count t "ops";
+  count t Counter.Ops;
   let f = t.current in
   let pc = f.Fiber.regs.pc in
   if pc < 0 || pc >= Array.length t.prog.code then
@@ -1031,11 +1025,11 @@ let rec exec_instr t =
   | Ir.Pop ->
       charge t Costs.basic;
       ignore (pop_op f)
-  | Ir.Bin op -> (
+  | Ir.Bin op ->
       charge t Costs.basic;
       let b = pop_op f in
       let a = pop_op f in
-      match binop t op a b with Some r -> push_op f r | None -> ())
+      binop t f op a b
   | Ir.Jump a ->
       charge t Costs.basic;
       f.regs.pc <- a
@@ -1050,7 +1044,7 @@ let rec exec_instr t =
       done;
       emulate_call t f fid args ~ra:f.regs.pc
   | Ir.Ret -> (
-      count t "ret";
+      count t Counter.Ret;
       charge t Costs.ret;
       let result = pop_op f in
       let sf = Vec.pop f.shadow in
@@ -1092,7 +1086,7 @@ let rec exec_instr t =
       let kid = pop_op f in
       do_resume t ~raise_instead:(Some exn_id) payload kid
   | Ir.ExtcallI (cid, nargs) -> (
-      count t "extcall";
+      count t Counter.Extcall;
       charge t (Costs.extcall t.cfg + Costs.cfun_body);
       if Trace.on () then
         emit_ev t (Tev.Extcall_begin { name = t.prog.cfun_names.(cid) });
@@ -1133,7 +1127,7 @@ and run_callback t name args =
         fid
     | None -> fatal (Printf.sprintf "callback to unknown function %s" name)
   in
-  count t "callback";
+  count t Counter.Callback;
   charge t (Costs.callback t.cfg);
   if Trace.on () then emit_ev t (Tev.Callback_begin { name });
   let f = t.current in

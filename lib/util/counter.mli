@@ -1,25 +1,78 @@
-(** Named monotonic counters.
+(** The fiber machine's cost counters.
 
-    The fiber machine reports its costs (instructions executed, overflow
+    The machine reports its costs (instructions executed, overflow
     checks, stack copies, mallocs, cache hits, fiber switches) through a
-    counter set so that experiments can diff configurations. *)
+    counter set so that experiments can diff configurations.  Every
+    counter the machine keeps is a constructor of {!name}, so a
+    misspelt counter is a compile error and a bump is one array
+    write. *)
+
+type name =
+  | Addr_index_probe
+  | Call
+  | Callback
+  | Check_elided
+  | Chunk_commit
+  | Chunk_cow
+  | Chunk_pool_hit
+  | Cont_copy
+  | Cont_share
+  | Cow_words
+  | Eff_tbl_probe
+  | Extcall
+  | Fiber_alloc
+  | Fiber_free
+  | Fiber_return
+  | Handle
+  | Instructions
+  | Malloc
+  | Ops
+  | Overflow_check
+  | Page_commit
+  | Page_fault
+  | Perform
+  | Poptrap
+  | Pushtrap
+  | Raise
+  | Reperform
+  | Resume
+  | Ret
+  | Segment_check
+  | Stack_cache_hit
+  | Stack_cache_lookup
+  | Stack_cache_miss
+  | Stack_grow
+  | Switch
+  | Words_copied
+
+val all : name list
+
+val to_string : name -> string
+(** The reported name: the constructor in lower case ([Words_copied] is
+    ["words_copied"]). *)
+
+val of_string : string -> name
+(** Inverse of {!to_string}.  Raises [Invalid_argument] naming the
+    string when it names no counter. *)
 
 type t
 
 val create : unit -> t
+(** Every counter at 0. *)
 
-val incr : t -> string -> unit
+val incr : t -> name -> unit
 
-val add : t -> string -> int -> unit
+val add : t -> name -> int -> unit
+
+val value : t -> name -> int
 
 val get : t -> string -> int
-(** 0 for names never incremented. *)
-
-val reset : t -> unit
+(** [get t s] is [value t (of_string s)], so it raises [Invalid_argument]
+    when [s] names no counter. *)
 
 val to_list : t -> (string * int) list
-(** Sorted by name. *)
+(** The nonzero counters, sorted by name. *)
 
 val diff : t -> t -> (string * int) list
-(** [diff a b] is, for each name present in either, [get a n - get b n],
-    omitting zero entries; sorted by name. *)
+(** [diff a b] is, for each counter, [value a n - value b n], omitting
+    zero entries; sorted by name. *)

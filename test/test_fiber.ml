@@ -552,6 +552,46 @@ let fuel_bound () =
         (String.length msg >= 11 && String.sub msg 0 11 = "out of fuel")
   | _ -> Alcotest.fail "expected out of fuel"
 
+(* The whole counter table, observation counters included: no counter
+   may appear, disappear or change value. *)
+let full_counter_tables () =
+  let segcow_ms =
+    F.Config.with_multishot true
+      (F.Config.with_policy F.Stack_policy.segmented_cow F.Config.mc)
+  in
+  List.iter
+    (fun (name, cfg, p, want) ->
+      let _, c = run_std cfg p in
+      Alcotest.(check (list (pair string int))) name want
+        (Retrofit_util.Counter.to_list c))
+    [
+      ( "fib15/mc",
+        F.Config.mc,
+        F.Programs.fib ~n:15,
+        [ ("call", 1974); ("instructions", 32672); ("malloc", 2); ("ops", 20716);
+          ("overflow_check", 1974); ("ret", 1974); ("stack_cache_lookup", 2);
+          ("stack_cache_miss", 2); ("stack_grow", 1); ("words_copied", 41) ] );
+      ( "effect_roundtrip/mc",
+        F.Config.mc,
+        F.Programs.effect_roundtrip ~iters:100,
+        [ ("call", 301); ("check_elided", 100); ("eff_tbl_probe", 100);
+          ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100);
+          ("handle", 100); ("instructions", 7353); ("malloc", 2); ("ops", 1906);
+          ("overflow_check", 201); ("perform", 100); ("resume", 100); ("ret", 301);
+          ("stack_cache_hit", 99); ("stack_cache_lookup", 101);
+          ("stack_cache_miss", 2); ("switch", 400) ] );
+      ( "nqueens5/segcow-ms",
+        segcow_ms,
+        F.Programs.nqueens ~n:5,
+        [ ("call", 5080); ("chunk_commit", 7); ("chunk_cow", 420);
+          ("chunk_pool_hit", 6); ("cont_copy", 220); ("cont_share", 220);
+          ("cow_words", 21820); ("eff_tbl_probe", 44); ("fiber_alloc", 1);
+          ("fiber_free", 177); ("fiber_return", 177); ("handle", 1);
+          ("instructions", 116684); ("malloc", 2); ("ops", 56948); ("perform", 44);
+          ("resume", 220); ("ret", 5908); ("segment_check", 5080);
+          ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 442) ] );
+    ]
+
 (* property: instruction counts are deterministic *)
 let prop_deterministic =
   QCheck.Test.make ~name:"machine runs are deterministic" ~count:20
@@ -616,6 +656,7 @@ let suite =
     test "shadow backtrace shape (Fig 1d)" shadow_backtrace_shape;
     test "unregistered C function is fatal" unregistered_cfun_fatal;
     test "fuel bound" fuel_bound;
+    test "full counter tables pinned" full_counter_tables;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_mc_overhead_nonnegative;
   ]

@@ -65,11 +65,11 @@ let observe_histogram_copies () =
 let merge_counter_table_prefixes () =
   with_registry (fun r ->
       let c = Counter.create () in
-      Counter.add c "switch" 3;
-      Counter.add c "grow" 1;
+      Counter.add c Counter.Switch 3;
+      Counter.add c Counter.Stack_grow 1;
       Metrics.merge_counter_table ~r ~prefix:"fiber_" c;
       Alcotest.(check int) "prefixed" 3 (Metrics.get ~r "fiber_switch");
-      Alcotest.(check int) "prefixed 2" 1 (Metrics.get ~r "fiber_grow");
+      Alcotest.(check int) "prefixed 2" 1 (Metrics.get ~r "fiber_stack_grow");
       Metrics.merge_counter_table ~r ~prefix:"fiber_" c;
       Alcotest.(check int) "merging adds" 6 (Metrics.get ~r "fiber_switch"))
 

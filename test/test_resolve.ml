@@ -266,10 +266,10 @@ let bounds_hold_on_builtins () =
               | None -> ()
               | Some limit ->
                   incr finite_checked;
-                  let v = Counter.get counters cname in
+                  let v = Counter.value counters cname in
                   if v > limit then
                     Alcotest.failf "%s under %s: %s measured %d > bound %d" name
-                      pname cname v limit)
+                      pname (Counter.to_string cname) v limit)
             (A.Costbound.counter_bounds r.A.Analyze.cost ~policy ~multishot:false
                ~red_zone:F.Config.mc.F.Config.red_zone))
         F.Stack_policy.all)
@@ -428,7 +428,7 @@ let checker_catches_injected_violations () =
             | Some _ -> ()
             | None ->
                 Alcotest.failf "%s: counter %s over bound %d not caught"
-                  e.C.Corpus.name cname limit)
+                  e.C.Corpus.name (Counter.to_string cname) limit)
       end)
     C.Corpus.entries;
   Alcotest.(check bool) "a non-boundary site existed" true !found_site;

@@ -279,16 +279,64 @@ let rng_shuffle_permutes () =
 
 let counter_basics () =
   let c = Counter.create () in
-  Counter.incr c "a";
-  Counter.add c "a" 4;
-  Alcotest.(check int) "a" 5 (Counter.get c "a");
-  Alcotest.(check int) "missing" 0 (Counter.get c "zzz");
-  Alcotest.(check (list (pair string int))) "to_list" [ ("a", 5) ] (Counter.to_list c);
+  Counter.incr c Counter.Ops;
+  Counter.add c Counter.Ops 4;
+  Alcotest.(check int) "ops" 5 (Counter.get c "ops");
+  Alcotest.(check int) "untouched" 0 (Counter.get c "call");
+  Alcotest.(check (list (pair string int))) "to_list" [ ("ops", 5) ] (Counter.to_list c);
   let d = Counter.create () in
-  Counter.add d "a" 2;
-  Counter.add d "b" 1;
-  Alcotest.(check (list (pair string int))) "diff" [ ("a", 3); ("b", -1) ]
+  Counter.add d Counter.Ops 2;
+  Counter.add d Counter.Call 1;
+  Alcotest.(check (list (pair string int))) "diff" [ ("call", -1); ("ops", 3) ]
     (Counter.diff c d)
+
+let counter_names () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Counter.to_string n ^ " round-trips")
+        true
+        (Counter.of_string (Counter.to_string n) = n))
+    Counter.all;
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Counter.of_string: unknown counter grow") (fun () ->
+      ignore (Counter.get (Counter.create ()) "grow"))
+
+(* Random positive bumps, as the machine makes them. *)
+let counter_bumps =
+  QCheck.(list (pair (int_range 0 (List.length Counter.all - 1)) (int_range 1 1000)))
+
+let counter_of bumps =
+  let c = Counter.create () in
+  List.iter (fun (i, v) -> Counter.add c (List.nth Counter.all i) v) bumps;
+  c
+
+let prop_counter_to_list =
+  QCheck.Test.make ~name:"counter to_list: exactly the nonzero counters, sorted"
+    ~count:200 counter_bumps (fun bumps ->
+      let c = counter_of bumps in
+      let l = Counter.to_list c in
+      List.map fst l = List.sort_uniq String.compare (List.map fst l)
+      && List.for_all
+           (fun n ->
+             match List.assoc_opt (Counter.to_string n) l with
+             | Some v -> v <> 0 && v = Counter.value c n
+             | None -> Counter.value c n = 0)
+           Counter.all)
+
+let prop_counter_diff =
+  QCheck.Test.make ~name:"counter diff is the pointwise difference" ~count:200
+    (QCheck.pair counter_bumps counter_bumps) (fun (xs, ys) ->
+      let a = counter_of xs and b = counter_of ys in
+      let d = Counter.diff a b in
+      List.map fst d = List.sort_uniq String.compare (List.map fst d)
+      && List.for_all
+           (fun n ->
+             let want = Counter.value a n - Counter.value b n in
+             match List.assoc_opt (Counter.to_string n) d with
+             | Some v -> v = want && v <> 0
+             | None -> want = 0)
+           Counter.all)
 
 (* ---------------- Table ---------------- *)
 
@@ -457,6 +505,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
     test "histogram saturation boundary" hist_saturation_boundary;
     test "counter basics" counter_basics;
+    test "counter names round-trip, unknown raises" counter_names;
+    QCheck_alcotest.to_alcotest prop_counter_to_list;
+    QCheck_alcotest.to_alcotest prop_counter_diff;
     test "table render" table_render;
     test "table kv and chart" table_kv_and_chart;
   ]
