@@ -116,7 +116,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true)
         match dwarf_seed with
         | None -> None
         | Some seed ->
-            let table = D.Table.build prog in
+            let check = D.Validate.checker (D.Table.build prog) in
             let rng = Rng.create seed in
             Some
               (fun m ->
@@ -125,7 +125,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true)
                    runs; stop sampling after the per-program budget. *)
                 if !probes < dwarf_max_probes && Rng.int rng 8 = 0 then begin
                   incr probes;
-                  match D.Validate.check_now table m with
+                  match check m with
                   | Ok () -> ()
                   | Error e ->
                       if List.length !dwarf_failures < 5 then

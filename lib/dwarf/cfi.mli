@@ -19,6 +19,12 @@ type instruction =
 
 type program = instruction list
 
+val op_advance : int
+(** The opcode of [Advance_loc] in the encoding. *)
+
+val op_def_cfa_offset : int
+(** The opcode of [Def_cfa_offset] in the encoding. *)
+
 val encode : program -> int array
 (** Two words per instruction: opcode then operand. *)
 

@@ -1,21 +1,33 @@
+(* Interprets the encoded words in place, one operation at a time, so
+   unwinding a frame allocates nothing: decoding the whole program into
+   a list per frame made every DWARF probe of a deep stack churn the
+   minor heap and promote its half-built backtrace.  An offset is never
+   negative ([Cfi.encode] rejects it), so -1 stands for "no rule yet". *)
 let cfa_offset ?ops (fde : Table.fde) ~pc =
   if pc < fde.fde_start || pc >= fde.fde_end then
     invalid_arg "Interp.cfa_offset: pc outside FDE";
+  let code = fde.bytecode in
+  let n = Array.length code in
+  if n mod 2 <> 0 then invalid_arg "Cfi.decode: odd length";
   let tally () = match ops with Some r -> incr r | None -> () in
-  let program = Cfi.decode fde.bytecode in
-  let rec go loc offset = function
-    | [] -> offset
-    | Cfi.Advance_loc d :: rest ->
+  let rec go i loc offset =
+    if i >= n then offset
+    else begin
+      let op = code.(i) and arg = code.(i + 1) in
+      if op = Cfi.op_advance then begin
         tally ();
-        let loc' = loc + d in
-        if loc' > pc then offset else go loc' offset rest
-    | Cfi.Def_cfa_offset o :: rest ->
+        let loc' = loc + arg in
+        if loc' > pc then offset else go (i + 2) loc' offset
+      end
+      else if op = Cfi.op_def_cfa_offset then begin
         tally ();
-        go loc (Some o) rest
+        go (i + 2) loc arg
+      end
+      else invalid_arg (Printf.sprintf "Cfi.decode: bad opcode %d" op)
+    end
   in
-  match go fde.fde_start None program with
-  | Some offset -> offset
-  | None -> invalid_arg "Interp.cfa_offset: no rule at pc"
+  let offset = go 0 fde.fde_start (-1) in
+  if offset < 0 then invalid_arg "Interp.cfa_offset: no rule at pc" else offset
 
 module Precompiled = struct
   type t = { base : int; offsets : int array }

@@ -14,9 +14,7 @@ exception Unwind_error of string
 
 let error fmt = Printf.ksprintf (fun msg -> raise (Unwind_error msg)) fmt
 
-let backtrace_from ?interp_ops table machine ~pc ~sp =
-  let out = ref [] in
-  let emit e = out := e :: !out in
+let iter_from ?interp_ops table machine ~pc ~sp emit =
   let guard = ref 1_000_000 in
   let read addr =
     match Machine.read_mem machine addr with
@@ -61,8 +59,16 @@ let backtrace_from ?interp_ops table machine ~pc ~sp =
         else if Layout.is_sentinel ra then error "unexpected sentinel %d" ra
         else walk ~pc:ra ~sp:cfa
   in
-  walk ~pc ~sp;
+  walk ~pc ~sp
+
+let backtrace_from ?interp_ops table machine ~pc ~sp =
+  let out = ref [] in
+  iter_from ?interp_ops table machine ~pc ~sp (fun e -> out := e :: !out);
   List.rev !out
+
+let iter ?interp_ops table machine emit =
+  let f = Machine.current_fiber machine in
+  iter_from ?interp_ops table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp emit
 
 let backtrace ?interp_ops table machine =
   let f = Machine.current_fiber machine in
@@ -77,15 +83,14 @@ let snapshot_continuations ?interp_ops table machine =
       (kid, backtrace_of_fiber ?interp_ops table machine (List.hd fibers)))
     (Machine.live_continuations machine)
 
-let names entries =
-  List.filter_map
-    (function
-      | Frame { fn; _ } -> Some fn
-      | C_boundary -> Some "<C>"
-      | Fiber_boundary _ -> None
-      | Main_end -> Some "<main>"
-      | Captured_end -> Some "<captured>")
-    entries
+let name = function
+  | Frame { fn; _ } -> Some fn
+  | C_boundary -> Some "<C>"
+  | Fiber_boundary _ -> None
+  | Main_end -> Some "<main>"
+  | Captured_end -> Some "<captured>"
+
+let names entries = List.filter_map name entries
 
 let format entries =
   let buf = Buffer.create 256 in

@@ -34,6 +34,15 @@ val backtrace :
 (** @raise Unwind_error when the tables or memory are inconsistent —
     which the validator treats as a failure. *)
 
+val iter :
+  ?interp_ops:int ref ->
+  Table.t ->
+  Retrofit_fiber.Machine.t ->
+  (entry -> unit) ->
+  unit
+(** [backtrace] one entry at a time, in the same order, without building
+    the list.  @raise Unwind_error as [backtrace] does. *)
+
 val backtrace_of_fiber :
   ?interp_ops:int ref ->
   Table.t ->
@@ -50,6 +59,9 @@ val snapshot_continuations :
     of all current requests" §6.3.4 credits effect handlers with
     enabling (available in Go, absent from Lwt/Async because monadic
     code has no stacks). *)
+
+val name : entry -> string option
+(** One entry of {!names}; [None] for a [Fiber_boundary]. *)
 
 val names : entry list -> string list
 (** Renders entries in the same format as

@@ -1,4 +1,5 @@
 module Machine = Retrofit_fiber.Machine
+module Vec = Retrofit_util.Vec
 
 type report = {
   probes : int;
@@ -9,21 +10,36 @@ type report = {
 
 let empty = { probes = 0; frames = 0; mismatches = []; interp_ops = 0 }
 
-let compare_traces table machine ~ops =
-  let unwound = Unwind.names (Unwind.backtrace ~interp_ops:ops table machine) in
-  let shadow = Machine.shadow_backtrace machine in
-  if unwound = shadow then Ok (List.length unwound) else Error (unwound, shadow)
+(* The unwound names go into [buf], which the caller keeps across
+   probes, and the shadow walk is checked against it name by name: a
+   probe of a deep stack keeps nothing of its own alive, so a minor
+   collection in the middle of it promotes no half-built backtrace.
+   The lists are built only to report a mismatch. *)
+let compare_traces buf table machine ~ops =
+  Vec.clear buf;
+  Unwind.iter ~interp_ops:ops table machine (fun e ->
+      match Unwind.name e with Some n -> Vec.push buf n | None -> ());
+  let i = ref 0 and same = ref true in
+  Machine.iter_shadow_backtrace machine (fun n ->
+      if !i >= Vec.length buf || not (String.equal (Vec.get buf !i) n) then same := false;
+      incr i);
+  if !same && !i = Vec.length buf then Ok !i
+  else Error (Vec.to_list buf, Machine.shadow_backtrace machine)
 
-let check_now table machine =
-  let ops = ref 0 in
-  match compare_traces table machine ~ops with
-  | Ok _ -> Ok ()
-  | Error (unwound, shadow) ->
-      Error
-        (Printf.sprintf "unwound [%s] but shadow is [%s]"
-           (String.concat "; " unwound)
-           (String.concat "; " shadow))
-  | exception Unwind.Unwind_error msg -> Error ("unwind error: " ^ msg)
+let checker table =
+  let buf = Vec.create () in
+  fun machine ->
+    let ops = ref 0 in
+    match compare_traces buf table machine ~ops with
+    | Ok _ -> Ok ()
+    | Error (unwound, shadow) ->
+        Error
+          (Printf.sprintf "unwound [%s] but shadow is [%s]"
+             (String.concat "; " unwound)
+             (String.concat "; " shadow))
+    | exception Unwind.Unwind_error msg -> Error ("unwind error: " ^ msg)
+
+let check_now table machine = checker table machine
 
 let max_recorded_mismatches = 10
 
@@ -31,13 +47,14 @@ let probe_every n table =
   if n <= 0 then invalid_arg "Validate.probe_every: n must be positive";
   let report = ref empty in
   let calls = ref 0 in
+  let buf = Vec.create () in
   let hook machine =
     incr calls;
     if !calls mod n = 0 then begin
       let ops = ref 0 in
       let r = !report in
       let r =
-        match compare_traces table machine ~ops with
+        match compare_traces buf table machine ~ops with
         | Ok frames ->
             { r with probes = r.probes + 1; frames = r.frames + frames }
         | Error (unwound, shadow) ->

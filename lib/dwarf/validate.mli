@@ -18,6 +18,10 @@ val check_now : Table.t -> Retrofit_fiber.Machine.t -> (unit, string) result
 (** Unwind at the current machine state and compare against the shadow
     backtrace. *)
 
+val checker : Table.t -> Retrofit_fiber.Machine.t -> (unit, string) result
+(** [checker table] is [check_now table] with a name buffer kept across
+    its calls, so repeated probes of one run allocate no backtrace. *)
+
 val probe_every : int -> Table.t -> (Retrofit_fiber.Machine.t -> unit) * report ref
 (** [probe_every n table] returns an [on_call] hook that validates every
     [n]th call, together with the report it fills in.  Pass the hook to

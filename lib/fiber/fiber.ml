@@ -9,9 +9,9 @@ type regs = {
 type shadow_frame = {
   sf_fn : int;
   sf_ra : int;
-  sf_caller_cfa : int;
+  sf_caller_cfa_off : int;
   sf_caller_fn : int;
-  sf_cfa : int;
+  sf_cfa_off : int;
   sf_ops_base : int;
 }
 
@@ -40,21 +40,18 @@ let create ~id ~seg ~parent ~handler =
     live = true;
   }
 
+let offset_of t addr = Segment.top t.seg - addr
+
+let sf_cfa t sf = Segment.top t.seg - sf.sf_cfa_off
+
+let sf_caller_cfa t sf = Segment.top t.seg - sf.sf_caller_cfa_off
+
 let shift delta addr = if addr = 0 then 0 else addr + delta
 
 let rebase t ~delta =
   t.regs.sp <- shift delta t.regs.sp;
   t.regs.cfa <- shift delta t.regs.cfa;
   t.regs.exn_ptr <- shift delta t.regs.exn_ptr;
-  Retrofit_util.Vec.iteri
-    (fun i sf ->
-      Retrofit_util.Vec.set t.shadow i
-        {
-          sf with
-          sf_caller_cfa = shift delta sf.sf_caller_cfa;
-          sf_cfa = shift delta sf.sf_cfa;
-        })
-    t.shadow;
   Retrofit_util.Vec.iteri
     (fun i (addr, depth) -> Retrofit_util.Vec.set t.traps i (addr + delta, depth))
     t.traps

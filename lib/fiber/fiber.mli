@@ -25,11 +25,16 @@ type regs = {
 type shadow_frame = {
   sf_fn : int;
   sf_ra : int;  (** return address (code address or Layout sentinel) *)
-  sf_caller_cfa : int;
+  sf_caller_cfa_off : int;  (** the caller's CFA, as an offset (below) *)
   sf_caller_fn : int;
-  sf_cfa : int;
+  sf_cfa_off : int;  (** this frame's CFA, as an offset (below) *)
   sf_ops_base : int;  (** operand-stack length at frame entry *)
 }
+(** The two CFAs are kept as distances below the top of the fiber's
+    segment, not as addresses.  Moving a fiber (growth by copying, or a
+    multishot clone) shifts all of its addresses by one delta and leaves
+    these distances unchanged, so a moved or cloned shadow stack keeps
+    its frame records instead of rebuilding every one. *)
 
 type t = {
   id : int;
@@ -49,8 +54,17 @@ val create : id:int -> seg:Segment.t -> parent:t option ->
 (** A fiber with zeroed registers; the machine initialises the preamble
     and register state. *)
 
+val offset_of : t -> int -> int
+(** [offset_of f addr] is the distance of [addr] below [f]'s segment
+    top, the form a shadow frame stores. *)
+
+val sf_cfa : t -> shadow_frame -> int
+(** The address of a frame of [t]'s shadow stack's CFA. *)
+
+val sf_caller_cfa : t -> shadow_frame -> int
+
 val rebase : t -> delta:int -> unit
 (** Adjust every stored stack address after the segment moved by
-    [delta]: registers, shadow frames, the trap mirror.  The in-memory
-    trap chain is the machine's to fix, since it requires memory
-    access. *)
+    [delta]: registers and the trap mirror (shadow frames hold offsets,
+    which do not move).  The in-memory trap chain is the machine's to
+    fix, since it requires memory access. *)

@@ -441,9 +441,9 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
       {
         Fiber.sf_fn = fid;
         sf_ra = ra;
-        sf_caller_cfa = f.regs.cfa;
+        sf_caller_cfa_off = Fiber.offset_of f f.regs.cfa;
         sf_caller_fn = f.regs.fn;
-        sf_cfa = ra_addr + 1;
+        sf_cfa_off = Fiber.offset_of f (ra_addr + 1);
         sf_ops_base = Vec.length f.ops;
       };
     f.regs.cfa <- ra_addr + 1;
@@ -496,7 +496,7 @@ let machine_raise t exn_id payload =
     else if hpc = Layout.c_trap then begin
       (* Callback boundary: pop the saved-pc context word too, then
          propagate to the C caller as a host exception. *)
-      while (Vec.top f.shadow).Fiber.sf_cfa <= a do
+      while Fiber.sf_cfa f (Vec.top f.shadow) <= a do
         ignore (Vec.pop f.shadow)
       done;
       f.regs.sp <- a + 3;
@@ -507,11 +507,11 @@ let machine_raise t exn_id payload =
     else begin
       (* Ordinary trap: unwind the shadow stack to the frame holding the
          trap and enter the handler code with [payload; id] pushed. *)
-      while (Vec.top f.shadow).Fiber.sf_cfa <= a do
+      while Fiber.sf_cfa f (Vec.top f.shadow) <= a do
         ignore (Vec.pop f.shadow)
       done;
       let sf = Vec.top f.shadow in
-      f.regs.cfa <- sf.Fiber.sf_cfa;
+      f.regs.cfa <- Fiber.sf_cfa f sf;
       f.regs.fn <- sf.Fiber.sf_fn;
       f.regs.pc <- hpc;
       push_op f payload;
@@ -1049,8 +1049,8 @@ let rec exec_instr t =
       let result = pop_op f in
       let sf = Vec.pop f.shadow in
       Vec.truncate f.ops sf.Fiber.sf_ops_base;
-      f.regs.sp <- sf.sf_cfa;
-      f.regs.cfa <- sf.sf_caller_cfa;
+      f.regs.sp <- Fiber.sf_cfa f sf;
+      f.regs.cfa <- Fiber.sf_caller_cfa f sf;
       f.regs.fn <- sf.sf_caller_fn;
       let ra = sf.sf_ra in
       if ra = Layout.ret_to_parent then fiber_return t result
@@ -1190,9 +1190,7 @@ let live_continuations t =
     t.conts;
   List.rev !out
 
-let shadow_backtrace t =
-  let out = ref [] in
-  let emit s = out := s :: !out in
+let iter_shadow_backtrace t emit =
   let fn_name i = if i >= 0 then t.prog.fns.(i).fn_name else "?" in
   let rec walk_fiber (f : Fiber.t) idx =
     if idx < 0 then ()
@@ -1213,7 +1211,11 @@ let shadow_backtrace t =
     end
   in
   let f = t.current in
-  walk_fiber f (Vec.length f.Fiber.shadow - 1);
+  walk_fiber f (Vec.length f.Fiber.shadow - 1)
+
+let shadow_backtrace t =
+  let out = ref [] in
+  iter_shadow_backtrace t (fun s -> out := s :: !out);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

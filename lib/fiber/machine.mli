@@ -151,3 +151,7 @@ val shadow_backtrace : t -> string list
 (** Ground truth: function names from the innermost frame outwards,
     crossing fiber boundaries via parent pointers and marking callback
     boundaries with ["<C>"]; ends with ["<main>"]. *)
+
+val iter_shadow_backtrace : t -> (string -> unit) -> unit
+(** [shadow_backtrace] one name at a time, in the same order, without
+    building the list. *)
