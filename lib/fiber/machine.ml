@@ -682,9 +682,9 @@ let copy_fiber t (f : Fiber.t) =
   copy.regs.cfa <- f.regs.cfa;
   copy.regs.fn <- f.regs.fn;
   copy.regs.exn_ptr <- f.regs.exn_ptr;
-  Vec.iter (push_op copy) f.ops;
-  Vec.iter (Vec.push copy.shadow) f.shadow;
-  Vec.iter (Vec.push copy.traps) f.traps;
+  Vec.append copy.ops f.ops;
+  Vec.append copy.shadow f.shadow;
+  Vec.append copy.traps f.traps;
   let delta = Segment.top seg - Segment.top f.seg in
   Fiber.rebase copy ~delta;
   let rec fix addr =

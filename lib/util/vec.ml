@@ -36,6 +36,11 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
+let append v src =
+  ensure v (v.len + src.len);
+  Array.blit src.data 0 v.data v.len src.len;
+  v.len <- v.len + src.len
+
 let pop v =
   if v.len = 0 then invalid_arg "Vec.pop: empty";
   v.len <- v.len - 1;

@@ -26,6 +26,10 @@ val set : 'a t -> int -> 'a -> unit
 
 val push : 'a t -> 'a -> unit
 
+val append : 'a t -> 'a t -> unit
+(** [append v src] pushes every element of [src], in order, growing [v]
+    at most once. *)
+
 val pop : 'a t -> 'a
 (** Removes and returns the last element.  @raise Invalid_argument on an
     empty vector. *)
