@@ -13,6 +13,7 @@ let () =
       ("fiber", Test_fiber.suite);
       ("fiber.frozen", Test_frozen.suite);
       ("fiber.policy", Test_policy.suite);
+      ("fiber.audit", Test_audit.suite);
       ("dwarf", Test_dwarf.suite);
       ("trace", Test_trace.suite);
       ("metrics", Test_metrics.suite);
