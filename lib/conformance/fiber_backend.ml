@@ -95,8 +95,7 @@ let cfuns p =
          (callback_cfun f, fun (ctx : F.Machine.ctx) args -> ctx.callback f args))
        (callback_targets p)
 
-let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true)
-    ?(audit_interval = 1) ?dwarf_seed ?(dwarf_max_probes = 500) ?on_perform
+let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed ?(dwarf_max_probes = 500) ?on_perform
     (p : Ir.program) : result =
   match F.Compile.compile (lower p) with
   | exception F.Compile.Error msg ->
@@ -109,7 +108,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true)
         counters = Retrofit_util.Counter.create ();
       }
   | prog ->
-      let auditor = if audit then Some (F.Machine.audit ~interval:audit_interval ()) else None in
+      let auditor = if audit then Some (F.Machine.audit ()) else None in
       let probes = ref 0 in
       let dwarf_failures = ref [] in
       let on_call =

@@ -31,17 +31,17 @@ val run :
   ?config:Retrofit_fiber.Config.t ->
   ?fuel:int ->
   ?audit:bool ->
-  ?audit_interval:int ->
   ?dwarf_seed:int ->
   ?dwarf_max_probes:int ->
   ?on_perform:(site:int -> eff:int -> handler:int -> unit) ->
   Ir.program ->
   result
-(** Defaults: {!Retrofit_fiber.Config.mc}, 20-million-op fuel, audit
-    every step, no DWARF sampling.  When a [dwarf_seed] is given, about
-    one call in eight is probed, up to [dwarf_max_probes] (default 500)
-    per program — each probe unwinds the whole stack, so an unbounded
-    rate would be quadratic on deep fuel-bound runs.  Pass
+(** Defaults: {!Retrofit_fiber.Config.mc}, 20-million-op fuel, the
+    auditor on its fixed schedule ({!Retrofit_fiber.Machine.audit}), no
+    DWARF sampling.  When a [dwarf_seed] is given, about one call in
+    eight is probed, up to [dwarf_max_probes] (default 500) per program
+    — each probe unwinds the whole stack, so an unbounded rate would be
+    quadratic on deep fuel-bound runs.  Pass
     [Config.with_multishot true Config.mc] to disable the one-shot
     check — the canonical seeded mutation the fuzzer must catch.
 

@@ -10,6 +10,11 @@ module Tev = Retrofit_trace.Event
    address, if any, is the one with the greatest base <= addr. *)
 module Imap = Map.Make (Int)
 
+(* The live-fiber table, by id.  [Int.hash] is the generic hash, so the
+   buckets (and the iteration order) are those of a generic table; the
+   key comparison is [Int.equal] rather than a polymorphic compare. *)
+module Itbl = Hashtbl.Make (Int)
+
 type outcome = Done of int | Uncaught of string * int | Fatal of string
 
 exception Ocaml_exn of string * int
@@ -26,27 +31,49 @@ type cont = { fibers : Fiber.t Vec.t; mutable cont_live : bool }
 
 type audit = {
   mutable a_interval : int;
-  a_soft_cap : int;
-  mutable a_budget : int; (* checks left before the interval doubles *)
+  mutable a_budget : int; (* passes left before the interval doubles *)
   mutable a_countdown : int;
   mutable a_checks : int;
   mutable a_nviolations : int;
   mutable a_violations : (string * string) list; (* newest first, capped *)
+  (* Scratch state every pass reuses, so that a passing pass allocates
+     nothing.  The two visitors close over the audited machine; [run]
+     binds them. *)
+  mutable a_visit : int -> Fiber.t -> unit; (* one base-index entry *)
+  mutable a_visit_cached : Segment.t -> unit; (* one stack-cache entry *)
+  mutable a_indexed : int; (* base-index entries visited this pass *)
+  mutable a_index_ok : bool;
+  (* Captured fiber id -> owning continuation, by open addressing with
+     linear probing.  A slot is in use in this pass iff its stamp is
+     [a_checks], so nothing is cleared between passes. *)
+  mutable a_own_id : int array;
+  mutable a_own_kid : int array;
+  mutable a_own_stamp : int array;
+  mutable a_own_n : int;
 }
 
 let max_recorded_violations = 20
 
-let audit ?(interval = 1) ?(soft_cap = 50_000) () =
-  if interval <= 0 then invalid_arg "Machine.audit: interval must be positive";
-  if soft_cap <= 0 then invalid_arg "Machine.audit: soft_cap must be positive";
+(* The schedule: every step, until [audit_soft_cap] passes have run at
+   one interval; then the interval doubles. *)
+let audit_soft_cap = 50_000
+
+let audit () =
   {
-    a_interval = interval;
-    a_soft_cap = soft_cap;
-    a_budget = soft_cap;
-    a_countdown = interval;
+    a_interval = 1;
+    a_budget = audit_soft_cap;
+    a_countdown = 1;
     a_checks = 0;
     a_nviolations = 0;
     a_violations = [];
+    a_visit = (fun _ _ -> ());
+    a_visit_cached = ignore;
+    a_indexed = 0;
+    a_index_ok = true;
+    a_own_id = Array.make 64 0;
+    a_own_kid = Array.make 64 0;
+    a_own_stamp = Array.make 64 0;
+    a_own_n = 0;
   }
 
 let audit_checks a = a.a_checks
@@ -68,7 +95,7 @@ type t = {
   t_counters : Counter.t;
   cache : Stack_cache.t;
   mutable current : Fiber.t;
-  fibers_live : (int, Fiber.t) Hashtbl.t;
+  fibers_live : Fiber.t Itbl.t;
   mutable by_base : Fiber.t Imap.t;
   conts : cont Vec.t;
   mutable next_base : int;
@@ -103,7 +130,7 @@ let counters t = t.t_counters
 
 let current_fiber t = t.current
 
-let fiber_by_id t id = Hashtbl.find_opt t.fibers_live id
+let fiber_by_id t id = Itbl.find_opt t.fibers_live id
 
 let fatal msg = raise (Fatal_error msg)
 
@@ -129,7 +156,7 @@ let read_mem t addr =
   | Some f -> Segment.read f.Fiber.seg addr
   | None -> invalid_arg (Printf.sprintf "Machine.read_mem: unmapped address %d" addr)
 
-let live_fiber_count t = Hashtbl.length t.fibers_live
+let live_fiber_count t = Itbl.length t.fibers_live
 
 (* ------------------------------------------------------------------ *)
 (* Operand stack and memory helpers (always on the current fiber) *)
@@ -232,7 +259,7 @@ let init_preamble t (f : Fiber.t) ~handler_index ~bottom_trap =
   ignore t
 
 let register_fiber t f =
-  Hashtbl.replace t.fibers_live f.Fiber.id f;
+  Itbl.replace t.fibers_live f.Fiber.id f;
   t.by_base <- Imap.add (Segment.base f.Fiber.seg) f t.by_base
 
 let new_fiber t ~parent ~handler ~handler_index ~bottom_trap ~size =
@@ -254,7 +281,7 @@ let new_fiber t ~parent ~handler ~handler_index ~bottom_trap ~size =
 let free_fiber t (f : Fiber.t) =
   if Trace.on () then emit_ev t (Tev.Fiber_free { id = f.Fiber.id });
   f.live <- false;
-  Hashtbl.remove t.fibers_live f.id;
+  Itbl.remove t.fibers_live f.id;
   t.by_base <- Imap.remove (Segment.base f.seg) t.by_base;
   count t Counter.Fiber_free;
   charge t Costs.fiber_free;
@@ -314,6 +341,10 @@ let grow t (f : Fiber.t) ~needed =
     end
   in
   fix f.regs.exn_ptr;
+  (* The outgrown copy's words are dead.  A deep recursion outgrows one
+     copy after another and rarely reuses their sizes, so the cache
+     keeps only their shape and a reuse allocates fresh words. *)
+  Segment.drop_words old_seg;
   if t.cfg.stack_cache then Stack_cache.put t.cache ~size:old_size old_seg
 
 (* Every control transfer between fibers funnels through here so the
@@ -547,6 +578,13 @@ let fiber_return t result =
   switch_to t p;
   emulate_call t p h.Compile.h_retc [| result |] ~ra:p.regs.pc
 
+(* A one-shot continuation is used up: mark it dead (a later resume
+   raises Invalid_argument) and drop its fibers, which would otherwise
+   stay reachable from [t.conts] until the run ends. *)
+let spend k =
+  k.cont_live <- false;
+  Vec.clear k.fibers
+
 let do_perform t eff_id =
   count t Counter.Perform;
   charge t Costs.perform;
@@ -592,7 +630,7 @@ let do_perform t eff_id =
         else begin
           let first = Vec.get k.fibers 0 in
           relink_last_to cur;
-          k.cont_live <- false;
+          spend k;
           switch_to t first;
           notify (-1);
           machine_raise t t.unhandled_id 0
@@ -731,16 +769,14 @@ let do_resume t ~raise_instead v kid =
         count t Counter.Cont_copy;
         copy_chain t k.fibers
       end
-      else begin
-        k.cont_live <- false;
-        k.fibers
-      end
+      else k.fibers
     in
     if Vec.is_empty fibers then fatal "empty continuation";
     (* Both chain ends in O(1): the head is switched to, the tail is
        reparented onto the resumer. *)
     let first = Vec.get fibers 0 in
     let last = Vec.top fibers in
+    if not t.cfg.multishot then spend k;
     last.Fiber.parent <- Some t.current;
     wr last (Segment.top last.Fiber.seg - 1) t.current.Fiber.id;
     switch_to t first;
@@ -801,26 +837,73 @@ let pop_trap t (f : Fiber.t) =
    entries are never aliased by a live stack, and live continuations
    form disjoint well-linked chains (one-shot linearity).  Violations
    are recorded, not fatal, so a conformance run can report them
-   alongside outcome diffs. *)
+   alongside outcome diffs.
+
+   A pass that finds nothing allocates nothing: diagnostics are
+   formatted only on failure, the walks are loops or visitors bound once
+   per run, and the ownership map is scratch space in the [audit]
+   record.  Segmented-COW clones share chunks, so a bad write through
+   one fiber can break another the machine never touched; every pass
+   therefore checks every live fiber, continuation and cached segment,
+   not just those a step touched. *)
+
+let fiber_where (f : Fiber.t) = Printf.sprintf "fiber %d" f.Fiber.id
+
+let registered t (f : Fiber.t) =
+  match Itbl.find t.fibers_live f.Fiber.id with
+  | g -> g == f
+  | exception Not_found -> false
+
+(* Whether a callback boundary trap is live on [f], from mirror entry
+   [i] on. *)
+let rec has_c_trap (f : Fiber.t) i =
+  i < Vec.length f.traps
+  && (rd f (fst (Vec.get f.traps i) + 1) = Layout.c_trap || has_c_trap f (i + 1))
+
+(* The in-memory trap chain from [addr], the [i]th trap from the head,
+   is strictly increasing, lies in the used region, and matches the
+   mirror Vec trap for trap. *)
+let rec audit_trap_chain a (f : Fiber.t) ~top addr i =
+  let nmirror = Vec.length f.traps in
+  if addr = 0 then begin
+    if i <> nmirror then
+      audit_fail a "trap-chain"
+        (Printf.sprintf "%s: chain has %d traps but mirror has %d" (fiber_where f) i
+           nmirror)
+  end
+  else if i >= nmirror then
+    audit_fail a "trap-chain" (fiber_where f ^ ": in-memory trap chain longer than mirror")
+  else begin
+    let maddr, _ = Vec.get f.traps (nmirror - 1 - i) in
+    if maddr <> addr then
+      audit_fail a "trap-chain"
+        (Printf.sprintf "%s: trap %d at address %d but mirror says %d" (fiber_where f) i
+           addr maddr);
+    if addr < f.regs.sp || addr + 1 >= top then
+      audit_fail a "trap-chain"
+        (Printf.sprintf "%s: trap address %d outside [sp=%d, top)" (fiber_where f) addr
+           f.regs.sp);
+    let next = rd f addr in
+    if next <> 0 && next <= addr then
+      audit_fail a "trap-chain"
+        (Printf.sprintf "%s: trap chain not strictly increasing at %d" (fiber_where f)
+           addr)
+    else audit_trap_chain a f ~top next (i + 1)
+  end
 
 let audit_fiber t a (f : Fiber.t) =
-  let where = Printf.sprintf "fiber %d" f.Fiber.id in
   let top = Segment.top f.seg and base = Segment.base f.seg in
-  if not f.live then audit_fail a "liveness" (where ^ " registered but marked dead");
+  if not f.live then audit_fail a "liveness" (fiber_where f ^ " registered but marked dead");
   (* Fig 3a handler_info: parent-id word mirrors the parent pointer. *)
   let parent_word = rd f (top - 1) in
   let expect_parent = match f.parent with Some p -> p.Fiber.id | None -> -1 in
   if parent_word <> expect_parent then
     audit_fail a "layout-parent"
-      (Printf.sprintf "%s: parent word %d but fiber record says %d" where
+      (Printf.sprintf "%s: parent word %d but fiber record says %d" (fiber_where f)
          parent_word expect_parent);
   (* Fig 3a handler_info: the handler word names the installed handler;
      -1 on the main stack.  A callback boundary blanks the record while
      its boundary trap is live, leaving the word in place. *)
-  let has_c_trap = ref false in
-  Vec.iter
-    (fun (addr, _) -> if rd f (addr + 1) = Layout.c_trap then has_c_trap := true)
-    f.traps;
   let handler_word = rd f (top - 2) in
   (match f.handler with
   | Some h ->
@@ -831,58 +914,33 @@ let audit_fiber t a (f : Fiber.t) =
       then
         audit_fail a "layout-handler"
           (Printf.sprintf "%s: handler word %d does not name the installed handler"
-             where handler_word)
+             (fiber_where f) handler_word)
   | None ->
-      if handler_word <> -1 && not !has_c_trap then
+      if handler_word <> -1 && not (has_c_trap f 0) then
         audit_fail a "layout-handler"
           (Printf.sprintf
              "%s: no handler installed but handler word is %d and no callback \
               boundary is live"
-             where handler_word));
+             (fiber_where f) handler_word));
   (* Saved registers stay inside the segment, frame address above sp. *)
   if f.regs.sp < base || f.regs.sp > top then
     audit_fail a "layout-sp"
-      (Printf.sprintf "%s: sp %d outside [%d, %d]" where f.regs.sp base top);
+      (Printf.sprintf "%s: sp %d outside [%d, %d]" (fiber_where f) f.regs.sp base top);
   if f.regs.cfa < f.regs.sp || f.regs.cfa > top then
     audit_fail a "layout-cfa"
-      (Printf.sprintf "%s: cfa %d outside [sp=%d, %d]" where f.regs.cfa f.regs.sp top);
-  (* The in-memory trap chain is strictly increasing, lies in the used
-     region, and matches the mirror Vec trap for trap. *)
-  let nmirror = Vec.length f.traps in
-  let rec walk addr i =
-    if addr = 0 then begin
-      if i <> nmirror then
-        audit_fail a "trap-chain"
-          (Printf.sprintf "%s: chain has %d traps but mirror has %d" where i nmirror)
-    end
-    else if i >= nmirror then
-      audit_fail a "trap-chain" (where ^ ": in-memory trap chain longer than mirror")
-    else begin
-      let maddr, _ = Vec.get f.traps (nmirror - 1 - i) in
-      if maddr <> addr then
-        audit_fail a "trap-chain"
-          (Printf.sprintf "%s: trap %d at address %d but mirror says %d" where i addr
-             maddr);
-      if addr < f.regs.sp || addr + 1 >= top then
-        audit_fail a "trap-chain"
-          (Printf.sprintf "%s: trap address %d outside [sp=%d, top)" where addr
-             f.regs.sp);
-      let next = rd f addr in
-      if next <> 0 && next <= addr then
-        audit_fail a "trap-chain"
-          (Printf.sprintf "%s: trap chain not strictly increasing at %d" where addr)
-      else walk next (i + 1)
-    end
-  in
-  walk f.regs.exn_ptr 0
+      (Printf.sprintf "%s: cfa %d outside [sp=%d, %d]" (fiber_where f) f.regs.cfa
+         f.regs.sp top);
+  audit_trap_chain a f ~top f.regs.exn_ptr 0
 
+(* The table-driven index check.  A pass runs it only when the fused
+   walk below finds something, to report in its terms and order. *)
 let audit_index t a =
-  let nlive = Hashtbl.length t.fibers_live in
+  let nlive = Itbl.length t.fibers_live in
   let nindexed = Imap.cardinal t.by_base in
   if nlive <> nindexed then
     audit_fail a "addr-index"
       (Printf.sprintf "%d live fibers but %d indexed bases" nlive nindexed);
-  Hashtbl.iter
+  Itbl.iter
     (fun _ (f : Fiber.t) ->
       match Imap.find_opt (Segment.base f.seg) t.by_base with
       | Some g when g == f -> ()
@@ -891,90 +949,148 @@ let audit_index t a =
             (Printf.sprintf "fiber %d missing from the base index" f.id))
     t.fibers_live
 
-let audit_cache t a =
-  Stack_cache.iter t.cache (fun seg ->
-      match Imap.find_opt (Segment.base seg) t.by_base with
-      | Some f when f.Fiber.seg == seg ->
-          audit_fail a "cache-alias"
-            (Printf.sprintf "cached segment at base %d is fiber %d's live stack"
-               (Segment.base seg) f.Fiber.id)
-      | _ -> ())
+(* One base-index entry of the fused walk: the entry names a registered
+   fiber at its own base, and that fiber's layout holds.  If every entry
+   does and there are as many entries as live fibers, the index is a
+   bijection onto the live table, which is what [audit_index] checks,
+   and the walk has audited every live fiber exactly once. *)
+let audit_visit t a base (f : Fiber.t) =
+  a.a_indexed <- a.a_indexed + 1;
+  if Segment.base f.seg = base && registered t f then audit_fiber t a f
+  else a.a_index_ok <- false
+
+(* [mem] first: most cached bases index no live fiber, and raising
+   [Not_found] for each costs more than a second lookup. *)
+let audit_cached t a seg =
+  let base = Segment.base seg in
+  if Imap.mem base t.by_base then begin
+    let f = Imap.find base t.by_base in
+    if f.Fiber.seg == seg then
+      audit_fail a "cache-alias"
+        (Printf.sprintf "cached segment at base %d is fiber %d's live stack" base
+           f.Fiber.id)
+  end
+
+(* The ownership map: the continuation already owning fiber [id] in
+   this pass, or -1 after recording [kid] as its owner. *)
+let rec own_probe a id kid i =
+  if a.a_own_stamp.(i) <> a.a_checks then begin
+    a.a_own_stamp.(i) <- a.a_checks;
+    a.a_own_id.(i) <- id;
+    a.a_own_kid.(i) <- kid;
+    a.a_own_n <- a.a_own_n + 1;
+    -1
+  end
+  else if a.a_own_id.(i) = id then a.a_own_kid.(i)
+  else own_probe a id kid ((i + 1) land (Array.length a.a_own_id - 1))
+
+let own_claim a id kid =
+  if 2 * (a.a_own_n + 1) > Array.length a.a_own_id then begin
+    (* Keep the load at most one half: double and re-insert this pass's
+       entries.  Sized to the largest pass so far, then never again. *)
+    let ids = a.a_own_id and kids = a.a_own_kid and stamps = a.a_own_stamp in
+    let n = 2 * Array.length ids in
+    a.a_own_id <- Array.make n 0;
+    a.a_own_kid <- Array.make n 0;
+    a.a_own_stamp <- Array.make n 0;
+    a.a_own_n <- 0;
+    Array.iteri
+      (fun i stamp ->
+        if stamp = a.a_checks then
+          ignore (own_probe a ids.(i) kids.(i) (ids.(i) land (n - 1))))
+      stamps
+  end;
+  own_probe a id kid (id land (Array.length a.a_own_id - 1))
+
+let audit_chain t a kid fibers =
+  let n = Vec.length fibers in
+  for i = 0 to n - 1 do
+    let f : Fiber.t = Vec.get fibers i in
+    let kid' = own_claim a f.id kid in
+    if kid' >= 0 then
+      audit_fail a "one-shot"
+        (Printf.sprintf "fiber %d captured by live continuations %d and %d" f.id kid' kid);
+    if not f.live then
+      audit_fail a "one-shot"
+        (Printf.sprintf "continuation %d holds dead fiber %d" kid f.id);
+    if f == t.current then
+      audit_fail a "one-shot"
+        (Printf.sprintf "continuation %d holds the running fiber %d" kid f.id);
+    if not (registered t f) then
+      audit_fail a "one-shot"
+        (Printf.sprintf "continuation %d holds unregistered fiber %d" kid f.id);
+    let linked =
+      match f.parent with
+      | None -> i = n - 1
+      | Some p -> i < n - 1 && p == Vec.get fibers (i + 1)
+    in
+    if not linked then
+      audit_fail a "cont-chain"
+        (Printf.sprintf "continuation %d: fiber %d parent link broken" kid f.id)
+  done
 
 let audit_conts t a =
-  let owner = Hashtbl.create 16 in
-  Vec.iteri
-    (fun kid k ->
-      if k.cont_live && not (Vec.is_empty k.fibers) then begin
-        let n = Vec.length k.fibers in
-        Vec.iteri
-          (fun i (f : Fiber.t) ->
-            (match Hashtbl.find_opt owner f.Fiber.id with
-            | Some kid' ->
-                audit_fail a "one-shot"
-                  (Printf.sprintf "fiber %d captured by live continuations %d and %d"
-                     f.id kid' kid)
-            | None -> Hashtbl.add owner f.id kid);
-            if not f.live then
-              audit_fail a "one-shot"
-                (Printf.sprintf "continuation %d holds dead fiber %d" kid f.id);
-            if f == t.current then
-              audit_fail a "one-shot"
-                (Printf.sprintf "continuation %d holds the running fiber %d" kid f.id);
-            (match Hashtbl.find_opt t.fibers_live f.id with
-            | Some g when g == f -> ()
-            | _ ->
-                audit_fail a "one-shot"
-                  (Printf.sprintf "continuation %d holds unregistered fiber %d" kid
-                     f.id));
-            let expected_parent =
-              if i = n - 1 then None else Some (Vec.get k.fibers (i + 1))
-            in
-            match (f.parent, expected_parent) with
-            | None, None -> ()
-            | Some p, Some q when p == q -> ()
-            | _ ->
-                audit_fail a "cont-chain"
-                  (Printf.sprintf "continuation %d: fiber %d parent link broken" kid
-                     f.id))
-          k.fibers
-      end)
-    t.conts
+  a.a_own_n <- 0;
+  for kid = 0 to Vec.length t.conts - 1 do
+    let k = Vec.get t.conts kid in
+    if k.cont_live then audit_chain t a kid k.fibers
+  done
 
 let audit_machine t a =
   a.a_checks <- a.a_checks + 1;
-  (if t.current.Fiber.id >= 0 then
-     match Hashtbl.find_opt t.fibers_live t.current.Fiber.id with
-     | Some g when g == t.current -> ()
-     | _ -> audit_fail a "liveness" "the running fiber is not registered live");
-  audit_index t a;
-  Hashtbl.iter (fun _ f -> audit_fiber t a f) t.fibers_live;
-  audit_cache t a;
+  if t.current.Fiber.id >= 0 && not (registered t t.current) then
+    audit_fail a "liveness" "the running fiber is not registered live";
+  (* One walk over the base index checks the index and every live
+     fiber.  If it finds anything, its reports are dropped and the
+     table-driven walk redone, so a failing pass reports exactly what,
+     and in the order, the table-driven walk does. *)
+  let n0 = a.a_nviolations and v0 = a.a_violations in
+  a.a_indexed <- 0;
+  a.a_index_ok <- true;
+  Imap.iter a.a_visit t.by_base;
+  if
+    (not a.a_index_ok)
+    || a.a_indexed <> Itbl.length t.fibers_live
+    || a.a_nviolations <> n0
+  then begin
+    a.a_nviolations <- n0;
+    a.a_violations <- v0;
+    audit_index t a;
+    Itbl.iter (fun _ f -> audit_fiber t a f) t.fibers_live
+  end;
+  if Stack_cache.population t.cache > 0 then Stack_cache.iter t.cache a.a_visit_cached;
   audit_conts t a
+
+let audit_bind t a =
+  a.a_visit <- (fun base f -> audit_visit t a base f);
+  a.a_visit_cached <- (fun seg -> audit_cached t a seg)
 
 (* Audited invariants hold between steps of a running machine; after
    the final step (result set) the unwinder legitimately leaves cfa
    pointing at the frame that raised, below the popped trap. *)
 let audit_tick t =
-  if t.result <> None then ()
-  else
-    match t.auditor with
-    | None -> ()
-    | Some a ->
-      a.a_countdown <- a.a_countdown - 1;
-      if a.a_countdown <= 0 then begin
-        (* Each audit walks the whole machine, so per-step auditing of a
-           fuel-bound pathological program would be quadratic.  After
-           [soft_cap] checks the interval doubles, keeping total audit
-           work logarithmic in the step count while still checking every
-           step of ordinarily-sized runs. *)
-        a.a_budget <- a.a_budget - 1;
-        if a.a_budget <= 0 then begin
-          a.a_interval <- a.a_interval * 2;
-          a.a_budget <- a.a_soft_cap
-        end;
-        a.a_countdown <- a.a_interval;
-        audit_machine t a
-      end
+  match t.auditor with
+  | None -> ()
+  | Some a -> (
+      match t.result with
+      | Some _ -> ()
+      | None ->
+          a.a_countdown <- a.a_countdown - 1;
+          if a.a_countdown <= 0 then begin
+            (* Even at no allocation a pass costs time linear in the
+               live state, so per-step auditing of a fuel-bound
+               pathological program would be quadratic.  After
+               [audit_soft_cap] passes the interval doubles, keeping
+               total audit work logarithmic in the step count while
+               still checking every step of ordinarily-sized runs. *)
+            a.a_budget <- a.a_budget - 1;
+            if a.a_budget <= 0 then begin
+              a.a_interval <- a.a_interval * 2;
+              a.a_budget <- audit_soft_cap
+            end;
+            a.a_countdown <- a.a_interval;
+            audit_machine t a
+          end)
 
 (* ------------------------------------------------------------------ *)
 (* Instruction dispatch *)
@@ -1239,7 +1355,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
       t_counters = counters;
       cache;
       current = dummy;
-      fibers_live = Hashtbl.create 64;
+      fibers_live = Itbl.create 64;
       by_base = Imap.empty;
       conts = Vec.create ();
       next_base = 16;
@@ -1259,6 +1375,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
       overflow_id = Compile.exn_id prog Compile.stack_overflow_exn;
     }
   in
+  Option.iter (audit_bind t) audit;
   let main_size =
     match cfg.kind with
     | Config.Stock -> cfg.stock_stack_words

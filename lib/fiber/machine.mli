@@ -61,16 +61,30 @@ type cfun = ctx -> int array -> int
       audit interval).
 
     Violations are recorded rather than fatal so a conformance run can
-    report them alongside outcome differences. *)
+    report them alongside outcome differences.
+
+    {b Schedule.}  A pass runs after every step until 50,000 passes
+    have run, then every second step for the next 50,000, then every
+    fourth, and so on: runs up to 50k steps are audited at full
+    density, longer ones logarithmically.  The schedule is fixed, so
+    the pass count is a function of the step count alone.
+
+    {b Cost of a pass.}  A pass that finds nothing allocates nothing.
+    It walks the base-address index once, auditing each live fiber as
+    it checks the index against the live-fiber table (one hash lookup
+    per fiber), then the stack cache, then every continuation ever
+    captured, claiming each fiber a live one holds in an ownership map
+    kept in the auditor.  That is O(F + T + S log F + K + C) for F
+    live fibers, T traps on them, S cached segments, K continuations
+    and C fibers held by live ones.  A pass that finds something re-runs the
+    fiber and index checks table by table, so its reports name the same
+    invariants, with the same details, in the same order as a
+    table-driven walk. *)
 
 type audit
 
-val audit : ?interval:int -> ?soft_cap:int -> unit -> audit
-(** A fresh auditor checking every [interval] steps (default 1).  Every
-    audit pass walks the whole machine, so to stay sub-quadratic on
-    pathological fuel-bound runs the interval doubles after each
-    [soft_cap] passes (default 50k): runs up to [interval * soft_cap]
-    steps are audited at full density, longer ones logarithmically. *)
+val audit : unit -> audit
+(** A fresh auditor on the fixed schedule above. *)
 
 val audit_checks : audit -> int
 (** Number of full audit passes performed. *)

@@ -147,8 +147,17 @@ let share_clone t ~base =
 
 let set_notify_cow t f = t.notify_cow <- f
 
+(* The words of a segment parked in the stack cache: none.  The empty
+   array is a single shared atom, so [==] recognises it. *)
+let no_words = [||]
+
+let drop_words t =
+  if Vec.is_empty t.exts && t.head.rc = 1 then t.head <- { rc = 1; data = no_words }
+
 let zero t =
-  Array.fill t.head.data 0 (Array.length t.head.data) 0;
+  if t.head.data == no_words then
+    t.head <- { rc = 1; data = Array.make (t.seg_top - t.head_lo) 0 }
+  else Array.fill t.head.data 0 (Array.length t.head.data) 0;
   Vec.iter (fun c -> Array.fill c.data 0 (Array.length c.data) 0) t.exts
 
 let blit_into ~src ~dst =

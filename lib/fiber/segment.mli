@@ -104,8 +104,18 @@ val set_notify_cow : t -> (int -> unit) -> unit
     count each time a shared chunk is privatized by a write to this
     segment. *)
 
+val drop_words : t -> unit
+(** Release the words of a private segment with no extension chunks,
+    keeping its addresses and size; other segments are left as they
+    are.  Reading or writing the segment afterwards raises
+    [Invalid_argument] until {!zero} gives it words again.  Growth
+    drops the words of the segment a fiber has moved out of before
+    offering it to the stack cache: the cache can still hand out its
+    addresses, but holds no memory for it. *)
+
 val zero : t -> unit
-(** Clear every committed word to 0.  Freed stacks are zeroed before
+(** Clear every committed word to 0, allocating fresh words for a
+    segment whose words were dropped.  Freed stacks are zeroed before
     reuse so a recycled segment cannot leak a previous fiber's frames
     or handler_info into its next occupant.  Only safe on fully
     private segments. *)

@@ -12,6 +12,9 @@ let zero_stats = { lookups = 0; hits = 0; misses = 0; puts = 0; rejected = 0 }
 
 type t = {
   buckets : (int, bucket) Hashtbl.t;
+  order : bucket Retrofit_util.Vec.t;
+      (* the buckets in creation order, so [iter] walks them without
+         allocating a closure *)
   max_per_bucket : int;
   max_total_words : int;
   mutable total_words : int;
@@ -34,6 +37,7 @@ let create ?(max_per_bucket = 64) ?(max_total_words = max_int) () =
   if max_total_words < 0 then invalid_arg "Stack_cache.create: max_total_words";
   {
     buckets = Hashtbl.create 8;
+    order = Retrofit_util.Vec.create ();
     max_per_bucket;
     max_total_words;
     total_words = 0;
@@ -51,6 +55,7 @@ let bucket t size =
   | None ->
       let b = { segs = []; count = 0 } in
       Hashtbl.add t.buckets size b;
+      Retrofit_util.Vec.push t.order b;
       b
 
 let put t ~size seg =
@@ -89,7 +94,9 @@ let take t ~size =
       None
 
 let iter t f =
-  Hashtbl.iter (fun _ b -> List.iter f b.segs) t.buckets
+  for i = 0 to Retrofit_util.Vec.length t.order - 1 do
+    List.iter f (Retrofit_util.Vec.get t.order i).segs
+  done
 
 let population t = t.total_count
 
@@ -127,5 +134,6 @@ let scoped_stats t f =
 
 let clear t =
   Hashtbl.reset t.buckets;
+  Retrofit_util.Vec.clear t.order;
   t.total_words <- 0;
   t.total_count <- 0

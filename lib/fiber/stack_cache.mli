@@ -26,12 +26,15 @@ val put : t -> size:int -> Segment.t -> unit
 val take : t -> size:int -> Segment.t option
 (** A cached segment of exactly [size] words, if any, zeroed before it
     is handed out so no words from its previous life (frames, trap
-    records, handler_info) survive into the new fiber.  O(size) on a
-    hit for the zeroing pass, O(1) otherwise. *)
+    records, handler_info) survive into the new fiber; a segment parked
+    without its words ({!Segment.drop_words}) gets fresh ones.  O(size)
+    on a hit for the zeroing pass, O(1) otherwise. *)
 
 val iter : t -> (Segment.t -> unit) -> unit
-(** Visit every cached segment; used by [Machine.audit] to assert that
-    no retained segment is aliased by a live fiber. *)
+(** Visit every cached segment, bucket by bucket in the order the
+    buckets were first used; used by the {!Machine} auditor to assert
+    that no retained segment is aliased by a live fiber.  Allocates
+    nothing. *)
 
 val population : t -> int
 (** Number of segments currently held.  O(1). *)

@@ -196,6 +196,34 @@ let fires name ~at break =
           Alcotest.check violations pname !expected got)
         policies)
 
+(* A pass that finds nothing allocates nothing: what an audited run
+   allocates beyond the same run unaudited (the auditor's record and its
+   visitors) does not grow with the number of passes. *)
+let passes_allocate_nothing () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (pname, pol) ->
+      let cfg = F.Config.with_policy pol F.Config.mc in
+      let extra iters =
+        let compiled = F.Compile.compile (F.Programs.effect_roundtrip ~iters) in
+        let run audit () =
+          ignore (F.Machine.run ~cfuns:F.Programs.standard_cfuns ?audit cfg compiled)
+        in
+        let bare = minor_words (run None) in
+        let a = F.Machine.audit () in
+        let audited = minor_words (run (Some a)) in
+        Alcotest.(check bool) (pname ^ " clean") true (F.Machine.audit_ok a);
+        (audited -. bare, F.Machine.audit_checks a)
+      in
+      let few, few_checks = extra 5 and many, many_checks = extra 100 in
+      Alcotest.(check bool) (pname ^ " more passes") true (many_checks > 10 * few_checks);
+      Alcotest.(check (float 0.)) (pname ^ " extra words") few many)
+    policies
+
 (* Audit passes per program are a function of the step count and the
    fixed schedule alone. *)
 let pinned_checks idx expected () =
@@ -215,6 +243,7 @@ let suite =
     fires "trap-chain: mirror disagrees with memory" ~at:in_body bad_trap;
     fires "addr-index: segment moved behind the index" ~at:in_body bad_seg;
     fires "cont-chain: captured fiber re-linked" ~at:captured bad_chain;
+    test "a passing pass allocates nothing" passes_allocate_nothing;
     test "multishot seed 3 #735 audit passes" (pinned_checks 735 5_026);
     test "multishot seed 3 #1093 audit passes" (pinned_checks 1093 150_675);
   ]

@@ -131,6 +131,25 @@ let cache_take_zeroed () =
         Alcotest.(check int) "word zeroed" 0 (F.Segment.read seg a)
       done)
 
+(* An outgrown segment is parked without its words, keeping its shape;
+   reuse gives it fresh zeroed ones. *)
+let cache_dropped_words () =
+  let c = F.Stack_cache.create () in
+  let s = F.Segment.create ~base:50 ~size:24 in
+  F.Segment.write s 60 7;
+  F.Segment.drop_words s;
+  Alcotest.(check int) "size kept" 24 (F.Segment.size s);
+  Alcotest.check_raises "words dropped" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (F.Segment.read s 60));
+  F.Stack_cache.put c ~size:24 s;
+  match F.Stack_cache.take c ~size:24 with
+  | None -> Alcotest.fail "expected a cache hit"
+  | Some seg ->
+      Alcotest.(check bool) "same segment" true (seg == s);
+      for a = 50 to 73 do
+        Alcotest.(check int) "word zeroed" 0 (F.Segment.read seg a)
+      done
+
 let cache_hit_miss_lookup_identity () =
   (* Every cached-path allocation is one lookup that is either a hit or
      a miss; the machine's counters must account for all of them. *)
@@ -390,6 +409,65 @@ let check_elision () =
 let one_shot_enforced () =
   expect_uncaught F.Programs.one_shot_violation "Invalid_argument"
 
+(* The handler discontinues the continuation (the body catches Cancel
+   and returns), then resumes it. *)
+let resume_after_discontinue =
+  F.Ir.
+    {
+      fns =
+        [
+          fn "rd_body" [ "u" ]
+            (Trywith (Perform ("Ask", Var "u"), [ ("Cancel", "x", Var "x") ]));
+          fn "rd_ret" [ "v" ] (Var "v");
+          fn "rd_eff" [ "x"; "k" ]
+            (Seq (Discontinue (Var "k", "Cancel", Int 1), Continue (Var "k", Int 2)));
+          fn "main" []
+            (Handle
+               {
+                 body_fn = "rd_body";
+                 body_args = [ Int 0 ];
+                 retc = "rd_ret";
+                 exncs = [];
+                 effcs = [ ("Ask", "rd_eff") ];
+               });
+        ];
+      main = "main";
+    }
+
+(* §3.1: a one-shot continuation is spent by its first resume or
+   discontinue, and the machine drops its captured fibers then, without
+   forgetting that it is spent.  The weak pointer shows the captured
+   fiber becomes garbage once it has returned, rather than being kept
+   by the dead continuation until the run ends. *)
+let spent_continuation_released () =
+  List.iter
+    (fun (pname, pol) ->
+      let cfg = F.Config.with_policy pol F.Config.mc in
+      List.iter
+        (fun p ->
+          let a = F.Machine.audit () in
+          match F.Machine.run ~audit:a cfg (F.Compile.compile p) with
+          | F.Machine.Uncaught (l, _), _ ->
+              Alcotest.(check string) pname "Invalid_argument" l;
+              Alcotest.(check bool) (pname ^ " audit ok") true (F.Machine.audit_ok a)
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" pname)
+        [ F.Programs.one_shot_violation; resume_after_discontinue ];
+      let captured = Weak.create 1 and collected = ref false in
+      let on_step m =
+        match (F.Machine.live_continuations m, Weak.get captured 0) with
+        | [ (_, [ f ]) ], None -> Weak.set captured 0 (Some f)
+        | [], Some f when F.Machine.fiber_by_id m f.F.Fiber.id = None ->
+            Gc.full_major ();
+            collected := !collected || Weak.get captured 0 = None
+        | _ -> ()
+      in
+      let outcome, _ =
+        F.Machine.run ~on_step cfg (F.Compile.compile (F.Programs.counter_effect ~upto:1))
+      in
+      Alcotest.(check bool) (pname ^ " result") true (outcome = F.Machine.Done 1);
+      Alcotest.(check bool) (pname ^ " captured fiber collected") true !collected)
+    F.Stack_policy.all
+
 let cross_fiber_resume () = expect_done F.Programs.cross_resume 42
 
 (* §5.2: the implementation is one-shot by choice; with copying enabled
@@ -625,6 +703,7 @@ let suite =
     test "segment blit preserves top" segment_blit;
     test "stack cache roundtrip" cache_roundtrip;
     test "stack cache bound" cache_bound;
+    test "stack cache reuses a segment without words" cache_dropped_words;
     test "stack cache pass-through at bucket 0" cache_passthrough;
     test "stack cache total-words cap" cache_total_words_cap;
     test "stack cache total-words exact" cache_total_words_exact;
@@ -646,6 +725,7 @@ let suite =
     test "stack cache is transparent" cache_transparent;
     test "check elision by red zone" check_elision;
     test "one-shot enforced" one_shot_enforced;
+    test "spent one-shot continuation is released" spent_continuation_released;
     test "cross-fiber resume" cross_fiber_resume;
     test "multishot copying matches the semantics" multishot_matches_semantics;
     test "multishot transparent for one-shot programs" multishot_transparent_for_one_shot;
