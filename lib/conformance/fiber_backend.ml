@@ -95,8 +95,8 @@ let cfuns p =
          (callback_cfun f, fun (ctx : F.Machine.ctx) args -> ctx.callback f args))
        (callback_targets p)
 
-let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed ?(dwarf_max_probes = 500) ?on_perform
-    (p : Ir.program) : result =
+let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
+    ?(dwarf_max_probes = 500) ?on_perform (p : Ir.program) : result =
   match F.Compile.compile (lower p) with
   | exception F.Compile.Error msg ->
       {

@@ -872,7 +872,8 @@ let rec audit_trap_chain a (f : Fiber.t) ~top addr i =
            nmirror)
   end
   else if i >= nmirror then
-    audit_fail a "trap-chain" (fiber_where f ^ ": in-memory trap chain longer than mirror")
+    audit_fail a "trap-chain"
+      (fiber_where f ^ ": in-memory trap chain longer than mirror")
   else begin
     let maddr, _ = Vec.get f.traps (nmirror - 1 - i) in
     if maddr <> addr then
@@ -893,7 +894,8 @@ let rec audit_trap_chain a (f : Fiber.t) ~top addr i =
 
 let audit_fiber t a (f : Fiber.t) =
   let top = Segment.top f.seg and base = Segment.base f.seg in
-  if not f.live then audit_fail a "liveness" (fiber_where f ^ " registered but marked dead");
+  if not f.live then
+    audit_fail a "liveness" (fiber_where f ^ " registered but marked dead");
   (* Fig 3a handler_info: parent-id word mirrors the parent pointer. *)
   let parent_word = rd f (top - 1) in
   let expect_parent = match f.parent with Some p -> p.Fiber.id | None -> -1 in
@@ -1009,7 +1011,8 @@ let audit_chain t a kid fibers =
     let kid' = own_claim a f.id kid in
     if kid' >= 0 then
       audit_fail a "one-shot"
-        (Printf.sprintf "fiber %d captured by live continuations %d and %d" f.id kid' kid);
+        (Printf.sprintf "fiber %d captured by live continuations %d and %d" f.id kid'
+           kid);
     if not f.live then
       audit_fail a "one-shot"
         (Printf.sprintf "continuation %d holds dead fiber %d" kid f.id);

@@ -147,7 +147,7 @@ let share_clone t ~base =
 
 let set_notify_cow t f = t.notify_cow <- f
 
-(* The words of a segment parked in the stack cache: none.  The empty
+(* The words of a segment whose words were dropped: none.  The empty
    array is a single shared atom, so [==] recognises it. *)
 let no_words = [||]
 

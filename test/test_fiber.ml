@@ -139,8 +139,8 @@ let cache_dropped_words () =
   F.Segment.write s 60 7;
   F.Segment.drop_words s;
   Alcotest.(check int) "size kept" 24 (F.Segment.size s);
-  Alcotest.check_raises "words dropped" (Invalid_argument "index out of bounds") (fun () ->
-      ignore (F.Segment.read s 60));
+  Alcotest.check_raises "words dropped" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (F.Segment.read s 60));
   F.Stack_cache.put c ~size:24 s;
   match F.Stack_cache.take c ~size:24 with
   | None -> Alcotest.fail "expected a cache hit"
