@@ -111,6 +111,199 @@ let prop_request_roundtrip =
           parsed.H.Http.target = req.H.Http.target && parsed.body = body
       | Error _ -> false)
 
+(* ---------------- Parser pins ---------------- *)
+
+(* The exact result of a parse, bytes escaped: a pin compares these
+   strings, so any change to a parsed field, to the consumed count or
+   to an error message shows up as a diff. *)
+let show_headers hs =
+  String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "%S=%S" n v) hs)
+
+let show_request = function
+  | Ok ((r : H.Http.request), n) ->
+      Printf.sprintf "Ok %S %S %S [%s] %S +%d" (H.Http.meth_to_string r.meth) r.target
+        r.version (show_headers r.headers) r.body n
+  | Error e -> "Error " ^ e
+
+let show_response = function
+  | Ok ((r : H.Http.response), n) ->
+      Printf.sprintf "Ok %d %S [%s] %S +%d" r.status r.reason (show_headers r.resp_headers)
+        r.resp_body n
+  | Error e -> "Error " ^ e
+
+let request_pins =
+  [
+    (* header names and values trimmed of spaces, tabs, form feeds and
+       stray CR/LF; names lower-cased, values kept *)
+    ("GET / HTTP/1.1\r\n  Host :\t x \t\r\n\r\n", {|Ok "GET" "/" "HTTP/1.1" ["host"="x"] "" +33|});
+    ( "GET / HTTP/1.1\r\nX-Mixed-CASE: Value\r\nACCEPT:*/*\r\n\r\n",
+      {|Ok "GET" "/" "HTTP/1.1" ["x-mixed-case"="Value"; "accept"="*/*"] "" +51|} );
+    ("GET / HTTP/1.1\r\n\012A\012: \012v\012\r\n\r\n", {|Ok "GET" "/" "HTTP/1.1" ["a"="v"] "" +28|});
+    ( "GET / HTTP/1.1\r\nA: b\rc\r\nD\r: e\nf\r\n\r\n",
+      {|Ok "GET" "/" "HTTP/1.1" ["a"="b\rc"; "d"="e\nf"] "" +35|} );
+    ( "GET / HTTP/1.1\r\nA: b:c\r\nB:\r\n\r\n",
+      {|Ok "GET" "/" "HTTP/1.1" ["a"="b:c"; "b"=""] "" +30|} );
+    ("GET / HTTP/1.1\r\nA: 1\r\na: 2\r\n\r\n", {|Ok "GET" "/" "HTTP/1.1" ["a"="1"; "a"="2"] "" +30|});
+    (* the request line splits on runs of spaces, and only on spaces *)
+    ("GET  /a   HTTP/1.1\r\n\r\n", {|Ok "GET" "/a" "HTTP/1.1" [] "" +22|});
+    (" GET /a HTTP/1.0 \r\n\r\n", {|Ok "GET" "/a" "HTTP/1.0" [] "" +21|});
+    ("GET /a\tb HTTP/1.1\r\n\r\n", {|Ok "GET" "/a\tb" "HTTP/1.1" [] "" +21|});
+    ("get /x HTTP/1.1\r\n\r\n", {|Ok "get" "/x" "HTTP/1.1" [] "" +19|});
+    ("GET /\r\n\r\n", {|Error malformed request line "GET /"|});
+    ("GET / HTTP/1.1 extra\r\n\r\n", {|Error malformed request line "GET / HTTP/1.1 extra"|});
+    ("\r\n", {|Error malformed request line ""|});
+    ("GET / HTTP/3.0\r\n\r\n", {|Error unsupported version "HTTP/3.0"|});
+    (* bad header lines *)
+    ("GET / HTTP/1.1\r\nnocolon\r\n\r\n", {|Error malformed header "nocolon"|});
+    ("GET / HTTP/1.1\r\n : v\r\n\r\n", "Error empty header name");
+    ("GET / HTTP/1.1\r\n:\r\n\r\n", "Error empty header name");
+    (* Content-Length *)
+    ("GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n", {|Error bad content-length "banana"|});
+    ("POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello", {|Error bad content-length "-5"|});
+    ("POST / HTTP/1.1\r\nContent-Length: 5x\r\n\r\nhello", {|Error bad content-length "5x"|});
+    ( "POST / HTTP/1.1\r\nContent-Length:  5 \r\n\r\nhelloEXTRA",
+      {|Ok "POST" "/" "HTTP/1.1" ["content-length"="5"] "hello" +45|} );
+    ( "POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+      {|Ok "POST" "/" "HTTP/1.1" ["content-length"="+3"] "abc" +42|} );
+    ( "POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi",
+      {|Ok "POST" "/" "HTTP/1.1" ["content-length"="2"; "content-length"="2"] "hi" +59|} );
+    ("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", "Error incomplete body");
+    (* incomplete input *)
+    ("", "Error incomplete request line");
+    ("GET / HTTP/1.1", "Error incomplete request line");
+    ("GET / HTTP/1.1\r\nHost: x\r\n", "Error incomplete headers");
+  ]
+
+let response_pins =
+  [
+    ( "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello",
+      {|Ok 200 "OK" ["content-length"="5"] "hello" +43|} );
+    (* the reason phrase is its words joined by single spaces *)
+    ("HTTP/1.1 404 Not  Found \r\n\r\n", {|Ok 404 "Not Found" [] "" +28|});
+    ("HTTP/1.1  503   Service Unavailable\r\n\r\n", {|Ok 503 "Service Unavailable" [] "" +39|});
+    ("HTTP/1.1 200\r\n\r\n", {|Ok 200 "" [] "" +16|});
+    ("HTTP/1.0 204 No Content\r\nX-A: 1\r\n\r\n", {|Ok 204 "No Content" ["x-a"="1"] "" +35|});
+    ("HTTP/1.1 0x1F Odd\r\n\r\n", {|Ok 31 "Odd" [] "" +21|});
+    ("HTTP/2 200 OK\r\n\r\n", {|Error malformed status line "HTTP/2 200 OK"|});
+    ("HTTP/1.1\r\n\r\n", {|Error malformed status line "HTTP/1.1"|});
+    ("HTTP/1.1 abc OK\r\n\r\n", {|Error bad status "abc"|});
+    ("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", {|Error bad content-length "-1"|});
+    ("HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nab", "Error incomplete body");
+    ("HTTP/1.1 200 OK\r\nnocolon\r\n\r\n", {|Error malformed header "nocolon"|});
+    ("", "Error incomplete status line");
+    ("HTTP/1.1 200 OK", "Error incomplete status line");
+  ]
+
+let parse_pins () =
+  List.iter
+    (fun (raw, want) ->
+      Alcotest.(check string) (Printf.sprintf "request %S" raw) want
+        (show_request (H.Http.parse_request raw)))
+    request_pins;
+  List.iter
+    (fun (raw, want) ->
+      Alcotest.(check string) (Printf.sprintf "response %S" raw) want
+        (show_response (H.Http.parse_response raw)))
+    response_pins
+
+let parse_pins_pipelined () =
+  let raw =
+    "GET /one HTTP/1.1\r\nHost: x\r\n\r\nPOST /two HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc"
+  in
+  let first = H.Http.parse_request raw in
+  Alcotest.(check string) "first" {|Ok "GET" "/one" "HTTP/1.1" ["host"="x"] "" +30|}
+    (show_request first);
+  let rest = String.sub raw 30 (String.length raw - 30) in
+  Alcotest.(check string) "second"
+    {|Ok "POST" "/two" "HTTP/1.1" ["content-length"="3"] "abc" +44|}
+    (show_request (H.Http.parse_request rest))
+
+let full_request =
+  {|Ok "GET" "/" "HTTP/1.1" ["host"="bench.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +78|}
+
+(* Every prefix of a simulated request, and of a reply, pinned as
+   ranges of prefix lengths with one result each. *)
+let parse_pins_truncations () =
+  let ranges show parse raw want =
+    List.iter
+      (fun (lo, hi, expect) ->
+        for keep = lo to hi do
+          Alcotest.(check string)
+            (Printf.sprintf "prefix %d" keep)
+            expect
+            (show (parse (String.sub raw 0 keep)))
+        done)
+      want;
+    let _, last, _ = List.nth want (List.length want - 1) in
+    Alcotest.(check int) "ranges cover every prefix" (String.length raw) last
+  in
+  let raw = H.Netsim.request_for ~target:"/" ~conn_id:7 in
+  Alcotest.(check int) "request length" 78 (String.length raw);
+  ranges show_request H.Http.parse_request raw
+    [
+      (0, 15, "Error incomplete request line");
+      (16, 77, "Error incomplete headers");
+      (78, 78, full_request);
+    ];
+  ranges show_response H.Http.parse_response
+    (H.Http.format_response (H.Http.ok "hello"))
+    [
+      (0, 16, "Error incomplete status line");
+      (17, 37, "Error incomplete headers");
+      (38, 42, "Error incomplete body");
+      (43, 43, {|Ok 200 "OK" ["content-length"="5"] "hello" +43|});
+    ]
+
+(* Each kind of wire damage the fault plan applies, at the interesting
+   offsets of "GET / HTTP/1.1\r\nhost: bench.local\r\n...". *)
+let parse_pins_damaged () =
+  let raw = H.Netsim.request_for ~target:"/" ~conn_id:7 in
+  List.iter
+    (fun (fault, what, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s" (H.Faults.fault_label fault) what)
+        want
+        (show_request (H.Http.parse_request (H.Faults.damaged_raw raw fault))))
+    H.Faults.
+      [
+        (Truncate 0, "to nothing", "Error incomplete request line");
+        (Truncate 5, "mid request line", "Error incomplete request line");
+        (Truncate 16, "after request line", "Error incomplete headers");
+        (Truncate 1000, "past the end", full_request);
+        ( Corrupt 0,
+          "method",
+          {|Ok "\031ET" "/" "HTTP/1.1" ["host"="bench.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +78|}
+        );
+        ( Corrupt 4,
+          "target",
+          {|Ok "GET" "\031" "HTTP/1.1" ["host"="bench.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +78|}
+        );
+        (Corrupt 6, "version", {|Error unsupported version "\031TTP/1.1"|});
+        ( Corrupt 14,
+          "request-line CR",
+          {|Error malformed request line "GET / HTTP/1.1\031\nhost: bench.local"|} );
+        ( Corrupt 15,
+          "request-line LF",
+          {|Error malformed request line "GET / HTTP/1.1\r\031host: bench.local"|} );
+        ( Corrupt 16,
+          "header name",
+          {|Ok "GET" "/" "HTTP/1.1" ["\031ost"="bench.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +78|}
+        );
+        (Corrupt 20, "header colon", {|Error malformed header "host\031 bench.local"|});
+        ( Corrupt 23,
+          "header value",
+          {|Ok "GET" "/" "HTTP/1.1" ["host"="b\031nch.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +78|}
+        );
+        (Corrupt 1000, "past the end", full_request);
+        ( Backend_fail,
+          "crash tag",
+          {|Ok "GET" "/" "HTTP/1.1" ["x-fault-inject"="crash"; "host"="bench.local"; "user-agent"="retrofit-loadgen"; "x-conn"="7"] "" +101|}
+        );
+        (Drop, "untouched", full_request);
+        (Stall 5, "untouched", full_request);
+        (Backend_slow 5, "untouched", full_request);
+      ]
+
 (* ---------------- Netsim ---------------- *)
 
 let netsim_constant_rate () =
@@ -610,6 +803,10 @@ let suite =
     test "loadgen request roundtrip" request_roundtrip;
     test "reason phrases" reason_phrases;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
+    test "parser pins" parse_pins;
+    test "parser pins: pipelined pair" parse_pins_pipelined;
+    test "parser pins: every truncation" parse_pins_truncations;
+    test "parser pins: each damage kind" parse_pins_damaged;
     test "netsim constant rate" netsim_constant_rate;
     test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;

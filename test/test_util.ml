@@ -238,6 +238,63 @@ let prop_pq_fifo_within_priority =
           (fun (p1, _) (p2, _) -> compare p1 p2)
           (List.mapi (fun i p -> (p, i)) ps))
 
+(* Random interleavings of every operation against a model: a list kept
+   stable-sorted by priority, so equal priorities stay in insertion
+   order.  Unlike a fill-then-drain run, this sifts after growth and
+   reuses the queue after [clear]. *)
+type pq_op = Add of int | Pop | Peek | Clear
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun p -> Add p) (int_range 0 20));
+        (3, return Pop);
+        (1, return Peek);
+        (1, return Clear);
+      ])
+
+let pq_op_print = function
+  | Add p -> Printf.sprintf "add %d" p
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Clear -> "clear"
+
+let prop_pq_model =
+  QCheck.Test.make ~name:"pqueue agrees with a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pq_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 400) pq_op_gen))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let insert p v model =
+        let before, after = List.partition (fun (p', _) -> p' <= p) model in
+        before @ ((p, v) :: after)
+      in
+      let step model i op =
+        let model, got, want =
+          match op with
+          | Add p ->
+              Pqueue.add q ~priority:p i;
+              (insert p i model, None, None)
+          | Pop -> (
+              let got = Pqueue.pop q in
+              match model with [] -> ([], got, None) | x :: rest -> (rest, got, Some x))
+          | Peek -> (model, Pqueue.peek q, List.nth_opt model 0)
+          | Clear ->
+              Pqueue.clear q;
+              ([], None, None)
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "op %d (%s): queue and model differ" i (pq_op_print op);
+        if Pqueue.length q <> List.length model || Pqueue.is_empty q <> (model = []) then
+          QCheck.Test.fail_reportf "op %d (%s): length %d, model %d" i (pq_op_print op)
+            (Pqueue.length q) (List.length model);
+        model
+      in
+      ignore (List.fold_left (fun (i, model) op -> (i + 1, step model i op)) (0, []) ops);
+      true)
+
 (* ---------------- Rng ---------------- *)
 
 let rng_deterministic () =
@@ -491,6 +548,7 @@ let suite =
     test "pqueue peek" pq_peek;
     QCheck_alcotest.to_alcotest prop_pq_sorted;
     QCheck_alcotest.to_alcotest prop_pq_fifo_within_priority;
+    QCheck_alcotest.to_alcotest prop_pq_model;
     test "rng deterministic" rng_deterministic;
     test "rng bounds" rng_bounds;
     test "rng exponential" rng_exponential_positive;
