@@ -7,6 +7,8 @@
     down (avoiding coordinated omission). *)
 
 type event = { arrival_ns : int; conn_id : int; raw : string }
+(** [raw] is [request_for ~target ~conn_id]; the events of one connection
+    share one string. *)
 
 val request_for : target:string -> conn_id:int -> string
 (** The raw bytes of one GET request. *)

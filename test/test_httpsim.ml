@@ -361,6 +361,32 @@ let netsim_poisson () =
         (e.arrival_ns >= 0 && e.arrival_ns < 200_000_000))
     events
 
+(* Each event carries its connection's request bytes, and the events of
+   one connection share one string instead of re-serialising it. *)
+let netsim_shares_request_bytes () =
+  let check name (events : H.Netsim.event list) =
+    let first = Hashtbl.create 16 in
+    List.iter
+      (fun (e : H.Netsim.event) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s conn %d bytes" name e.conn_id)
+          (H.Netsim.request_for ~target:"/s" ~conn_id:e.conn_id)
+          e.raw;
+        match Hashtbl.find_opt first e.conn_id with
+        | None -> Hashtbl.add first e.conn_id e.raw
+        | Some raw ->
+            Alcotest.(check bool) (Printf.sprintf "%s conn %d shared" name e.conn_id) true
+              (raw == e.raw))
+      events;
+    Alcotest.(check int) (name ^ " connections seen") 5 (Hashtbl.length first)
+  in
+  check "poisson"
+    (H.Netsim.poisson_rate ~rng:(Retrofit_util.Rng.create 4) ~connections:5 ~rate_rps:5_000
+       ~duration_ms:20 ~target:"/s" ());
+  check "constant"
+    (H.Netsim.constant_rate ~jitter_ns:300_000 ~rng:(Retrofit_util.Rng.create 4)
+       ~connections:5 ~rate_rps:5_000 ~duration_ms:20 ~target:"/s" ())
+
 (* ---------------- Servers ---------------- *)
 
 let servers_serve () =
@@ -810,6 +836,7 @@ let suite =
     test "netsim constant rate" netsim_constant_rate;
     test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;
+    test "netsim shares request bytes per connection" netsim_shares_request_bytes;
     test "all servers serve the page" servers_serve;
     test "servers handle 404/405/400" servers_404_405;
     test "loadgen sanity" loadgen_sane;
