@@ -33,8 +33,29 @@ let meth_of_string = function
   | "OPTIONS" -> OPTIONS
   | s -> Other s
 
+(* Byte-range helpers.  The parser works on indices into its input and
+   copies out only the fields it returns. *)
+
+let sub s lo hi = if lo = hi then "" else String.sub s lo (hi - lo)
+
+let rec index_in s c lo hi = if lo >= hi then -1 else if s.[lo] = c then lo else index_in s c (lo + 1) hi
+
+let rec has_upper s lo hi =
+  lo < hi && match s.[lo] with 'A' .. 'Z' -> true | _ -> has_upper s (lo + 1) hi
+
+let rec same_bytes s i lit j =
+  j = String.length lit || (s.[i] = lit.[j] && same_bytes s (i + 1) lit (j + 1))
+
+(* Whether [s] holds [lit] at [lo, hi). *)
+let sub_is s lo hi lit = hi - lo = String.length lit && same_bytes s lo lit 0
+
+(* [String.lowercase_ascii] of [lo, hi), copied once. *)
+let sub_lower s lo hi =
+  if has_upper s lo hi then String.init (hi - lo) (fun i -> Char.lowercase_ascii s.[lo + i])
+  else sub s lo hi
+
 let header req name =
-  let name = String.lowercase_ascii name in
+  let name = sub_lower name 0 (String.length name) in
   List.assoc_opt name req.headers
 
 let keep_alive req =
@@ -47,33 +68,39 @@ let keep_alive req =
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-let find_crlf s from =
-  let n = String.length s in
-  let rec go i = if i + 1 >= n then None else if s.[i] = '\r' && s.[i + 1] = '\n' then Some i else go (i + 1) in
-  go from
+(* The index of the first "\r\n" at or after [i], or -1. *)
+let rec find_crlf s i =
+  if i + 1 >= String.length s then -1
+  else if s.[i] = '\r' && s.[i + 1] = '\n' then i
+  else find_crlf s (i + 1)
 
-let parse_headers s start =
-  (* Returns (headers, offset just past the blank line) *)
-  let rec go acc pos =
-    match find_crlf s pos with
-    | None -> Error "incomplete headers"
-    | Some eol when eol = pos -> Ok (List.rev acc, pos + 2)
-    | Some eol -> (
-        let line = String.sub s pos (eol - pos) in
-        match String.index_opt line ':' with
-        | None -> Error (Printf.sprintf "malformed header %S" line)
-        | Some colon ->
-            let name = String.lowercase_ascii (String.trim (String.sub line 0 colon)) in
-            let value =
-              String.trim (String.sub line (colon + 1) (String.length line - colon - 1))
-            in
-            if name = "" then Error "empty header name"
-            else go ((name, value) :: acc) (eol + 2))
-  in
-  go [] start
+(* The bytes [String.trim] strips. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let split_on_spaces line =
-  line |> String.split_on_char ' ' |> List.filter (fun s -> s <> "")
+let rec trim_left s lo hi = if lo < hi && is_space s.[lo] then trim_left s (lo + 1) hi else lo
+
+let rec trim_right s lo hi = if hi > lo && is_space s.[hi - 1] then trim_right s lo (hi - 1) else hi
+
+(* The header lines from [pos], prepended to [acc]: (headers, offset
+   just past the blank line). *)
+let rec parse_headers s acc pos =
+  let eol = find_crlf s pos in
+  if eol < 0 then Error "incomplete headers"
+  else if eol = pos then Ok (List.rev acc, pos + 2)
+  else begin
+    let colon = index_in s ':' pos eol in
+    if colon < 0 then Error (Printf.sprintf "malformed header %S" (sub s pos eol))
+    else begin
+      let n0 = trim_left s pos colon in
+      let n1 = trim_right s n0 colon in
+      if n0 = n1 then Error "empty header name"
+      else begin
+        let v0 = trim_left s (colon + 1) eol in
+        let value = sub s v0 (trim_right s v0 eol) in
+        parse_headers s ((sub_lower s n0 n1, value) :: acc) (eol + 2)
+      end
+    end
+  end
 
 let content_length headers =
   match List.assoc_opt "content-length" headers with
@@ -83,50 +110,86 @@ let content_length headers =
       | Some n when n >= 0 -> Ok n
       | _ -> Error (Printf.sprintf "bad content-length %S" v))
 
-let parse_request s =
-  match find_crlf s 0 with
-  | None -> Error "incomplete request line"
-  | Some eol -> (
-      let line = String.sub s 0 eol in
-      match split_on_spaces line with
-      | [ m; target; version ] -> (
-          if version <> "HTTP/1.1" && version <> "HTTP/1.0" then
-            Error (Printf.sprintf "unsupported version %S" version)
-          else begin
-            match parse_headers s (eol + 2) with
-            | Error e -> Error e
-            | Ok (headers, body_start) -> (
-                match content_length headers with
-                | Error e -> Error e
-                | Ok len ->
-                    if String.length s < body_start + len then
-                      Error "incomplete body"
-                    else begin
-                      let body = String.sub s body_start len in
-                      Ok
-                        ( { meth = meth_of_string m; target; version; headers; body },
-                          body_start + len )
-                    end)
-          end)
-      | _ -> Error (Printf.sprintf "malformed request line %S" line))
+(* The headers and the [Content-Length] body from [start]; [k] builds
+   the message from them. *)
+let parse_rest s start k =
+  match parse_headers s [] start with
+  | Error e -> Error e
+  | Ok (headers, body_start) -> (
+      match content_length headers with
+      | Error e -> Error e
+      | Ok len ->
+          if String.length s < body_start + len then Error "incomplete body"
+          else Ok (k headers (sub s body_start (body_start + len)), body_start + len))
 
-let format_headers buf headers =
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buf name;
-      Buffer.add_string buf ": ";
-      Buffer.add_string buf value;
-      Buffer.add_string buf "\r\n")
-    headers
+(* Start-line tokens are separated by runs of spaces, and only spaces. *)
+let rec skip_spaces s i hi = if i < hi && s.[i] = ' ' then skip_spaces s (i + 1) hi else i
+
+let rec token_end s i hi = if i < hi && s.[i] <> ' ' then token_end s (i + 1) hi else i
+
+(* The version at [lo, hi) if supported, shared rather than copied. *)
+let version_at s lo hi =
+  if sub_is s lo hi "HTTP/1.1" then Some "HTTP/1.1"
+  else if sub_is s lo hi "HTTP/1.0" then Some "HTTP/1.0"
+  else None
+
+let parse_request s =
+  let eol = find_crlf s 0 in
+  if eol < 0 then Error "incomplete request line"
+  else begin
+    let m0 = skip_spaces s 0 eol in
+    let m1 = token_end s m0 eol in
+    let t0 = skip_spaces s m1 eol in
+    let t1 = token_end s t0 eol in
+    let v0 = skip_spaces s t1 eol in
+    let v1 = token_end s v0 eol in
+    if v0 = v1 || skip_spaces s v1 eol < eol then
+      Error (Printf.sprintf "malformed request line %S" (sub s 0 eol))
+    else
+      match version_at s v0 v1 with
+      | None -> Error (Printf.sprintf "unsupported version %S" (sub s v0 v1))
+      | Some version ->
+          let meth = if sub_is s m0 m1 "GET" then GET else meth_of_string (sub s m0 m1) in
+          let target = sub s t0 t1 in
+          parse_rest s (eol + 2) (fun headers body -> { meth; target; version; headers; body })
+  end
+
+(* Serialisation writes each message into one buffer of exactly its
+   size: each [put] returns the offset just past what it wrote. *)
+
+let put buf pos s =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  pos + String.length s
+
+let put_char buf pos c =
+  Bytes.set buf pos c;
+  pos + 1
+
+let put_crlf buf pos = put_char buf (put_char buf pos '\r') '\n'
+
+let rec headers_length n = function
+  | [] -> n
+  | (name, value) :: rest -> headers_length (n + String.length name + String.length value + 4) rest
+
+let rec put_headers buf pos = function
+  | [] -> pos
+  | (name, value) :: rest ->
+      put_headers buf (put_crlf buf (put buf (put buf (put buf pos name) ": ") value)) rest
+
+(* "a b c\r\n", the header lines, a blank line, the body. *)
+let serialise a b c headers body =
+  let len =
+    headers_length
+      (String.length a + String.length b + String.length c + 6 + String.length body)
+      headers
+  in
+  let buf = Bytes.create len in
+  let pos = put buf (put_char buf (put buf (put_char buf (put buf 0 a) ' ') b) ' ') c in
+  let pos = put_crlf buf (put_headers buf (put_crlf buf pos) headers) in
+  ignore (put buf pos body);
+  Bytes.unsafe_to_string buf
 
 let format_request req =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (meth_to_string req.meth);
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf req.target;
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf req.version;
-  Buffer.add_string buf "\r\n";
   (* Header names are case-insensitive (RFC 7230 §3.2): a caller header
      spelled "Content-Length" must suppress the synthesised one. *)
   let has_content_length =
@@ -138,10 +201,7 @@ let format_request req =
     if has_content_length || req.body = "" then req.headers
     else req.headers @ [ ("content-length", string_of_int (String.length req.body)) ]
   in
-  format_headers buf headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf req.body;
-  Buffer.contents buf
+  serialise (meth_to_string req.meth) req.target req.version headers req.body
 
 (* ------------------------------------------------------------------ *)
 (* Responses *)
@@ -178,43 +238,48 @@ let not_found = response ~status:404 "not found"
 let bad_request msg = response ~status:400 msg
 
 let format_response r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "HTTP/1.1 ";
-  Buffer.add_string buf (string_of_int r.status);
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf r.reason;
-  Buffer.add_string buf "\r\n";
-  format_headers buf r.resp_headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf r.resp_body;
-  Buffer.contents buf
+  serialise "HTTP/1.1" (string_of_int r.status) r.reason r.resp_headers r.resp_body
+
+let rec decimal s n i hi =
+  if i = hi then n else decimal s ((10 * n) + Char.code s.[i] - Char.code '0') (i + 1) hi
+
+(* A status of three decimal digits is read in place; anything else
+   goes through [int_of_string_opt]. *)
+let status_at s lo hi =
+  let is_digit i = s.[i] >= '0' && s.[i] <= '9' in
+  if hi - lo = 3 && is_digit lo && is_digit (lo + 1) && is_digit (lo + 2) then
+    Some (decimal s 0 lo hi)
+  else int_of_string_opt (sub s lo hi)
+
+let rec trim_right_spaces s lo hi =
+  if hi > lo && s.[hi - 1] = ' ' then trim_right_spaces s lo (hi - 1) else hi
+
+let rec has_double_space s i hi =
+  i + 1 < hi && ((s.[i] = ' ' && s.[i + 1] = ' ') || has_double_space s (i + 1) hi)
+
+(* The words of [lo, hi) joined by single spaces; [lo] is past any
+   leading spaces. *)
+let reason_at s lo hi =
+  let hi = trim_right_spaces s lo hi in
+  if has_double_space s lo hi then
+    String.concat " " (List.filter (fun w -> w <> "") (String.split_on_char ' ' (sub s lo hi)))
+  else sub s lo hi
 
 let parse_response s =
-  match find_crlf s 0 with
-  | None -> Error "incomplete status line"
-  | Some eol -> (
-      let line = String.sub s 0 eol in
-      match split_on_spaces line with
-      | version :: status :: reason_words when version = "HTTP/1.1" || version = "HTTP/1.0"
-        -> (
-          match int_of_string_opt status with
-          | None -> Error (Printf.sprintf "bad status %S" status)
-          | Some status -> (
-              match parse_headers s (eol + 2) with
-              | Error e -> Error e
-              | Ok (headers, body_start) -> (
-                  match content_length headers with
-                  | Error e -> Error e
-                  | Ok len ->
-                      if String.length s < body_start + len then Error "incomplete body"
-                      else begin
-                        Ok
-                          ( {
-                              status;
-                              reason = String.concat " " reason_words;
-                              resp_headers = headers;
-                              resp_body = String.sub s body_start len;
-                            },
-                            body_start + len )
-                      end)))
-      | _ -> Error (Printf.sprintf "malformed status line %S" line))
+  let eol = find_crlf s 0 in
+  if eol < 0 then Error "incomplete status line"
+  else begin
+    let v0 = skip_spaces s 0 eol in
+    let v1 = token_end s v0 eol in
+    let c0 = skip_spaces s v1 eol in
+    let c1 = token_end s c0 eol in
+    match version_at s v0 v1 with
+    | Some _ when c0 < c1 -> (
+        match status_at s c0 c1 with
+        | None -> Error (Printf.sprintf "bad status %S" (sub s c0 c1))
+        | Some status ->
+            let reason = reason_at s (skip_spaces s c1 eol) eol in
+            parse_rest s (eol + 2) (fun resp_headers resp_body ->
+                { status; reason; resp_headers; resp_body }))
+    | _ -> Error (Printf.sprintf "malformed status line %S" (sub s 0 eol))
+  end

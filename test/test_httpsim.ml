@@ -304,6 +304,29 @@ let parse_pins_damaged () =
         (Backend_slow 5, "untouched", full_request);
       ]
 
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let c = Gc.minor_words () in
+  int_of_float (c -. b -. (b -. a))
+
+(* The parser copies out only the fields it returns, and a reply is
+   written once into a buffer of its exact size (the 1141-byte page
+   alone is 144 words).  Ceilings at the measured figures keep either
+   from silently regressing. *)
+let http_allocation_ceilings () =
+  let raw = H.Netsim.request_for ~target:"/" ~conn_id:0 in
+  let page = H.Http.ok H.Server.static_page in
+  let check what ceiling f =
+    let words = minor_words f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %d words <= %d" what words ceiling) true
+      (words <= ceiling)
+  in
+  check "parse_request of a simulated request" 68 (fun () -> H.Http.parse_request raw);
+  check "format_response of the static page" 146 (fun () -> H.Http.format_response page)
+
 (* ---------------- Netsim ---------------- *)
 
 let netsim_constant_rate () =
@@ -833,6 +856,7 @@ let suite =
     test "parser pins: pipelined pair" parse_pins_pipelined;
     test "parser pins: every truncation" parse_pins_truncations;
     test "parser pins: each damage kind" parse_pins_damaged;
+    test "parse and format allocation ceilings" http_allocation_ceilings;
     test "netsim constant rate" netsim_constant_rate;
     test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;
