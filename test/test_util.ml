@@ -241,16 +241,17 @@ let prop_pq_fifo_within_priority =
 (* Random interleavings of every operation against a model: a list kept
    stable-sorted by priority, so equal priorities stay in insertion
    order.  Unlike a fill-then-drain run, this sifts after growth and
-   reuses the queue after [clear]. *)
+   reuses the queue after [clear]; adds outweigh pops and clears are
+   rare, so runs grow the queue past several capacity doublings. *)
 type pq_op = Add of int | Pop | Peek | Clear
 
 let pq_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (6, map (fun p -> Add p) (int_range 0 20));
-        (3, return Pop);
-        (1, return Peek);
+        (40, map (fun p -> Add p) (int_range 0 20));
+        (20, return Pop);
+        (5, return Peek);
         (1, return Clear);
       ])
 
@@ -264,7 +265,7 @@ let prop_pq_model =
   QCheck.Test.make ~name:"pqueue agrees with a sorted-list model" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pq_op_print ops))
-       QCheck.Gen.(list_size (int_range 0 400) pq_op_gen))
+       QCheck.Gen.(list_size (int_range 0 800) pq_op_gen))
     (fun ops ->
       let q = Pqueue.create () in
       let insert p v model =
