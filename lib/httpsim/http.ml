@@ -102,13 +102,24 @@ let rec parse_headers s acc pos =
     end
   end
 
-let content_length headers =
-  match List.assoc_opt "content-length" headers with
-  | None -> Ok 0
-  | Some v -> (
+(* Every [Content-Length] must be valid, and all must agree (RFC 7230
+   §3.3.2): a receiver that took the first of two differing values
+   would frame the body differently from one that took the last, which
+   is how requests are smuggled.  [first] is the first value seen, ""
+   before any (no valid value is empty). *)
+let rec content_length_from n first = function
+  | [] -> Ok n
+  | ("content-length", v) :: rest -> (
       match int_of_string_opt (String.trim v) with
-      | Some n when n >= 0 -> Ok n
+      | Some m when m >= 0 ->
+          if first = "" then content_length_from m v rest
+          else if m <> n then
+            Error (Printf.sprintf "conflicting content-length %S and %S" first v)
+          else content_length_from n first rest
       | _ -> Error (Printf.sprintf "bad content-length %S" v))
+  | _ :: rest -> content_length_from n first rest
+
+let content_length headers = content_length_from 0 "" headers
 
 (* The headers and the [Content-Length] body from [start]; [k] builds
    the message from them. *)

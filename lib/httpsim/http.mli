@@ -38,7 +38,8 @@ val parse_request : string -> (request * int, string) result
 (** Parse one complete request from the front of the buffer, returning
     it with the number of bytes consumed (so pipelined requests parse
     by repeated calls).  [Error] describes the first problem;
-    incomplete input is an error mentioning "incomplete". *)
+    incomplete input is an error mentioning "incomplete".  Several
+    [Content-Length] headers must all carry the same value. *)
 
 val format_request : request -> string
 

@@ -324,8 +324,33 @@ let http_allocation_ceilings () =
     Alcotest.(check bool) (Printf.sprintf "%s: %d words <= %d" what words ceiling) true
       (words <= ceiling)
   in
-  check "parse_request of a simulated request" 68 (fun () -> H.Http.parse_request raw);
+  check "parse_request of a simulated request" 70 (fun () -> H.Http.parse_request raw);
   check "format_response of the static page" 146 (fun () -> H.Http.format_response page)
+
+(* Regression: content_length took the first of several Content-Length
+   headers.  Differing values must be rejected (RFC 7230 §3.3.2), and
+   every server answers such a request with a 400; repeats of one value
+   are still accepted. *)
+let conflicting_content_length () =
+  let raw = "POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\nabcde" in
+  Alcotest.(check string) "request" {|Error conflicting content-length "3" and "5"|}
+    (show_request (H.Http.parse_request raw));
+  Alcotest.(check string) "response" {|Error conflicting content-length "3" and "4"|}
+    (show_response
+       (H.Http.parse_response "HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd"));
+  Alcotest.(check string) "a later invalid value" {|Error bad content-length "x"|}
+    (show_request
+       (H.Http.parse_request "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: x\r\n\r\nabc"));
+  Alcotest.(check string) "same value twice"
+    {|Ok "POST" "/" "HTTP/1.1" ["content-length"="3"; "content-length"="03"] "abc" +61|}
+    (show_request
+       (H.Http.parse_request "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 03\r\n\r\nabc"));
+  List.iter
+    (fun ((model : H.Server.model), process) ->
+      match H.Http.parse_response (process raw) with
+      | Ok (resp, _) -> Alcotest.(check int) (model.name ^ " answers 400") 400 resp.H.Http.status
+      | Error e -> Alcotest.fail e)
+    H.Experiment.servers
 
 (* ---------------- Netsim ---------------- *)
 
@@ -857,6 +882,7 @@ let suite =
     test "parser pins: every truncation" parse_pins_truncations;
     test "parser pins: each damage kind" parse_pins_damaged;
     test "parse and format allocation ceilings" http_allocation_ceilings;
+    test "conflicting content-length is rejected" conflicting_content_length;
     test "netsim constant rate" netsim_constant_rate;
     test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;
