@@ -251,17 +251,6 @@ let bad_request msg = response ~status:400 msg
 let format_response r =
   serialise "HTTP/1.1" (string_of_int r.status) r.reason r.resp_headers r.resp_body
 
-let rec decimal s n i hi =
-  if i = hi then n else decimal s ((10 * n) + Char.code s.[i] - Char.code '0') (i + 1) hi
-
-(* A status of three decimal digits is read in place; anything else
-   goes through [int_of_string_opt]. *)
-let status_at s lo hi =
-  let is_digit i = s.[i] >= '0' && s.[i] <= '9' in
-  if hi - lo = 3 && is_digit lo && is_digit (lo + 1) && is_digit (lo + 2) then
-    Some (decimal s 0 lo hi)
-  else int_of_string_opt (sub s lo hi)
-
 let rec trim_right_spaces s lo hi =
   if hi > lo && s.[hi - 1] = ' ' then trim_right_spaces s lo (hi - 1) else hi
 
@@ -286,7 +275,7 @@ let parse_response s =
     let c1 = token_end s c0 eol in
     match version_at s v0 v1 with
     | Some _ when c0 < c1 -> (
-        match status_at s c0 c1 with
+        match int_of_string_opt (sub s c0 c1) with
         | None -> Error (Printf.sprintf "bad status %S" (sub s c0 c1))
         | Some status ->
             let reason = reason_at s (skip_spaces s c1 eol) eol in
