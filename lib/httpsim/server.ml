@@ -58,12 +58,9 @@ let crash_header = "x-fault-inject"
 
 let internal_error = Http.response ~status:500 "internal server error"
 
-(* Responses are immutable, so every GET / shares one. *)
-let static_ok = Http.ok static_page
-
 let app_handler (req : Http.request) =
   if Http.header req crash_header = Some "crash" then raise Backend_failure;
   match (req.meth, req.target) with
-  | Http.GET, "/" -> static_ok
+  | Http.GET, "/" -> Http.ok static_page
   | Http.GET, _ -> Http.not_found
   | _ -> Http.response ~status:405 "method not allowed"
