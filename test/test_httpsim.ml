@@ -877,16 +877,9 @@ let suite =
     test "loadgen request roundtrip" request_roundtrip;
     test "reason phrases" reason_phrases;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
-    test "parser pins" parse_pins;
-    test "parser pins: pipelined pair" parse_pins_pipelined;
-    test "parser pins: every truncation" parse_pins_truncations;
-    test "parser pins: each damage kind" parse_pins_damaged;
-    test "parse and format allocation ceilings" http_allocation_ceilings;
-    test "conflicting content-length is rejected" conflicting_content_length;
     test "netsim constant rate" netsim_constant_rate;
     test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;
-    test "netsim shares request bytes per connection" netsim_shares_request_bytes;
     test "all servers serve the page" servers_serve;
     test "servers handle 404/405/400" servers_404_405;
     test "loadgen sanity" loadgen_sane;
@@ -908,4 +901,11 @@ let suite =
     test "supervised calm run completes" supervised_calm_completes;
     test "supervised chaos deterministic" supervised_chaos_deterministic;
     test "supervised drain accounts everything" supervised_drain_accounts_everything;
+    test "parser pins" parse_pins;
+    test "parser pins: pipelined pair" parse_pins_pipelined;
+    test "parser pins: every truncation" parse_pins_truncations;
+    test "parser pins: each damage kind" parse_pins_damaged;
+    test "parse and format allocation ceilings" http_allocation_ceilings;
+    test "conflicting content-length is rejected" conflicting_content_length;
+    test "netsim shares request bytes per connection" netsim_shares_request_bytes;
   ]

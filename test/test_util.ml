@@ -549,7 +549,6 @@ let suite =
     test "pqueue peek" pq_peek;
     QCheck_alcotest.to_alcotest prop_pq_sorted;
     QCheck_alcotest.to_alcotest prop_pq_fifo_within_priority;
-    QCheck_alcotest.to_alcotest prop_pq_model;
     test "rng deterministic" rng_deterministic;
     test "rng bounds" rng_bounds;
     test "rng exponential" rng_exponential_positive;
@@ -569,4 +568,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_counter_diff;
     test "table render" table_render;
     test "table kv and chart" table_kv_and_chart;
+    QCheck_alcotest.to_alcotest prop_pq_model;
   ]
