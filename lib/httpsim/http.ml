@@ -55,7 +55,7 @@ let sub_lower s lo hi =
   else sub s lo hi
 
 let header req name =
-  let name = sub_lower name 0 (String.length name) in
+  let name = if has_upper name 0 (String.length name) then String.lowercase_ascii name else name in
   List.assoc_opt name req.headers
 
 let keep_alive req =
@@ -102,11 +102,15 @@ let rec parse_headers s acc pos =
     end
   end
 
-(* Every [Content-Length] must be valid, and all must agree (RFC 7230
-   §3.3.2): a receiver that took the first of two differing values
-   would frame the body differently from one that took the last, which
-   is how requests are smuggled.  [first] is the first value seen, ""
-   before any (no valid value is empty). *)
+(* Every [Content-Length] must be valid, and all must agree: a receiver
+   that took the first of two differing values would frame the body
+   differently from one that took the last, which is how requests are
+   smuggled (RFC 7230 §3.3.2).  This is only part of that section: a
+   value is read with [int_of_string_opt], which also accepts forms
+   such as "+3", "0x3" and "1_0" that the RFC's 1*DIGIT grammar does
+   not, and values are compared as numbers, so "3" and "03" agree.
+   [first] is the first value seen, "" before any (no valid value is
+   empty). *)
 let rec content_length_from n first = function
   | [] -> Ok n
   | ("content-length", v) :: rest -> (
@@ -160,7 +164,7 @@ let parse_request s =
       match version_at s v0 v1 with
       | None -> Error (Printf.sprintf "unsupported version %S" (sub s v0 v1))
       | Some version ->
-          let meth = if sub_is s m0 m1 "GET" then GET else meth_of_string (sub s m0 m1) in
+          let meth = meth_of_string (sub s m0 m1) in
           let target = sub s t0 t1 in
           parse_rest s (eol + 2) (fun headers body -> { meth; target; version; headers; body })
   end
@@ -254,16 +258,27 @@ let format_response r =
 let rec trim_right_spaces s lo hi =
   if hi > lo && s.[hi - 1] = ' ' then trim_right_spaces s lo (hi - 1) else hi
 
-let rec has_double_space s i hi =
-  i + 1 < hi && ((s.[i] = ' ' && s.[i + 1] = ' ') || has_double_space s (i + 1) hi)
+(* Whether the byte at [i] is kept when runs of spaces collapse to
+   one: all but the first space of a run are dropped.  [s.[i - 1]] is
+   read only for a space, which is never the first byte of a range that
+   starts past its leading spaces. *)
+let kept s i = s.[i] <> ' ' || s.[i - 1] <> ' '
 
-(* The words of [lo, hi) joined by single spaces; [lo] is past any
-   leading spaces. *)
+let rec kept_length s i hi n =
+  if i >= hi then n else kept_length s (i + 1) hi (if kept s i then n + 1 else n)
+
+let rec put_kept s i hi buf j =
+  if i < hi then
+    if kept s i then (Bytes.set buf j s.[i]; put_kept s (i + 1) hi buf (j + 1))
+    else put_kept s (i + 1) hi buf j
+
+(* The words of [lo, hi) joined by single spaces, copied once; [lo] is
+   past any leading spaces. *)
 let reason_at s lo hi =
   let hi = trim_right_spaces s lo hi in
-  if has_double_space s lo hi then
-    String.concat " " (List.filter (fun w -> w <> "") (String.split_on_char ' ' (sub s lo hi)))
-  else sub s lo hi
+  let buf = Bytes.create (kept_length s lo hi 0) in
+  put_kept s lo hi buf 0;
+  Bytes.unsafe_to_string buf
 
 let parse_response s =
   let eol = find_crlf s 0 in

@@ -39,7 +39,8 @@ val parse_request : string -> (request * int, string) result
     it with the number of bytes consumed (so pipelined requests parse
     by repeated calls).  [Error] describes the first problem;
     incomplete input is an error mentioning "incomplete".  Several
-    [Content-Length] headers must all carry the same value. *)
+    [Content-Length] headers must all carry the same value, read
+    with [int_of_string_opt]. *)
 
 val format_request : request -> string
 

@@ -16,14 +16,11 @@ let request_for ~target ~conn_id =
     }
 
 (* The bytes of a request depend only on (target, conn_id), and strings
-   are immutable, so every event of one connection shares one string,
-   built when the connection first sends.  A fault that damages a
-   request makes a fresh copy ([Faults.damaged_raw]). *)
+   are immutable, so every event of one connection shares one string.
+   A fault that damages a request makes a fresh copy
+   ([Faults.damaged_raw]). *)
 let shared_requests ~connections ~target =
-  let raws = Array.make connections "" in
-  fun conn_id ->
-    if raws.(conn_id) = "" then raws.(conn_id) <- request_for ~target ~conn_id;
-    raws.(conn_id)
+  Array.init connections (fun conn_id -> request_for ~target ~conn_id)
 
 let check_params ~connections ~rate_rps ~duration_ms =
   if connections <= 0 then invalid_arg "Netsim: connections";
@@ -34,7 +31,7 @@ let poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target () =
   check_params ~connections ~rate_rps ~duration_ms;
   let mean_interval = 1e9 /. float_of_int rate_rps in
   let horizon = duration_ms * 1_000_000 in
-  let raw_for = shared_requests ~connections ~target in
+  let raws = shared_requests ~connections ~target in
   let rec go now i acc =
     let gap = Retrofit_util.Rng.exponential rng ~mean:mean_interval in
     let now = now +. gap in
@@ -42,7 +39,7 @@ let poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target () =
     else begin
       let conn_id = i mod connections in
       let ev =
-        { arrival_ns = int_of_float now; conn_id; raw = raw_for conn_id }
+        { arrival_ns = int_of_float now; conn_id; raw = raws.(conn_id) }
       in
       go now (i + 1) (ev :: acc)
     end
@@ -55,7 +52,7 @@ let constant_rate ?(jitter_ns = 0) ~rng ~connections ~rate_rps ~duration_ms ~tar
   if duration_ms < 0 then invalid_arg "Netsim.constant_rate: duration";
   let interval_ns = 1_000_000_000 / rate_rps in
   let total = rate_rps * duration_ms / 1000 in
-  let raw_for = shared_requests ~connections ~target in
+  let raws = shared_requests ~connections ~target in
   let events =
     List.init total (fun i ->
         let jitter =
@@ -65,7 +62,7 @@ let constant_rate ?(jitter_ns = 0) ~rng ~connections ~rate_rps ~duration_ms ~tar
         {
           arrival_ns = (i * interval_ns) + jitter;
           conn_id;
-          raw = raw_for conn_id;
+          raw = raws.(conn_id);
         })
   in
   (* Jitter larger than the nominal interval can reorder neighbouring

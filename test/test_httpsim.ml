@@ -324,7 +324,7 @@ let http_allocation_ceilings () =
     Alcotest.(check bool) (Printf.sprintf "%s: %d words <= %d" what words ceiling) true
       (words <= ceiling)
   in
-  check "parse_request of a simulated request" 70 (fun () -> H.Http.parse_request raw);
+  check "parse_request of a simulated request" 72 (fun () -> H.Http.parse_request raw);
   check "format_response of the static page" 146 (fun () -> H.Http.format_response page)
 
 (* Regression: content_length took the first of several Content-Length
