@@ -21,9 +21,9 @@ type t = {
   mutable parent : t option;
   mutable handler : Compile.handle_desc option;
   regs : regs;
-  ops : int Retrofit_util.Vec.t;
+  ops : Retrofit_util.Ivec.t;
   shadow : shadow_frame Retrofit_util.Vec.t;
-  traps : (int * int) Retrofit_util.Vec.t;
+  traps : Retrofit_util.Ivec.t;
   mutable live : bool;
 }
 
@@ -34,11 +34,15 @@ let create ~id ~seg ~parent ~handler =
     parent;
     handler;
     regs = { pc = 0; sp = 0; cfa = 0; fn = -1; exn_ptr = 0 };
-    ops = Retrofit_util.Vec.create ();
+    ops = Retrofit_util.Ivec.create ();
     shadow = Retrofit_util.Vec.create ();
-    traps = Retrofit_util.Vec.create ();
+    traps = Retrofit_util.Ivec.create ();
     live = true;
   }
+
+let trap_count t = Retrofit_util.Ivec.length t.traps / 2
+
+let trap_addr t i = Retrofit_util.Ivec.get t.traps (2 * i)
 
 let offset_of t addr = Segment.top t.seg - addr
 
@@ -52,6 +56,6 @@ let rebase t ~delta =
   t.regs.sp <- shift delta t.regs.sp;
   t.regs.cfa <- shift delta t.regs.cfa;
   t.regs.exn_ptr <- shift delta t.regs.exn_ptr;
-  Retrofit_util.Vec.iteri
-    (fun i (addr, depth) -> Retrofit_util.Vec.set t.traps i (addr + delta, depth))
-    t.traps
+  for i = 0 to trap_count t - 1 do
+    Retrofit_util.Ivec.set t.traps (2 * i) (trap_addr t i + delta)
+  done

@@ -43,9 +43,11 @@ type t = {
   mutable handler : Compile.handle_desc option;
       (** [None] for the main stack and inside callback boundaries *)
   regs : regs;
-  ops : int Retrofit_util.Vec.t;
+  ops : Retrofit_util.Ivec.t;
   shadow : shadow_frame Retrofit_util.Vec.t;
-  traps : (int * int) Retrofit_util.Vec.t;  (** (trap address, operand depth) *)
+  traps : Retrofit_util.Ivec.t;
+      (** flat pairs, oldest trap first: trap [i]'s address at [2i], the
+          operand depth at its push at [2i + 1] *)
   mutable live : bool;
 }
 
@@ -53,6 +55,12 @@ val create : id:int -> seg:Segment.t -> parent:t option ->
   handler:Compile.handle_desc option -> t
 (** A fiber with zeroed registers; the machine initialises the preamble
     and register state. *)
+
+val trap_count : t -> int
+(** Traps in the mirror. *)
+
+val trap_addr : t -> int -> int
+(** [trap_addr f i] is the address of [f]'s [i]th trap, oldest first. *)
 
 val offset_of : t -> int -> int
 (** [offset_of f addr] is the distance of [addr] below [f]'s segment

@@ -1,4 +1,5 @@
 module Vec = Retrofit_util.Vec
+module Ivec = Retrofit_util.Ivec
 module Counter = Retrofit_util.Counter
 module Trace = Retrofit_trace.Trace
 module Tev = Retrofit_trace.Event
@@ -25,9 +26,23 @@ exception Cb_return of int
 (* Internal: thrown by Ret when it pops a callback's base frame, to exit
    the nested execution loop in run_callback. *)
 
-type cont = { fibers : Fiber.t Vec.t; mutable cont_live : bool }
-(* [fibers] holds the captured chain innermost first; a Vec so capture
-   appends in O(1) and resume reads both ends in O(1). *)
+type cont = { fibers : Fiber.t Vec.t; mutable cont_live : bool; mutable gen : int }
+(* A continuation slot.  [fibers] holds the captured chain innermost
+   first; a Vec so capture appends in O(1) and resume reads both ends in
+   O(1).  A spent one-shot slot goes on the machine's free list and is
+   captured into again, keeping its record and its Vec; [gen] counts
+   those reuses. *)
+
+(* A continuation value is its slot in the low [slot_bits] bits and the
+   slot's generation at capture above them, so a value kept past its
+   resume names a generation its slot has left: the resume raises
+   Invalid_argument (§3.1) even after the slot is reused.  A slot's first
+   generation is 0, so a value is its slot until the slot is reused. *)
+let slot_bits = 32
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let kid_of ~slot ~gen = slot lor (gen lsl slot_bits)
 
 type audit = {
   mutable a_interval : int;
@@ -93,11 +108,13 @@ type t = {
   cfg : Config.t;
   prog : Compile.compiled;
   t_counters : Counter.t;
+  cells : int array; (* [Counter.cells t_counters] *)
   cache : Stack_cache.t;
   mutable current : Fiber.t;
   fibers_live : Fiber.t Itbl.t;
   mutable by_base : Fiber.t Imap.t;
   conts : cont Vec.t;
+  free_slots : Ivec.t; (* spent one-shot slots; never filled under multishot *)
   mutable next_base : int;
   mutable next_id : int;
   cfun_impls : (ctx -> int array -> int) option array;
@@ -134,7 +151,23 @@ let fiber_by_id t id = Itbl.find_opt t.fibers_live id
 
 let fatal msg = raise (Fatal_error msg)
 
-let charge t n = Counter.add t.t_counters Counter.Instructions n
+(* The counters bumped on every op or every call are bumped in place,
+   at slots looked up once. *)
+let slot_ops = Counter.index Counter.Ops
+
+let slot_instructions = Counter.index Counter.Instructions
+
+let slot_call = Counter.index Counter.Call
+
+let slot_ret = Counter.index Counter.Ret
+
+let slot_overflow_check = Counter.index Counter.Overflow_check
+
+let[@inline] bump t slot n =
+  let c = t.cells in
+  Array.unsafe_set c slot (Array.unsafe_get c slot + n)
+
+let[@inline] charge t n = bump t slot_instructions n
 
 let count t name = Counter.incr t.t_counters name
 
@@ -165,10 +198,23 @@ let rd f addr = Segment.read f.Fiber.seg addr
 
 let wr f addr v = Segment.write f.Fiber.seg addr v
 
-let push_op (f : Fiber.t) v = Vec.push f.ops v
+(* In place, so that a push or pop in the dispatch loop is an array
+   access with no call; [Ivec.push] only when the stack must grow. *)
+let[@inline] push_op (f : Fiber.t) v =
+  let s = f.ops in
+  let n = s.Ivec.len in
+  if n < Array.length s.data then begin
+    Array.unsafe_set s.data n v;
+    s.len <- n + 1
+  end
+  else Ivec.push s v
 
-let pop_op (f : Fiber.t) =
-  if Vec.is_empty f.ops then fatal "operand stack underflow" else Vec.pop f.ops
+let[@inline] pop_op (f : Fiber.t) =
+  let s = f.ops in
+  let n = s.Ivec.len - 1 in
+  if n < 0 then fatal "operand stack underflow";
+  s.len <- n;
+  Array.unsafe_get s.data n
 
 (* ------------------------------------------------------------------ *)
 (* Fiber allocation, preamble initialisation and growth *)
@@ -247,14 +293,15 @@ let init_preamble t (f : Fiber.t) ~handler_index ~bottom_trap =
   let trap = top - 8 in
   wr f trap 0;
   wr f (trap + 1) bottom_trap;
-  Vec.clear f.traps;
-  Vec.push f.traps (trap, 0);
+  Ivec.clear f.traps;
+  Ivec.push f.traps trap;
+  Ivec.push f.traps 0;
   f.regs.pc <- 0;
   f.regs.sp <- trap;
   f.regs.cfa <- trap;
   f.regs.fn <- -1;
   f.regs.exn_ptr <- trap;
-  Vec.clear f.ops;
+  Ivec.clear f.ops;
   Vec.clear f.shadow;
   ignore t
 
@@ -401,8 +448,14 @@ let grow_in_place t (f : Fiber.t) ~needed ~per_chunk =
          });
   ok
 
-let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
+(* Enter function [fid] on [f].  Its arguments are the top [nparams]
+   words of [f]'s operand stack, the last one on top; they move into the
+   new frame's parameter slots and leave the stack. *)
+let emulate_call t (f : Fiber.t) fid ~ra =
   let fn = t.prog.fns.(fid) in
+  let ops = f.ops in
+  let ops_base = ops.Ivec.len - fn.nparams in
+  if ops_base < 0 then fatal "operand stack underflow";
   let needed = fn.frame_words in
   let ok =
     match t.cfg.kind with
@@ -431,7 +484,7 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
                      (not checked) fn.is_leaf needed t.cfg.red_zone)
             | _ -> ());
             if checked then begin
-              count t Counter.Overflow_check;
+              bump t slot_overflow_check 1;
               charge t Costs.check;
               if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
                 grow t f ~needed
@@ -464,7 +517,7 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
             else true)
   in
   if ok then begin
-    count t Counter.Call;
+    bump t slot_call 1;
     charge t Costs.call;
     let ra_addr = f.regs.sp - 1 in
     wr f ra_addr ra;
@@ -475,15 +528,16 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
         sf_caller_cfa_off = Fiber.offset_of f f.regs.cfa;
         sf_caller_fn = f.regs.fn;
         sf_cfa_off = Fiber.offset_of f (ra_addr + 1);
-        sf_ops_base = Vec.length f.ops;
+        sf_ops_base = ops_base;
       };
     f.regs.cfa <- ra_addr + 1;
     f.regs.fn <- fid;
     f.regs.pc <- fn.entry;
     f.regs.sp <- ra_addr - fn.nlocals;
-    for i = 0 to Array.length args - 1 do
-      wr f (f.regs.cfa - 2 - i) args.(i)
+    for i = 0 to fn.nparams - 1 do
+      wr f (ra_addr - 1 - i) (Array.unsafe_get ops.data (ops_base + i))
     done;
+    ops.len <- ops_base;
     match t.on_call with Some hook -> hook t | None -> ()
   end
 
@@ -500,11 +554,11 @@ let machine_raise t exn_id payload =
     let a = f.Fiber.regs.exn_ptr in
     if a = 0 then fatal "exception with no trap frame";
     let old = rd f a and hpc = rd f (a + 1) in
-    let maddr, mops = Vec.pop f.traps in
-    if maddr <> a then fatal "trap mirror out of sync";
+    let mops = Ivec.pop f.traps in
+    if Ivec.pop f.traps <> a then fatal "trap mirror out of sync";
     f.regs.sp <- a + 2;
     f.regs.exn_ptr <- old;
-    Vec.truncate f.ops mops;
+    Ivec.truncate f.ops mops;
     if hpc = Layout.trap_forward then begin
       (* Fiber bottom: forward the exception to the parent fiber,
          running the handler's exception case there if it matches. *)
@@ -520,9 +574,11 @@ let machine_raise t exn_id payload =
       in
       free_fiber t f;
       switch_to t p;
-      match Hashtbl.find_opt h.Compile.h_exn_tbl exn_id with
-      | Some fid -> emulate_call t p fid [| payload |] ~ra:p.regs.pc
-      | None -> unwind ()
+      match Hashtbl.find h.Compile.h_exn_tbl exn_id with
+      | fid ->
+          push_op p payload;
+          emulate_call t p fid ~ra:p.regs.pc
+      | exception Not_found -> unwind ()
     end
     else if hpc = Layout.c_trap then begin
       (* Callback boundary: pop the saved-pc context word too, then
@@ -576,14 +632,89 @@ let fiber_return t result =
          { hidx = rd f (Segment.top f.Fiber.seg - 2); fiber = f.Fiber.id });
   free_fiber t f;
   switch_to t p;
-  emulate_call t p h.Compile.h_retc [| result |] ~ra:p.regs.pc
+  push_op p result;
+  emulate_call t p h.Compile.h_retc ~ra:p.regs.pc
 
-(* A one-shot continuation is used up: mark it dead (a later resume
-   raises Invalid_argument) and drop its fibers, which would otherwise
-   stay reachable from [t.conts] until the run ends. *)
-let spend k =
+(* A fresh continuation slot: the top of the free list, one generation
+   on, or a new slot when the list is empty. *)
+let capture_slot t =
+  if Ivec.is_empty t.free_slots then begin
+    let slot = Vec.length t.conts in
+    Vec.push t.conts { fibers = Vec.create (); cont_live = true; gen = 0 };
+    slot
+  end
+  else begin
+    let slot = Ivec.pop t.free_slots in
+    let k = Vec.get t.conts slot in
+    k.gen <- k.gen + 1;
+    k.cont_live <- true;
+    slot
+  end
+
+(* A continuation is used up: mark it dead (a later resume raises
+   Invalid_argument) and drop its fibers, which would otherwise stay
+   reachable from [t.conts] until the run ends.  A one-shot slot goes
+   back on the free list; a multishot one is never reused. *)
+let spend t slot k =
   k.cont_live <- false;
-  Vec.clear k.fibers
+  Vec.clear k.fibers;
+  if not t.cfg.multishot then Ivec.push t.free_slots slot
+
+let notify_perform t ~site ~eff handler =
+  match t.on_perform with Some hook -> hook ~site ~eff ~handler | None -> ()
+
+(* Parent pointers live both in the fiber record and in the handler_info
+   word at the top of its stack (Fig 3a); the unwinder reads the latter,
+   so both must move together. *)
+let set_parent (f : Fiber.t) (p : Fiber.t option) =
+  f.parent <- p;
+  wr f (Segment.top f.seg - 1) (match p with Some p -> p.Fiber.id | None -> -1)
+
+(* The chain tail is the most recently captured fiber: O(1) at the end
+   of the Vec, so capture cost stays linear in reperform depth. *)
+let relink_tail k target =
+  if not (Vec.is_empty k.fibers) then set_parent (Vec.top k.fibers) (Some target)
+
+(* Walk out from [cur] capturing fibers into slot [slot] until a handler
+   has a clause for [eff], then call the clause with the payload [v] and
+   the continuation value. *)
+let rec perform_hop t ~site ~eff v slot k (cur : Fiber.t) =
+  match cur.handler with
+  | None ->
+      (* Handler-less boundary: the main stack or a callback.  The
+         effect is unhandled; reinstate whatever was captured and raise
+         Unhandled at the perform site (§3.2).  The continuation value
+         was never handed out, so its slot is spent at once. *)
+      if Vec.is_empty k.fibers then spend t slot k
+      else begin
+        let first = Vec.get k.fibers 0 in
+        relink_tail k cur;
+        spend t slot k;
+        switch_to t first
+      end;
+      notify_perform t ~site ~eff (-1);
+      machine_raise t t.unhandled_id 0
+  | Some h -> (
+      count t Counter.Eff_tbl_probe;
+      relink_tail k cur;
+      Vec.push k.fibers cur;
+      let p =
+        match cur.parent with
+        | Some p -> p
+        | None -> fatal "handler fiber without a parent during perform"
+      in
+      set_parent cur None;
+      match Hashtbl.find h.Compile.h_eff_tbl eff with
+      | fid ->
+          notify_perform t ~site ~eff (rd cur (Segment.top cur.Fiber.seg - 2));
+          switch_to t p;
+          push_op p v;
+          push_op p (kid_of ~slot ~gen:k.gen);
+          emulate_call t p fid ~ra:p.regs.pc
+      | exception Not_found ->
+          count t Counter.Reperform;
+          charge t Costs.reperform;
+          perform_hop t ~site ~eff v slot k p)
 
 let do_perform t eff_id =
   count t Counter.Perform;
@@ -591,75 +722,10 @@ let do_perform t eff_id =
   if Trace.on () then emit_ev t (Tev.Perform { eff = t.prog.eff_names.(eff_id) });
   (* [exec_instr] bumps pc before dispatching, so the PerformI site is
      one behind the current pc.  Captured here, before any switching. *)
-  let site_pc = t.current.Fiber.regs.pc - 1 in
-  let notify handler =
-    match t.on_perform with
-    | Some hook -> hook ~site:site_pc ~eff:eff_id ~handler
-    | None -> ()
-  in
+  let site = t.current.Fiber.regs.pc - 1 in
   let v = pop_op t.current in
-  let kid = Vec.length t.conts in
-  let k = { fibers = Vec.create (); cont_live = true } in
-  Vec.push t.conts k;
-  (* parent pointers live both in the fiber record and in the
-     handler_info word at the top of its stack (Fig 3a); the unwinder
-     reads the latter, so both must move together *)
-  let set_parent (f : Fiber.t) = function
-    | Some (p : Fiber.t) ->
-        f.Fiber.parent <- Some p;
-        wr f (Segment.top f.Fiber.seg - 1) p.Fiber.id
-    | None ->
-        f.Fiber.parent <- None;
-        wr f (Segment.top f.Fiber.seg - 1) (-1)
-  in
-  (* The chain tail is the most recently captured fiber: O(1) at the
-     end of the Vec, so capture cost stays linear in reperform depth. *)
-  let relink_last_to target =
-    if not (Vec.is_empty k.fibers) then set_parent (Vec.top k.fibers) (Some target)
-  in
-  let rec hop (cur : Fiber.t) =
-    match cur.handler with
-    | None ->
-        (* Handler-less boundary: the main stack or a callback.  The
-           effect is unhandled; reinstate whatever was captured and
-           raise Unhandled at the perform site (§3.2). *)
-        if Vec.is_empty k.fibers then begin
-          notify (-1);
-          machine_raise t t.unhandled_id 0
-        end
-        else begin
-          let first = Vec.get k.fibers 0 in
-          relink_last_to cur;
-          spend k;
-          switch_to t first;
-          notify (-1);
-          machine_raise t t.unhandled_id 0
-        end
-    | Some h -> (
-        count t Counter.Eff_tbl_probe;
-        relink_last_to cur;
-        Vec.push k.fibers cur;
-        let p =
-          match cur.parent with
-          | Some p -> p
-          | None -> fatal "handler fiber without a parent during perform"
-        in
-        set_parent cur None;
-        match Hashtbl.find_opt h.Compile.h_eff_tbl eff_id with
-        | Some fid ->
-            notify (rd cur (Segment.top cur.Fiber.seg - 2));
-            switch_to t p;
-            emulate_call t p fid [| v; kid |] ~ra:p.regs.pc
-        | None ->
-            count t Counter.Reperform;
-            charge t Costs.reperform;
-            hop p)
-  in
-  hop t.current
-
-let take_cont t kid =
-  if kid < 0 || kid >= Vec.length t.conts then fatal "invalid continuation value";
-  Vec.get t.conts kid
+  let slot = capture_slot t in
+  perform_hop t ~site ~eff:eff_id v slot (Vec.get t.conts slot) t.current
 
 (* Deep-copy one captured fiber for multi-shot resumption (§5.2's
    semantics-faithful behaviour): a fresh segment with the same
@@ -720,9 +786,9 @@ let copy_fiber t (f : Fiber.t) =
   copy.regs.cfa <- f.regs.cfa;
   copy.regs.fn <- f.regs.fn;
   copy.regs.exn_ptr <- f.regs.exn_ptr;
-  Vec.append copy.ops f.ops;
+  Ivec.append copy.ops f.ops;
   Vec.append copy.shadow f.shadow;
-  Vec.append copy.traps f.traps;
+  Ivec.append copy.traps f.traps;
   let delta = Segment.top seg - Segment.top f.seg in
   Fiber.rebase copy ~delta;
   let rec fix addr =
@@ -750,8 +816,11 @@ let copy_chain t fibers =
   copies
 
 let do_resume t ~raise_instead v kid =
-  let k = take_cont t kid in
-  if not k.cont_live then machine_raise t t.invalid_arg_id 0
+  let slot = kid land slot_mask and gen = kid lsr slot_bits in
+  if kid < 0 || slot >= Vec.length t.conts then fatal "invalid continuation value";
+  let k = Vec.get t.conts slot in
+  if gen > k.gen then fatal "invalid continuation value";
+  if gen < k.gen || not k.cont_live then machine_raise t t.invalid_arg_id 0
   else begin
     count t Counter.Resume;
     charge t (Costs.resume + (Costs.resume_per_fiber * Vec.length k.fibers));
@@ -776,7 +845,7 @@ let do_resume t ~raise_instead v kid =
        reparented onto the resumer. *)
     let first = Vec.get fibers 0 in
     let last = Vec.top fibers in
-    if not t.cfg.multishot then spend k;
+    if not t.cfg.multishot then spend t slot k;
     last.Fiber.parent <- Some t.current;
     wr last (Segment.top last.Fiber.seg - 1) t.current.Fiber.id;
     switch_to t first;
@@ -788,10 +857,9 @@ let do_resume t ~raise_instead v kid =
 let do_handle t hidx =
   count t Counter.Handle;
   let spec = t.prog.handles.(hidx) in
-  let args = Array.make spec.h_nargs 0 in
-  for i = spec.h_nargs - 1 downto 0 do
-    args.(i) <- pop_op t.current
-  done;
+  let parent = t.current in
+  let ops_base = Ivec.length parent.ops - spec.h_nargs in
+  if ops_base < 0 then fatal "operand stack underflow";
   (* The variable area provides [initial_words] of checked headroom; the
      red zone sits below it so that unchecked leaf frames always fit. *)
   let size = Layout.preamble_words + t.cfg.initial_words + t.cfg.red_zone in
@@ -802,8 +870,13 @@ let do_handle t hidx =
   count t Counter.Fiber_alloc;
   if Trace.on () then
     emit_ev t (Tev.Handler_push { hidx; fiber = f.Fiber.id });
+  (* The body's arguments move to the new fiber's operand stack. *)
+  for i = ops_base to ops_base + spec.h_nargs - 1 do
+    push_op f (Ivec.get parent.ops i)
+  done;
+  Ivec.truncate parent.ops ops_base;
   switch_to t f;
-  emulate_call t f spec.h_body args ~ra:Layout.ret_to_parent
+  emulate_call t f spec.h_body ~ra:Layout.ret_to_parent
 
 (* ------------------------------------------------------------------ *)
 (* Traps *)
@@ -816,7 +889,8 @@ let push_trap t (f : Fiber.t) ~hpc =
   wr f (a + 1) hpc;
   f.regs.sp <- a;
   f.regs.exn_ptr <- a;
-  Vec.push f.traps (a, Vec.length f.ops)
+  Ivec.push f.traps a;
+  Ivec.push f.traps (Ivec.length f.ops)
 
 let pop_trap t (f : Fiber.t) =
   count t Counter.Poptrap;
@@ -825,7 +899,7 @@ let pop_trap t (f : Fiber.t) =
   if a <> f.regs.sp then fatal "poptrap with a non-top trap";
   f.regs.exn_ptr <- rd f a;
   f.regs.sp <- a + 2;
-  ignore (Vec.pop f.traps)
+  Ivec.truncate f.traps (Ivec.length f.traps - 2)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime invariant auditing.
@@ -857,14 +931,14 @@ let registered t (f : Fiber.t) =
 (* Whether a callback boundary trap is live on [f], from mirror entry
    [i] on. *)
 let rec has_c_trap (f : Fiber.t) i =
-  i < Vec.length f.traps
-  && (rd f (fst (Vec.get f.traps i) + 1) = Layout.c_trap || has_c_trap f (i + 1))
+  i < Fiber.trap_count f
+  && (rd f (Fiber.trap_addr f i + 1) = Layout.c_trap || has_c_trap f (i + 1))
 
 (* The in-memory trap chain from [addr], the [i]th trap from the head,
    is strictly increasing, lies in the used region, and matches the
    mirror Vec trap for trap. *)
 let rec audit_trap_chain a (f : Fiber.t) ~top addr i =
-  let nmirror = Vec.length f.traps in
+  let nmirror = Fiber.trap_count f in
   if addr = 0 then begin
     if i <> nmirror then
       audit_fail a "trap-chain"
@@ -875,7 +949,7 @@ let rec audit_trap_chain a (f : Fiber.t) ~top addr i =
     audit_fail a "trap-chain"
       (fiber_where f ^ ": in-memory trap chain longer than mirror")
   else begin
-    let maddr, _ = Vec.get f.traps (nmirror - 1 - i) in
+    let maddr = Fiber.trap_addr f (nmirror - 1 - i) in
     if maddr <> addr then
       audit_fail a "trap-chain"
         (Printf.sprintf "%s: trap %d at address %d but mirror says %d" (fiber_where f) i
@@ -1032,11 +1106,27 @@ let audit_chain t a kid fibers =
         (Printf.sprintf "continuation %d: fiber %d parent link broken" kid f.id)
   done
 
+(* Every slot: a live one holds a well-formed chain, a spent one holds
+   no fibers.  Every free-list entry names a spent slot. *)
 let audit_conts t a =
   a.a_own_n <- 0;
-  for kid = 0 to Vec.length t.conts - 1 do
-    let k = Vec.get t.conts kid in
-    if k.cont_live then audit_chain t a kid k.fibers
+  let nslots = Vec.length t.conts in
+  for slot = 0 to nslots - 1 do
+    let k = Vec.get t.conts slot in
+    if k.cont_live then audit_chain t a (kid_of ~slot ~gen:k.gen) k.fibers
+    else if not (Vec.is_empty k.fibers) then
+      audit_fail a "cont-free"
+        (Printf.sprintf "spent continuation slot %d still holds %d fibers" slot
+           (Vec.length k.fibers))
+  done;
+  for i = 0 to Ivec.length t.free_slots - 1 do
+    let slot = Ivec.get t.free_slots i in
+    if slot < 0 || slot >= nslots then
+      audit_fail a "cont-free"
+        (Printf.sprintf "free list names slot %d of %d" slot nslots)
+    else if (Vec.get t.conts slot).cont_live then
+      audit_fail a "cont-free"
+        (Printf.sprintf "continuation slot %d is live but on the free list" slot)
   done
 
 let audit_machine t a =
@@ -1121,7 +1211,7 @@ let require_mc t what =
 let rec exec_instr t =
   if t.fuel <= 0 then fatal "out of fuel";
   t.fuel <- t.fuel - 1;
-  count t Counter.Ops;
+  bump t slot_ops 1;
   let f = t.current in
   let pc = f.Fiber.regs.pc in
   if pc < 0 || pc >= Array.length t.prog.code then
@@ -1140,7 +1230,7 @@ let rec exec_instr t =
       wr f (f.regs.cfa - 2 - i) (pop_op f)
   | Ir.Dup ->
       charge t Costs.basic;
-      push_op f (Vec.top f.ops)
+      push_op f (Ivec.top f.ops)
   | Ir.Pop ->
       charge t Costs.basic;
       ignore (pop_op f)
@@ -1155,19 +1245,13 @@ let rec exec_instr t =
   | Ir.JumpIfNot a ->
       charge t Costs.basic;
       if pop_op f = 0 then f.regs.pc <- a
-  | Ir.CallI fid ->
-      let fn = t.prog.fns.(fid) in
-      let args = Array.make fn.nparams 0 in
-      for i = fn.nparams - 1 downto 0 do
-        args.(i) <- pop_op f
-      done;
-      emulate_call t f fid args ~ra:f.regs.pc
+  | Ir.CallI fid -> emulate_call t f fid ~ra:f.regs.pc
   | Ir.Ret -> (
-      count t Counter.Ret;
+      bump t slot_ret 1;
       charge t Costs.ret;
       let result = pop_op f in
       let sf = Vec.pop f.shadow in
-      Vec.truncate f.ops sf.Fiber.sf_ops_base;
+      Ivec.truncate f.ops sf.Fiber.sf_ops_base;
       f.regs.sp <- Fiber.sf_cfa f sf;
       f.regs.cfa <- Fiber.sf_caller_cfa f sf;
       f.regs.fn <- sf.sf_caller_fn;
@@ -1261,7 +1345,10 @@ and run_callback t name args =
   push_trap t f ~hpc:Layout.c_trap;
   f.handler <- None;
   let restore () = f.Fiber.handler <- saved_handler in
-  emulate_call t f fid args ~ra:Layout.cb_done;
+  (* Pushed after the boundary trap, so an exception that unwinds to it
+     drops them with the callee's frame. *)
+  Array.iter (push_op f) args;
+  emulate_call t f fid ~ra:Layout.cb_done;
   let rec loop () =
     match t.result with
     | Some _ -> fatal "program terminated inside a callback"
@@ -1278,7 +1365,7 @@ and run_callback t name args =
       f.regs.exn_ptr <- rd f a;
       f.regs.pc <- rd f (a + 2);
       f.regs.sp <- a + 3;
-      ignore (Vec.pop f.traps);
+      Ivec.truncate f.traps (Ivec.length f.traps - 2);
       restore ();
       if Trace.on () then emit_ev t (Tev.Callback_end { name });
       v
@@ -1303,11 +1390,19 @@ and step t =
 let live_continuations t =
   let out = ref [] in
   Vec.iteri
-    (fun kid k ->
+    (fun slot k ->
       if k.cont_live && not (Vec.is_empty k.fibers) then
-        out := (kid, Vec.to_list k.fibers) :: !out)
+        out := (kid_of ~slot ~gen:k.gen, Vec.to_list k.fibers) :: !out)
     t.conts;
   List.rev !out
+
+let cont_slots t = Vec.length t.conts
+
+let free_cont_slots t = t.free_slots
+
+let cont_slot_fibers t slot = (Vec.get t.conts slot).fibers
+
+let slot_of_cont kid = kid land slot_mask
 
 let iter_shadow_backtrace t emit =
   let fn_name i = if i >= 0 then t.prog.fns.(i).fn_name else "?" in
@@ -1356,11 +1451,13 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
       cfg;
       prog;
       t_counters = counters;
+      cells = Counter.cells counters;
       cache;
       current = dummy;
       fibers_live = Itbl.create 64;
       by_base = Imap.empty;
       conts = Vec.create ();
+      free_slots = Ivec.create ();
       next_base = 16;
       next_id = 0;
       cfun_impls;
@@ -1391,7 +1488,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
   t.current <- main;
   let outcome =
     match
-      emulate_call t main prog.main_index [||] ~ra:Layout.main_done;
+      emulate_call t main prog.main_index ~ra:Layout.main_done;
       while t.result = None do
         step t
       done

@@ -56,6 +56,8 @@ type cfun = ctx -> int array -> int
     - live continuations hold pairwise-disjoint chains of live,
       registered, correctly parent-linked fibers, none of which is the
       running fiber (one-shot linearity);
+    - a spent continuation slot holds no fibers, and every entry of
+      the free list names a spent slot;
     - every prologue overflow check is emitted or elided exactly when
       {!Otss.needs_check} says so (checked at call time, not on the
       audit interval).
@@ -72,14 +74,16 @@ type cfun = ctx -> int array -> int
     {b Cost of a pass.}  A pass that finds nothing allocates nothing.
     It walks the base-address index once, auditing each live fiber as
     it checks the index against the live-fiber table (one hash lookup
-    per fiber), then the stack cache, then every continuation ever
-    captured, claiming each fiber a live one holds in an ownership map
-    kept in the auditor.  That is O(F + T + S log F + K + C) for F
-    live fibers, T traps on them, S cached segments, K continuations
-    and C fibers held by live ones.  A pass that finds something re-runs the
-    fiber and index checks table by table, so its reports name the same
-    invariants, with the same details, in the same order as a
-    table-driven walk. *)
+    per fiber), then the stack cache, then every continuation slot and
+    the free list, claiming each fiber a live continuation holds in an
+    ownership map kept in the auditor.  That is O(F + T + S log F + K +
+    C) for F live fibers, T traps on them, S cached segments, K
+    continuation slots and C fibers held by live continuations.  K is
+    the peak number of continuations held at once under one-shot
+    execution and every capture under multishot.  A pass that finds
+    something re-runs the fiber and index checks table by table, so its
+    reports name the same invariants, with the same details, in the
+    same order as a table-driven walk. *)
 
 type audit
 
@@ -160,6 +164,31 @@ val live_continuations : t -> (int * Fiber.t list) list
 (** Every live (capturable, not yet resumed) continuation with its
     fiber chain — the suspended requests of a server, each of which the
     unwinder can snapshot (§6.3.4). *)
+
+(** {2 Continuation slots}
+
+    A continuation lives in a slot.  A spent one-shot slot goes on a
+    free list and the next capture reuses it, so under one-shot
+    execution the slot count is the peak number of continuations held
+    at once, not the number of performs.  A continuation value carries
+    its slot's generation, so resuming a value whose slot has since
+    been reused still raises [Invalid_argument] (§3.1).  Multishot
+    slots are never reused. *)
+
+val cont_slots : t -> int
+(** Slots allocated so far: live, spent and free. *)
+
+val slot_of_cont : int -> int
+(** The slot of a continuation value. *)
+
+val free_cont_slots : t -> Retrofit_util.Ivec.t
+(** The free list itself, top last.  Exposed for the auditor's tests,
+    which corrupt it; a running program must not be changed through
+    it. *)
+
+val cont_slot_fibers : t -> int -> Fiber.t Retrofit_util.Vec.t
+(** The captured chain held by a slot, innermost first; empty once
+    spent.  Exposed for the auditor's tests, like [free_cont_slots]. *)
 
 val shadow_backtrace : t -> string list
 (** Ground truth: function names from the innermost frame outwards,

@@ -137,6 +137,8 @@ type t = int array
 
 let create () : t = Array.make (List.length all) 0
 
+let cells (t : t) : int array = t
+
 let add t n v =
   let i = index n in
   Array.unsafe_set t i (Array.unsafe_get t i + v)

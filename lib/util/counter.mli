@@ -60,6 +60,15 @@ type t
 val create : unit -> t
 (** Every counter at 0. *)
 
+val index : name -> int
+(** The slot of a counter in {!cells}. *)
+
+val cells : t -> int array
+(** The counters' own storage: slot [index n] holds [value t n].  For a
+    dispatch loop that bumps a counter without a call (libraries are
+    compiled [-opaque] in the default build, so [add] is never
+    inlined); everything else should use [add]. *)
+
 val incr : t -> name -> unit
 
 val add : t -> name -> int -> unit

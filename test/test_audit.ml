@@ -136,11 +136,10 @@ let bad_cfa m =
    moves one word up. *)
 let bad_trap m =
   let f = main_fiber m in
-  let traps = f.F.Fiber.traps in
-  Alcotest.(check int) "main has one trap" 1 (Retrofit_util.Vec.length traps);
-  let ((addr, depth) as old) = Retrofit_util.Vec.get traps 0 in
-  Retrofit_util.Vec.set traps 0 (addr + 1, depth);
-  ( (fun () -> Retrofit_util.Vec.set traps 0 old),
+  Alcotest.(check int) "main has one trap" 1 (F.Fiber.trap_count f);
+  let addr = F.Fiber.trap_addr f 0 in
+  Retrofit_util.Ivec.set f.F.Fiber.traps 0 (addr + 1);
+  ( (fun () -> Retrofit_util.Ivec.set f.F.Fiber.traps 0 addr),
     [
       ( "trap-chain",
         Printf.sprintf "fiber 0: trap 0 at address %d but mirror says %d" addr
@@ -180,6 +179,39 @@ let bad_chain m =
     [
       ( "cont-chain",
         Printf.sprintf "continuation %d: fiber %d parent link broken" kid f.F.Fiber.id );
+    ] )
+
+(* After the first resume the body runs again and the first
+   continuation's slot is spent and free.  The main fiber, suspended
+   under the body, is pushed into that slot, as if spending it had
+   kept its chain. *)
+let slot_free m =
+  in_body m && Retrofit_util.Ivec.length (F.Machine.free_cont_slots m) > 0
+
+let spent_slot_holds_fiber m =
+  let slot = Retrofit_util.Ivec.top (F.Machine.free_cont_slots m) in
+  let fibers = F.Machine.cont_slot_fibers m slot in
+  Retrofit_util.Vec.push fibers (main_fiber m);
+  ( (fun () -> ignore (Retrofit_util.Vec.pop fibers)),
+    [
+      ( "cont-free",
+        Printf.sprintf "spent continuation slot %d still holds 1 fibers" slot );
+    ] )
+
+(* The live continuation's slot is pushed on the free list, where the
+   next perform would capture into it and overwrite its chain. *)
+let live_slot_freed m =
+  let slot =
+    match F.Machine.live_continuations m with
+    | [ (kid, _) ] -> F.Machine.slot_of_cont kid
+    | _ -> Alcotest.fail "expected one continuation"
+  in
+  let free = F.Machine.free_cont_slots m in
+  Retrofit_util.Ivec.push free slot;
+  ( (fun () -> ignore (Retrofit_util.Ivec.pop free)),
+    [
+      ( "cont-free",
+        Printf.sprintf "continuation slot %d is live but on the free list" slot );
     ] )
 
 let fires name ~at break =
@@ -246,4 +278,6 @@ let suite =
     test "a passing pass allocates nothing" passes_allocate_nothing;
     test "multishot seed 3 #735 audit passes" (pinned_checks 735 5_026);
     test "multishot seed 3 #1093 audit passes" (pinned_checks 1093 150_675);
+    fires "cont-free: spent slot still holds a fiber" ~at:slot_free spent_slot_holds_fiber;
+    fires "cont-free: live slot on the free list" ~at:captured live_slot_freed;
   ]
