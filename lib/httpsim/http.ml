@@ -102,25 +102,33 @@ let rec parse_headers s acc pos =
     end
   end
 
-(* Every [Content-Length] must be valid, and all must agree: a receiver
-   that took the first of two differing values would frame the body
-   differently from one that took the last, which is how requests are
-   smuggled (RFC 7230 §3.3.2).  This is only part of that section: a
-   value is read with [int_of_string_opt], which also accepts forms
-   such as "+3", "0x3" and "1_0" that the RFC's 1*DIGIT grammar does
-   not, and values are compared as numbers, so "3" and "03" agree.
+(* The value of a [Content-Length], which RFC 7230 defines as 1*DIGIT:
+   -1 when [v] is empty, holds any other byte (a sign, "0x", "_") or
+   does not fit an int. *)
+let rec digits_value v i acc =
+  if i = String.length v then acc
+  else
+    let c = v.[i] in
+    let d = Char.code c - Char.code '0' in
+    if d < 0 || d > 9 || acc > (max_int - d) / 10 then -1
+    else digits_value v (i + 1) ((10 * acc) + d)
+
+(* Every [Content-Length] must be valid, and all must be the same text:
+   a receiver that took the first of two differing values would frame
+   the body differently from one that took the last, which is how
+   requests are smuggled (RFC 7230 §3.3.2).  Values are compared as
+   text, so "3" and "03" conflict.  Header values arrive trimmed.
    [first] is the first value seen, "" before any (no valid value is
    empty). *)
 let rec content_length_from n first = function
   | [] -> Ok n
-  | ("content-length", v) :: rest -> (
-      match int_of_string_opt (String.trim v) with
-      | Some m when m >= 0 ->
-          if first = "" then content_length_from m v rest
-          else if m <> n then
-            Error (Printf.sprintf "conflicting content-length %S and %S" first v)
-          else content_length_from n first rest
-      | _ -> Error (Printf.sprintf "bad content-length %S" v))
+  | ("content-length", v) :: rest ->
+      let m = if v = "" then -1 else digits_value v 0 0 in
+      if m < 0 then Error (Printf.sprintf "bad content-length %S" v)
+      else if first = "" then content_length_from m v rest
+      else if not (String.equal v first) then
+        Error (Printf.sprintf "conflicting content-length %S and %S" first v)
+      else content_length_from n first rest
   | _ :: rest -> content_length_from n first rest
 
 let content_length headers = content_length_from 0 "" headers

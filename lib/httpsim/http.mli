@@ -38,9 +38,9 @@ val parse_request : string -> (request * int, string) result
 (** Parse one complete request from the front of the buffer, returning
     it with the number of bytes consumed (so pipelined requests parse
     by repeated calls).  [Error] describes the first problem;
-    incomplete input is an error mentioning "incomplete".  Several
-    [Content-Length] headers must all carry the same value, read
-    with [int_of_string_opt]. *)
+    incomplete input is an error mentioning "incomplete".  A
+    [Content-Length] value is digits only (RFC 7230's [1*DIGIT]), and
+    several [Content-Length] headers must carry the same text. *)
 
 val format_request : request -> string
 

@@ -163,8 +163,15 @@ let request_pins =
     ("POST / HTTP/1.1\r\nContent-Length: 5x\r\n\r\nhello", {|Error bad content-length "5x"|});
     ( "POST / HTTP/1.1\r\nContent-Length:  5 \r\n\r\nhelloEXTRA",
       {|Ok "POST" "/" "HTTP/1.1" ["content-length"="5"] "hello" +45|} );
-    ( "POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
-      {|Ok "POST" "/" "HTTP/1.1" ["content-length"="+3"] "abc" +42|} );
+    (* RFC 7230: Content-Length = 1*DIGIT *)
+    ("POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc", {|Error bad content-length "+3"|});
+    ("POST / HTTP/1.1\r\nContent-Length: 0x3\r\n\r\nabc", {|Error bad content-length "0x3"|});
+    ( "POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+      {|Error bad content-length "1_0"|} );
+    ( "POST / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n",
+      {|Error bad content-length "99999999999999999999"|} );
+    ( "POST / HTTP/1.1\r\nContent-Length: 03\r\n\r\nabc",
+      {|Ok "POST" "/" "HTTP/1.1" ["content-length"="03"] "abc" +42|} );
     ( "POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi",
       {|Ok "POST" "/" "HTTP/1.1" ["content-length"="2"; "content-length"="2"] "hi" +59|} );
     ("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", "Error incomplete body");
@@ -330,7 +337,7 @@ let http_allocation_ceilings () =
 (* Regression: content_length took the first of several Content-Length
    headers.  Differing values must be rejected (RFC 7230 §3.3.2), and
    every server answers such a request with a 400; repeats of one value
-   are still accepted. *)
+   are still accepted, and values are compared as text. *)
 let conflicting_content_length () =
   let raw = "POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\nabcde" in
   Alcotest.(check string) "request" {|Error conflicting content-length "3" and "5"|}
@@ -342,7 +349,10 @@ let conflicting_content_length () =
     (show_request
        (H.Http.parse_request "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: x\r\n\r\nabc"));
   Alcotest.(check string) "same value twice"
-    {|Ok "POST" "/" "HTTP/1.1" ["content-length"="3"; "content-length"="03"] "abc" +61|}
+    {|Ok "POST" "/" "HTTP/1.1" ["content-length"="3"; "content-length"="3"] "abc" +60|}
+    (show_request
+       (H.Http.parse_request "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc"));
+  Alcotest.(check string) "one number, two texts" {|Error conflicting content-length "3" and "03"|}
     (show_request
        (H.Http.parse_request "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 03\r\n\r\nabc"));
   List.iter
