@@ -697,6 +697,176 @@ let prop_mc_overhead_nonnegative =
              >= Retrofit_util.Counter.get c1 "instructions"
       | _ -> false)
 
+(* ---------------- Continuation slots ---------------- *)
+
+(* Runs [p] and returns the outcome and the machine, for inspection
+   after the run. *)
+let run_keep ?audit cfg p =
+  let last = ref None in
+  let on_step m = last := Some m in
+  let outcome, counters =
+    F.Machine.run ~cfuns:F.Programs.standard_cfuns ~on_step ?audit cfg (F.Compile.compile p)
+  in
+  (outcome, counters, Option.get !last)
+
+(* The first clause resumes the body, whose second perform reuses the
+   spent slot; the second clause returns without resuming, so that slot
+   stays live under the new generation.  The first clause then resumes
+   its own, stale continuation value: without the generation it would
+   name the second capture's live fibers and return 0. *)
+let stale_after_reuse =
+  F.Ir.
+    {
+      fns =
+        [
+          fn "gt_body" [ "u" ] (Seq (Perform ("E", Int 0), Perform ("E", Int 1)));
+          fn "gt_ret" [ "v" ] (Var "v");
+          fn "gt_eff" [ "x"; "k" ]
+            (If
+               ( Binop (Eq, Var "x", Int 1),
+                 Int 7,
+                 Seq
+                   ( Continue (Var "k", Int 0),
+                     Trywith
+                       (Continue (Var "k", Int 0), [ ("Invalid_argument", "e", Int 42) ]) ) ));
+          fn "main" []
+            (Handle
+               {
+                 body_fn = "gt_body";
+                 body_args = [ Int 0 ];
+                 retc = "gt_ret";
+                 exncs = [];
+                 effcs = [ ("E", "gt_eff") ];
+               });
+        ];
+      main = "main";
+    }
+
+let stale_resume_after_reuse () =
+  List.iter
+    (fun (pname, pol) ->
+      let a = F.Machine.audit () in
+      let outcome, _, m =
+        run_keep ~audit:a (F.Config.with_policy pol F.Config.mc) stale_after_reuse
+      in
+      Alcotest.(check bool) (pname ^ " result 42") true (outcome = F.Machine.Done 42);
+      Alcotest.(check int) (pname ^ " one slot, reused") 1 (F.Machine.cont_slots m);
+      Alcotest.(check bool) (pname ^ " audit ok") true (F.Machine.audit_ok a))
+    F.Stack_policy.all
+
+let one_shot_slots_bounded () =
+  let iters = 20_000 in
+  let outcome, c, m = run_keep F.Config.mc (F.Programs.effect_roundtrip ~iters) in
+  Alcotest.(check bool) "result" true (outcome = F.Machine.Done 0);
+  Alcotest.(check int) "performs" iters (Retrofit_util.Counter.get c "perform");
+  Alcotest.(check int) "slots" 1 (F.Machine.cont_slots m);
+  Alcotest.(check int) "free" 1 (Retrofit_util.Ivec.length (F.Machine.free_cont_slots m))
+
+(* The body's first perform is unhandled, which spends its slot at
+   once; the second is handled.  Multishot slots are never reused, not
+   even that one. *)
+let unhandled_then_handled =
+  F.Ir.
+    {
+      fns =
+        [
+          fn "uh_body" [ "u" ]
+            (Seq
+               ( Trywith (Perform ("Nope", Int 0), [ ("Unhandled", "e", Int 0) ]),
+                 Perform ("E", Int 5) ));
+          fn "uh_ret" [ "v" ] (Var "v");
+          fn "uh_eff" [ "x"; "k" ] (Continue (Var "k", Var "x"));
+          fn "main" []
+            (Handle
+               {
+                 body_fn = "uh_body";
+                 body_args = [ Int 0 ];
+                 retc = "uh_ret";
+                 exncs = [];
+                 effcs = [ ("E", "uh_eff") ];
+               });
+        ];
+      main = "main";
+    }
+
+let multishot_slots_never_reused () =
+  List.iter
+    (fun (pname, pol) ->
+      let cfg = F.Config.with_multishot true (F.Config.with_policy pol F.Config.mc) in
+      List.iter
+        (fun (what, p, result) ->
+          let name = pname ^ " " ^ what in
+          let outcome, c, m = run_keep cfg p in
+          Alcotest.(check bool) (name ^ " result") true (outcome = F.Machine.Done result);
+          Alcotest.(check int) (name ^ " one slot per perform")
+            (Retrofit_util.Counter.get c "perform")
+            (F.Machine.cont_slots m);
+          Alcotest.(check int) (name ^ " free list empty") 0
+            (Retrofit_util.Ivec.length (F.Machine.free_cont_slots m)))
+        [ ("nqueens 5", F.Programs.nqueens ~n:5, 10); ("unhandled", unhandled_then_handled, 5) ])
+    F.Stack_policy.all
+
+(* ---------------- Allocation ceilings ---------------- *)
+
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let c = Gc.minor_words () in
+  c -. b -. (b -. a)
+
+(* Words per unit of [per] between two sizes of one program, so the
+   machine's set-up cancels out. *)
+let marginal_words cfg program ~small ~large ~per =
+  let measure n =
+    let compiled = F.Compile.compile (program n) in
+    let counters = ref None in
+    let words =
+      minor_words (fun () ->
+          let _, c = F.Machine.run ~cfuns:F.Programs.standard_cfuns cfg compiled in
+          counters := Some c)
+    in
+    (words, per n (Option.get !counters))
+  in
+  let w1, u1 = measure small and w2, u2 = measure large in
+  (w2 -. w1) /. float_of_int (u2 - u1)
+
+(* A call allocates one shadow-frame record (six fields and a header)
+   and nothing else: no argument array, no boxed operand.  fib 17 and
+   fib 20 grow the stack and the shadow Vec to the same sizes, so only
+   the calls differ. *)
+let fib_allocates_one_frame_per_call () =
+  let words =
+    marginal_words F.Config.mc
+      (fun n -> F.Programs.fib ~n)
+      ~small:17 ~large:20
+      ~per:(fun _ c -> Retrofit_util.Counter.get c "call")
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per call <= 7" words) true (words <= 7.)
+
+(* One iteration handles, performs, resumes and returns: three shadow
+   frames (21 words), a handler fiber with its register record and
+   stacks (52 words), its entries in the live-fiber table and the base
+   index, and the stack cache's bookkeeping.  The ceiling is the figure
+   measured when argument arrays, per-perform closures and per-perform
+   continuation records went (159 words before). *)
+let effect_roundtrip_ceiling () =
+  let words =
+    marginal_words F.Config.mc
+      (fun iters -> F.Programs.effect_roundtrip ~iters)
+      ~small:1_000 ~large:5_000
+      ~per:(fun iters _ -> iters)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per iteration <= 110" words) true
+    (words <= 110.)
+
+let alloc_suite =
+  [
+    test "fib allocates one shadow frame per call" fib_allocates_one_frame_per_call;
+    test "effect_roundtrip allocation per iteration" effect_roundtrip_ceiling;
+  ]
+
 let suite =
   [
     test "segment basics" segment_basics;
@@ -739,4 +909,7 @@ let suite =
     test "full counter tables pinned" full_counter_tables;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_mc_overhead_nonnegative;
+    test "stale resume after slot reuse raises" stale_resume_after_reuse;
+    test "one-shot slots stay O(live)" one_shot_slots_bounded;
+    test "multishot slots never reused" multishot_slots_never_reused;
   ]

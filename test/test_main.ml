@@ -30,4 +30,5 @@ let () =
       ("analysis.resolve", Test_resolve.suite);
       ("causal", Test_causal.suite);
       ("supervise", Test_supervise.suite);
+      ("fiber.alloc", Test_fiber.alloc_suite);
     ]

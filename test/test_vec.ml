@@ -76,6 +76,37 @@ let prop_push_pop =
       done;
       !out = xs)
 
+(* Ivec: the int-only vector behind operand stacks and trap mirrors.
+   Starting at capacity 1, the pushes grow it through several
+   doublings. *)
+let ivec_ops () =
+  let v = Ivec.create ~capacity:1 () in
+  for i = 0 to 99 do
+    Ivec.push v i
+  done;
+  check_int "length" 100 (Ivec.length v);
+  check_int "top" 99 (Ivec.top v);
+  check_int "pop" 99 (Ivec.pop v);
+  Ivec.set v 3 42;
+  check_int "get" 42 (Ivec.get v 3);
+  Ivec.truncate v 5;
+  Alcotest.(check (list int)) "truncated" [ 0; 1; 2; 42; 4 ] (Ivec.to_list v);
+  let w = Ivec.create () in
+  Ivec.push w 7;
+  Ivec.append w v;
+  Alcotest.(check (list int)) "append" [ 7; 0; 1; 2; 42; 4 ] (Ivec.to_list w);
+  Alcotest.check_raises "get past length"
+    (Invalid_argument "Ivec: index 5 out of bounds (len 5)") (fun () ->
+      ignore (Ivec.get v 5));
+  Alcotest.check_raises "truncate past length" (Invalid_argument "Ivec.truncate")
+    (fun () -> Ivec.truncate v 6);
+  Ivec.clear v;
+  Alcotest.(check bool) "cleared" true (Ivec.is_empty v);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Ivec.pop: empty") (fun () ->
+      ignore (Ivec.pop v));
+  Alcotest.check_raises "top empty" (Invalid_argument "Ivec.top: empty") (fun () ->
+      ignore (Ivec.top v))
+
 let suite =
   [
     test "push/pop/get" push_pop;
@@ -87,4 +118,5 @@ let suite =
     test "iteri order" iteri_order;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_push_pop;
+    test "ivec push, pop, truncate, append" ivec_ops;
   ]
