@@ -50,5 +50,3 @@ let append v src =
   ensure v (v.len + src.len);
   Array.blit src.data 0 v.data v.len src.len;
   v.len <- v.len + src.len
-
-let to_list v = List.init v.len (fun i -> v.data.(i))

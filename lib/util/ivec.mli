@@ -45,5 +45,3 @@ val truncate : t -> int -> unit
 val append : t -> t -> unit
 (** [append v src] pushes every element of [src], in order, growing [v]
     at most once. *)
-
-val to_list : t -> int list

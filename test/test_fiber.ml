@@ -848,9 +848,8 @@ let fib_allocates_one_frame_per_call () =
 (* One iteration handles, performs, resumes and returns: three shadow
    frames (21 words), a handler fiber with its register record and
    stacks (52 words), its entries in the live-fiber table and the base
-   index, and the stack cache's bookkeeping.  The ceiling is the figure
-   measured when argument arrays, per-perform closures and per-perform
-   continuation records went (159 words before). *)
+   index, and the stack cache's bookkeeping.  The ceiling is the
+   measured figure. *)
 let effect_roundtrip_ceiling () =
   let words =
     marginal_words F.Config.mc

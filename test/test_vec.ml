@@ -79,6 +79,8 @@ let prop_push_pop =
 (* Ivec: the int-only vector behind operand stacks and trap mirrors.
    Starting at capacity 1, the pushes grow it through several
    doublings. *)
+let ivec_list v = List.init (Ivec.length v) (Ivec.get v)
+
 let ivec_ops () =
   let v = Ivec.create ~capacity:1 () in
   for i = 0 to 99 do
@@ -90,11 +92,11 @@ let ivec_ops () =
   Ivec.set v 3 42;
   check_int "get" 42 (Ivec.get v 3);
   Ivec.truncate v 5;
-  Alcotest.(check (list int)) "truncated" [ 0; 1; 2; 42; 4 ] (Ivec.to_list v);
+  Alcotest.(check (list int)) "truncated" [ 0; 1; 2; 42; 4 ] (ivec_list v);
   let w = Ivec.create () in
   Ivec.push w 7;
   Ivec.append w v;
-  Alcotest.(check (list int)) "append" [ 7; 0; 1; 2; 42; 4 ] (Ivec.to_list w);
+  Alcotest.(check (list int)) "append" [ 7; 0; 1; 2; 42; 4 ] (ivec_list w);
   Alcotest.check_raises "get past length"
     (Invalid_argument "Ivec: index 5 out of bounds (len 5)") (fun () ->
       ignore (Ivec.get v 5));
