@@ -37,10 +37,14 @@ type cont = { fibers : Fiber.t Vec.t; mutable cont_live : bool; mutable gen : in
    slot's generation at capture above them, so a value kept past its
    resume names a generation its slot has left: the resume raises
    Invalid_argument (§3.1) even after the slot is reused.  A slot's first
-   generation is 0, so a value is its slot until the slot is reused. *)
+   generation is 0, so a value is its slot until the slot is reused.  A
+   slot that reaches [max_gen] is retired instead of reused, which keeps
+   every value non-negative and below 2^53, exact in a JSON trace. *)
 let slot_bits = 32
 
 let slot_mask = (1 lsl slot_bits) - 1
+
+let max_gen = (1 lsl 21) - 1
 
 let kid_of ~slot ~gen = slot lor (gen lsl slot_bits)
 
@@ -654,11 +658,12 @@ let capture_slot t =
 (* A continuation is used up: mark it dead (a later resume raises
    Invalid_argument) and drop its fibers, which would otherwise stay
    reachable from [t.conts] until the run ends.  A one-shot slot goes
-   back on the free list; a multishot one is never reused. *)
+   back on the free list unless its generation is spent; a multishot
+   one is never reused. *)
 let spend t slot k =
   k.cont_live <- false;
   Vec.clear k.fibers;
-  if not t.cfg.multishot then Ivec.push t.free_slots slot
+  if (not t.cfg.multishot) && k.gen < max_gen then Ivec.push t.free_slots slot
 
 let notify_perform t ~site ~eff handler =
   match t.on_perform with Some hook -> hook ~site ~eff ~handler | None -> ()
@@ -1398,11 +1403,19 @@ let live_continuations t =
 
 let cont_slots t = Vec.length t.conts
 
-let free_cont_slots t = t.free_slots
+let free_cont_slots t = Ivec.length t.free_slots
 
-let cont_slot_fibers t slot = (Vec.get t.conts slot).fibers
+module Testing = struct
+  let slot_of_cont kid = kid land slot_mask
 
-let slot_of_cont kid = kid land slot_mask
+  let max_generation = max_gen
+
+  let free_slots t = t.free_slots
+
+  let slot_fibers t slot = (Vec.get t.conts slot).fibers
+
+  let set_slot_generation t slot gen = (Vec.get t.conts slot).gen <- gen
+end
 
 let iter_shadow_backtrace t emit =
   let fn_name i = if i >= 0 then t.prog.fns.(i).fn_name else "?" in

@@ -161,8 +161,9 @@ val read_mem : t -> int -> int
 val live_fiber_count : t -> int
 
 val live_continuations : t -> (int * Fiber.t list) list
-(** Every live (capturable, not yet resumed) continuation with its
-    fiber chain — the suspended requests of a server, each of which the
+(** Every live (capturable, not yet resumed) continuation, as its
+    value (slot plus generation, see {!cont_slots}) with its fiber
+    chain — the suspended requests of a server, each of which the
     unwinder can snapshot (§6.3.4). *)
 
 (** {2 Continuation slots}
@@ -170,25 +171,45 @@ val live_continuations : t -> (int * Fiber.t list) list
     A continuation lives in a slot.  A spent one-shot slot goes on a
     free list and the next capture reuses it, so under one-shot
     execution the slot count is the peak number of continuations held
-    at once, not the number of performs.  A continuation value carries
-    its slot's generation, so resuming a value whose slot has since
-    been reused still raises [Invalid_argument] (§3.1).  Multishot
-    slots are never reused. *)
+    at once, not the number of performs.  Each reuse moves the slot one
+    generation on, and a continuation value is [slot + gen * 2^32]:
+    the slot's index plus its generation at capture.  A value is
+    therefore its slot's index until the slot is first reused.
+    Resuming a value whose slot has since been reused still raises
+    [Invalid_argument] (§3.1).  A slot whose generation reaches
+    [2^21 - 1] is retired rather than reused, which keeps every value
+    below [2^53], exact in a JSON trace; a one-shot run allocates one
+    extra slot per [2^21 - 1] reuses.  Multishot slots are never
+    reused.  The same values appear in {!live_continuations} and in the
+    [kid] of the trace's [Resume] and [Discontinue] events. *)
 
 val cont_slots : t -> int
 (** Slots allocated so far: live, spent and free. *)
 
-val slot_of_cont : int -> int
-(** The slot of a continuation value. *)
+val free_cont_slots : t -> int
+(** Slots on the free list, waiting to be reused. *)
 
-val free_cont_slots : t -> Retrofit_util.Ivec.t
-(** The free list itself, top last.  Exposed for the auditor's tests,
-    which corrupt it; a running program must not be changed through
-    it. *)
+(** Access to slot state for tests that corrupt it and check that the
+    auditor notices.  A running program must not be changed through
+    these. *)
+module Testing : sig
+  val slot_of_cont : int -> int
+  (** The slot of a continuation value. *)
 
-val cont_slot_fibers : t -> int -> Fiber.t Retrofit_util.Vec.t
-(** The captured chain held by a slot, innermost first; empty once
-    spent.  Exposed for the auditor's tests, like [free_cont_slots]. *)
+  val max_generation : int
+  (** The generation at which a spent slot is retired, [2^21 - 1]. *)
+
+  val free_slots : t -> Retrofit_util.Ivec.t
+  (** The free list itself, top last. *)
+
+  val slot_fibers : t -> int -> Fiber.t Retrofit_util.Vec.t
+  (** The captured chain a slot holds, innermost first; empty once
+      spent. *)
+
+  val set_slot_generation : t -> int -> int -> unit
+  (** [set_slot_generation m slot gen] sets the slot's generation, so a
+      test can reach the retirement cap without [2^21] captures. *)
+end
 
 val shadow_backtrace : t -> string list
 (** Ground truth: function names from the innermost frame outwards,

@@ -19,6 +19,9 @@ type ev =
   | Cache_miss of { size : int }
   | Perform of { eff : string }
   | Resume of { kid : int; fibers : int }
+      (** [kid] is the continuation value: its slot's index plus
+          [2^32] times the slot's generation, below [2^53]; the fiber
+          machine's [Machine.cont_slots] documents the encoding *)
   | Discontinue of { kid : int; exn : string }
   | Raise of { exn : string }
   | Handler_push of { hidx : int; fiber : int }

@@ -2,7 +2,7 @@ type t = { mutable data : int array; mutable len : int }
 
 (* Slots at or beyond [len] hold stale ints; they are never exposed and,
    being ints, keep nothing alive. *)
-let create ?(capacity = 8) () = { data = Array.make (max capacity 1) 0; len = 0 }
+let create () = { data = Array.make 8 0; len = 0 }
 
 let length v = v.len
 

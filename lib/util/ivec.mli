@@ -12,9 +12,8 @@ type t = { mutable data : int array; mutable len : int }
     push and pop in place: the library is compiled [-opaque] in the
     default build, so a call into this module is never inlined. *)
 
-val create : ?capacity:int -> unit -> t
-(** [create ()] is an empty vector.  [capacity] pre-sizes the backing
-    store; it does not affect [length]. *)
+val create : unit -> t
+(** [create ()] is an empty vector. *)
 
 val length : t -> int
 

@@ -186,11 +186,11 @@ let bad_chain m =
    under the body, is pushed into that slot, as if spending it had
    kept its chain. *)
 let slot_free m =
-  in_body m && Retrofit_util.Ivec.length (F.Machine.free_cont_slots m) > 0
+  in_body m && F.Machine.free_cont_slots m > 0
 
 let spent_slot_holds_fiber m =
-  let slot = Retrofit_util.Ivec.top (F.Machine.free_cont_slots m) in
-  let fibers = F.Machine.cont_slot_fibers m slot in
+  let slot = Retrofit_util.Ivec.top (F.Machine.Testing.free_slots m) in
+  let fibers = F.Machine.Testing.slot_fibers m slot in
   Retrofit_util.Vec.push fibers (main_fiber m);
   ( (fun () -> ignore (Retrofit_util.Vec.pop fibers)),
     [
@@ -203,10 +203,10 @@ let spent_slot_holds_fiber m =
 let live_slot_freed m =
   let slot =
     match F.Machine.live_continuations m with
-    | [ (kid, _) ] -> F.Machine.slot_of_cont kid
+    | [ (kid, _) ] -> F.Machine.Testing.slot_of_cont kid
     | _ -> Alcotest.fail "expected one continuation"
   in
-  let free = F.Machine.free_cont_slots m in
+  let free = F.Machine.Testing.free_slots m in
   Retrofit_util.Ivec.push free slot;
   ( (fun () -> ignore (Retrofit_util.Ivec.pop free)),
     [

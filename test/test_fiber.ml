@@ -700,10 +700,13 @@ let prop_mc_overhead_nonnegative =
 (* ---------------- Continuation slots ---------------- *)
 
 (* Runs [p] and returns the outcome and the machine, for inspection
-   after the run. *)
-let run_keep ?audit cfg p =
+   after the run; [on_step] also runs after every step. *)
+let run_keep ?audit ?(on_step = ignore) cfg p =
   let last = ref None in
-  let on_step m = last := Some m in
+  let on_step m =
+    last := Some m;
+    on_step m
+  in
   let outcome, counters =
     F.Machine.run ~cfuns:F.Programs.standard_cfuns ~on_step ?audit cfg (F.Compile.compile p)
   in
@@ -760,7 +763,7 @@ let one_shot_slots_bounded () =
   Alcotest.(check bool) "result" true (outcome = F.Machine.Done 0);
   Alcotest.(check int) "performs" iters (Retrofit_util.Counter.get c "perform");
   Alcotest.(check int) "slots" 1 (F.Machine.cont_slots m);
-  Alcotest.(check int) "free" 1 (Retrofit_util.Ivec.length (F.Machine.free_cont_slots m))
+  Alcotest.(check int) "free" 1 (F.Machine.free_cont_slots m)
 
 (* The body's first perform is unhandled, which spends its slot at
    once; the second is handled.  Multishot slots are never reused, not
@@ -802,9 +805,36 @@ let multishot_slots_never_reused () =
             (Retrofit_util.Counter.get c "perform")
             (F.Machine.cont_slots m);
           Alcotest.(check int) (name ^ " free list empty") 0
-            (Retrofit_util.Ivec.length (F.Machine.free_cont_slots m)))
+            (F.Machine.free_cont_slots m))
         [ ("nqueens 5", F.Programs.nqueens ~n:5, 10); ("unhandled", unhandled_then_handled, 5) ])
     F.Stack_policy.all
+
+(* Once the first continuation is spent, its free slot is set one short
+   of the generation cap.  The next capture takes it to the cap: its
+   value is the largest a continuation can have, and spending it retires
+   the slot, so the captures after it use a second slot. *)
+let slot_retired_at_generation_cap () =
+  let cap = F.Machine.Testing.max_generation in
+  let set = ref false and top_kid = ref 0 in
+  let on_step m =
+    if (not !set) && F.Machine.free_cont_slots m > 0 then begin
+      let slot = Retrofit_util.Ivec.top (F.Machine.Testing.free_slots m) in
+      F.Machine.Testing.set_slot_generation m slot (cap - 1);
+      set := true
+    end;
+    List.iter (fun (kid, _) -> top_kid := max !top_kid kid) (F.Machine.live_continuations m)
+  in
+  let a = F.Machine.audit () in
+  let outcome, c, m =
+    run_keep ~audit:a ~on_step F.Config.mc (F.Programs.effect_roundtrip ~iters:10)
+  in
+  Alcotest.(check bool) "result" true (outcome = F.Machine.Done 0);
+  Alcotest.(check int) "performs" 10 (Retrofit_util.Counter.get c "perform");
+  Alcotest.(check int) "largest value" (cap lsl 32) !top_kid;
+  Alcotest.(check bool) "below 2^53" true (!top_kid < 1 lsl 53);
+  Alcotest.(check int) "slots" 2 (F.Machine.cont_slots m);
+  Alcotest.(check int) "free" 1 (F.Machine.free_cont_slots m);
+  Alcotest.(check bool) "audit ok" true (F.Machine.audit_ok a)
 
 (* ---------------- Allocation ceilings ---------------- *)
 
@@ -911,4 +941,5 @@ let suite =
     test "stale resume after slot reuse raises" stale_resume_after_reuse;
     test "one-shot slots stay O(live)" one_shot_slots_bounded;
     test "multishot slots never reused" multishot_slots_never_reused;
+    test "slot retired at the generation cap" slot_retired_at_generation_cap;
   ]

@@ -77,12 +77,12 @@ let prop_push_pop =
       !out = xs)
 
 (* Ivec: the int-only vector behind operand stacks and trap mirrors.
-   Starting at capacity 1, the pushes grow it through several
+   The pushes grow it from its initial capacity of 8 through several
    doublings. *)
 let ivec_list v = List.init (Ivec.length v) (Ivec.get v)
 
 let ivec_ops () =
-  let v = Ivec.create ~capacity:1 () in
+  let v = Ivec.create () in
   for i = 0 to 99 do
     Ivec.push v i
   done;
