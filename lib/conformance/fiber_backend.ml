@@ -5,6 +5,7 @@ module Rng = Retrofit_util.Rng
 type result = {
   outcome : Outcome.t;
   audit_checks : int;
+  audit_visits : int;
   audit_violations : (string * string) list;
   dwarf_probes : int;
   dwarf_failures : string list;
@@ -102,6 +103,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
       {
         outcome = Outcome.Model_error ("fiber compile: " ^ msg);
         audit_checks = 0;
+        audit_visits = 0;
         audit_violations = [];
         dwarf_probes = 0;
         dwarf_failures = [];
@@ -145,6 +147,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
       {
         outcome;
         audit_checks = (match auditor with Some a -> F.Machine.audit_checks a | None -> 0);
+        audit_visits = (match auditor with Some a -> F.Machine.audit_visits a | None -> 0);
         audit_violations =
           (match auditor with Some a -> F.Machine.audit_violations a | None -> []);
         dwarf_probes = !probes;

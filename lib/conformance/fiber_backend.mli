@@ -11,7 +11,9 @@
 
 type result = {
   outcome : Outcome.t;
-  audit_checks : int;  (** full invariant passes performed *)
+  audit_checks : int;  (** invariant passes performed *)
+  audit_visits : int;
+      (** what those passes examined ({!Retrofit_fiber.Machine.audit_visits}) *)
   audit_violations : (string * string) list;
   dwarf_probes : int;  (** sampled unwind round-trips *)
   dwarf_failures : string list;

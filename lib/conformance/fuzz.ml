@@ -19,6 +19,7 @@ type stats = {
   policy_agreements : (string * int) list;
   policy_skips : (string * int) list;
   audit_checks : int;
+  audit_visits : int;
   dwarf_probes : int;
   analyzed : int;
   dispatch_checks : int;
@@ -64,7 +65,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
       Hashtbl.replace pskip n 0)
     policy_cfgs;
   let bump tbl p = Hashtbl.replace tbl p (Hashtbl.find tbl p + 1) in
-  let audit_checks = ref 0 and dwarf_probes = ref 0 in
+  let audit_checks = ref 0 and audit_visits = ref 0 and dwarf_probes = ref 0 in
   let failures = ref [] in
   let analyzed = ref 0 in
   let run_oracle p s =
@@ -174,6 +175,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
     let p = Gen.program_of_seed ?cfg s in
     let r = run_oracle p s in
     audit_checks := !audit_checks + r.Oracle.audit_checks;
+    audit_visits := !audit_visits + r.Oracle.audit_visits;
     dwarf_probes := !dwarf_probes + r.Oracle.dwarf_probes;
     List.iter
       (fun (name, v) ->
@@ -186,6 +188,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
     List.iter
       (fun (name, fr) ->
         audit_checks := !audit_checks + fr.Fiber_backend.audit_checks;
+        audit_visits := !audit_visits + fr.Fiber_backend.audit_visits;
         dwarf_probes := !dwarf_probes + fr.Fiber_backend.dwarf_probes;
         match policy_verdict r.Oracle.fib fr with
         | Oracle.Agree -> bump pagree name
@@ -251,6 +254,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
       List.map (fun (n, _) -> (n, Hashtbl.find pagree n)) policy_cfgs;
     policy_skips = List.map (fun (n, _) -> (n, Hashtbl.find pskip n)) policy_cfgs;
     audit_checks = !audit_checks;
+    audit_visits = !audit_visits;
     dwarf_probes = !dwarf_probes;
     analyzed = !analyzed;
     dispatch_checks = !dispatch_checks;
@@ -318,8 +322,9 @@ let stats_to_string s =
            (List.assoc p s.policy_skips)))
     s.policy_agreements;
   Buffer.add_string b
-    (Printf.sprintf "audit checks: %d, dwarf probes: %d, analyzed: %d, failures: %d\n"
-       s.audit_checks s.dwarf_probes s.analyzed (List.length s.failures));
+    (Printf.sprintf
+       "audit checks: %d, audit visits: %d, dwarf probes: %d, analyzed: %d, failures: %d\n"
+       s.audit_checks s.audit_visits s.dwarf_probes s.analyzed (List.length s.failures));
   if s.dispatch_checks > 0 || s.bound_checks > 0 then
     Buffer.add_string b
       (Printf.sprintf "dispatches checked: %d, counter-bound tables checked: %d\n"

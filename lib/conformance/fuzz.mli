@@ -29,6 +29,9 @@ type stats = {
       (** per stack policy: fuel-outs, plus reservation exhaustion the
           default policy did not hit *)
   audit_checks : int;
+  audit_visits : int;
+      (** {!Retrofit_fiber.Machine.audit_visits}, summed over every
+          audited run *)
   dwarf_probes : int;
   analyzed : int;  (** programs run through the static analyzer *)
   dispatch_checks : int;

@@ -7,6 +7,7 @@ type report = {
   nat : Outcome.t;
   pairs : (string * verdict) list;
   audit_checks : int;
+  audit_visits : int;
   audit_violations : (string * string) list;
   dwarf_probes : int;
   dwarf_failures : string list;
@@ -42,6 +43,7 @@ let run ?sem_fuel ?fib_fuel ?nat_fuel ?(audit = true) ?dwarf_seed
         ("semantics<->native", compare_pair sem nat);
       ];
     audit_checks = fr.audit_checks;
+    audit_visits = fr.audit_visits;
     audit_violations = fr.audit_violations;
     dwarf_probes = fr.dwarf_probes;
     dwarf_failures = fr.dwarf_failures;

@@ -1,7 +1,6 @@
 module Machine = Retrofit_fiber.Machine
 module Layout = Retrofit_fiber.Layout
 module Fiber = Retrofit_fiber.Fiber
-module Segment = Retrofit_fiber.Segment
 
 type entry =
   | Frame of { fn : string; pc : int; cfa : int }
@@ -35,18 +34,19 @@ let iter_from ?interp_ops table machine ~pc ~sp emit =
           (* Fiber bottom: locate the fiber from the address, read the
              parent id out of its handler_info, resume from the parent's
              saved registers. *)
-          match Machine.fiber_of_addr machine cfa with
-          | None -> error "no fiber owns address %d" cfa
-          | Some f -> (
-              let parent_id = read (Segment.top f.Fiber.seg - 1) in
+          match Machine.stack_top_at machine cfa with
+          | exception Not_found -> error "no fiber owns address %d" cfa
+          | top -> (
+              let parent_id = read (top - 1) in
               if parent_id < 0 then emit Captured_end
-              else begin
-                match Machine.fiber_by_id machine parent_id with
-                | None -> error "parent fiber %d is not live" parent_id
-                | Some p ->
+              else
+                match
+                  (Machine.saved_pc machine parent_id, Machine.saved_sp machine parent_id)
+                with
+                | exception Not_found -> error "parent fiber %d is not live" parent_id
+                | pc, sp ->
                     emit (Fiber_boundary parent_id);
-                    walk ~pc:p.Fiber.regs.pc ~sp:p.Fiber.regs.sp
-              end)
+                    walk ~pc ~sp)
         end
         else if ra = Layout.cb_done then begin
           emit C_boundary;
@@ -67,12 +67,14 @@ let backtrace_from ?interp_ops table machine ~pc ~sp =
   List.rev !out
 
 let iter ?interp_ops table machine emit =
-  let f = Machine.current_fiber machine in
-  iter_from ?interp_ops table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp emit
+  let id = Machine.current_id machine in
+  iter_from ?interp_ops table machine ~pc:(Machine.saved_pc machine id)
+    ~sp:(Machine.saved_sp machine id) emit
 
 let backtrace ?interp_ops table machine =
-  let f = Machine.current_fiber machine in
-  backtrace_from ?interp_ops table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp
+  let id = Machine.current_id machine in
+  backtrace_from ?interp_ops table machine ~pc:(Machine.saved_pc machine id)
+    ~sp:(Machine.saved_sp machine id)
 
 let backtrace_of_fiber ?interp_ops table machine (f : Fiber.t) =
   backtrace_from ?interp_ops table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp

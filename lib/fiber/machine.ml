@@ -53,8 +53,26 @@ type audit = {
   mutable a_budget : int; (* passes left before the interval doubles *)
   mutable a_countdown : int;
   mutable a_checks : int;
+  mutable a_visits : int; (* fibers, slots and cached segments examined *)
   mutable a_nviolations : int;
   mutable a_violations : (string * string) list; (* newest first, capped *)
+  (* What changed since the last pass.  [a_full] marks everything
+     changed: set for the first pass, for the pass after one that found
+     something, and when a list below overflows.  [a_always_full] marks
+     it for every pass: set once a fiber or slot is handed to code
+     outside the machine, which may keep it and change it at any step. *)
+  mutable a_always_full : bool;
+  mutable a_full : bool;
+  mutable a_dirty : Fiber.t array; (* fibers the machine mutated *)
+  mutable a_ndirty : int;
+  mutable a_dirty_slots : int array; (* continuation slots it captured into or spent *)
+  mutable a_ndirty_slots : int;
+  mutable a_bases : int array; (* base-index keys it added or removed *)
+  mutable a_nbases : int;
+  mutable a_cache_seen : int; (* the cache's version, plus the machine's own calls *)
+  mutable a_last_running : Fiber.t; (* the running fiber at the last pass *)
+  mutable a_shared_seen : int; (* [Segment.shared_writes] at the last pass *)
+  mutable a_slot_pass : int array; (* slot -> the last pass that examined it *)
   (* Scratch state every pass reuses, so that a passing pass allocates
      nothing.  The two visitors close over the audited machine; [run]
      binds them. *)
@@ -63,12 +81,15 @@ type audit = {
   mutable a_indexed : int; (* base-index entries visited this pass *)
   mutable a_index_ok : bool;
   (* Captured fiber id -> owning continuation, by open addressing with
-     linear probing.  A slot is in use in this pass iff its stamp is
-     [a_checks], so nothing is cleared between passes. *)
+     linear probing.  A cell is in use iff its stamp is [a_own_epoch];
+     a full pass moves the epoch on and claims every live chain afresh,
+     and the passes between keep the map, claiming changed chains and
+     dropping freed fibers. *)
   mutable a_own_id : int array;
   mutable a_own_kid : int array;
   mutable a_own_stamp : int array;
   mutable a_own_n : int;
+  mutable a_own_epoch : int;
 }
 
 let max_recorded_violations = 20
@@ -77,14 +98,39 @@ let max_recorded_violations = 20
    one interval; then the interval doubles. *)
 let audit_soft_cap = 50_000
 
+(* Changes of one kind a pass can list; past this many the pass runs in
+   full.  The lists start small and double up to it. *)
+let change_cap = 1024
+
+let grown arr n fill =
+  let bigger = Array.make (max 8 (2 * n)) fill in
+  Array.blit arr 0 bigger 0 n;
+  bigger
+
+let no_fiber =
+  Fiber.create ~id:(-1) ~seg:(Segment.create ~base:0 ~size:1) ~parent:None ~handler:None
+
 let audit () =
   {
     a_interval = 1;
     a_budget = audit_soft_cap;
     a_countdown = 1;
     a_checks = 0;
+    a_visits = 0;
     a_nviolations = 0;
     a_violations = [];
+    a_always_full = false;
+    a_full = true;
+    a_dirty = Array.make 8 no_fiber;
+    a_ndirty = 0;
+    a_dirty_slots = Array.make 8 0;
+    a_ndirty_slots = 0;
+    a_bases = Array.make 8 0;
+    a_nbases = 0;
+    a_cache_seen = 0;
+    a_last_running = no_fiber;
+    a_shared_seen = 0;
+    a_slot_pass = [||];
     a_visit = (fun _ _ -> ());
     a_visit_cached = ignore;
     a_indexed = 0;
@@ -93,9 +139,12 @@ let audit () =
     a_own_kid = Array.make 64 0;
     a_own_stamp = Array.make 64 0;
     a_own_n = 0;
+    a_own_epoch = 0;
   }
 
 let audit_checks a = a.a_checks
+
+let audit_visits a = a.a_visits
 
 let audit_violation_count a = a.a_nviolations
 
@@ -143,15 +192,86 @@ and ctx = { machine : t; callback : string -> int array -> int }
 
 type cfun = ctx -> int array -> int
 
+(* ------------------------------------------------------------------ *)
+(* What the auditor's next pass must look at.  Each [touch*] is inlined
+   at its site as one test of [t.auditor]; the recording is a call made
+   only under an auditor. *)
+let note_dirty a f =
+  if not a.a_full then begin
+    let n = a.a_ndirty in
+    if n > 0 && a.a_dirty.(n - 1) == f then ()
+    else if n = change_cap then a.a_full <- true
+    else begin
+      if n = Array.length a.a_dirty then a.a_dirty <- grown a.a_dirty n no_fiber;
+      a.a_dirty.(n) <- f;
+      a.a_ndirty <- n + 1
+    end
+  end
+
+let[@inline] touch t f = match t.auditor with Some a -> note_dirty a f | None -> ()
+
+(* Called before the machine adds or removes base-index key [b]: a fiber
+   the change displaces is changed too. *)
+let note_base t a b =
+  if not a.a_full then begin
+    if Imap.mem b t.by_base then note_dirty a (Imap.find b t.by_base);
+    let n = a.a_nbases in
+    if n = change_cap then a.a_full <- true
+    else begin
+      if n = Array.length a.a_bases then a.a_bases <- grown a.a_bases n 0;
+      a.a_bases.(n) <- b;
+      a.a_nbases <- n + 1
+    end
+  end
+
+let[@inline] touch_base t b = match t.auditor with Some a -> note_base t a b | None -> ()
+
+let note_slot a slot =
+  if not a.a_full then begin
+    let n = a.a_ndirty_slots in
+    if n = change_cap then a.a_full <- true
+    else begin
+      if n = Array.length a.a_dirty_slots then
+        a.a_dirty_slots <- grown a.a_dirty_slots n 0;
+      a.a_dirty_slots.(n) <- slot;
+      a.a_ndirty_slots <- n + 1
+    end
+  end
+
+let[@inline] touch_slot t slot =
+  match t.auditor with Some a -> note_slot a slot | None -> ()
+
+(* One [put] or [take] call the machine made on its stack cache. *)
+let[@inline] touch_cache t =
+  match t.auditor with Some a -> a.a_cache_seen <- a.a_cache_seen + 1 | None -> ()
+
+(* A fiber or slot is handed to code outside the machine, which may keep
+   it and change it at any later step: from now on every pass marks
+   everything changed. *)
+let handed_out t =
+  match t.auditor with
+  | Some a ->
+      a.a_always_full <- true;
+      a.a_full <- true
+  | None -> ()
+
+let hand_out t f =
+  handed_out t;
+  f
+
 let compiled t = t.prog
 
 let config t = t.cfg
 
 let counters t = t.t_counters
 
-let current_fiber t = t.current
+let current_fiber t = hand_out t t.current
 
-let fiber_by_id t id = Itbl.find_opt t.fibers_live id
+let hand_out_opt t r =
+  (match r with Some f -> ignore (hand_out t f) | None -> ());
+  r
+
+let fiber_by_id t id = hand_out_opt t (Itbl.find_opt t.fibers_live id)
 
 let fatal msg = raise (Fatal_error msg)
 
@@ -182,14 +302,28 @@ let count t name = Counter.incr t.t_counters name
    stay bit-identical. *)
 let emit_ev t ev = Trace.emit ~ts:(Counter.value t.t_counters Counter.Instructions) ev
 
-let fiber_of_addr t addr =
+let find_fiber t addr =
   count t Counter.Addr_index_probe;
   match Imap.find_last_opt (fun b -> b <= addr) t.by_base with
   | Some (_, f) when Segment.contains f.Fiber.seg addr -> Some f
   | _ -> None
 
+let fiber_of_addr t addr = hand_out_opt t (find_fiber t addr)
+
+let current_id t = t.current.Fiber.id
+
+let live_fiber t id =
+  if id = t.current.Fiber.id then t.current else Itbl.find t.fibers_live id
+
+let saved_pc t id = (live_fiber t id).regs.pc
+
+let saved_sp t id = (live_fiber t id).regs.sp
+
+let stack_top_at t addr =
+  match find_fiber t addr with Some f -> Segment.top f.seg | None -> raise Not_found
+
 let read_mem t addr =
-  match fiber_of_addr t addr with
+  match find_fiber t addr with
   | Some f -> Segment.read f.Fiber.seg addr
   | None -> invalid_arg (Printf.sprintf "Machine.read_mem: unmapped address %d" addr)
 
@@ -263,7 +397,10 @@ let seg_create t ~size =
   seg
 
 let alloc_segment t ~size =
-  if t.cfg.stack_cache then count t Counter.Stack_cache_lookup;
+  if t.cfg.stack_cache then begin
+    count t Counter.Stack_cache_lookup;
+    touch_cache t
+  end;
   match if t.cfg.stack_cache then Stack_cache.take t.cache ~size else None with
   | Some seg ->
       count t Counter.Stack_cache_hit;
@@ -310,8 +447,24 @@ let init_preamble t (f : Fiber.t) ~handler_index ~bottom_trap =
   ignore t
 
 let register_fiber t f =
+  (match t.auditor with
+  | Some _ -> (
+      match Itbl.find_opt t.fibers_live f.Fiber.id with
+      | Some g -> touch_base t (Segment.base g.Fiber.seg)
+      | None -> ())
+  | None -> ());
+  touch t f;
+  touch_base t (Segment.base f.Fiber.seg);
   Itbl.replace t.fibers_live f.Fiber.id f;
   t.by_base <- Imap.add (Segment.base f.Fiber.seg) f t.by_base
+
+(* Offer a segment the machine no longer uses to the stack cache.  Its
+   base key is examined, so a live fiber's stack put by mistake is
+   found. *)
+let cache_put t seg =
+  touch_cache t;
+  touch_base t (Segment.base seg);
+  Stack_cache.put t.cache ~size:(Segment.size seg) seg
 
 let new_fiber t ~parent ~handler ~handler_index ~bottom_trap ~size =
   let seg = alloc_segment t ~size in
@@ -332,22 +485,21 @@ let new_fiber t ~parent ~handler ~handler_index ~bottom_trap ~size =
 let free_fiber t (f : Fiber.t) =
   if Trace.on () then emit_ev t (Tev.Fiber_free { id = f.Fiber.id });
   f.live <- false;
+  touch t f;
+  touch_base t (Segment.base f.seg);
   Itbl.remove t.fibers_live f.id;
   t.by_base <- Imap.remove (Segment.base f.seg) t.by_base;
   count t Counter.Fiber_free;
   charge t Costs.fiber_free;
   match (mc_policy t).Stack_policy.pk with
-  | Stack_policy.Copy_double ->
-      if t.cfg.stack_cache then
-        Stack_cache.put t.cache ~size:(Segment.size f.seg) f.seg
+  | Stack_policy.Copy_double -> if t.cfg.stack_cache then cache_put t f.seg
   | Stack_policy.Segmented | Stack_policy.Large_reserve ->
       (* Extension chunks go back to the free list; the stripped base
          segment is recyclable through the stack cache only when no
          multishot clone still shares its chunks. *)
       List.iter (put_chunk t) (Segment.strip f.seg);
       if Segment.fully_private f.seg then begin
-        if t.cfg.stack_cache then
-          Stack_cache.put t.cache ~size:(Segment.size f.seg) f.seg
+        if t.cfg.stack_cache then cache_put t f.seg
       end
       else Segment.release f.seg
 
@@ -378,6 +530,9 @@ let grow t (f : Fiber.t) ~needed =
   let delta = Segment.top new_seg - Segment.top old_seg in
   f.seg <- new_seg;
   (* The fiber moved: invalidate its old interval and index the new one. *)
+  touch t f;
+  touch_base t (Segment.base old_seg);
+  touch_base t (Segment.base new_seg);
   t.by_base <-
     Imap.add (Segment.base new_seg) f (Imap.remove (Segment.base old_seg) t.by_base);
   Fiber.rebase f ~delta;
@@ -396,7 +551,7 @@ let grow t (f : Fiber.t) ~needed =
      copy after another and rarely reuses their sizes, so the cache
      keeps only their shape and a reuse allocates fresh words. *)
   Segment.drop_words old_seg;
-  if t.cfg.stack_cache then Stack_cache.put t.cache ~size:old_size old_seg
+  if t.cfg.stack_cache then cache_put t old_seg
 
 (* Every control transfer between fibers funnels through here so the
    switch counter and the eventlog cannot drift apart.  Callers that
@@ -406,6 +561,7 @@ let switch_to t (f : Fiber.t) =
   if Trace.on () then
     emit_ev t
       (Tev.Fiber_switch { from_id = t.current.Fiber.id; to_id = f.Fiber.id });
+  touch t t.current;
   t.current <- f;
   count t Counter.Switch
 
@@ -645,6 +801,7 @@ let capture_slot t =
   if Ivec.is_empty t.free_slots then begin
     let slot = Vec.length t.conts in
     Vec.push t.conts { fibers = Vec.create (); cont_live = true; gen = 0 };
+    touch_slot t slot;
     slot
   end
   else begin
@@ -652,6 +809,7 @@ let capture_slot t =
     let k = Vec.get t.conts slot in
     k.gen <- k.gen + 1;
     k.cont_live <- true;
+    touch_slot t slot;
     slot
   end
 
@@ -663,6 +821,7 @@ let capture_slot t =
 let spend t slot k =
   k.cont_live <- false;
   Vec.clear k.fibers;
+  touch_slot t slot;
   if (not t.cfg.multishot) && k.gen < max_gen then Ivec.push t.free_slots slot
 
 let notify_perform t ~site ~eff handler =
@@ -671,14 +830,15 @@ let notify_perform t ~site ~eff handler =
 (* Parent pointers live both in the fiber record and in the handler_info
    word at the top of its stack (Fig 3a); the unwinder reads the latter,
    so both must move together. *)
-let set_parent (f : Fiber.t) (p : Fiber.t option) =
+let set_parent t (f : Fiber.t) (p : Fiber.t option) =
   f.parent <- p;
-  wr f (Segment.top f.seg - 1) (match p with Some p -> p.Fiber.id | None -> -1)
+  wr f (Segment.top f.seg - 1) (match p with Some p -> p.Fiber.id | None -> -1);
+  touch t f
 
 (* The chain tail is the most recently captured fiber: O(1) at the end
    of the Vec, so capture cost stays linear in reperform depth. *)
-let relink_tail k target =
-  if not (Vec.is_empty k.fibers) then set_parent (Vec.top k.fibers) (Some target)
+let relink_tail t k target =
+  if not (Vec.is_empty k.fibers) then set_parent t (Vec.top k.fibers) (Some target)
 
 (* Walk out from [cur] capturing fibers into slot [slot] until a handler
    has a clause for [eff], then call the clause with the payload [v] and
@@ -693,7 +853,7 @@ let rec perform_hop t ~site ~eff v slot k (cur : Fiber.t) =
       if Vec.is_empty k.fibers then spend t slot k
       else begin
         let first = Vec.get k.fibers 0 in
-        relink_tail k cur;
+        relink_tail t k cur;
         spend t slot k;
         switch_to t first
       end;
@@ -701,14 +861,14 @@ let rec perform_hop t ~site ~eff v slot k (cur : Fiber.t) =
       machine_raise t t.unhandled_id 0
   | Some h -> (
       count t Counter.Eff_tbl_probe;
-      relink_tail k cur;
+      relink_tail t k cur;
       Vec.push k.fibers cur;
       let p =
         match cur.parent with
         | Some p -> p
         | None -> fatal "handler fiber without a parent during perform"
       in
-      set_parent cur None;
+      set_parent t cur None;
       match Hashtbl.find h.Compile.h_eff_tbl eff with
       | fid ->
           notify_perform t ~site ~eff (rd cur (Segment.top cur.Fiber.seg - 2));
@@ -814,9 +974,7 @@ let copy_fiber t (f : Fiber.t) =
 let copy_chain t fibers =
   let copies = Vec.map (copy_fiber t) fibers in
   for i = 0 to Vec.length copies - 2 do
-    let a = Vec.get copies i and b = Vec.get copies (i + 1) in
-    a.Fiber.parent <- Some b;
-    wr a (Segment.top a.Fiber.seg - 1) b.Fiber.id
+    set_parent t (Vec.get copies i) (Some (Vec.get copies (i + 1)))
   done;
   copies
 
@@ -851,8 +1009,7 @@ let do_resume t ~raise_instead v kid =
     let first = Vec.get fibers 0 in
     let last = Vec.top fibers in
     if not t.cfg.multishot then spend t slot k;
-    last.Fiber.parent <- Some t.current;
-    wr last (Segment.top last.Fiber.seg - 1) t.current.Fiber.id;
+    set_parent t last (Some t.current);
     switch_to t first;
     match raise_instead with
     | None -> push_op first v
@@ -918,13 +1075,17 @@ let pop_trap t (f : Fiber.t) =
    are recorded, not fatal, so a conformance run can report them
    alongside outcome diffs.
 
-   A pass that finds nothing allocates nothing: diagnostics are
-   formatted only on failure, the walks are loops or visitors bound once
-   per run, and the ownership map is scratch space in the [audit]
-   record.  Segmented-COW clones share chunks, so a bad write through
-   one fiber can break another the machine never touched; every pass
-   therefore checks every live fiber, continuation and cached segment,
-   not just those a step touched. *)
+   A pass examines only what changed since the last one: the running
+   fiber, the fibers, slots and index keys the machine recorded as it
+   mutated them, the cache if calls other than the machine's moved it,
+   and whatever was handed to code outside the machine.  Everything
+   else passed the last pass unchanged, so it still holds.  A pass that
+   finds something is redone with everything marked changed, and so is
+   the pass after it, so the reports are exactly those of an auditor
+   that walks all live state at every pass.  A pass that finds nothing
+   allocates nothing: diagnostics are formatted only on failure, the
+   walks are loops or visitors bound once per run, and the change lists
+   and the ownership map are scratch space in the [audit] record. *)
 
 let fiber_where (f : Fiber.t) = Printf.sprintf "fiber %d" f.Fiber.id
 
@@ -1036,6 +1197,7 @@ let audit_index t a =
    bijection onto the live table, which is what [audit_index] checks,
    and the walk has audited every live fiber exactly once. *)
 let audit_visit t a base (f : Fiber.t) =
+  a.a_visits <- a.a_visits + 1;
   a.a_indexed <- a.a_indexed + 1;
   if Segment.base f.seg = base && registered t f then audit_fiber t a f
   else a.a_index_ok <- false
@@ -1043,6 +1205,7 @@ let audit_visit t a base (f : Fiber.t) =
 (* [mem] first: most cached bases index no live fiber, and raising
    [Not_found] for each costs more than a second lookup. *)
 let audit_cached t a seg =
+  a.a_visits <- a.a_visits + 1;
   let base = Segment.base seg in
   if Imap.mem base t.by_base then begin
     let f = Imap.find base t.by_base in
@@ -1052,42 +1215,91 @@ let audit_cached t a seg =
            f.Fiber.id)
   end
 
-(* The ownership map: the continuation already owning fiber [id] in
-   this pass, or -1 after recording [kid] as its owner. *)
-let rec own_probe a id kid i =
-  if a.a_own_stamp.(i) <> a.a_checks then begin
-    a.a_own_stamp.(i) <- a.a_checks;
-    a.a_own_id.(i) <- id;
-    a.a_own_kid.(i) <- kid;
+(* Whether live continuation [kid] still holds [f]. *)
+let rec chain_has fibers (f : Fiber.t) i =
+  i < Vec.length fibers && (Vec.get fibers i == f || chain_has fibers f (i + 1))
+
+let holds t kid f =
+  let slot = kid land slot_mask in
+  slot < Vec.length t.conts
+  &&
+  let k = Vec.get t.conts slot in
+  k.cont_live && k.gen = kid lsr slot_bits && chain_has k.fibers f 0
+
+(* The ownership map's cell for fiber [id]: its entry, or the free cell
+   that ends its probe run. *)
+let rec own_cell a id i =
+  if a.a_own_stamp.(i) <> a.a_own_epoch || a.a_own_id.(i) = id then i
+  else own_cell a id ((i + 1) land (Array.length a.a_own_id - 1))
+
+let own_home a id = own_cell a id (id land (Array.length a.a_own_id - 1))
+
+let own_set a i id kid =
+  a.a_own_stamp.(i) <- a.a_own_epoch;
+  a.a_own_id.(i) <- id;
+  a.a_own_kid.(i) <- kid
+
+(* Keep the load at most one half: double and re-insert.  Sized to the
+   most fibers held at once so far, then never again. *)
+let own_grow a =
+  let ids = a.a_own_id and kids = a.a_own_kid and stamps = a.a_own_stamp in
+  let n = 2 * Array.length ids in
+  a.a_own_id <- Array.make n 0;
+  a.a_own_kid <- Array.make n 0;
+  a.a_own_stamp <- Array.make n 0;
+  Array.iteri
+    (fun i stamp ->
+      if stamp = a.a_own_epoch then own_set a (own_home a ids.(i)) ids.(i) kids.(i))
+    stamps
+
+(* Record [kid] as [f]'s owner.  Returns the other live continuation
+   that still holds [f], or -1. *)
+let own_claim t a (f : Fiber.t) kid =
+  if 2 * (a.a_own_n + 1) > Array.length a.a_own_id then own_grow a;
+  let i = own_home a f.id in
+  if a.a_own_stamp.(i) <> a.a_own_epoch then begin
+    own_set a i f.id kid;
     a.a_own_n <- a.a_own_n + 1;
     -1
   end
-  else if a.a_own_id.(i) = id then a.a_own_kid.(i)
-  else own_probe a id kid ((i + 1) land (Array.length a.a_own_id - 1))
+  else begin
+    let kid' = a.a_own_kid.(i) in
+    if kid' <> kid && holds t kid' f then kid'
+    else begin
+      a.a_own_kid.(i) <- kid;
+      -1
+    end
+  end
 
-let own_claim a id kid =
-  if 2 * (a.a_own_n + 1) > Array.length a.a_own_id then begin
-    (* Keep the load at most one half: double and re-insert this pass's
-       entries.  Sized to the largest pass so far, then never again. *)
-    let ids = a.a_own_id and kids = a.a_own_kid and stamps = a.a_own_stamp in
-    let n = 2 * Array.length ids in
-    a.a_own_id <- Array.make n 0;
-    a.a_own_kid <- Array.make n 0;
-    a.a_own_stamp <- Array.make n 0;
-    a.a_own_n <- 0;
-    Array.iteri
-      (fun i stamp ->
-        if stamp = a.a_checks then
-          ignore (own_probe a ids.(i) kids.(i) (ids.(i) land (n - 1))))
-      stamps
-  end;
-  own_probe a id kid (id land (Array.length a.a_own_id - 1))
+let own_find a id =
+  let i = own_home a id in
+  if a.a_own_stamp.(i) = a.a_own_epoch then a.a_own_kid.(i) else -1
+
+(* Shift the rest of a probe run back over the hole at [hole], so every
+   remaining entry stays reachable from its home cell. *)
+let rec own_shift a hole j =
+  let mask = Array.length a.a_own_id - 1 in
+  let j = (j + 1) land mask in
+  if a.a_own_stamp.(j) <> a.a_own_epoch then a.a_own_stamp.(hole) <- 0
+  else if (j - (a.a_own_id.(j) land mask)) land mask >= (j - hole) land mask then begin
+    own_set a hole a.a_own_id.(j) a.a_own_kid.(j);
+    own_shift a j j
+  end
+  else own_shift a hole j
+
+let own_remove a id =
+  let i = own_home a id in
+  if a.a_own_stamp.(i) = a.a_own_epoch then begin
+    a.a_own_n <- a.a_own_n - 1;
+    own_shift a i i
+  end
 
 let audit_chain t a kid fibers =
   let n = Vec.length fibers in
+  a.a_visits <- a.a_visits + n;
   for i = 0 to n - 1 do
     let f : Fiber.t = Vec.get fibers i in
-    let kid' = own_claim a f.id kid in
+    let kid' = own_claim t a f kid in
     if kid' >= 0 then
       audit_fail a "one-shot"
         (Printf.sprintf "fiber %d captured by live continuations %d and %d" f.id kid'
@@ -1111,19 +1323,19 @@ let audit_chain t a kid fibers =
         (Printf.sprintf "continuation %d: fiber %d parent link broken" kid f.id)
   done
 
-(* Every slot: a live one holds a well-formed chain, a spent one holds
-   no fibers.  Every free-list entry names a spent slot. *)
-let audit_conts t a =
-  a.a_own_n <- 0;
+(* A live slot holds a well-formed chain, a spent one holds no fibers. *)
+let audit_slot t a slot =
+  a.a_visits <- a.a_visits + 1;
+  let k = Vec.get t.conts slot in
+  if k.cont_live then audit_chain t a (kid_of ~slot ~gen:k.gen) k.fibers
+  else if not (Vec.is_empty k.fibers) then
+    audit_fail a "cont-free"
+      (Printf.sprintf "spent continuation slot %d still holds %d fibers" slot
+         (Vec.length k.fibers))
+
+(* Every free-list entry names a spent slot. *)
+let audit_free_list t a =
   let nslots = Vec.length t.conts in
-  for slot = 0 to nslots - 1 do
-    let k = Vec.get t.conts slot in
-    if k.cont_live then audit_chain t a (kid_of ~slot ~gen:k.gen) k.fibers
-    else if not (Vec.is_empty k.fibers) then
-      audit_fail a "cont-free"
-        (Printf.sprintf "spent continuation slot %d still holds %d fibers" slot
-           (Vec.length k.fibers))
-  done;
   for i = 0 to Ivec.length t.free_slots - 1 do
     let slot = Ivec.get t.free_slots i in
     if slot < 0 || slot >= nslots then
@@ -1134,10 +1346,39 @@ let audit_conts t a =
         (Printf.sprintf "continuation slot %d is live but on the free list" slot)
   done
 
-let audit_machine t a =
-  a.a_checks <- a.a_checks + 1;
-  if t.current.Fiber.id >= 0 && not (registered t t.current) then
-    audit_fail a "liveness" "the running fiber is not registered live";
+(* [audit_slot], at most once in a change-driven pass: many changed
+   fibers can name one owner. *)
+let rec audit_slot_once t a slot =
+  let seen = a.a_slot_pass in
+  if slot >= Array.length seen then begin
+    a.a_slot_pass <- grown seen (Array.length seen) 0;
+    audit_slot_once t a slot
+  end
+  else if seen.(slot) <> a.a_checks then begin
+    seen.(slot) <- a.a_checks;
+    audit_slot t a slot
+  end
+
+let audit_conts t a =
+  for slot = 0 to Vec.length t.conts - 1 do
+    audit_slot t a slot
+  done;
+  audit_free_list t a
+
+let audit_running t a ~live =
+  if t.current.Fiber.id >= 0 && not live then
+    audit_fail a "liveness" "the running fiber is not registered live"
+
+(* The running fiber is examined first at every pass; a list entry
+   naming it again is skipped. *)
+let is_running t f = f == t.current
+
+(* Everything marked changed: every live fiber, cached segment and
+   continuation slot. *)
+let audit_everything t a =
+  a.a_own_epoch <- a.a_own_epoch + 1;
+  a.a_own_n <- 0;
+  audit_running t a ~live:(registered t t.current);
   (* One walk over the base index checks the index and every live
      fiber.  If it finds anything, its reports are dropped and the
      table-driven walk redone, so a failing pass reports exactly what,
@@ -1159,9 +1400,112 @@ let audit_machine t a =
   if Stack_cache.population t.cache > 0 then Stack_cache.iter t.cache a.a_visit_cached;
   audit_conts t a
 
+(* One changed fiber.  Registered, it must pass the fiber checks, sit in
+   the base index at its own base and not be in the stack cache.  If the
+   continuation that owns it is still live, that chain is checked again.
+   A freed fiber leaves the ownership map, and so does an entry whose
+   continuation was spent since: the spend was recorded and its slot
+   examined then, and a later capture into the slot is examined as its
+   own change. *)
+let audit_fiber_changed t a (f : Fiber.t) ~live =
+  a.a_visits <- a.a_visits + 1;
+  if live then begin
+    audit_fiber t a f;
+    let b = Segment.base f.seg in
+    if not (Imap.mem b t.by_base && Imap.find b t.by_base == f) then
+      audit_fail a "addr-index"
+        (Printf.sprintf "fiber %d missing from the base index" f.id);
+    if Segment.cached f.seg > 0 then
+      audit_fail a "cache-alias"
+        (Printf.sprintf "fiber %d's live stack is in the stack cache" f.id)
+  end;
+  let kid = own_find a f.id in
+  if kid >= 0 then begin
+    let slot = kid land slot_mask in
+    let k = Vec.get t.conts slot in
+    let current = k.cont_live && k.gen = kid lsr slot_bits in
+    if (not live) || not current then own_remove a f.id;
+    if current then audit_slot_once t a slot
+  end
+
+(* A base-index key the machine added or removed: if it is indexed, it
+   names a registered fiber at that base whose stack is not cached. *)
+let audit_base t a b =
+  if Imap.mem b t.by_base then begin
+    let f = Imap.find b t.by_base in
+    a.a_visits <- a.a_visits + 1;
+    if
+      (not (Segment.base f.Fiber.seg = b && registered t f)) || Segment.cached f.seg > 0
+    then
+      audit_fail a "addr-index" (Printf.sprintf "base %d indexes fiber %d" b f.id)
+  end
+
+let rec is_dirty a f i =
+  i < a.a_ndirty && (a.a_dirty.(i) == f || is_dirty a f (i + 1))
+
+let audit_changes t a =
+  let cur = t.current in
+  (* Still running since the last pass, and not touched: only its
+     registers, words and trap chain can have moved. *)
+  if cur == a.a_last_running && not (is_dirty a cur 0) then begin
+    a.a_visits <- a.a_visits + 1;
+    audit_fiber t a cur
+  end
+  else begin
+    let live = registered t cur in
+    audit_running t a ~live;
+    audit_fiber_changed t a cur ~live
+  end;
+  for i = 0 to a.a_ndirty - 1 do
+    let f = a.a_dirty.(i) in
+    if not (is_running t f) then audit_fiber_changed t a f ~live:(registered t f)
+  done;
+  for i = 0 to a.a_nbases - 1 do
+    audit_base t a a.a_bases.(i)
+  done;
+  if Stack_cache.version t.cache <> a.a_cache_seen then
+    Stack_cache.iter t.cache a.a_visit_cached;
+  for i = 0 to a.a_ndirty_slots - 1 do
+    audit_slot_once t a a.a_dirty_slots.(i)
+  done;
+  if a.a_ndirty_slots > 0 then audit_free_list t a
+
+let audit_machine t a =
+  a.a_checks <- a.a_checks + 1;
+  let n0 = a.a_nviolations and v0 = a.a_violations in
+  if a.a_full || Segment.shared_writes () <> a.a_shared_seen then audit_everything t a
+  else begin
+    audit_changes t a;
+    if a.a_nviolations <> n0 then begin
+      let first = a.a_violations in
+      a.a_nviolations <- n0;
+      a.a_violations <- v0;
+      audit_everything t a;
+      (* What the change-driven pass found, the full walk must find too:
+         anything else is the auditor's own fault. *)
+      if a.a_nviolations = n0 then
+        audit_fail a "audit-redo"
+          (match first with
+          | (inv, detail) :: _ when first != v0 ->
+              Printf.sprintf "a change-driven pass found %s (%s), the full walk nothing"
+                inv detail
+          | _ -> "a change-driven pass found what the full walk did not")
+    end
+  end;
+  a.a_full <- a.a_always_full || a.a_nviolations <> n0;
+  (* Drop the references, so a freed fiber is not kept alive here. *)
+  Array.fill a.a_dirty 0 a.a_ndirty no_fiber;
+  a.a_ndirty <- 0;
+  a.a_nbases <- 0;
+  a.a_ndirty_slots <- 0;
+  a.a_cache_seen <- Stack_cache.version t.cache;
+  a.a_shared_seen <- Segment.shared_writes ();
+  a.a_last_running <- t.current
+
 let audit_bind t a =
   a.a_visit <- (fun base f -> audit_visit t a base f);
-  a.a_visit_cached <- (fun seg -> audit_cached t a seg)
+  a.a_visit_cached <- (fun seg -> audit_cached t a seg);
+  a.a_full <- true
 
 (* Audited invariants hold between steps of a running machine; after
    the final step (result set) the unwinder legitimately leaves cfa
@@ -1393,6 +1737,7 @@ and step t =
    requests" (§6.3.4) — each suspended request is a fiber chain whose
    saved registers the unwinder can start from. *)
 let live_continuations t =
+  handed_out t;
   let out = ref [] in
   Vec.iteri
     (fun slot k ->
@@ -1410,11 +1755,51 @@ module Testing = struct
 
   let max_generation = max_gen
 
-  let free_slots t = t.free_slots
+  let free_slots t =
+    handed_out t;
+    t.free_slots
 
-  let slot_fibers t slot = (Vec.get t.conts slot).fibers
+  let slot_fibers t slot =
+    handed_out t;
+    (Vec.get t.conts slot).fibers
 
-  let set_slot_generation t slot gen = (Vec.get t.conts slot).gen <- gen
+  let set_slot_generation t slot gen =
+    (Vec.get t.conts slot).gen <- gen;
+    touch_slot t slot
+
+  let full_audit () = { (audit ()) with a_always_full = true }
+
+  let fiber_top t id = Segment.top (Itbl.find t.fibers_live id).seg
+
+  let poke t addr v =
+    match find_fiber t addr with
+    | Some f -> Segment.poke f.seg addr v
+    | None -> invalid_arg (Printf.sprintf "Machine.Testing.poke: unmapped address %d" addr)
+
+  let write_word t addr v =
+    match find_fiber t addr with
+    | Some f ->
+        wr f addr v;
+        touch t f
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Machine.Testing.write_word: unmapped address %d" addr)
+
+  let set_chunk_rc t addr n =
+    match find_fiber t addr with
+    | Some f -> Segment.set_rc f.seg addr n
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Machine.Testing.set_chunk_rc: unmapped address %d" addr)
+
+  let clone_continuation t kid =
+    let k = Vec.get t.conts (kid land slot_mask) in
+    if not k.cont_live || Vec.is_empty k.fibers then invalid_arg "clone_continuation";
+    let copies = copy_chain t k.fibers in
+    let slot = capture_slot t in
+    let clone = Vec.get t.conts slot in
+    Vec.append clone.fibers copies;
+    kid_of ~slot ~gen:clone.gen
 end
 
 let iter_shadow_backtrace t emit =

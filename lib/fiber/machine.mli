@@ -71,19 +71,56 @@ type cfun = ctx -> int array -> int
     density, longer ones logarithmically.  The schedule is fixed, so
     the pass count is a function of the step count alone.
 
-    {b Cost of a pass.}  A pass that finds nothing allocates nothing.
-    It walks the base-address index once, auditing each live fiber as
-    it checks the index against the live-fiber table (one hash lookup
-    per fiber), then the stack cache, then every continuation slot and
-    the free list, claiming each fiber a live continuation holds in an
-    ownership map kept in the auditor.  That is O(F + T + S log F + K +
-    C) for F live fibers, T traps on them, S cached segments, K
-    continuation slots and C fibers held by live continuations.  K is
-    the peak number of continuations held at once under one-shot
-    execution and every capture under multishot.  A pass that finds
-    something re-runs the fiber and index checks table by table, so its
-    reports name the same invariants, with the same details, in the
-    same order as a table-driven walk. *)
+    {b What a pass examines.}  Every pass establishes every invariant
+    over all live state, but it examines only what changed since the
+    last pass; the rest passed then and is as it was.  Changed means:
+
+    - the running fiber;
+    - whatever the machine mutated: fibers it allocated, freed, grew,
+      cloned, switched away from or re-parented, the base-index keys
+      that moved with them (and any fiber a key change displaced), the
+      segments it offered the stack cache, and the continuation slots
+      it captured into or spent (with the free list);
+    - everything, at every pass from then on, once anything is handed
+      to code outside the machine, which may keep it and change it: a
+      fiber returned by {!current_fiber}, {!fiber_by_id},
+      {!fiber_of_addr} or {!live_continuations}, or a slot or the free
+      list {!Testing} exposes;
+    - the stack cache, in full, when calls the machine did not make
+      moved its {!Stack_cache.version};
+    - everything, when {!Segment.shared_writes} moved: a write that
+      copy-on-write did not separate may have changed any sharer.
+
+    A changed fiber gets the layout and trap-chain checks, its
+    registration, its base-index entry, its stack-cache count and the
+    chain of the continuation that owns it, if that continuation is
+    still live, found in an ownership map the auditor keeps across
+    passes; a slot's chain is examined at most once per pass.  A
+    running fiber that also ran at the last pass, and was not touched
+    since, gets the layout and trap-chain checks alone: nothing else
+    about it can have moved.  A pass costs O(D + C + log F) for D
+    changes recorded, C fibers in the chains of the slots they name and
+    F live fibers, plus S for an S-segment cache that other code
+    touched; it does not grow with the live state.  {!audit_visits}
+    counts the work.
+
+    The rule trusts that the machine writes only to the running fiber
+    and to fibers it records, and that chunk reference counts are
+    right.  A refcounting bug that leaves a shared chunk's count at 1
+    lets a write through one segmented-COW sharer change another in
+    place; the other is reported once something examines it (it runs,
+    the machine touches it, or a full pass runs), not at that step as
+    a walk over all live state would.
+
+    The first pass, and any pass after more than 1024 recorded changes
+    of one kind, marks everything changed.  So does the pass after one
+    that found something, and a pass that finds something is redone
+    with everything marked changed.  The reports are therefore those of
+    an auditor that walks all live state at every pass, up to the limit
+    above: same invariants, same details, same order.  A redone pass
+    that finds nothing reports [audit-redo]: the change-driven pass
+    found what is not there.  A pass that finds nothing allocates
+    nothing. *)
 
 type audit
 
@@ -91,7 +128,14 @@ val audit : unit -> audit
 (** A fresh auditor on the fixed schedule above. *)
 
 val audit_checks : audit -> int
-(** Number of full audit passes performed. *)
+(** Number of audit passes performed. *)
+
+val audit_visits : audit -> int
+(** Fibers, continuation slots, the fibers in their chains and cached
+    segments the passes examined,
+    counting one examined twice in a pass twice.  The auditor's work as
+    a deterministic number; it is kept out of the machine's counters, so
+    the paper's cost model cannot move with it. *)
 
 val audit_ok : audit -> bool
 
@@ -154,6 +198,25 @@ val fiber_of_addr : t -> int -> Fiber.t option
     on allocation, free and growth.  Each lookup increments the
     [addr_index_probe] counter. *)
 
+val current_id : t -> int
+(** The running fiber's id. *)
+
+val saved_pc : t -> int -> int
+(** [saved_pc m id] is live fiber [id]'s program counter.
+    @raise Not_found if no live fiber has that id. *)
+
+val saved_sp : t -> int -> int
+(** [saved_sp m id] is live fiber [id]'s stack pointer.
+    @raise Not_found if no live fiber has that id. *)
+
+val stack_top_at : t -> int -> int
+(** The top of the segment of the live fiber {!fiber_of_addr} finds for
+    the address, counted as the same index probe.
+    @raise Not_found on an unmapped address.
+
+    These four read what an unwinder needs without handing out a fiber,
+    so the auditor has nothing new to watch (see {!audit}). *)
+
 val read_mem : t -> int -> int
 (** Read a word of stack memory.  @raise Invalid_argument on an
     unmapped address. *)
@@ -191,7 +254,8 @@ val free_cont_slots : t -> int
 
 (** Access to slot state for tests that corrupt it and check that the
     auditor notices.  A running program must not be changed through
-    these. *)
+    these.  Handing out a slot or the free list here makes every later
+    audit pass a full one. *)
 module Testing : sig
   val slot_of_cont : int -> int
   (** The slot of a continuation value. *)
@@ -209,6 +273,40 @@ module Testing : sig
   val set_slot_generation : t -> int -> int -> unit
   (** [set_slot_generation m slot gen] sets the slot's generation, so a
       test can reach the retirement cap without [2^21] captures. *)
+
+  val full_audit : unit -> audit
+  (** An auditor whose every pass marks everything changed: the
+      reference the change-driven passes are tested against. *)
+
+  val fiber_top : t -> int -> int
+  (** [fiber_top m id] is the top of live fiber [id]'s segment, read
+      without handing the fiber out.  @raise Not_found if [id] is not
+      live. *)
+
+  val poke : t -> int -> int -> unit
+  (** [poke m addr v] writes [v] at [addr] with {!Segment.poke}: in
+      place, bypassing copy-on-write, so every segment sharing the
+      chunk sees it.  @raise Invalid_argument on an unmapped address. *)
+
+  val write_word : t -> int -> int -> unit
+  (** [write_word m addr v] writes [v] at [addr] as the machine writes a
+      fiber's word, copy-on-write included, and records the fiber as
+      changed, as the machine's own writes are.  It hands nothing out.
+      @raise Invalid_argument on an unmapped address. *)
+
+  val set_chunk_rc : t -> int -> int -> unit
+  (** [set_chunk_rc m addr n] sets the reference count of the chunk
+      holding [addr] with {!Segment.set_rc}: a refcounting bug, under
+      which a later write lands in place in a chunk other segments
+      still map.  @raise Invalid_argument on an unmapped address. *)
+
+  val clone_continuation : t -> int -> int
+  (** [clone_continuation m kid] copies live continuation [kid]'s chain
+      into a fresh live slot, as a multishot resume copies it, without
+      running it; returns the new continuation value.  Under the
+      segmented-COW policy the copies share their source's chunks, so a
+      test can hold two suspended sharers.
+      @raise Invalid_argument if [kid]'s slot is spent. *)
 end
 
 val shadow_backtrace : t -> string list

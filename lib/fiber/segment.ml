@@ -15,6 +15,7 @@ type t = {
   exts : chunk Vec.t;
       (* exts.(i) covers [head_lo - (i+1)*ext, head_lo - i*ext) *)
   mutable notify_cow : int -> unit;
+  mutable cached : int;  (* stack-cache entries holding this segment *)
 }
 
 let no_notify (_ : int) = ()
@@ -32,6 +33,7 @@ let create_reserved ~base ~reserve ~committed ~ext_words =
     head = { rc = 1; data = Array.make committed 0 };
     exts = Vec.create ();
     notify_cow = no_notify;
+    cached = 0;
   }
 
 let create ~base ~size =
@@ -143,9 +145,34 @@ let share_clone t ~base =
     head = t.head;
     exts;
     notify_cow = no_notify;
+    cached = 0;
   }
 
 let set_notify_cow t f = t.notify_cow <- f
+
+let cached t = t.cached
+
+let set_cached t n = t.cached <- n
+
+(* Writes that land in a chunk another segment still maps.  [write]
+   never makes one: it copies a shared chunk first. *)
+let shared_write_count = ref 0
+
+let shared_writes () = !shared_write_count
+
+let chunk_at t addr =
+  check t addr;
+  if addr >= t.head_lo then (t.head, addr - t.head_lo)
+  else
+    let e = ext_index t addr in
+    (Vec.get t.exts e, addr - (t.head_lo - ((e + 1) * t.sg_ext_words)))
+
+let poke t addr v =
+  let c, i = chunk_at t addr in
+  if c.rc > 1 then incr shared_write_count;
+  c.data.(i) <- v
+
+let set_rc t addr n = (fst (chunk_at t addr)).rc <- n
 
 (* The words of a segment whose words were dropped: none.  The empty
    array is a single shared atom, so [==] recognises it. *)

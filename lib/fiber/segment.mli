@@ -104,6 +104,33 @@ val set_notify_cow : t -> (int -> unit) -> unit
     count each time a shared chunk is privatized by a write to this
     segment. *)
 
+val shared_writes : unit -> int
+(** Writes so far, process-wide, that landed in a chunk some other
+    segment still maps.  {!write} never makes one, so only {!poke}
+    moves this count.  An auditor that sees it move re-audits every
+    live fiber. *)
+
+val poke : t -> int -> int -> unit
+(** Write a word in place, without copy-on-write: the write a broken
+    copy-on-write would make, which every segment sharing the chunk
+    sees.  For tests of the auditor; the machine never pokes.
+    @raise Invalid_argument when the address is outside the committed
+    region. *)
+
+val set_rc : t -> int -> int -> unit
+(** [set_rc t addr n] sets the reference count of the chunk holding
+    [addr] to [n]: the count a refcounting bug would leave.  For tests
+    of the auditor; the machine never sets one.
+    @raise Invalid_argument when the address is outside the committed
+    region. *)
+
+val cached : t -> int
+(** Stack-cache entries currently holding this segment; kept by
+    {!Stack_cache}.  A live fiber's segment must have none. *)
+
+val set_cached : t -> int -> unit
+(** For {!Stack_cache} alone. *)
+
 val drop_words : t -> unit
 (** Release the words of a private segment with no extension chunks,
     keeping its addresses and size; other segments are left as they

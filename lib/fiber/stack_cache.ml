@@ -19,6 +19,7 @@ type t = {
   max_total_words : int;
   mutable total_words : int;
   mutable total_count : int;
+  mutable version : int; (* put, take and clear calls, never reset *)
   (* Per-instance lifetime event counts.  These back the observability
      layer (metrics gauges, the DESIGN.md ablation) and are
      deliberately not machine counters: a cache can be shared across
@@ -42,6 +43,7 @@ let create ?(max_per_bucket = 64) ?(max_total_words = max_int) () =
     max_total_words;
     total_words = 0;
     total_count = 0;
+    version = 0;
     s_lookups = 0;
     s_hits = 0;
     s_misses = 0;
@@ -59,6 +61,7 @@ let bucket t size =
       b
 
 let put t ~size seg =
+  t.version <- t.version + 1;
   let accepted =
     if
       t.max_per_bucket > 0
@@ -68,6 +71,7 @@ let put t ~size seg =
       if b.count < t.max_per_bucket then begin
         b.segs <- seg :: b.segs;
         b.count <- b.count + 1;
+        Segment.set_cached seg (Segment.cached seg + 1);
         t.total_words <- t.total_words + size;
         t.total_count <- t.total_count + 1;
         true
@@ -79,6 +83,7 @@ let put t ~size seg =
   if accepted then t.s_puts <- t.s_puts + 1 else t.s_rejected <- t.s_rejected + 1
 
 let take t ~size =
+  t.version <- t.version + 1;
   t.s_lookups <- t.s_lookups + 1;
   match Hashtbl.find_opt t.buckets size with
   | Some ({ segs = seg :: rest; _ } as b) ->
@@ -87,6 +92,7 @@ let take t ~size =
       t.total_words <- t.total_words - size;
       t.total_count <- t.total_count - 1;
       t.s_hits <- t.s_hits + 1;
+      Segment.set_cached seg (Segment.cached seg - 1);
       Segment.zero seg;
       Some seg
   | _ ->
@@ -99,6 +105,8 @@ let iter t f =
   done
 
 let population t = t.total_count
+
+let version t = t.version
 
 let total_words t = t.total_words
 
@@ -133,6 +141,8 @@ let scoped_stats t f =
   (result, diff_stats (stats t) before)
 
 let clear t =
+  t.version <- t.version + 1;
+  iter t (fun seg -> Segment.set_cached seg (Segment.cached seg - 1));
   Hashtbl.reset t.buckets;
   Retrofit_util.Vec.clear t.order;
   t.total_words <- 0;

@@ -42,6 +42,12 @@ val population : t -> int
 val total_words : t -> int
 (** Aggregate words currently retained.  O(1). *)
 
+val version : t -> int
+(** [put], [take] and [clear] calls so far, including offers dropped
+    and takes that missed; never reset.  The {!Machine} auditor counts
+    the calls the machine makes, so a move it did not make tells it that
+    other code changed the cache. *)
+
 (** {2 Per-instance statistics}
 
     Lifetime event counts owned by the cache instance (not by any
