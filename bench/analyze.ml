@@ -59,7 +59,7 @@ let () =
       (* the campaign compiles every program anyway to run it on the
          fiber machine, so the compile is charged to the execution side
          and the analyzer is measured over the shared compiled form *)
-      let compiled = Retrofit_fiber.Compile.compile (C.Fiber_backend.lower p) in
+      let compiled = Retrofit_fiber.Compile.compile p in
       let ta = best (fun () -> C.Static.analyze ~compiled p) in
       let tl = best (fun () -> A.Redzone.audit ~red_zone:16 compiled) in
       let te = best (fun () -> C.Fiber_backend.run ~audit:false p) in

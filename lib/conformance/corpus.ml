@@ -1,24 +1,28 @@
 type entry = {
   name : string;
   note : string;
-  program : Ir.program;
+  program : Retrofit_fiber.Ir.program;
   expect : Outcome.t;
 }
 
-open Ir
+open Retrofit_fiber.Ir
 
-let plain name params body =
-  { fn_name = name; fn_params = params; fn_kind = Plain; fn_body = body }
+let plain = fn
 
 let effc name body =
-  (* convention: an Eff_case [h] binds [h_x] (payload) and [h_k]. *)
-  { fn_name = name; fn_params = [ name ^ "_x"; name ^ "_k" ]; fn_kind = Eff_case; fn_body = body }
+  (* convention: an effect case [h] binds [h_x] (payload) and [h_k]. *)
+  fn name [ name ^ "_x"; name ^ "_k" ] body
 
 let id = plain "id" [ "id_p" ] (Var "id_p")
 
+(* The body call [f()] under a handler with return case [ret] and the
+   given effect cases. *)
+let handle ?(ret = "id") f effcs =
+  Handle { body_fn = f; body_args = []; retc = ret; exncs = []; effcs }
+
 let mk name note fns expect =
   let program = { fns; main = "main" } in
-  (match validate program with
+  (match Fragment.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "corpus entry %s: %s" name msg));
   { name; note; program; expect }
@@ -30,10 +34,10 @@ let entries =
        body to completion raises Invalid_argument at the resume site"
       [
         id;
-        effc "h" (Seq (Continue ("h_k", Var "h_x"), Continue ("h_k", Var "h_x")));
+        effc "h"
+          (Seq (Continue (Var "h_k", Var "h_x"), Continue (Var "h_k", Var "h_x")));
         plain "body" [] (Perform ("E1", Int 1));
-        plain "main" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+        plain "main" [] (handle "body" [ ("E1", "h") ]);
       ]
       Outcome.One_shot;
     mk "discontinue_never_resumed"
@@ -41,13 +45,12 @@ let entries =
        perform site, where the body catches it"
       [
         id;
-        effc "h" (Discontinue ("h_k", "A", Var "h_x"));
+        effc "h" (Discontinue (Var "h_k", "A", Var "h_x"));
         plain "body" []
-          (Try
+          (Trywith
              ( Perform ("E1", Int 7),
                [ ("A", "e", Binop (Add, Var "e", Int 100)) ] ));
-        plain "main" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+        plain "main" [] (handle "body" [ ("E1", "h") ]);
       ]
       (Outcome.Value 107);
     mk "effect_in_return_branch"
@@ -56,12 +59,10 @@ let entries =
       [
         id;
         plain "retperform" [ "r" ] (Perform ("E2", Binop (Add, Var "r", Int 1)));
-        effc "h2" (Continue ("h2_k", Binop (Add, Var "h2_x", Int 5)));
+        effc "h2" (Continue (Var "h2_k", Binop (Add, Var "h2_x", Int 5)));
         plain "body" [] (Int 5);
-        plain "inner" []
-          (Handle { h_body = ("body", []); h_ret = "retperform"; h_exncs = []; h_effcs = [] });
-        plain "main" []
-          (Handle { h_body = ("inner", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E2", "h2") ] });
+        plain "inner" [] (handle ~ret:"retperform" "body" []);
+        plain "main" [] (handle "inner" [ ("E2", "h2") ]);
       ]
       (Outcome.Value 11);
     mk "effect_in_return_unhandled"
@@ -69,12 +70,10 @@ let entries =
        even for labels it has a case for"
       [
         id;
-        effc "h" (Continue ("h_k", Var "h_x"));
+        effc "h" (Continue (Var "h_k", Var "h_x"));
         plain "retperform" [ "r" ] (Perform ("E1", Var "r"));
         plain "body" [] (Int 1);
-        plain "main" []
-          (Handle
-             { h_body = ("body", []); h_ret = "retperform"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+        plain "main" [] (handle ~ret:"retperform" "body" [ ("E1", "h") ]);
       ]
       Outcome.Unhandled;
     mk "discontinue_then_continue"
@@ -82,10 +81,10 @@ let entries =
        raises Invalid_argument"
       [
         id;
-        effc "h" (Seq (Discontinue ("h_k", "A", Int 0), Continue ("h_k", Var "h_x")));
-        plain "body" [] (Try (Perform ("E1", Int 3), [ ("A", "e", Int 42) ]));
-        plain "main" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+        effc "h"
+          (Seq (Discontinue (Var "h_k", "A", Int 0), Continue (Var "h_k", Var "h_x")));
+        plain "body" [] (Trywith (Perform ("E1", Int 3), [ ("A", "e", Int 42) ]));
+        plain "main" [] (handle "body" [ ("E1", "h") ]);
       ]
       Outcome.One_shot;
     mk "unhandled_in_callback"
@@ -93,12 +92,11 @@ let entries =
        the external frame (\xc2\xa73.1); it fails with Unhandled at the perform site"
       [
         id;
-        effc "h" (Continue ("h_k", Var "h_x"));
+        effc "h" (Continue (Var "h_k", Var "h_x"));
         plain "perf" [ "p" ] (Perform ("E1", Var "p"));
         plain "body" []
-          (Try (Callback ("perf", Int 5), [ ("Unhandled", "e", Int 99) ]));
-        plain "main" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+          (Trywith (Fragment.callback "perf" (Int 5), [ ("Unhandled", "e", Int 99) ]));
+        plain "main" [] (handle "body" [ ("E1", "h") ]);
       ]
       (Outcome.Value 99);
     mk "div_by_zero_payload"
@@ -106,7 +104,7 @@ let entries =
        models"
       [
         plain "main" []
-          (Try
+          (Trywith
              ( Binop (Div, Int 7, Int 0),
                [ ("Division_by_zero", "e", Var "e") ] ));
       ]
@@ -121,10 +119,9 @@ let entries =
              ( Binop (Le, Var "n", Int 0),
                Perform ("E1", Int 0),
                Binop (Add, Call ("down", [ Binop (Sub, Var "n", Int 1) ]), Int 1) ));
-        effc "h" (Continue ("h_k", Var "h_x"));
+        effc "h" (Continue (Var "h_k", Var "h_x"));
         plain "body" [] (Call ("down", [ Int 200 ]));
-        plain "main" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
+        plain "main" [] (handle "body" [ ("E1", "h") ]);
       ]
       (Outcome.Value 200);
     mk "nested_reperform"
@@ -132,15 +129,11 @@ let entries =
        one; resuming runs back through both"
       [
         id;
-        effc "hout" (Continue ("hout_k", Binop (Add, Var "hout_x", Int 1)));
-        effc "hother" (Continue ("hother_k", Var "hother_x"));
+        effc "hout" (Continue (Var "hout_k", Binop (Add, Var "hout_x", Int 1)));
+        effc "hother" (Continue (Var "hother_k", Var "hother_x"));
         plain "body" [] (Perform ("E1", Int 5));
-        plain "inner" []
-          (Handle
-             { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E2", "hother") ] });
-        plain "main" []
-          (Handle
-             { h_body = ("inner", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "hout") ] });
+        plain "inner" [] (handle "body" [ ("E2", "hother") ]);
+        plain "main" [] (handle "inner" [ ("E1", "hout") ]);
       ]
       (Outcome.Value 6);
     mk "exception_through_handler"
@@ -148,11 +141,10 @@ let entries =
        enclosing try"
       [
         id;
-        effc "h" (Continue ("h_k", Var "h_x"));
+        effc "h" (Continue (Var "h_k", Var "h_x"));
         plain "body" [] (Raise ("A", Int 9));
-        plain "handled" []
-          (Handle { h_body = ("body", []); h_ret = "id"; h_exncs = []; h_effcs = [ ("E1", "h") ] });
-        plain "main" [] (Try (Call ("handled", []), [ ("A", "e", Var "e") ]));
+        plain "handled" [] (handle "body" [ ("E1", "h") ]);
+        plain "main" [] (Trywith (Call ("handled", []), [ ("A", "e", Var "e") ]));
       ]
       (Outcome.Value 9);
   ]

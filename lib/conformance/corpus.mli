@@ -14,7 +14,7 @@
 type entry = {
   name : string;
   note : string;
-  program : Ir.program;
+  program : Retrofit_fiber.Ir.program;
   expect : Outcome.t;
 }
 

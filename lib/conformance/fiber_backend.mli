@@ -1,13 +1,13 @@
-(** Lowering to the §5 runtime model (the {!Retrofit_fiber} machine).
+(** Execution on the §5 runtime model (the {!Retrofit_fiber} machine).
 
-    The IR maps near-directly onto the fiber machine's source language.
-    [Ext_id] becomes an external call to a registered identity C
-    function; [Callback f] becomes an external call whose C
-    implementation re-enters the machine through [ctx.callback],
-    exercising the §5.3 boundary (context word, boundary trap, blanked
-    handler_info).  Runs carry a per-step {!Retrofit_fiber.Machine}
-    auditor and, when [dwarf_seed] is given, DWARF unwind round-trips
-    at randomly sampled call sites via {!Retrofit_dwarf.Validate}. *)
+    Conformance programs are fiber-IR programs, compiled and run as
+    they are.  The two fragment C functions get registered stubs:
+    {!Fragment.ext_id}'s is the identity, and {!Fragment.callback}'s
+    re-enters the machine through [ctx.callback], exercising the §5.3
+    boundary (context word, boundary trap, blanked handler_info).
+    Runs carry a per-step {!Retrofit_fiber.Machine} auditor and, when
+    [dwarf_seed] is given, DWARF unwind round-trips at randomly sampled
+    call sites via {!Retrofit_dwarf.Validate}. *)
 
 type result = {
   outcome : Outcome.t;
@@ -20,14 +20,10 @@ type result = {
   counters : Retrofit_util.Counter.t;
 }
 
-val lower : Ir.program -> Retrofit_fiber.Ir.program
-
-val ext_id_cfun : string
-(** Name of the C identity stub [Ext_id] lowers to. *)
-
-val callback_cfun : string -> string
-(** [callback_cfun f] — name of the C stub [Callback f] lowers to; the
-    stub re-enters the machine through [f]. *)
+val cfuns :
+  Retrofit_fiber.Compile.compiled -> (string * Retrofit_fiber.Machine.cfun) list
+(** The C-function stubs for every fragment C function the compiled
+    program calls, as {!Retrofit_fiber.Machine.run} takes them. *)
 
 val run :
   ?config:Retrofit_fiber.Config.t ->
@@ -36,7 +32,7 @@ val run :
   ?dwarf_seed:int ->
   ?dwarf_max_probes:int ->
   ?on_perform:(site:int -> eff:int -> handler:int -> unit) ->
-  Ir.program ->
+  Retrofit_fiber.Ir.program ->
   result
 (** Defaults: {!Retrofit_fiber.Config.mc}, 20-million-op fuel, the
     auditor on its fixed schedule ({!Retrofit_fiber.Machine.audit}), no

@@ -8,7 +8,7 @@ type failure = {
   analysis : string option;
   policy : string option;
   policy_outcome : Outcome.t option;
-  shrunk : Ir.program option;
+  shrunk : F.Ir.program option;
   shrunk_report : Oracle.report option;
 }
 
@@ -151,7 +151,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
           Retrofit_metrics.Metrics.inc
             ~labels:[ ("class", A.Resolve.klass_to_string s.A.Resolve.r_class) ]
             "perform_site_resolution_total")
-        (A.Resolve.all_sites c.Static.result.A.Analyze.resolve)
+        (A.Resolve.all_sites c.A.Analyze.resolve)
   in
   (* The analyzer-vs-oracle soundness check: a crash in the analyzer is
      as much a campaign failure as an unsound claim. *)
@@ -281,7 +281,7 @@ let failure_to_string f =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "--- failure at program %d (seed %d) ---\n" f.index f.prog_seed);
-  Buffer.add_string b (Ir.program_to_string f.report.Oracle.program);
+  Buffer.add_string b (F.Ir.program_to_string f.report.Oracle.program);
   Buffer.add_char b '\n';
   Buffer.add_string b (Oracle.to_string f.report);
   (match f.analysis with
@@ -297,8 +297,8 @@ let failure_to_string f =
   (match (f.shrunk, f.shrunk_report) with
   | Some q, Some r ->
       Buffer.add_string b
-        (Printf.sprintf "shrunk to %d nodes:\n" (Ir.program_nodes q));
-      Buffer.add_string b (Ir.program_to_string q);
+        (Printf.sprintf "shrunk to %d nodes:\n" (Fragment.program_nodes q));
+      Buffer.add_string b (F.Ir.program_to_string q);
       Buffer.add_char b '\n';
       Buffer.add_string b (Oracle.to_string r)
   | _ -> ());

@@ -15,7 +15,7 @@ type failure = {
       (** name of the stack policy whose run disagreed with the default
           policy, when the failure is a policy differential *)
   policy_outcome : Outcome.t option;
-  shrunk : Ir.program option;
+  shrunk : Retrofit_fiber.Ir.program option;
   shrunk_report : Oracle.report option;
 }
 

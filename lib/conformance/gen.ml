@@ -1,4 +1,5 @@
 module Rng = Retrofit_util.Rng
+module Ir = Retrofit_fiber.Ir
 
 type cfg = {
   max_fns : int;
@@ -19,7 +20,7 @@ let default_cfg =
     oneshot_violations = true;
   }
 
-type info = { gi_name : string; gi_arity : int; gi_kind : Ir.kind; gi_rec : bool }
+type info = { gi_name : string; gi_arity : int; gi_eff : bool; gi_rec : bool }
 
 type st = {
   rng : Rng.t;
@@ -36,11 +37,11 @@ let fresh st prefix =
 
 let pick st xs = List.nth xs (Rng.int st.rng (List.length xs))
 
-let plain_fns st = List.filter (fun i -> i.gi_kind = Ir.Plain) st.pool
+let plain_fns st = List.filter (fun i -> not i.gi_eff) st.pool
 
-let arity1_fns st = List.filter (fun i -> i.gi_kind = Ir.Plain && i.gi_arity = 1) st.pool
+let arity1_fns st = List.filter (fun i -> (not i.gi_eff) && i.gi_arity = 1) st.pool
 
-let eff_fns st = List.filter (fun i -> i.gi_kind = Ir.Eff_case) st.pool
+let eff_fns st = List.filter (fun i -> i.gi_eff) st.pool
 
 let exn_labels = [ "A"; "B" ]
 
@@ -106,7 +107,7 @@ let rec gen_expr st ~depth ~vars ~kvar : Ir.expr =
                   (l, x, gen_expr st ~depth:(depth - 1) ~vars:(x :: vars) ~kvar))
                 (labels [] n)
             in
-            Ir.Try (body, cases) );
+            Ir.Trywith (body, cases) );
         (10, fun () -> Ir.Perform (pick st eff_labels, sub ()));
       ]
       @ (if plain = [] then []
@@ -115,7 +116,7 @@ let rec gen_expr st ~depth ~vars ~kvar : Ir.expr =
          else [ (10, fun () -> gen_handle st ~depth ~vars ~kvar) ])
       @ (if not st.cfg.extcalls then []
          else
-           (4, fun () -> Ir.Ext_id (sub ()))
+           (4, fun () -> Fragment.ext_id (sub ()))
            ::
            (if arity1 = [] then []
             else
@@ -124,27 +125,29 @@ let rec gen_expr st ~depth ~vars ~kvar : Ir.expr =
                   fun () ->
                     let target = pick st arity1 in
                     let arg = if target.gi_rec then rec_counter st else sub () in
-                    Ir.Callback (target.gi_name, arg) );
+                    Fragment.callback target.gi_name arg );
               ]))
       @
       match kvar with
       | None -> []
       | Some k ->
           [
-            (14, fun () -> Ir.Continue (k, sub ()));
-            (6, fun () -> Ir.Discontinue (k, pick st exn_labels, sub ()));
+            (14, fun () -> Ir.Continue (Ir.Var k, sub ()));
+            (6, fun () -> Ir.Discontinue (Ir.Var k, pick st exn_labels, sub ()));
           ]
           @
           if st.cfg.oneshot_violations then
             [
               ( 10,
                 fun () ->
-                  Ir.Seq (Ir.Continue (k, sub ~d:1 ()), Ir.Continue (k, sub ~d:1 ())) );
+                  Ir.Seq
+                    ( Ir.Continue (Ir.Var k, sub ~d:1 ()),
+                      Ir.Continue (Ir.Var k, sub ~d:1 ()) ) );
               ( 4,
                 fun () ->
                   Ir.Seq
-                    ( Ir.Discontinue (k, pick st exn_labels, sub ~d:1 ()),
-                      Ir.Continue (k, sub ~d:1 ()) ) );
+                    ( Ir.Discontinue (Ir.Var k, pick st exn_labels, sub ~d:1 ()),
+                      Ir.Continue (Ir.Var k, sub ~d:1 ()) ) );
             ]
           else []
     in
@@ -188,7 +191,7 @@ and gen_handle st ~depth ~vars ~kvar =
             if Rng.int st.rng 100 < 70 then Some (l, (pick st effs).gi_name) else None)
           eff_labels
   in
-  Ir.Handle { h_body = (body.gi_name, args); h_ret = ret.gi_name; h_exncs = exncs; h_effcs = effcs }
+  Ir.Handle { body_fn = body.gi_name; body_args = args; retc = ret.gi_name; exncs; effcs }
 
 (* A recursive function follows the guarded template
    [if p0 <= 0 then base else ... self(p0 - 1, ...) ...], so every
@@ -227,20 +230,15 @@ let gen_fn st =
       if recursive then gen_rec_body st ~name ~params
       else gen_expr st ~depth:(st.cfg.max_depth - 1) ~vars:params ~kvar:None
     in
-    ( { Ir.fn_name = name; fn_params = params; fn_kind = Ir.Plain; fn_body = body },
-      { gi_name = name; gi_arity = arity; gi_kind = Ir.Plain; gi_rec = recursive } )
+    ( Ir.fn name params body,
+      { gi_name = name; gi_arity = arity; gi_eff = false; gi_rec = recursive } )
   in
   let mk_eff () =
     let name = fresh st "h" in
     let x = name ^ "_x" and k = name ^ "_k" in
     let body = gen_expr st ~depth:st.cfg.max_depth ~vars:[ x ] ~kvar:(Some k) in
-    ( {
-        Ir.fn_name = name;
-        fn_params = [ x; k ];
-        fn_kind = Ir.Eff_case;
-        fn_body = body;
-      },
-      { gi_name = name; gi_arity = 2; gi_kind = Ir.Eff_case; gi_rec = false } )
+    ( Ir.fn name [ x; k ] body,
+      { gi_name = name; gi_arity = 2; gi_eff = true; gi_rec = false } )
   in
   let fn, i = if Rng.int st.rng 100 < 45 then mk_eff () else mk_plain () in
   st.pool <- st.pool @ [ i ];
@@ -251,23 +249,13 @@ let gen ?(cfg = default_cfg) rng : Ir.program =
   (* Seed the pool with a guaranteed 1-argument plain function so that
      handlers (which need a return case) can always be formed. *)
   let id_name = fresh st "f" in
-  let id_fn =
-    {
-      Ir.fn_name = id_name;
-      fn_params = [ id_name ^ "_p0" ];
-      fn_kind = Ir.Plain;
-      fn_body = Ir.Var (id_name ^ "_p0");
-    }
-  in
-  st.pool <- [ { gi_name = id_name; gi_arity = 1; gi_kind = Ir.Plain; gi_rec = false } ];
+  let id_fn = Ir.fn id_name [ id_name ^ "_p0" ] (Ir.Var (id_name ^ "_p0")) in
+  st.pool <- [ { gi_name = id_name; gi_arity = 1; gi_eff = false; gi_rec = false } ];
   let n = 2 + Rng.int rng cfg.max_fns in
   let helpers = List.init n (fun _ -> gen_fn st) in
   st.in_main <- true;
   let main_body = gen_expr st ~depth:cfg.max_depth ~vars:[] ~kvar:None in
   st.in_main <- false;
-  let main =
-    { Ir.fn_name = "main"; fn_params = []; fn_kind = Ir.Plain; fn_body = main_body }
-  in
-  { Ir.fns = (id_fn :: helpers) @ [ main ]; main = "main" }
+  { Ir.fns = (id_fn :: helpers) @ [ Ir.fn "main" [] main_body ]; main = "main" }
 
 let program_of_seed ?cfg seed = gen ?cfg (Rng.create seed)

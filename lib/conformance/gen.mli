@@ -1,4 +1,5 @@
-(** Seeded generator of well-formed conformance programs.
+(** Seeded generator of well-formed conformance programs: fiber-IR
+    programs in the {!Fragment} all three backends run.
 
     Fully deterministic: the whole program is a function of the seed
     (via {!Retrofit_util.Rng}), so [(seed)] alone replays any generated
@@ -6,7 +7,7 @@
 
     - perform / continue / discontinue, nested deep handlers,
       reperform chains (handlers missing the performed label);
-    - exceptions raised through handlers and caught by [Try] cases,
+    - exceptions raised through handlers and caught by [Trywith] cases,
       including the built-in labels;
     - one-shot violations (a [Seq] of two resumes of the same
       continuation) when [oneshot_violations] is on;
@@ -14,8 +15,8 @@
     - recursion: functions may call themselves with a structurally
       decreasing counter; one call site per program may draw a
       [big_count]-sized counter, deep enough to force fiber growth;
-    - external calls and callbacks ([Ext_id]/[Callback]) when
-      [extcalls] is on.
+    - external calls and callbacks ({!Fragment.ext_id}/
+      {!Fragment.callback}) when [extcalls] is on.
 
     Termination is structural: every call targets an earlier function
     or the caller itself with a strictly smaller first argument, and
@@ -36,9 +37,9 @@ type cfg = {
 
 val default_cfg : cfg
 
-val gen : ?cfg:cfg -> Retrofit_util.Rng.t -> Ir.program
+val gen : ?cfg:cfg -> Retrofit_util.Rng.t -> Retrofit_fiber.Ir.program
 
-val program_of_seed : ?cfg:cfg -> int -> Ir.program
+val program_of_seed : ?cfg:cfg -> int -> Retrofit_fiber.Ir.program
 (** [gen] on a fresh generator seeded with the given value — the replay
     entry point: a counterexample is reproducible from its seed
     alone. *)

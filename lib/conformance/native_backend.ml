@@ -1,4 +1,5 @@
 module Eff = Retrofit_core.Eff
+module Ir = Retrofit_fiber.Ir
 
 type nv = N_int of int | N_cont of (int, int) Eff.continuation
 
@@ -28,6 +29,7 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
     | N_int n -> n
     | N_cont _ -> raise (Model_failure "continuation used as an integer")
   in
+  let cont env = function Ir.Var k -> List.assoc_opt k env | _ -> None in
   let rec eval env (e : Ir.expr) : int =
     tick ();
     match e with
@@ -49,7 +51,8 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
             if vb = 0 then raise (Conf_exn (division_label, va)) else va / vb
         | Ir.Lt -> if va < vb then 1 else 0
         | Ir.Le -> if va <= vb then 1 else 0
-        | Ir.Eq -> if va = vb then 1 else 0)
+        | Ir.Eq -> if va = vb then 1 else 0
+        | Ir.Mod | Ir.Ne -> raise (Model_failure "Mod/Ne outside the fragment"))
     | Ir.If (c, t, f) -> if eval env c <> 0 then eval env t else eval env f
     | Ir.Let (x, a, b) ->
         let v = eval env a in
@@ -59,7 +62,7 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
         eval env b
     | Ir.Call (f, args) -> call f (eval_args env args)
     | Ir.Raise (l, e) -> raise (Conf_exn (l, eval env e))
-    | Ir.Try (b, cases) -> (
+    | Ir.Trywith (b, cases) -> (
         match eval env b with
         | v -> v
         | exception (Conf_exn (l, payload) as ex) -> (
@@ -70,13 +73,10 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
         let v = eval env e in
         try Eff.perform (Conf_eff (l, v))
         with Effect.Unhandled _ -> raise (Conf_exn (unhandled_label, 0)))
-    | Ir.Handle h ->
-        let f, args = h.h_body in
-        let vs = eval_args env args in
-        handle h f vs
+    | Ir.Handle h -> handle h (eval_args env h.body_args)
     | Ir.Continue (k, e) -> (
         let v = eval env e in
-        match List.assoc_opt k env with
+        match cont env k with
         | Some (N_cont c) -> (
             try Eff.continue c v
             with Effect.Continuation_already_resumed ->
@@ -84,16 +84,21 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
         | _ -> raise (Model_failure "continue outside an effect case"))
     | Ir.Discontinue (k, l, e) -> (
         let v = eval env e in
-        match List.assoc_opt k env with
+        match cont env k with
         | Some (N_cont c) -> (
             try Eff.discontinue c (Conf_exn (l, v))
             with Effect.Continuation_already_resumed ->
               raise (Conf_exn (one_shot_label, 0)))
         | _ -> raise (Model_failure "discontinue outside an effect case"))
-    | Ir.Ext_id e -> eval env e
-    | Ir.Callback (f, e) ->
+    | Ir.Extcall (c, [ e ]) -> (
         let v = eval env e in
-        barrier (fun () -> call f [ N_int v ])
+        match Fragment.cfun c with
+        | Fragment.Ext_id -> v
+        | Fragment.Callback f -> barrier (fun () -> call f [ N_int v ])
+        | Fragment.Foreign -> raise (Model_failure ("unknown C function " ^ c)))
+    | Ir.Extcall (c, _) ->
+        raise (Model_failure ("C function " ^ c ^ " takes one argument"))
+    | Ir.Repeat _ -> raise (Model_failure "Repeat outside the fragment")
   and eval_args env = function
     | [] -> []
     | a :: rest ->
@@ -103,19 +108,19 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
     match Hashtbl.find_opt fns f with
     | None -> raise (Model_failure ("unknown function " ^ f))
     | Some fn ->
-        if List.length fn.Ir.fn_params <> List.length vs then
+        if List.length fn.Ir.params <> List.length vs then
           raise (Model_failure ("arity mismatch calling " ^ f));
-        eval (List.combine fn.fn_params vs) fn.fn_body
-  and handle (h : Ir.handle) f vs : int =
+        eval (List.combine fn.params vs) fn.body
+  and handle (h : Ir.handle_spec) vs : int =
     Eff.match_with
-      (fun () -> call f vs)
+      (fun () -> call h.body_fn vs)
       {
-        Eff.retc = (fun r -> call h.h_ret [ N_int r ]);
+        Eff.retc = (fun r -> call h.retc [ N_int r ]);
         exnc =
           (fun ex ->
             match ex with
             | Conf_exn (l, payload) -> (
-                match List.assoc_opt l h.h_exncs with
+                match List.assoc_opt l h.exncs with
                 | Some g -> call g [ N_int payload ]
                 | None -> raise ex)
             | _ -> raise ex);
@@ -123,7 +128,7 @@ let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
           (fun (type c) (eff : c Effect.t) ->
             match eff with
             | Conf_eff (l, v) -> (
-                match List.assoc_opt l h.h_effcs with
+                match List.assoc_opt l h.effcs with
                 | Some g ->
                     Some
                       (fun (k : (c, _) Eff.continuation) ->

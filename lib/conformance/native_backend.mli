@@ -1,9 +1,10 @@
 (** Direct execution on native OCaml 5 effects.
 
-    The IR is interpreted over real [Effect.Deep] fibers through the
-    paper-shaped API in {!Retrofit_core.Eff}: [Handle] installs a
-    deep [match_with] handler, [Perform]/[Continue]/[Discontinue] use
-    the runtime primitives, and [Callback] runs its target under a
+    Fragment programs are interpreted over real [Effect.Deep] fibers
+    through the paper-shaped API in {!Retrofit_core.Eff}: [Handle]
+    installs a deep [match_with] handler, [Perform]/[Continue]/
+    [Discontinue] use the runtime primitives, and a
+    {!Fragment.callback} runs its target under a
     barrier handler that discontinues any effect with an "Unhandled"
     exception — modelling §3.1's rule that effects do not cross C
     frames, since the interpreter has no real C frames to block them
@@ -12,5 +13,5 @@
     site, [Continuation_already_resumed] → "Invalid_argument" at the
     resume site, exactly as the other two models behave. *)
 
-val run : ?fuel:int -> Ir.program -> Outcome.t
+val run : ?fuel:int -> Retrofit_fiber.Ir.program -> Outcome.t
 (** Default fuel: 10 million interpreted nodes. *)

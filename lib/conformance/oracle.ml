@@ -1,7 +1,7 @@
 type verdict = Agree | Skip | Diff
 
 type report = {
-  program : Ir.program;
+  program : Retrofit_fiber.Ir.program;
   sem : Outcome.t;
   fib : Outcome.t;
   nat : Outcome.t;
@@ -22,7 +22,7 @@ let is_model_error = function Outcome.Model_error _ -> true | _ -> false
 
 let run ?sem_fuel ?fib_fuel ?nat_fuel ?(audit = true) ?dwarf_seed
     ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
-    ?(with_native = true) (p : Ir.program) : report =
+    ?(with_native = true) (p : Retrofit_fiber.Ir.program) : report =
   let sem = Sem_backend.run ?fuel:sem_fuel ~one_shot:sem_one_shot p in
   let fr = Fiber_backend.run ~config:fiber_config ?fuel:fib_fuel ~audit ?dwarf_seed p in
   (* Host effects are one-shot; multishot campaigns drop the native leg

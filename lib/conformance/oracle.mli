@@ -20,7 +20,7 @@ val compare_pair : Outcome.t -> Outcome.t -> verdict
     can diff extra backend runs under the same conventions. *)
 
 type report = {
-  program : Ir.program;
+  program : Retrofit_fiber.Ir.program;
   sem : Outcome.t;
   fib : Outcome.t;
   nat : Outcome.t;
@@ -43,7 +43,7 @@ val run :
   ?fiber_config:Retrofit_fiber.Config.t ->
   ?sem_one_shot:bool ->
   ?with_native:bool ->
-  Ir.program ->
+  Retrofit_fiber.Ir.program ->
   report
 (** [sem_one_shot] defaults to [true] so the §4 machine enforces the
     same one-shot discipline as the other two models; pass [false] to

@@ -1,4 +1,8 @@
 module S = Retrofit_semantics
+module Ir = Retrofit_fiber.Ir
+
+let outside what =
+  invalid_arg ("Sem_backend.lower: " ^ what ^ " is outside the conformance fragment")
 
 let binop : Ir.binop -> S.Ast.binop = function
   | Ir.Add -> S.Ast.Add
@@ -8,6 +12,7 @@ let binop : Ir.binop -> S.Ast.binop = function
   | Ir.Lt -> S.Ast.Lt
   | Ir.Le -> S.Ast.Le
   | Ir.Eq -> S.Ast.Eq
+  | Ir.Mod | Ir.Ne -> outside "Mod/Ne"
 
 (* Calls are curried applications; a 0-argument function takes a dummy
    unit stand-in.  Currying preserves left-to-right argument order: the
@@ -28,7 +33,7 @@ let rec lower_expr (e : Ir.expr) : S.Ast.t =
   | Ir.Seq (a, b) -> S.Ast.Let ("%seq", lower_expr a, lower_expr b)
   | Ir.Call (f, args) -> apply f (List.map lower_expr args)
   | Ir.Raise (l, e) -> S.Ast.Raise (l, lower_expr e)
-  | Ir.Try (b, cases) ->
+  | Ir.Trywith (b, cases) ->
       S.Ast.Match
         ( lower_expr b,
           {
@@ -42,16 +47,16 @@ let rec lower_expr (e : Ir.expr) : S.Ast.t =
       (* Evaluate the body arguments before installing the handler:
          the fiber machine pushes them before HandleI switches fibers,
          and the native backend evaluates them before match_with. *)
-      let f, args = h.h_body in
+      let args = h.body_args in
       let names = List.mapi (fun i _ -> Printf.sprintf "%%a%d" i) args in
       let handler =
         {
           S.Ast.return_var = "%r";
-          return_body = S.Ast.App (S.Ast.Var h.h_ret, S.Ast.Var "%r");
+          return_body = S.Ast.App (S.Ast.Var h.retc, S.Ast.Var "%r");
           exn_cases =
             List.map
               (fun (l, g) -> (l, "%x", S.Ast.App (S.Ast.Var g, S.Ast.Var "%x")))
-              h.h_exncs;
+              h.exncs;
           eff_cases =
             List.map
               (fun (l, g) ->
@@ -60,36 +65,41 @@ let rec lower_expr (e : Ir.expr) : S.Ast.t =
                   "%k",
                   S.Ast.App (S.Ast.App (S.Ast.Var g, S.Ast.Var "%x"), S.Ast.Var "%k")
                 ))
-              h.h_effcs;
+              h.effcs;
         }
       in
-      let call = apply f (List.map (fun x -> S.Ast.Var x) names) in
+      let call = apply h.body_fn (List.map (fun x -> S.Ast.Var x) names) in
       List.fold_right2
         (fun x a acc -> S.Ast.Let (x, lower_expr a, acc))
         names args
         (S.Ast.Match (call, handler))
-  | Ir.Continue (k, e) -> S.Ast.Continue (S.Ast.Var k, lower_expr e)
-  | Ir.Discontinue (k, l, e) -> S.Ast.Discontinue (S.Ast.Var k, l, lower_expr e)
-  | Ir.Ext_id e ->
-      S.Ast.App (S.Ast.Lam (S.Ast.C_lam, "%x", S.Ast.Var "%x"), lower_expr e)
-  | Ir.Callback (f, e) ->
-      (* λᶜ whose body applies an OCaml closure: ExtCall then Callback
-         in the Fig 2d rules — a fresh OCaml stack over the C frames. *)
-      S.Ast.App
-        ( S.Ast.Lam (S.Ast.C_lam, "%x", S.Ast.App (S.Ast.Var f, S.Ast.Var "%x")),
-          lower_expr e )
+  | Ir.Continue (k, e) -> S.Ast.Continue (lower_expr k, lower_expr e)
+  | Ir.Discontinue (k, l, e) -> S.Ast.Discontinue (lower_expr k, l, lower_expr e)
+  | Ir.Extcall (c, [ e ]) -> (
+      match Fragment.cfun c with
+      | Fragment.Ext_id ->
+          S.Ast.App (S.Ast.Lam (S.Ast.C_lam, "%x", S.Ast.Var "%x"), lower_expr e)
+      | Fragment.Callback f ->
+          (* λᶜ whose body applies an OCaml closure: ExtCall then Callback
+             in the Fig 2d rules — a fresh OCaml stack over the C frames. *)
+          S.Ast.App
+            ( S.Ast.Lam (S.Ast.C_lam, "%x", S.Ast.App (S.Ast.Var f, S.Ast.Var "%x")),
+              lower_expr e )
+      | Fragment.Foreign -> outside ("C function " ^ c))
+  | Ir.Extcall (c, _) -> outside ("C function " ^ c)
+  | Ir.Repeat _ -> outside "Repeat"
 
 (* Each function is a [let rec] over the rest of the program; multiple
    parameters curry into inner λ°s bound under the recursive binding. *)
 let lower_fn (fn : Ir.fn) rest =
   let p0, inner =
-    match fn.fn_params with
-    | [] -> ("%u", lower_expr fn.fn_body)
+    match fn.params with
+    | [] -> ("%u", lower_expr fn.body)
     | p :: ps ->
         ( p,
           List.fold_right
             (fun p acc -> S.Ast.Lam (S.Ast.OCaml_lam, p, acc))
-            ps (lower_expr fn.fn_body) )
+            ps (lower_expr fn.body) )
   in
   S.Ast.Letrec (fn.fn_name, p0, inner, rest)
 

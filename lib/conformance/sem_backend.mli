@@ -2,18 +2,20 @@
     machine).
 
     Functions become a chain of curried [let rec]s (earlier functions
-    scope over later ones, matching the IR's definition-before-use
+    scope over later ones, matching the fragment's definition-before-use
     rule); [Handle] pre-evaluates its body arguments in [let]s {e
     outside} the installed handler, so an effect or exception raised
     while evaluating an argument escapes the new handler exactly as it
-    does in the fiber machine and natively; [Ext_id]/[Callback] wrap
-    their target in a λᶜ so the value round-trips through a C stack
-    segment.  Runs under the one-shot discipline by default so all
-    three models share §5's linearity. *)
+    does in the fiber machine and natively; the two fragment C calls
+    ({!Fragment.ext_id}/{!Fragment.callback}) wrap their target in a λᶜ
+    so the value round-trips through a C stack segment.  Runs under the
+    one-shot discipline by default so all three models share §5's
+    linearity. *)
 
-val lower : Ir.program -> Retrofit_semantics.Ast.t
+val lower : Retrofit_fiber.Ir.program -> Retrofit_semantics.Ast.t
+(** @raise Invalid_argument on a construct outside the {!Fragment}. *)
 
-val run : ?fuel:int -> ?one_shot:bool -> Ir.program -> Outcome.t
+val run : ?fuel:int -> ?one_shot:bool -> Retrofit_fiber.Ir.program -> Outcome.t
 (** Default fuel 5 million steps; [one_shot] defaults to [true] (pass
     [false] to re-expose the multi-shot semantics as a seeded
     mutation). *)

@@ -1,158 +1,116 @@
+open Retrofit_fiber.Ir
+
+let drop_nth xs i = List.filteri (fun j _ -> j <> i) xs
+
+let replace_nth xs i x' = List.mapi (fun j x -> if j = i then x' else x) xs
+
 (* Candidate replacements for a single expression node: simpler
    expressions that keep the program well-formed often enough to be
-   worth trying (Ir.validate filters the rest). *)
-let node_candidates (e : Ir.expr) : Ir.expr list =
+   worth trying (Fragment.validate filters the rest). *)
+let node_candidates (e : expr) : expr list =
   let subs =
     match e with
-    | Ir.Int _ | Ir.Var _ -> []
-    | Ir.Binop (_, a, b) | Ir.Let (_, a, b) | Ir.Seq (a, b) -> [ a; b ]
-    | Ir.If (a, b, c) -> [ a; b; c ]
-    | Ir.Call (_, args) -> args
-    | Ir.Raise (_, e) | Ir.Perform (_, e) | Ir.Continue (_, e) | Ir.Ext_id e -> [ e ]
-    | Ir.Discontinue (_, _, e) | Ir.Callback (_, e) -> [ e ]
-    | Ir.Try (b, _) -> [ b ]
-    | Ir.Handle h -> snd h.h_body
+    | Int _ | Var _ -> []
+    | Binop (_, a, b) | Let (_, a, b) | Seq (a, b) | Repeat (a, b) -> [ a; b ]
+    | If (a, b, c) -> [ a; b; c ]
+    | Call (_, args) | Extcall (_, args) -> args
+    | Raise (_, e) | Perform (_, e) | Continue (_, e) | Discontinue (_, _, e) -> [ e ]
+    | Trywith (b, _) -> [ b ]
+    | Handle h -> h.body_args
   in
   let structural =
     match e with
-    | Ir.Try (b, cases) when List.length cases > 1 ->
+    | Trywith (b, cases) when List.length cases > 1 ->
         (* drop one case at a time *)
-        List.mapi
-          (fun i _ -> Ir.Try (b, List.filteri (fun j _ -> j <> i) cases))
-          cases
-    | Ir.Try (b, [ _ ]) -> [ b ]
-    | Ir.Handle h ->
-        Ir.Call (fst h.h_body, snd h.h_body)
+        List.mapi (fun i _ -> Trywith (b, drop_nth cases i)) cases
+    | Trywith (b, [ _ ]) -> [ b ]
+    | Handle h ->
+        Call (h.body_fn, h.body_args)
         :: List.mapi
-             (fun i _ ->
-               Ir.Handle
-                 { h with h_exncs = List.filteri (fun j _ -> j <> i) h.h_exncs })
-             h.h_exncs
-        @ List.mapi
-            (fun i _ ->
-              Ir.Handle { h with h_effcs = List.filteri (fun j _ -> j <> i) h.h_effcs })
-            h.h_effcs
+             (fun i _ -> Handle { h with exncs = drop_nth h.exncs i })
+             h.exncs
+        @ List.mapi (fun i _ -> Handle { h with effcs = drop_nth h.effcs i }) h.effcs
     | _ -> []
   in
-  let const = match e with Ir.Int 0 -> [] | _ -> [ Ir.Int 0 ] in
+  let const = match e with Int 0 -> [] | _ -> [ Int 0 ] in
   const @ subs @ structural
 
 (* Every program obtained from [e] by replacing exactly one node with
    one of its candidates; [wrap] rebuilds the whole program around the
-   modified expression. *)
-let rec expr_variants (e : Ir.expr) (wrap : Ir.expr -> Ir.program) : Ir.program list =
+   modified expression.  The continuation operand of a resume is part
+   of its node and is never replaced. *)
+let rec expr_variants (e : expr) (wrap : expr -> program) : program list =
+  let args_variants args rebuild =
+    List.concat
+      (List.mapi
+         (fun i a -> expr_variants a (fun a' -> wrap (rebuild (replace_nth args i a'))))
+         args)
+  in
   let here = List.map wrap (node_candidates e) in
   let inside =
     match e with
-    | Ir.Int _ | Ir.Var _ -> []
-    | Ir.Binop (op, a, b) ->
-        expr_variants a (fun a' -> wrap (Ir.Binop (op, a', b)))
-        @ expr_variants b (fun b' -> wrap (Ir.Binop (op, a, b')))
-    | Ir.If (a, b, c) ->
-        expr_variants a (fun a' -> wrap (Ir.If (a', b, c)))
-        @ expr_variants b (fun b' -> wrap (Ir.If (a, b', c)))
-        @ expr_variants c (fun c' -> wrap (Ir.If (a, b, c')))
-    | Ir.Let (x, a, b) ->
-        expr_variants a (fun a' -> wrap (Ir.Let (x, a', b)))
-        @ expr_variants b (fun b' -> wrap (Ir.Let (x, a, b')))
-    | Ir.Seq (a, b) ->
-        expr_variants a (fun a' -> wrap (Ir.Seq (a', b)))
-        @ expr_variants b (fun b' -> wrap (Ir.Seq (a, b')))
-    | Ir.Call (f, args) ->
-        List.concat
-          (List.mapi
-             (fun i a ->
-               expr_variants a (fun a' ->
-                   wrap (Ir.Call (f, List.mapi (fun j x -> if j = i then a' else x) args))))
-             args)
-    | Ir.Raise (l, e) -> expr_variants e (fun e' -> wrap (Ir.Raise (l, e')))
-    | Ir.Perform (l, e) -> expr_variants e (fun e' -> wrap (Ir.Perform (l, e')))
-    | Ir.Continue (k, e) -> expr_variants e (fun e' -> wrap (Ir.Continue (k, e')))
-    | Ir.Discontinue (k, l, e) ->
-        expr_variants e (fun e' -> wrap (Ir.Discontinue (k, l, e')))
-    | Ir.Ext_id e -> expr_variants e (fun e' -> wrap (Ir.Ext_id e'))
-    | Ir.Callback (f, e) -> expr_variants e (fun e' -> wrap (Ir.Callback (f, e')))
-    | Ir.Try (b, cases) ->
-        expr_variants b (fun b' -> wrap (Ir.Try (b', cases)))
+    | Int _ | Var _ -> []
+    | Binop (op, a, b) ->
+        expr_variants a (fun a' -> wrap (Binop (op, a', b)))
+        @ expr_variants b (fun b' -> wrap (Binop (op, a, b')))
+    | Repeat (a, b) ->
+        expr_variants a (fun a' -> wrap (Repeat (a', b)))
+        @ expr_variants b (fun b' -> wrap (Repeat (a, b')))
+    | If (a, b, c) ->
+        expr_variants a (fun a' -> wrap (If (a', b, c)))
+        @ expr_variants b (fun b' -> wrap (If (a, b', c)))
+        @ expr_variants c (fun c' -> wrap (If (a, b, c')))
+    | Let (x, a, b) ->
+        expr_variants a (fun a' -> wrap (Let (x, a', b)))
+        @ expr_variants b (fun b' -> wrap (Let (x, a, b')))
+    | Seq (a, b) ->
+        expr_variants a (fun a' -> wrap (Seq (a', b)))
+        @ expr_variants b (fun b' -> wrap (Seq (a, b')))
+    | Call (f, args) -> args_variants args (fun args -> Call (f, args))
+    | Extcall (c, args) -> args_variants args (fun args -> Extcall (c, args))
+    | Raise (l, e) -> expr_variants e (fun e' -> wrap (Raise (l, e')))
+    | Perform (l, e) -> expr_variants e (fun e' -> wrap (Perform (l, e')))
+    | Continue (k, e) -> expr_variants e (fun e' -> wrap (Continue (k, e')))
+    | Discontinue (k, l, e) -> expr_variants e (fun e' -> wrap (Discontinue (k, l, e')))
+    | Trywith (b, cases) ->
+        expr_variants b (fun b' -> wrap (Trywith (b', cases)))
         @ List.concat
             (List.mapi
                (fun i (l, x, h) ->
                  expr_variants h (fun h' ->
-                     wrap
-                       (Ir.Try
-                          ( b,
-                            List.mapi
-                              (fun j c -> if j = i then (l, x, h') else c)
-                              cases ))))
+                     wrap (Trywith (b, replace_nth cases i (l, x, h')))))
                cases)
-    | Ir.Handle h ->
-        let f, args = h.h_body in
-        List.concat
-          (List.mapi
-             (fun i a ->
-               expr_variants a (fun a' ->
-                   wrap
-                     (Ir.Handle
-                        {
-                          h with
-                          h_body =
-                            (f, List.mapi (fun j x -> if j = i then a' else x) args);
-                        })))
-             args)
+    | Handle h ->
+        args_variants h.body_args (fun args -> Handle { h with body_args = args })
   in
   here @ inside
 
-let variants (p : Ir.program) : Ir.program list =
+let variants (p : program) : program list =
   List.concat
     (List.mapi
-       (fun i (fn : Ir.fn) ->
-         expr_variants fn.fn_body (fun body' ->
-             {
-               p with
-               Ir.fns =
-                 List.mapi
-                   (fun j f -> if j = i then { f with Ir.fn_body = body' } else f)
-                   p.fns;
-             }))
+       (fun i (fn : fn) ->
+         expr_variants fn.body (fun body' ->
+             { p with fns = replace_nth p.fns i { fn with body = body' } }))
        p.fns)
 
-let fn_refs (fn : Ir.fn) =
+let fn_refs (fn : fn) =
   let acc = ref [] in
-  let add f = if not (List.mem f !acc) then acc := f :: !acc in
-  let rec go = function
-    | Ir.Int _ | Ir.Var _ -> ()
-    | Ir.Binop (_, a, b) | Ir.Let (_, a, b) | Ir.Seq (a, b) ->
-        go a;
-        go b
-    | Ir.If (a, b, c) ->
-        go a;
-        go b;
-        go c
-    | Ir.Call (f, args) ->
-        add f;
-        List.iter go args
-    | Ir.Raise (_, e) | Ir.Perform (_, e) | Ir.Continue (_, e)
-    | Ir.Discontinue (_, _, e)
-    | Ir.Ext_id e ->
-        go e
-    | Ir.Callback (f, e) ->
-        add f;
-        go e
-    | Ir.Try (b, cases) ->
-        go b;
-        List.iter (fun (_, _, e) -> go e) cases
-    | Ir.Handle h ->
-        add (fst h.h_body);
-        add h.h_ret;
-        List.iter (fun (_, g) -> add g) h.h_exncs;
-        List.iter (fun (_, g) -> add g) h.h_effcs;
-        List.iter go (snd h.h_body)
-  in
-  go fn.Ir.fn_body;
+  let add f = acc := f :: !acc in
+  Retrofit_analysis.Cfg.iter_expr
+    (function
+      | Call (f, _) -> add f
+      | Extcall (c, _) -> (
+          match Fragment.cfun c with Fragment.Callback f -> add f | _ -> ())
+      | Handle h ->
+          add h.body_fn;
+          add h.retc;
+          List.iter (fun (_, g) -> add g) (h.exncs @ h.effcs)
+      | _ -> ())
+    fn.body;
   !acc
 
-let prune (p : Ir.program) : Ir.program =
-  let by_name = List.map (fun (f : Ir.fn) -> (f.fn_name, f)) p.fns in
+let prune (p : program) : program =
+  let by_name = List.map (fun (f : fn) -> (f.fn_name, f)) p.fns in
   let live = Hashtbl.create 16 in
   let rec mark name =
     if not (Hashtbl.mem live name) then begin
@@ -163,22 +121,23 @@ let prune (p : Ir.program) : Ir.program =
     end
   in
   mark p.main;
-  { p with Ir.fns = List.filter (fun (f : Ir.fn) -> Hashtbl.mem live f.fn_name) p.fns }
+  { p with fns = List.filter (fun (f : fn) -> Hashtbl.mem live f.fn_name) p.fns }
 
-let minimize ~interesting (p : Ir.program) : Ir.program =
-  let valid q = match Ir.validate q with Ok () -> true | Error _ -> false in
+let minimize ~interesting (p : program) : program =
+  let valid q = match Fragment.validate q with Ok () -> true | Error _ -> false in
   let current = ref p in
   let progress = ref true in
   let rounds = ref 0 in
   while !progress && !rounds < 200 do
     incr rounds;
     progress := false;
-    let n = Ir.program_nodes !current in
+    let n = Fragment.program_nodes !current in
     let cands =
       variants !current
       |> List.map prune
-      |> List.filter (fun q -> Ir.program_nodes q < n && valid q)
-      |> List.sort (fun a b -> compare (Ir.program_nodes a) (Ir.program_nodes b))
+      |> List.filter (fun q -> Fragment.program_nodes q < n && valid q)
+      |> List.sort (fun a b ->
+             compare (Fragment.program_nodes a) (Fragment.program_nodes b))
     in
     match List.find_opt interesting cands with
     | Some q ->

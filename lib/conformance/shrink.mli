@@ -2,18 +2,22 @@
 
     [minimize ~interesting p] repeatedly tries single-point
     simplifications of [p] — replacing a subexpression by a constant or
-    one of its own integer-typed children, dropping individual [Try] or
-    [Handle] cases, collapsing a [Handle] to a bare call of its body —
-    prunes functions unreachable from [main], filters out candidates
-    that no longer validate, and commits the smallest candidate for
-    which [interesting] still holds.  The loop is greedy and bounded,
-    so it terminates even when [interesting] is expensive: every
-    accepted step strictly decreases {!Ir.program_nodes}. *)
+    one of its own integer-typed children, dropping individual
+    [Trywith] or [Handle] cases, collapsing a [Handle] to a bare call of
+    its body — prunes functions unreachable from [main], filters out
+    candidates that no longer validate ({!Fragment.validate}), and
+    commits the smallest candidate for which [interesting] still holds.
+    The loop is greedy and bounded, so it terminates even when
+    [interesting] is expensive: every accepted step strictly decreases
+    {!Fragment.program_nodes}. *)
 
-val variants : Ir.program -> Ir.program list
+val variants : Retrofit_fiber.Ir.program -> Retrofit_fiber.Ir.program list
 (** All single-simplification candidates (unvalidated, unpruned). *)
 
-val prune : Ir.program -> Ir.program
+val prune : Retrofit_fiber.Ir.program -> Retrofit_fiber.Ir.program
 (** Drop functions unreachable from [main]. *)
 
-val minimize : interesting:(Ir.program -> bool) -> Ir.program -> Ir.program
+val minimize :
+  interesting:(Retrofit_fiber.Ir.program -> bool) ->
+  Retrofit_fiber.Ir.program ->
+  Retrofit_fiber.Ir.program

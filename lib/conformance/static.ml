@@ -1,30 +1,22 @@
 module A = Retrofit_analysis
 
-(* The two external functions the lowering emits are fully understood:
-   [Ext_id] never re-enters the program, [Callback f] re-enters through
-   exactly [f].  Anything else (there is none today) stays opaque. *)
+(* The two fragment C functions are fully understood: [Ext_id] never
+   re-enters the program, [Callback f] re-enters through exactly [f].
+   Anything else (the fragment has none) stays opaque. *)
 let cfun_model c =
-  if c = Fiber_backend.ext_id_cfun then A.Cfg.Pure
-  else if String.length c > 3 && String.sub c 0 3 = "cb_" then
-    A.Cfg.Calls_back (String.sub c 3 (String.length c - 3))
-  else A.Cfg.Opaque
+  match Fragment.cfun c with
+  | Fragment.Ext_id -> A.Cfg.Pure
+  | Fragment.Callback f -> A.Cfg.Calls_back f
+  | Fragment.Foreign -> A.Cfg.Opaque
 
-type claims = {
-  lowered : Retrofit_fiber.Ir.program;
-  result : A.Analyze.result;
-}
+type claims = A.Analyze.result
 
 (* The campaign cross-checks program-level claims (verdicts, handler
    resolution, cost bounds) against executions; the rendered per-site
    lint findings are a CLI concern, so their construction is skipped
    here — it is a third of the analyzer's time budget. *)
-let analyze ?must_fuel ?compiled (p : Ir.program) : claims =
-  let lowered = Fiber_backend.lower p in
-  {
-    lowered;
-    result =
-      A.Analyze.analyze ~cfun_model ?must_fuel ?compiled ~lints:false lowered;
-  }
+let analyze ?must_fuel ?compiled (p : Retrofit_fiber.Ir.program) : claims =
+  A.Analyze.analyze ~cfun_model ?must_fuel ?compiled ~lints:false p
 
 (* The per-backend verdict.  The must pass's execution follows the
    one-shot discipline; it also predicts a multi-shot backend as long
@@ -42,11 +34,10 @@ let sharpen ~flow ~(must : A.Analyze.must) ~usable label =
   else A.Diag.Safe
 
 let verdicts ~one_shot (c : claims) =
-  let r = c.result in
-  let usable = one_shot || not r.A.Analyze.hit_violation in
-  ( sharpen ~flow:r.A.Analyze.flow_unhandled_may ~must:r.A.Analyze.must ~usable
+  let usable = one_shot || not c.A.Analyze.hit_violation in
+  ( sharpen ~flow:c.A.Analyze.flow_unhandled_may ~must:c.A.Analyze.must ~usable
       "Unhandled",
-    sharpen ~flow:r.A.Analyze.flow_one_shot_may ~must:r.A.Analyze.must ~usable
+    sharpen ~flow:c.A.Analyze.flow_one_shot_may ~must:c.A.Analyze.must ~usable
       "Invalid_argument" )
 
 let contradiction ?(one_shot = true) (c : claims) (o : Outcome.t) :
@@ -110,11 +101,11 @@ let check ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
 module IS = Set.Make (Int)
 
 let runtime_map (c : claims) : A.Resolve.rt =
-  A.Resolve.runtime_map c.result.A.Analyze.resolve c.result.A.Analyze.compiled
+  A.Resolve.runtime_map c.A.Analyze.resolve c.A.Analyze.compiled
 
 let dispatch_contradiction (c : claims) (rt : A.Resolve.rt)
     (observed : (int * int) list) : string option =
-  let resolve = c.result.A.Analyze.resolve in
+  let resolve = c.A.Analyze.resolve in
   List.find_map
     (fun (pc, handler) ->
       match Hashtbl.find_opt rt.A.Resolve.rt_site_of_pc pc with
@@ -154,7 +145,7 @@ let bound_contradiction (c : claims) ~(policy : Retrofit_fiber.Stack_policy.t)
     ~multishot ?(red_zone = 16) (counters : Retrofit_util.Counter.t) :
     string option =
   let bounds =
-    A.Costbound.counter_bounds c.result.A.Analyze.cost ~policy ~multishot
+    A.Costbound.counter_bounds c.A.Analyze.cost ~policy ~multishot
       ~red_zone
   in
   List.find_map
@@ -181,9 +172,9 @@ let claims_to_string (c : claims) =
   Printf.sprintf "static: unhandled=%s one-shot=%s (flow %b/%b, must %s%s)"
     (A.Diag.verdict_to_string vu)
     (A.Diag.verdict_to_string vo)
-    c.result.A.Analyze.flow_unhandled_may c.result.A.Analyze.flow_one_shot_may
-    (match c.result.A.Analyze.must with
+    c.A.Analyze.flow_unhandled_may c.A.Analyze.flow_one_shot_may
+    (match c.A.Analyze.must with
     | A.Analyze.M_value -> "value"
     | A.Analyze.M_raises l -> "raises " ^ l
     | A.Analyze.M_unknown -> "unknown")
-    (if c.result.A.Analyze.hit_violation then ", violated" else "")
+    (if c.A.Analyze.hit_violation then ", violated" else "")

@@ -1,9 +1,10 @@
-(** Bridge from the conformance IR to the static effect-safety
+(** Bridge from conformance programs to the static effect-safety
     analyzer, and the soundness cross-check the fuzzer enforces.
 
-    A generated program is lowered with {!Fiber_backend.lower} and
-    analyzed with the precise external-function model (the lowering's
-    [Ext_id] stub is pure, its [Callback f] stub re-enters [f]).  The
+    A generated program is analyzed as it is, with the precise
+    external-function model of the two fragment C functions
+    ({!Fragment.ext_id}'s stub is pure, {!Fragment.callback}[ f]'s
+    re-enters [f]).  The
     analyzer's [Safe] and [Must] claims are then held against what the
     backends actually observed: a [Safe]-from-[Unhandled] (or
     one-shot) claim contradicted by any backend, or a [Must] claim
@@ -13,20 +14,17 @@
 
 val cfun_model : string -> Retrofit_analysis.Cfg.cfun_model
 
-type claims = {
-  lowered : Retrofit_fiber.Ir.program;
-  result : Retrofit_analysis.Analyze.result;
-}
+type claims = Retrofit_analysis.Analyze.result
 
 val analyze :
   ?must_fuel:int ->
   ?compiled:Retrofit_fiber.Compile.compiled ->
-  Ir.program ->
+  Retrofit_fiber.Ir.program ->
   claims
-(** [compiled], when given, must be the compiled form of the {e
-    lowered} program (what {!Fiber_backend.run} compiles internally);
-    callers that execute the program anyway pass it here so the
-    analyzer is not charged for a second compile. *)
+(** [compiled], when given, must be the compiled form of the program
+    (what {!Fiber_backend.run} compiles internally); callers that
+    execute the program anyway pass it here so the analyzer is not
+    charged for a second compile. *)
 
 val verdicts :
   one_shot:bool ->
@@ -59,8 +57,8 @@ val claims_to_string : claims -> string
 
 val runtime_map : claims -> Retrofit_analysis.Resolve.rt
 (** Static-to-runtime identity maps over the compiled form inside the
-    claims; valid for any independent compile of the same lowered
-    program (the compiler is deterministic). *)
+    claims; valid for any independent compile of the same program (the
+    compiler is deterministic). *)
 
 val dispatch_contradiction :
   claims -> Retrofit_analysis.Resolve.rt -> (int * int) list -> string option

@@ -108,11 +108,3 @@ let all =
 let find id = List.find_opt (fun e -> e.id = id) all
 
 let ids () = List.map (fun e -> e.id) all
-
-let run_all ?quick () =
-  all
-  |> List.map (fun e ->
-         let rule = String.make 72 '=' in
-         Printf.sprintf "%s\n%s: %s (%s)\n%s\n\n%s\n" rule e.id e.title e.paper_ref rule
-           (e.run ?quick ()))
-  |> String.concat "\n"

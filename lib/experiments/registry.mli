@@ -13,7 +13,3 @@ val all : t list
 val find : string -> t option
 
 val ids : unit -> string list
-
-val run_all : ?quick:bool -> unit -> string
-(** Every experiment's report, concatenated with separators — the body
-    of [bench/main.exe]'s output. *)

@@ -357,11 +357,10 @@ let max_ostack_values () =
    distinct programs render distinctly. *)
 
 let prop_expr_printer_injective =
-  QCheck.Test.make ~name:"lowered programs render injectively" ~count:200
+  QCheck.Test.make ~name:"generated programs render injectively" ~count:200
     QCheck.(pair (int_bound 5000) (int_bound 5000))
     (fun (s1, s2) ->
-      let p1 = C.Fiber_backend.lower (C.Gen.program_of_seed s1)
-      and p2 = C.Fiber_backend.lower (C.Gen.program_of_seed s2) in
+      let p1 = C.Gen.program_of_seed s1 and p2 = C.Gen.program_of_seed s2 in
       p1 = p2 || F.Ir.program_to_string p1 <> F.Ir.program_to_string p2)
 
 let instr_printer_distinct_heads () =

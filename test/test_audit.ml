@@ -466,17 +466,9 @@ let pick_fiber m rng ~hi =
    change-driven pass that finds something the full walk does not is
    reported as [audit-redo], so a false positive fails here too. *)
 let fuzz_match_full () =
-  let fn_cfuns (p : C.Ir.program) =
-    (C.Fiber_backend.ext_id_cfun, fun (_ : F.Machine.ctx) args -> args.(0))
-    :: List.map
-         (fun (fn : C.Ir.fn) ->
-           ( C.Fiber_backend.callback_cfun fn.fn_name,
-             fun (ctx : F.Machine.ctx) args -> ctx.callback fn.fn_name args ))
-         p.fns
-  in
   for idx = 0 to 300 do
     let p = C.Gen.program_of_seed (C.Fuzz.prog_seed ~seed:3 idx) in
-    match F.Compile.compile (C.Fiber_backend.lower p) with
+    match F.Compile.compile p with
     | exception F.Compile.Error _ -> ()
     | prog ->
         List.iteri
@@ -517,8 +509,8 @@ let fuzz_match_full () =
                 | _ -> ()
               in
               let outcome, _ =
-                F.Machine.run ~cfuns:(fn_cfuns p) ~on_call ~on_step ~audit:a
-                  ~fuel:2_000_000 config prog
+                F.Machine.run ~cfuns:(C.Fiber_backend.cfuns prog) ~on_call ~on_step
+                  ~audit:a ~fuel:2_000_000 config prog
               in
               (outcome, F.Machine.audit_violations a, F.Machine.audit_checks a, !steps)
             in

@@ -23,11 +23,11 @@ let corpus_replays_clean () =
 let generator_emits_valid_programs () =
   for seed = 0 to 199 do
     let p = C.Gen.program_of_seed seed in
-    match C.Ir.validate p with
+    match C.Fragment.validate p with
     | Ok () -> ()
     | Error msg ->
         Alcotest.failf "seed %d generated an invalid program: %s\n%s" seed msg
-          (C.Ir.program_to_string p)
+          (F.Ir.program_to_string p)
   done
 
 let generator_is_deterministic () =
@@ -35,6 +35,18 @@ let generator_is_deterministic () =
     let a = C.Gen.program_of_seed seed and b = C.Gen.program_of_seed seed in
     if a <> b then Alcotest.failf "seed %d is not replayable" seed
   done
+
+(* The generator is pinned across versions, not only within one run:
+   the printed programs of seeds 0-999, concatenated, must hash to the
+   committed digest. *)
+let generator_output_pinned () =
+  let b = Buffer.create (1 lsl 20) in
+  for seed = 0 to 999 do
+    Buffer.add_string b (F.Ir.program_to_string (C.Gen.program_of_seed seed))
+  done;
+  Alcotest.(check string)
+    "MD5 of the programs of seeds 0-999" "826c76ccf36690f13bd1b84cbfb10a48"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let campaign_agrees () =
   let stats = C.Fuzz.campaign ~seed:tier1_seed ~count:tier1_count () in
@@ -77,7 +89,7 @@ let catches_fiber_multishot_mutation () =
       match f.C.Fuzz.shrunk with
       | None -> Alcotest.fail "no shrunk repro"
       | Some q ->
-          let n = C.Ir.program_nodes q in
+          let n = C.Fragment.program_nodes q in
           Alcotest.(check bool)
             (Printf.sprintf "shrunk repro has %d nodes (<= 15)" n)
             true (n <= 15))
@@ -103,12 +115,12 @@ let shrinker_preserves_interestingness () =
   let target = C.Native_backend.run p in
   let interesting q = C.Outcome.equal (C.Native_backend.run q) target in
   let q = C.Shrink.minimize ~interesting p in
-  (match C.Ir.validate q with
+  (match C.Fragment.validate q with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "shrunk program invalid: %s" msg);
   Alcotest.(check bool) "still interesting" true (interesting q);
   Alcotest.(check bool) "no larger than the original" true
-    (C.Ir.program_nodes q <= C.Ir.program_nodes p)
+    (C.Fragment.program_nodes q <= C.Fragment.program_nodes p)
 
 (* One-shot / discontinue edge battery: beyond the oracle agreement the
    corpus already enforces, pin the traced outcome of each entry on the
@@ -135,6 +147,7 @@ let suite =
     test "corpus outcomes pinned per model" corpus_outcomes_pinned_per_model;
     test "generator emits valid programs" generator_emits_valid_programs;
     test "generator is deterministic" generator_is_deterministic;
+    test "generator output is pinned" generator_output_pinned;
     test "campaign: three models agree" campaign_agrees;
     test "campaign is deterministic" campaign_is_deterministic;
     test "catches disabled fiber one-shot check" catches_fiber_multishot_mutation;

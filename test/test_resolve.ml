@@ -416,7 +416,7 @@ let checker_catches_injected_violations () =
           List.find_opt
             (fun (_, b) -> A.Costbound.finite b <> None)
             (A.Costbound.counter_bounds
-               c.C.Static.result.A.Analyze.cost ~policy ~multishot:false
+               c.A.Analyze.cost ~policy ~multishot:false
                ~red_zone:16)
         with
         | None -> ()
@@ -506,7 +506,7 @@ let campaign_records_resolution_metrics () =
         let k = A.Resolve.klass_to_string s.A.Resolve.r_class in
         Hashtbl.replace expected k
           (1 + Option.value ~default:0 (Hashtbl.find_opt expected k)))
-      (A.Resolve.all_sites c.C.Static.result.A.Analyze.resolve)
+      (A.Resolve.all_sites c.A.Analyze.resolve)
   done;
   Metrics.scoped (fun r ->
       let before =
