@@ -273,7 +273,7 @@ let websim_cmd =
           Printf.printf
             "%-4s offered=%d goodput=%.0f p99=%.2fms total=%d ok=%d timeout=%d \
              malformed=%d shed=%d 500s=%d retries=%d faults=%d/%d/%d/%d/%d/%d\n"
-            o.HS.Loadgen.model_name o.HS.Loadgen.offered_rps o.HS.Loadgen.goodput_rps
+            o.HS.Loadgen.model_name o.HS.Loadgen.offered_rps o.HS.Loadgen.achieved_rps
             (float_of_int o.HS.Loadgen.p99_ns /. 1e6)
             o.HS.Loadgen.total_requests o.HS.Loadgen.completed o.HS.Loadgen.timeouts
             o.HS.Loadgen.malformed o.HS.Loadgen.shed o.HS.Loadgen.server_errors
@@ -337,7 +337,7 @@ let websim_cmd =
       & info [ "faults" ]
           ~doc:
             "Fault intensity (multiplier over the default fault plan); 0 \
-             disables injection and runs the plain engine.")
+             disables injection and prints the Fig 6b latency report.")
   in
   let chaos =
     Arg.(

@@ -26,7 +26,7 @@ let cell_rows rates (cells : HS.Experiment.degradation_cell list) =
              with
              | Some c ->
                  [
-                   Printf.sprintf "%.1fk" (c.outcome.HS.Loadgen.goodput_rps /. 1000.);
+                   Printf.sprintf "%.1fk" (c.outcome.HS.Loadgen.achieved_rps /. 1000.);
                    Printf.sprintf "%.2f"
                      (float_of_int c.outcome.HS.Loadgen.p99_ns /. 1e6);
                  ]

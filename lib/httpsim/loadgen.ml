@@ -14,16 +14,6 @@ type fault_account = {
   to_absorbed : int;
 }
 
-let zero_faults =
-  {
-    injected = 0;
-    to_malformed = 0;
-    to_retried = 0;
-    to_timeout = 0;
-    to_server_error = 0;
-    to_absorbed = 0;
-  }
-
 type resilience = {
   deadline_ns : int;
   max_attempts : int;
@@ -57,7 +47,6 @@ type outcome = {
   model_name : string;
   offered_rps : int;
   achieved_rps : float;
-  goodput_rps : float;
   total_requests : int;
   completed : int;
   errors : int;
@@ -76,11 +65,11 @@ type outcome = {
   max_ns : int;
 }
 
-(* Push a finished run's error taxonomy and latency distribution into
-   the metrics registry, labelled by server model.  Counters and the
-   histogram are only touched when the registry is enabled, so the
-   pinned Fig 6 numbers cannot move. *)
-let publish_metrics (o : outcome) hist =
+(* Push a finished run's error taxonomy, latency distribution and peak
+   queue depth into the metrics registry, labelled by server model.
+   Counters and the histogram are only touched when the registry is
+   enabled, so the pinned Fig 6 numbers cannot move. *)
+let publish_metrics (o : outcome) hist ~inflight_peak =
   if Metrics.on () then begin
     let labels = [ ("model", o.model_name) ] in
     Metrics.inc ~labels ~by:o.total_requests "httpsim_requests_total";
@@ -103,110 +92,14 @@ let publish_metrics (o : outcome) hist =
     disposition "timeout" o.faults.to_timeout;
     disposition "server_error" o.faults.to_server_error;
     disposition "absorbed" o.faults.to_absorbed;
-    Metrics.observe_histogram ~labels "httpsim_latency_ns" hist
+    Metrics.observe_histogram ~labels "httpsim_latency_ns" hist;
+    Metrics.set_gauge ~labels "httpsim_inflight_peak" inflight_peak
   end
 
 (* ------------------------------------------------------------------ *)
-(* The original zero-fault engine, unchanged: this is the Fig 6 code
-   path and its numbers are pinned bit-for-bit by the tests. *)
-
-let run_plain ~seed ~connections ~model ~process ~rate_rps ~duration_ms =
-  let rng = Rng.create seed in
-  let events =
-    Netsim.poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target:"/" ()
-  in
-  let hist = Histogram.create ~max_value:60_000_000_000 () in
-  let cpu_free = ref 0 in
-  let alloc_since_gc = ref 0 in
-  let gc_pauses = ref 0 in
-  let errors = ref 0 in
-  let completed = ref 0 in
-  let last_completion = ref 0 in
-  List.iteri
-    (fun req (ev : Netsim.event) ->
-      (* Really execute the server's code path and check the reply. *)
-      let reply = process ev.raw in
-      let status =
-        match Http.parse_response reply with
-        | Ok (resp, _) -> resp.Http.status
-        | Error _ -> 500
-      in
-      if status <> 200 then incr errors;
-      (* Virtual timing: single CPU, FIFO, with stop-the-world GC pauses
-         driven by the machinery's allocation rate. *)
-      alloc_since_gc := !alloc_since_gc + model.Server.alloc_per_request;
-      let gc_pause =
-        if !alloc_since_gc >= model.Server.gc_threshold then begin
-          alloc_since_gc := 0;
-          incr gc_pauses;
-          model.Server.gc_pause_ns
-        end
-        else 0
-      in
-      (* Exponential service-time variance models cache misses and
-         allocator noise; the occasional slow request models page-cache
-         misses on the served file. *)
-      let noise =
-        int_of_float
-          (Rng.exponential rng ~mean:(float_of_int model.Server.service_ns /. 5.0))
-        + (if Rng.int rng 100 = 0 then model.Server.service_ns else 0)
-      in
-      let cost =
-        model.Server.dispatch_overhead_ns + model.Server.parse_ns
-        + model.Server.service_ns + noise + gc_pause
-      in
-      let start = max ev.arrival_ns !cpu_free in
-      let finish = start + cost in
-      cpu_free := finish;
-      last_completion := finish;
-      incr completed;
-      if Trace.on () then begin
-        Trace.emit ~ts:ev.arrival_ns (Tev.Req_arrival { req; conn = ev.conn_id });
-        Trace.emit ~ts:ev.arrival_ns (Tev.Req_enqueue { req; attempt = 1 });
-        if gc_pause > 0 then
-          Trace.emit ~ts:(start + gc_pause)
-            (Tev.Gc_pause { start; dur = gc_pause });
-        Trace.emit ~ts:finish
-          (Tev.Request
-             { req; conn = ev.conn_id; attempt = 1; status; start; finish });
-        Trace.emit ~ts:finish
-          (Tev.Req_done
-             { req; disposition = (if status = 200 then "ok" else "error") })
-      end;
-      Histogram.record hist (finish - ev.arrival_ns))
-    events;
-  let span_ns = max 1 !last_completion in
-  let out =
-    {
-    model_name = model.Server.name;
-    offered_rps = rate_rps;
-    achieved_rps = float_of_int !completed *. 1e9 /. float_of_int span_ns;
-    goodput_rps = float_of_int !completed *. 1e9 /. float_of_int span_ns;
-    total_requests = !completed;
-    completed = !completed;
-    errors = !errors;
-    timeouts = 0;
-    retries = 0;
-    shed = 0;
-    malformed = 0;
-    server_errors = 0;
-    faults = zero_faults;
-    gc_pauses = !gc_pauses;
-    mean_ns = Histogram.mean hist;
-    p50_ns = Histogram.value_at_percentile hist 50.0;
-    p90_ns = Histogram.value_at_percentile hist 90.0;
-    p99_ns = Histogram.value_at_percentile hist 99.0;
-      p999_ns = Histogram.value_at_percentile hist 99.9;
-      max_ns = Histogram.max_recorded hist;
-    }
-  in
-  publish_metrics out hist;
-  out
-
-(* ------------------------------------------------------------------ *)
-(* The resilient engine: the same virtual single-CPU FIFO world, driven
-   through a time-ordered queue so client retries merge into the
-   arrival stream.
+(* The engine: a virtual single CPU serving attempts FIFO in time
+   order, with per-request deadlines, client retries and admission
+   control layered on top.
 
    Request dispositions are exclusive: every request ends exactly once
    as completed (200 within deadline), malformed (its damaged bytes
@@ -233,41 +126,38 @@ type attempt = {
   fault : Faults.fault option;
 }
 
-let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rps
-    ~duration_ms =
-  let rng = Rng.create seed in
-  let events =
-    Netsim.poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target:"/" ()
+let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
+    ~rate_rps ~duration_ms () =
+  let resilience =
+    match (resilience, faults) with
+    | Some r, _ -> r
+    | None, Some _ -> default_resilience
+    | None, None -> lenient_resilience
   in
-  let plan = Faults.plan ~seed ~rates events in
+  let rates = Option.value faults ~default:Faults.none in
+  let rng = Rng.create seed in
+  let plan =
+    Faults.plan ~seed ~rates
+      (Netsim.poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target:"/" ())
+  in
   let retry_rng = Rng.create (seed lxor 0x2545F491) in
-  let q : attempt Pqueue.t = Pqueue.create () in
-  List.iteri
-    (fun req (inj : Faults.injected) ->
-      let ev = inj.Faults.event in
-      let stall = match inj.fault with Some (Faults.Stall d) -> d | _ -> 0 in
-      let sent_raw =
+  let total_requests = List.length plan in
+  let injected = Faults.injected_count plan in
+  (* Every fault is tagged onto the trace before the first attempt is
+     served. *)
+  if Trace.on () then
+    List.iter
+      (fun (inj : Faults.injected) ->
         match inj.fault with
-        | Some f -> Faults.damaged_raw ev.raw f
-        | None -> ev.raw
-      in
-      (match inj.fault with
-      | Some f when Trace.on () ->
-          Trace.emit ~ts:ev.arrival_ns
-            (Tev.Fault_injected { conn = ev.conn_id; kind = Faults.fault_label f })
-      | _ -> ());
-      Pqueue.add q ~priority:(ev.arrival_ns + stall)
-        {
-          req;
-          attempt_no = 1;
-          conn = ev.conn_id;
-          orig_arrival = ev.arrival_ns;
-          deadline = ev.arrival_ns + resilience.deadline_ns;
-          clean_raw = ev.raw;
-          sent_raw;
-          fault = inj.fault;
-        })
-    plan;
+        | Some f ->
+            Trace.emit ~ts:inj.event.arrival_ns
+              (Tev.Fault_injected
+                 { conn = inj.event.conn_id; kind = Faults.fault_label f })
+        | None -> ())
+      plan;
+  (* Stalled first attempts and retries wait here; first attempts
+     without a stall are served straight from the plan (see [stream]). *)
+  let q : attempt Pqueue.t = Pqueue.create () in
   let hist = Histogram.create ~max_value:60_000_000_000 () in
   let cpu_free = ref 0 in
   let alloc_since_gc = ref 0 in
@@ -289,15 +179,11 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
      leaves exactly the virtual queue depth. *)
   let in_flight : int Queue.t = Queue.create () in
   let max_inflight = ref 0 in
-  let prune now =
-    let rec go () =
-      match Queue.peek_opt in_flight with
-      | Some f when f <= now ->
-          ignore (Queue.pop in_flight);
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let rec prune now =
+    if (not (Queue.is_empty in_flight)) && Queue.peek in_flight <= now then begin
+      ignore (Queue.take in_flight);
+      prune now
+    end
   in
   (* Client-side retry with exponential backoff and jitter, capped by
      both the attempt budget and the request deadline. *)
@@ -323,7 +209,7 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
         end;
         (* Retries resend the pristine bytes: the fault was on the wire,
            not in the request. *)
-        Pqueue.add q ~priority:t
+        Pqueue.add q ~priority:((2 * t) + 1)
           { a with attempt_no = a.attempt_no + 1; sent_raw = a.clean_raw; fault = None };
         true
       end
@@ -339,12 +225,11 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
     | Some Faults.Drop -> assert false
     | None -> ()
   in
+  (* Terminal-resolution marker: every request emits exactly one. *)
+  let done_ev ~ts a disposition =
+    if Trace.on () then Trace.emit ~ts (Tev.Req_done { req = a.req; disposition })
+  in
   let process_attempt now a =
-    (* Terminal-resolution marker: every request emits exactly one. *)
-    let done_ev ~ts disposition =
-      if Trace.on () then
-        Trace.emit ~ts (Tev.Req_done { req = a.req; disposition })
-    in
     prune now;
     let depth = Queue.length in_flight in
     if depth > !max_inflight then max_inflight := depth;
@@ -376,7 +261,7 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
       account_shed_or_408 ~is_408:false a;
       if not (schedule_retry ~now:finish a) then begin
         incr timeouts;
-        done_ev ~ts:finish "timeout"
+        done_ev ~ts:finish a "timeout"
       end
     end
     else begin
@@ -399,7 +284,7 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
                  start;
                  finish;
                });
-        done_ev ~ts:finish "timeout";
+        done_ev ~ts:finish a "timeout";
         account_shed_or_408 ~is_408:true a
       end
       else begin
@@ -410,8 +295,8 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           | Ok (resp, _) -> resp.Http.status
           | Error _ -> 500
         in
-        (* Identical cost-model draws to the plain engine, so the
-           zero-fault resilient run reproduces its numbers exactly. *)
+        (* Stop-the-world GC pauses are driven by the machinery's
+           allocation rate. *)
         alloc_since_gc := !alloc_since_gc + model.Server.alloc_per_request;
         let gc_pause =
           if !alloc_since_gc >= model.Server.gc_threshold then begin
@@ -421,6 +306,9 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           end
           else 0
         in
+        (* Exponential service-time variance models cache misses and
+           allocator noise; the occasional slow request models
+           page-cache misses on the served file. *)
         let noise =
           int_of_float
             (Rng.exponential rng ~mean:(float_of_int model.Server.service_ns /. 5.0))
@@ -465,7 +353,7 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           if finish <= a.deadline then begin
             incr completed;
             Histogram.record hist (finish - a.orig_arrival);
-            done_ev ~ts:finish "ok";
+            done_ev ~ts:finish a "ok";
             match a.fault with
             | Some (Faults.Stall _ | Faults.Backend_slow _) -> incr fa_absorbed
             | Some _ -> assert false
@@ -474,7 +362,7 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           else begin
             (* The reply came back after the client stopped waiting. *)
             incr timeouts;
-            done_ev ~ts:finish "timeout";
+            done_ev ~ts:finish a "timeout";
             match a.fault with
             | Some (Faults.Stall _ | Faults.Backend_slow _) -> incr fa_timeout
             | Some _ -> assert false
@@ -488,13 +376,13 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           | None -> ());
           if not (schedule_retry ~now:finish a) then begin
             incr timeouts;
-            done_ev ~ts:finish "timeout"
+            done_ev ~ts:finish a "timeout"
           end
         end
         else begin
           (* 4xx: only damaged bytes produce these in this workload. *)
           incr malformed;
-          done_ev ~ts:finish "malformed";
+          done_ev ~ts:finish a "malformed";
           match a.fault with
           | Some (Faults.Truncate _ | Faults.Corrupt _) -> incr fa_malformed
           | Some _ -> assert false
@@ -503,103 +391,112 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
       end
     end
   in
-  let rec drain () =
-    match Pqueue.pop q with
-    | None -> ()
-    | Some (now, a) ->
-        (* Lifecycle markers are emitted here, at dequeue, rather than
-           when the plan is built: ring order then keeps each request's
-           span openings next to its other events, so an undersized
-           ring truncates whole requests instead of evicting every
-           arrival first.  Timestamps are still the true instants: the
-           first attempt's dequeue time is arrival + wire stall. *)
-        if Trace.on () && a.attempt_no = 1 then begin
-          Trace.emit ~ts:a.orig_arrival
-            (Tev.Req_arrival { req = a.req; conn = a.conn });
-          if now > a.orig_arrival then
-            Trace.emit ~ts:now
-              (Tev.Req_stall { req = a.req; dur = now - a.orig_arrival })
-        end;
-        (match a.fault with
-        | Some Faults.Drop ->
-            (* The connection died on the wire; the client notices after
-               its detection delay and retries. *)
-            let detect = now + resilience.drop_detect_ns in
-            if Trace.on () then
-              Trace.emit ~ts:detect
-                (Tev.Req_drop
-                   {
-                     req = a.req;
-                     attempt = a.attempt_no;
-                     dur = resilience.drop_detect_ns;
-                   });
-            if schedule_retry ~now:detect a then incr fa_retried
-            else begin
-              incr timeouts;
-              incr fa_timeout;
-              if Trace.on () then
-                Trace.emit ~ts:detect
-                  (Tev.Req_done { req = a.req; disposition = "timeout" })
-            end
-        | _ -> process_attempt now a);
-        drain ()
+  let serve now a =
+    (* Lifecycle markers are emitted here, when the attempt is served,
+       rather than when the plan is built: ring order then keeps each
+       request's span openings next to its other events, so an
+       undersized ring truncates whole requests instead of evicting
+       every arrival first.  Timestamps are still the true instants: a
+       first attempt is served at arrival + wire stall. *)
+    if Trace.on () && a.attempt_no = 1 then begin
+      Trace.emit ~ts:a.orig_arrival (Tev.Req_arrival { req = a.req; conn = a.conn });
+      if now > a.orig_arrival then
+        Trace.emit ~ts:now (Tev.Req_stall { req = a.req; dur = now - a.orig_arrival })
+    end;
+    match a.fault with
+    | Some Faults.Drop ->
+        (* The connection died on the wire; the client notices after
+           its detection delay and retries. *)
+        let detect = now + resilience.drop_detect_ns in
+        if Trace.on () then
+          Trace.emit ~ts:detect
+            (Tev.Req_drop
+               { req = a.req; attempt = a.attempt_no; dur = resilience.drop_detect_ns });
+        if schedule_retry ~now:detect a then incr fa_retried
+        else begin
+          incr timeouts;
+          incr fa_timeout;
+          done_ev ~ts:detect a "timeout"
+        end
+    | _ -> process_attempt now a
   in
-  drain ();
+  (* Service order.  Attempts are served in time order.  At equal
+     times a stalled first attempt goes first, then an unstalled first
+     attempt, then a retry; within each kind, in the order they were
+     queued (request order for first attempts).  A stalled attempt due
+     at an unstalled one's arrival always has the lower request index,
+     since stalls are at least 100 µs and arrivals never go backwards.
+
+     The queue keys encode the rule: [2t] for a stalled first attempt
+     due at [t], [2t + 1] for a retry due at [t].  Before the next
+     unstalled arrival at [t'] is served, every queued attempt with a
+     key of at most [2t'] is: stalled ones due at or before [t'],
+     retries due strictly before it.  A stalled first attempt is queued
+     when the stream reaches it, before any later-due attempt runs. *)
+  let rec serve_queued limit =
+    match Pqueue.peek q with
+    | Some (key, a) when key <= limit ->
+        ignore (Pqueue.pop q);
+        serve (key asr 1) a;
+        serve_queued limit
+    | _ -> ()
+  in
+  let rec stream req = function
+    | [] -> serve_queued max_int
+    | (inj : Faults.injected) :: rest ->
+        let ev = inj.event in
+        let a =
+          {
+            req;
+            attempt_no = 1;
+            conn = ev.conn_id;
+            orig_arrival = ev.arrival_ns;
+            deadline = ev.arrival_ns + resilience.deadline_ns;
+            clean_raw = ev.raw;
+            sent_raw =
+              (match inj.fault with Some f -> Faults.damaged_raw ev.raw f | None -> ev.raw);
+            fault = inj.fault;
+          }
+        in
+        (match inj.fault with
+        | Some (Faults.Stall d) -> Pqueue.add q ~priority:(2 * (ev.arrival_ns + d)) a
+        | _ ->
+            serve_queued (2 * ev.arrival_ns);
+            serve ev.arrival_ns a);
+        stream (req + 1) rest
+  in
+  stream 0 plan;
   let span_ns = max 1 !last_completion in
-  let goodput = float_of_int !completed *. 1e9 /. float_of_int span_ns in
   let out =
     {
-    model_name = model.Server.name;
-    offered_rps = rate_rps;
-    achieved_rps = goodput;
-    goodput_rps = goodput;
-    total_requests = List.length events;
-    completed = !completed;
-    errors = !timeouts + !malformed;
-    timeouts = !timeouts;
-    retries = !retries;
-    shed = !shed;
-    malformed = !malformed;
-    server_errors = !server_errors;
-    faults =
-      {
-        injected = Faults.injected_count plan;
-        to_malformed = !fa_malformed;
-        to_retried = !fa_retried;
-        to_timeout = !fa_timeout;
-        to_server_error = !fa_server_error;
-        to_absorbed = !fa_absorbed;
-      };
-    gc_pauses = !gc_pauses;
-    mean_ns = Histogram.mean hist;
-    p50_ns = Histogram.value_at_percentile hist 50.0;
-    p90_ns = Histogram.value_at_percentile hist 90.0;
-    p99_ns = Histogram.value_at_percentile hist 99.0;
+      model_name = model.Server.name;
+      offered_rps = rate_rps;
+      achieved_rps = float_of_int !completed *. 1e9 /. float_of_int span_ns;
+      total_requests;
+      completed = !completed;
+      errors = !timeouts + !malformed;
+      timeouts = !timeouts;
+      retries = !retries;
+      shed = !shed;
+      malformed = !malformed;
+      server_errors = !server_errors;
+      faults =
+        {
+          injected;
+          to_malformed = !fa_malformed;
+          to_retried = !fa_retried;
+          to_timeout = !fa_timeout;
+          to_server_error = !fa_server_error;
+          to_absorbed = !fa_absorbed;
+        };
+      gc_pauses = !gc_pauses;
+      mean_ns = Histogram.mean hist;
+      p50_ns = Histogram.value_at_percentile hist 50.0;
+      p90_ns = Histogram.value_at_percentile hist 90.0;
+      p99_ns = Histogram.value_at_percentile hist 99.0;
       p999_ns = Histogram.value_at_percentile hist 99.9;
       max_ns = Histogram.max_recorded hist;
     }
   in
-  publish_metrics out hist;
-  if Metrics.on () then
-    Metrics.set_gauge
-      ~labels:[ ("model", model.Server.name) ]
-      "httpsim_inflight_peak" !max_inflight;
+  publish_metrics out hist ~inflight_peak:!max_inflight;
   out
-
-let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
-    ~rate_rps ~duration_ms () =
-  match (faults, resilience) with
-  | None, None -> run_plain ~seed ~connections ~model ~process ~rate_rps ~duration_ms
-  | _ ->
-      let rates = Option.value faults ~default:Faults.none in
-      let resilience = Option.value resilience ~default:default_resilience in
-      run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rps
-        ~duration_ms
-
-let throughput_sweep ?seed ?connections ?faults ?resilience ~model ~process ~rates
-    ~duration_ms () =
-  List.map
-    (fun rate_rps ->
-      run ?seed ?connections ?faults ?resilience ~model ~process ~rate_rps
-        ~duration_ms ())
-    rates

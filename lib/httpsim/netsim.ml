@@ -22,13 +22,10 @@ let request_for ~target ~conn_id =
 let shared_requests ~connections ~target =
   Array.init connections (fun conn_id -> request_for ~target ~conn_id)
 
-let check_params ~connections ~rate_rps ~duration_ms =
+let poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target () =
   if connections <= 0 then invalid_arg "Netsim: connections";
   if rate_rps <= 0 then invalid_arg "Netsim: rate";
-  if duration_ms < 0 then invalid_arg "Netsim: duration"
-
-let poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target () =
-  check_params ~connections ~rate_rps ~duration_ms;
+  if duration_ms < 0 then invalid_arg "Netsim: duration";
   let mean_interval = 1e9 /. float_of_int rate_rps in
   let horizon = duration_ms * 1_000_000 in
   let raws = shared_requests ~connections ~target in
@@ -45,28 +42,3 @@ let poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target () =
     end
   in
   go 0.0 0 []
-
-let constant_rate ?(jitter_ns = 0) ~rng ~connections ~rate_rps ~duration_ms ~target () =
-  if connections <= 0 then invalid_arg "Netsim.constant_rate: connections";
-  if rate_rps <= 0 then invalid_arg "Netsim.constant_rate: rate";
-  if duration_ms < 0 then invalid_arg "Netsim.constant_rate: duration";
-  let interval_ns = 1_000_000_000 / rate_rps in
-  let total = rate_rps * duration_ms / 1000 in
-  let raws = shared_requests ~connections ~target in
-  let events =
-    List.init total (fun i ->
-        let jitter =
-          if jitter_ns > 0 then Retrofit_util.Rng.int rng (jitter_ns + 1) else 0
-        in
-        let conn_id = i mod connections in
-        {
-          arrival_ns = (i * interval_ns) + jitter;
-          conn_id;
-          raw = raws.(conn_id);
-        })
-  in
-  (* Jitter larger than the nominal interval can reorder neighbouring
-     events; Loadgen queues FIFO by arrival, so deliver the trace in
-     non-decreasing arrival order (stable, to keep equal-instant events
-     in issue order). *)
-  List.stable_sort (fun a b -> Int.compare a.arrival_ns b.arrival_ns) events

@@ -2,7 +2,7 @@
 
     Models the client side of §6.3.4: [connections] open keep-alive
     connections issuing GET requests for a static page at a constant
-    aggregate rate — the open-loop, constant-throughput discipline of
+    mean aggregate rate — the open-loop, constant-throughput discipline of
     wrk2, under which a slow server cannot slow the arrival process
     down (avoiding coordinated omission). *)
 
@@ -12,21 +12,6 @@ type event = { arrival_ns : int; conn_id : int; raw : string }
 
 val request_for : target:string -> conn_id:int -> string
 (** The raw bytes of one GET request. *)
-
-val constant_rate :
-  ?jitter_ns:int ->
-  rng:Retrofit_util.Rng.t ->
-  connections:int ->
-  rate_rps:int ->
-  duration_ms:int ->
-  target:string ->
-  unit ->
-  event list
-(** Events in non-decreasing arrival order (ties keep issue order).
-    Inter-arrival time is exactly [1e9 / rate_rps] ns plus uniform
-    jitter in [\[0, jitter_ns\]] (default 0) — jitter beyond one
-    interval is re-sorted so the trace stays monotonic; connections are
-    used round-robin. *)
 
 val poisson_rate :
   rng:Retrofit_util.Rng.t ->
@@ -38,4 +23,6 @@ val poisson_rate :
   event list
 (** Poisson arrivals at the given mean rate — the aggregate of many
     independent keep-alive connections, and what gives the latency
-    distribution its queueing tail. *)
+    distribution its queueing tail.  Events come in non-decreasing
+    arrival order ({!Loadgen.run} serves them as they come);
+    connections are used round-robin. *)

@@ -364,46 +364,6 @@ let conflicting_content_length () =
 
 (* ---------------- Netsim ---------------- *)
 
-let netsim_constant_rate () =
-  let rng = Retrofit_util.Rng.create 1 in
-  let events =
-    H.Netsim.constant_rate ~rng ~connections:4 ~rate_rps:1000 ~duration_ms:100
-      ~target:"/" ()
-  in
-  Alcotest.(check int) "count" 100 (List.length events);
-  let sorted =
-    List.for_all2
-      (fun (a : H.Netsim.event) b -> a.arrival_ns <= b.H.Netsim.arrival_ns)
-      (List.filteri (fun i _ -> i < 99) events)
-      (List.tl events)
-  in
-  Alcotest.(check bool) "sorted" true sorted;
-  let conns = List.map (fun (e : H.Netsim.event) -> e.conn_id) events in
-  Alcotest.(check bool) "round robin" true
-    (List.filteri (fun i _ -> i < 4) conns = [ 0; 1; 2; 3 ])
-
-(* Regression: jitter larger than the nominal interval used to emit a
-   non-monotonic trace (event i+1 before event i), breaking Loadgen's
-   FIFO-by-arrival queueing model. *)
-let netsim_jitter_monotonic () =
-  let rng = Retrofit_util.Rng.create 5 in
-  let interval_ns = 1_000_000_000 / 1000 in
-  let events =
-    H.Netsim.constant_rate ~jitter_ns:(5 * interval_ns) ~rng ~connections:4
-      ~rate_rps:1000 ~duration_ms:100 ~target:"/" ()
-  in
-  Alcotest.(check int) "count unchanged by sorting" 100 (List.length events);
-  let rec check_sorted = function
-    | (a : H.Netsim.event) :: (b :: _ as rest) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "monotonic %d <= %d" a.arrival_ns b.H.Netsim.arrival_ns)
-          true
-          (a.arrival_ns <= b.H.Netsim.arrival_ns);
-        check_sorted rest
-    | _ -> ()
-  in
-  check_sorted events
-
 let netsim_poisson () =
   let rng = Retrofit_util.Rng.create 2 in
   let events =
@@ -417,7 +377,19 @@ let netsim_poisson () =
     (fun (e : H.Netsim.event) ->
       Alcotest.(check bool) "in horizon" true
         (e.arrival_ns >= 0 && e.arrival_ns < 200_000_000))
-    events
+    events;
+  (* Loadgen serves the trace as it comes, so arrivals must never go
+     backwards. *)
+  let rec check_sorted = function
+    | (a : H.Netsim.event) :: (b :: _ as rest) ->
+        if a.arrival_ns > b.H.Netsim.arrival_ns then
+          Alcotest.failf "arrival %d after %d" b.arrival_ns a.arrival_ns;
+        check_sorted rest
+    | _ -> ()
+  in
+  check_sorted events;
+  Alcotest.(check (list int)) "round robin" [ 0; 1; 2; 3 ]
+    (List.filteri (fun i _ -> i < 4) (List.map (fun (e : H.Netsim.event) -> e.conn_id) events))
 
 (* Each event carries its connection's request bytes, and the events of
    one connection share one string instead of re-serialising it. *)
@@ -440,10 +412,7 @@ let netsim_shares_request_bytes () =
   in
   check "poisson"
     (H.Netsim.poisson_rate ~rng:(Retrofit_util.Rng.create 4) ~connections:5 ~rate_rps:5_000
-       ~duration_ms:20 ~target:"/s" ());
-  check "constant"
-    (H.Netsim.constant_rate ~jitter_ns:300_000 ~rng:(Retrofit_util.Rng.create 4)
-       ~connections:5 ~rate_rps:5_000 ~duration_ms:20 ~target:"/s" ())
+       ~duration_ms:20 ~target:"/s" ())
 
 (* ---------------- Servers ---------------- *)
 
@@ -788,6 +757,45 @@ let degradation_graceful () =
   Alcotest.(check bool) (Printf.sprintf "monotone %.4f >= %.4f" g1 g2) true (g1 >= g2);
   Alcotest.(check bool) (Printf.sprintf "no collapse (%.4f)" g2) true (g2 > 0.9)
 
+(* Pins the faulted engine across seeds: an MD5 over one printed line
+   per outcome (floats as exact hex), for seeds 1-10 x the three models
+   x {default plan and policy, 4x the default plan with a queue cap of
+   8}.  The golden run and the causal run pin one seed each; this one
+   guards the service order (retries, stalls and first attempts merged
+   by time) on many.  The value is the one the engine gave when it
+   still had a separate zero-fault path. *)
+let resilient_outcomes_pinned () =
+  let b = Buffer.create 65536 in
+  let settings =
+    [
+      (H.Faults.default, H.Loadgen.default_resilience);
+      ( H.Faults.scale 4.0 H.Faults.default,
+        { H.Loadgen.default_resilience with queue_cap = 8 } );
+    ]
+  in
+  for seed = 1 to 10 do
+    List.iter
+      (fun (model, process) ->
+        List.iter
+          (fun (faults, resilience) ->
+            let o =
+              H.Loadgen.run ~seed ~faults ~resilience ~model ~process ~rate_rps:30_000
+                ~duration_ms:200 ()
+            in
+            let f = o.H.Loadgen.faults in
+            Printf.bprintf b
+              "%d %s %d %h %d %d %d %d %d %d %d %d %d/%d/%d/%d/%d/%d %d %h %d %d %d %d %d\n"
+              seed o.model_name o.offered_rps o.achieved_rps o.total_requests o.completed
+              o.errors o.timeouts o.retries o.shed o.malformed o.server_errors
+              f.H.Loadgen.injected f.to_malformed f.to_retried f.to_timeout
+              f.to_server_error f.to_absorbed o.gc_pauses o.mean_ns o.p50_ns o.p90_ns
+              o.p99_ns o.p999_ns o.max_ns)
+          settings)
+      H.Experiment.servers
+  done;
+  Alcotest.(check string) "MD5 of 60 faulted outcomes" "70fb34f5dbf9973afc83f7cfea6141aa"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------------- crash barriers: cancelled <> crashed ---------------- *)
 
 (* ISSUE 7 regression: each server's crash barrier must turn handler
@@ -887,8 +895,6 @@ let suite =
     test "loadgen request roundtrip" request_roundtrip;
     test "reason phrases" reason_phrases;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
-    test "netsim constant rate" netsim_constant_rate;
-    test "netsim jitter stays monotonic" netsim_jitter_monotonic;
     test "netsim poisson" netsim_poisson;
     test "all servers serve the page" servers_serve;
     test "servers handle 404/405/400" servers_404_405;
@@ -918,4 +924,5 @@ let suite =
     test "parse and format allocation ceilings" http_allocation_ceilings;
     test "conflicting content-length is rejected" conflicting_content_length;
     test "netsim shares request bytes per connection" netsim_shares_request_bytes;
+    test "faulted outcomes pinned across seeds" resilient_outcomes_pinned;
   ]
