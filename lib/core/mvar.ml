@@ -1,6 +1,6 @@
-(* State machine: Empty with a queue of parked takers, or Full with the
-   value and a queue of parked putters (each carrying the value it wants
-   to deposit).
+(* Empty with a queue of parked takers, or full with the value and a
+   queue of parked putters (each carrying the value it wants to
+   deposit): the queue of the other side is always empty.
 
    Waiters carry a liveness flag tied to their fiber's cancellation
    cell: a fiber cancelled while parked here is purged from the queue
@@ -8,101 +8,98 @@
    skew the queue-depth accounting — and a cancelled put never deposits
    its value. *)
 
-type 'a waiter = { resume : 'a Sched.resumer; live : bool ref }
+type 'a taker = { t_resume : 'a Sched.resumer; mutable t_live : bool }
 
-type 'a state =
-  | Empty of 'a waiter Queue.t
-  | Full of 'a * ('a * unit waiter) Queue.t
+type 'a putter = { p_value : 'a; p_resume : unit Sched.resumer; mutable p_live : bool }
 
-type 'a t = { mutable state : 'a state }
+type 'a t = {
+  mutable value : 'a option;  (* [Some] when full *)
+  takers : 'a taker Queue.t;
+  putters : 'a putter Queue.t;
+}
 
-let create_empty () = { state = Empty (Queue.create ()) }
+let create_empty () = { value = None; takers = Queue.create (); putters = Queue.create () }
 
-let create v = { state = Full (v, Queue.create ()) }
+let create v = { value = Some v; takers = Queue.create (); putters = Queue.create () }
 
-let purge q live_of =
+let purge q live =
   let keep = Queue.create () in
-  let rec go () =
-    match Queue.pop q with
-    | n ->
-        if !(live_of n) then Queue.push n keep;
-        go ()
-    | exception Queue.Empty -> ()
-  in
-  go ();
+  Queue.iter (fun n -> if live n then Queue.push n keep) q;
+  Queue.clear q;
   Queue.transfer keep q
+
+(* Drop the dead waiters at the front (belt and braces: cleanup should
+   already have purged them), so the front, if any, is live. *)
+let rec drop_dead q live =
+  if (not (Queue.is_empty q)) && not (live (Queue.peek q)) then begin
+    ignore (Queue.take q);
+    drop_dead q live
+  end
+
+let taker_live n = n.t_live
+
+let putter_live n = n.p_live
+
+(* Full to the next live putter's value, or to empty. *)
+let refill t =
+  drop_dead t.putters putter_live;
+  if Queue.is_empty t.putters then t.value <- None
+  else begin
+    let n = Queue.take t.putters in
+    t.value <- Some n.p_value;
+    n.p_resume ()
+  end
 
 (* The control cell is fetched before suspending: effects cannot be
    performed from inside the suspend callback (it runs in the
-   scheduler's handler context).
-
-   pop the first live waiter, dropping dead ones encountered on the way
-   (belt and braces: cleanup should already have purged them) *)
-let rec pop_live q =
-  match Queue.pop q with
-  | n -> if !(n.live) then Some n else pop_live q
-  | exception Queue.Empty -> None
-
-let rec pop_live_putter q =
-  match Queue.pop q with
-  | (v, n) -> if !(n.live) then Some (v, n) else pop_live_putter q
-  | exception Queue.Empty -> None
-
+   scheduler's handler context). *)
 let take t =
-  match t.state with
-  | Empty takers ->
+  match t.value with
+  | None ->
       let ctl = Sched.current_ctl () in
       Sched.suspend (fun resume ->
-          let live = ref true in
-          Queue.push { resume; live } takers;
+          let n = { t_resume = resume; t_live = true } in
+          Queue.push n t.takers;
           match ctl with
           | Some c ->
               Sched.Ctl.set_cleanup c (fun () ->
-                  live := false;
-                  purge takers (fun n -> n.live))
+                  n.t_live <- false;
+                  purge t.takers taker_live)
           | None -> ())
-  | Full (v, putters) ->
-      (match pop_live_putter putters with
-      | Some (v', n) ->
-          t.state <- Full (v', putters);
-          n.resume ()
-      | None -> t.state <- Empty (Queue.create ()));
+  | Some v ->
+      refill t;
       v
 
 let put t v =
-  match t.state with
-  | Full (_, putters) ->
+  match t.value with
+  | Some _ ->
       let ctl = Sched.current_ctl () in
       Sched.suspend (fun resume ->
-          let live = ref true in
-          Queue.push (v, { resume; live }) putters;
+          let n = { p_value = v; p_resume = resume; p_live = true } in
+          Queue.push n t.putters;
           match ctl with
           | Some c ->
               Sched.Ctl.set_cleanup c (fun () ->
-                  live := false;
-                  purge putters (fun (_, n) -> n.live))
+                  n.p_live <- false;
+                  purge t.putters putter_live)
           | None -> ())
-  | Empty takers -> (
-      match pop_live takers with
-      | Some n -> n.resume v
-      | None -> t.state <- Full (v, Queue.create ()))
+  | None ->
+      drop_dead t.takers taker_live;
+      if Queue.is_empty t.takers then t.value <- Some v
+      else (Queue.take t.takers).t_resume v
 
 let try_take t =
-  match t.state with
-  | Empty _ -> None
-  | Full (v, putters) ->
-      (match pop_live_putter putters with
-      | Some (v', n) ->
-          t.state <- Full (v', putters);
-          n.resume ()
-      | None -> t.state <- Empty (Queue.create ()));
-      Some v
+  match t.value with
+  | None -> None
+  | Some _ as full ->
+      refill t;
+      full
 
-let is_empty t = match t.state with Empty _ -> true | Full _ -> false
+let is_empty t = Option.is_none t.value
+
+let count_live q live = Queue.fold (fun acc n -> if live n then acc + 1 else acc) 0 q
 
 let waiters t =
-  match t.state with
-  | Empty takers ->
-      Queue.fold (fun acc n -> if !(n.live) then acc + 1 else acc) 0 takers
-  | Full (_, putters) ->
-      Queue.fold (fun acc (_, n) -> if !(n.live) then acc + 1 else acc) 0 putters
+  match t.value with
+  | None -> count_live t.takers taker_live
+  | Some _ -> count_live t.putters putter_live

@@ -13,28 +13,380 @@ exception Killed
 
 exception One_shot
 
+type chaos_config = {
+  seed : int;
+  kill_rate : float;
+  delay_rate : float;
+  max_delay : int;
+  reorder_rate : float;
+  spurious_rate : float;
+}
+
+(* A run-queue entry.  A resume is a [Continue] or [Discontinue] entry
+   holding the continuation, what to deliver and the control cell to
+   restore, not a closure over them; a [Thunk] is only built when
+   tracing or metrics wrap an entry. *)
+type task =
+  | Idle  (* what an empty queue pops; never queued *)
+  | Spurious  (* a chaos wakeup: runs the next entry *)
+  | Thunk of (unit -> unit)
+  | Continue : ctl option * ('a, unit) Effect.Deep.continuation * 'a -> task
+  | Discontinue : ctl option * ('a, unit) Effect.Deep.continuation * exn -> task
+
 (* Cancellation protocol (§2.3): a cancellable fiber owns a control cell
    shared between its runner and the cancel handle.  While the fiber is
-   parked the cell holds a discontinue hook; cancel fires it exactly
-   once, turning the suspension's resumer into a no-op.  The same cell
-   protocol is reused by Aio for reads parked in its pending set. *)
+   parked the cell holds its waiter (or, for a runner's own blocking
+   point, a discontinue hook); cancel fires it exactly once, turning the
+   suspension's resumer into a no-op. *)
+and ctl = {
+  mutable requested : bool;
+  mutable parked : parked;
+  mutable finished : bool;
+  mutable killable : bool;
+  mutable cleanup : (unit -> unit) option;
+      (* fired exactly once when cancel strikes while this cell is
+         parked (or armed for its next park): lets wait queues purge
+         the dead waiter eagerly instead of leaving a no-op resumer
+         behind.  Cleared on a normal resume. *)
+}
+
+and parked = Unparked | Parked : 'a waiter -> parked | Hook of (exn -> unit)
+
+(* One suspension: the resumer closes over this record alone. *)
+and 'a waiter = {
+  w_rq : runner;
+  w_k : ('a, unit) Effect.Deep.continuation;
+  w_ctl : ctl option;
+  mutable w_state : int;  (* [st_waiting], [st_resumed] or [st_cancelled] *)
+}
+
+(* The run queue is a ring of [capacity] entries, a power of two, from
+   [head]: FIFO pops at the head, LIFO at the tail, both push at the
+   tail. *)
+and runner = {
+  mutable buf : task array;
+  mutable head : int;
+  mutable len : int;
+  lifo : bool;
+  chaos : chaos option;
+  clock : unit -> int;
+  by_ops : bool;
+      (* stamp the depth track by enqueue/dequeue count and count
+         switches ({!run}), or stamp pushes by [clock] ({!Aio}) *)
+  mutable ops : int;
+      (* enqueue/dequeue sequence number: the deterministic time base
+         that stamps this scheduler's depth track in the eventlog *)
+  mutable switches : int;  (* [by_ops] only; [run] publishes it *)
+  mutable current : ctl option;
+      (* the control cell of the fiber currently executing; every entry
+         that re-enters a fiber restores it, so nested suspensions park
+         against the right cell and [retc]/[exnc] finish the right one *)
+  mutable idle : unit -> bool;
+  mutable handler : (unit, unit) Effect.Deep.handler;
+  mutable forked : unit -> unit;
+      (* a [Fork]/[Fork_cancellable] payload, from [handle] to the
+         function it returns, which the runtime applies at once: the
+         fork handlers are then allocated once per run, not per fork *)
+  on_fork : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_fork_cancellable : ((unit -> unit, unit) Effect.Deep.continuation -> unit) option;
+  on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_current : ((ctl option, unit) Effect.Deep.continuation -> unit) option;
+  on_killable : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_unkillable : ((unit, unit) Effect.Deep.continuation -> unit) option;
+}
+
+(* Chaos state: the rng stream, the stash of delayed resumes (parallel
+   arrays in stash order: dequeues left, entry) and the counters. *)
+and chaos = {
+  cfg : chaos_config;
+  rng : Rng.t;
+  mutable ttl : int array;
+  mutable stashed : task array;
+  mutable n_stashed : int;
+  mutable kills : int;
+  mutable delays : int;
+  mutable reorders : int;
+  mutable spurious : int;
+}
+
+(* [w_state] values *)
+let st_waiting = 0
+
+let st_resumed = 1
+
+let st_cancelled = 2
+
+(* ------------------------------------------------------------------ *)
+(* The ring *)
+
+let slot rq i = (rq.head + i) land (Array.length rq.buf - 1)
+
+let grow rq =
+  let buf = Array.make (2 * Array.length rq.buf) Idle in
+  for i = 0 to rq.len - 1 do
+    buf.(i) <- rq.buf.(slot rq i)
+  done;
+  rq.buf <- buf;
+  rq.head <- 0
+
+let observe_ops rq =
+  rq.ops <- rq.ops + 1;
+  Trace.emit ~ts:rq.ops (Tev.Runq_depth { depth = rq.len })
+
+let raw_push rq task =
+  if rq.len = Array.length rq.buf then grow rq;
+  rq.buf.(slot rq rq.len) <- task;
+  rq.len <- rq.len + 1;
+  if Metrics.on () then Metrics.inc "sched_runq_pushes_total";
+  if Trace.on () then
+    if rq.by_ops then observe_ops rq
+    else Trace.emit ~ts:(rq.clock ()) (Tev.Runq_depth { depth = rq.len })
+
+let raw_pop rq =
+  if rq.len = 0 then Idle
+  else begin
+    let i = if rq.lifo then slot rq (rq.len - 1) else rq.head in
+    let task = rq.buf.(i) in
+    rq.buf.(i) <- Idle;
+    if not rq.lifo then rq.head <- (rq.head + 1) land (Array.length rq.buf - 1);
+    rq.len <- rq.len - 1;
+    if rq.by_ops && Trace.on () then observe_ops rq;
+    task
+  end
+
+(* Remove the entry [n] places behind the one [raw_pop] takes, keeping
+   the others in order; the shorter side of the gap moves. *)
+let pop_nth rq n =
+  let n = n mod rq.len in
+  let i = if rq.lifo then rq.len - 1 - n else n in
+  let task = rq.buf.(slot rq i) in
+  if i < rq.len - 1 - i then begin
+    for j = i downto 1 do
+      rq.buf.(slot rq j) <- rq.buf.(slot rq (j - 1))
+    done;
+    rq.buf.(rq.head) <- Idle;
+    rq.head <- (rq.head + 1) land (Array.length rq.buf - 1)
+  end
+  else begin
+    for j = i to rq.len - 2 do
+      rq.buf.(slot rq j) <- rq.buf.(slot rq (j + 1))
+    done;
+    rq.buf.(slot rq (rq.len - 1)) <- Idle
+  end;
+  rq.len <- rq.len - 1;
+  task
+
+(* ------------------------------------------------------------------ *)
+(* Deterministic adversarial scheduling (chaos mode).  Every decision is
+   drawn from a dedicated xoshiro stream seeded by the config, at sites
+   whose order is itself deterministic (the cooperative scheduler's
+   enqueue/dequeue sequence), so a chaos run is a pure function of
+   (workload seed, chaos seed): double runs are byte-identical and a
+   failing seed shrinks like a conformance-oracle diff. *)
+
+(* The chaos stash: push a delayed entry, age it by one dequeue, take
+   its oldest entry. *)
+let stash (st : chaos) ttl task =
+  let n = st.n_stashed in
+  if n = Array.length st.ttl then begin
+    let cap = max 8 (2 * n) in
+    let ttls = Array.make cap 0 and tasks = Array.make cap Idle in
+    Array.blit st.ttl 0 ttls 0 n;
+    Array.blit st.stashed 0 tasks 0 n;
+    st.ttl <- ttls;
+    st.stashed <- tasks
+  end;
+  st.ttl.(n) <- ttl;
+  st.stashed.(n) <- task;
+  st.n_stashed <- n + 1
+
+(* Age the stash by one dequeue: entries due now rejoin the queue in
+   stash order, the rest count down. *)
+let age rq (st : chaos) =
+  let kept = ref 0 in
+  for i = 0 to st.n_stashed - 1 do
+    let ttl = st.ttl.(i) and task = st.stashed.(i) in
+    if ttl <= 1 then raw_push rq task
+    else begin
+      st.ttl.(!kept) <- ttl - 1;
+      st.stashed.(!kept) <- task;
+      incr kept
+    end
+  done;
+  Array.fill st.stashed !kept (st.n_stashed - !kept) Idle;
+  st.n_stashed <- !kept
+
+(* The oldest stashed entry, whatever its count. *)
+let unstash_oldest (st : chaos) =
+  let task = st.stashed.(0) in
+  let n = st.n_stashed - 1 in
+  Array.blit st.ttl 1 st.ttl 0 n;
+  Array.blit st.stashed 1 st.stashed 0 n;
+  st.stashed.(n) <- Idle;
+  st.n_stashed <- n;
+  task
+
+let hit (st : chaos) rate = rate > 0.0 && Rng.float st.rng 1.0 < rate
+
+let inject kind =
+  if Metrics.on () then
+    Metrics.inc "sched_chaos_injections_total" ~labels:[ ("kind", kind) ];
+  if Trace.on () then Trace.emit ~ts:0 (Tev.Chaos_inject { kind })
+
+(* A push may be stashed (delayed resume) or doubled with a spurious
+   wakeup.  Spurious wakeups are raw queue entries that keep the drain
+   chain alive (a bare no-op would stall the runner). *)
+let chaos_push rq st task =
+  (if hit st st.cfg.delay_rate then begin
+     st.delays <- st.delays + 1;
+     inject "delay";
+     stash st (1 + Rng.int st.rng st.cfg.max_delay) task
+   end
+   else raw_push rq task);
+  if hit st st.cfg.spurious_rate then begin
+    st.spurious <- st.spurious + 1;
+    inject "spurious";
+    raw_push rq Spurious
+  end
+
+(* A pop may dequeue an adversarial position. *)
+let chaos_pop rq st =
+  if st.n_stashed > 0 then age rq st;
+  let d = rq.len in
+  if d = 0 then
+    (* never strand a stashed resume: if the queue ran dry, the
+       oldest delayed entry runs now regardless of its count *)
+    if st.n_stashed > 0 then unstash_oldest st else Idle
+  else if d > 1 && hit st st.cfg.reorder_rate then begin
+    st.reorders <- st.reorders + 1;
+    inject "reorder";
+    pop_nth rq (1 + Rng.int st.rng (d - 1))
+  end
+  else raw_pop rq
+
+(* Seeded kill: fires only for fibers that opted in via [set_killable],
+   and only at a suspension point, where discontinuing is always
+   legal. *)
+let kill_draw st_opt ctl =
+  match (st_opt, ctl) with
+  | Some st, Some c when c.killable && (not c.requested) && not c.finished ->
+      if hit st st.cfg.kill_rate then begin
+        st.kills <- st.kills + 1;
+        inject "kill";
+        if Metrics.on () then Metrics.inc "sched_chaos_kills_total";
+        true
+      end
+      else false
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Running entries *)
+
+let pop rq = match rq.chaos with None -> raw_pop rq | Some st -> chaos_pop rq st
+
+let rec run_next rq =
+  match pop rq with
+  | Idle -> if rq.idle () then run_next rq
+  | task ->
+      if rq.by_ops then begin
+        rq.switches <- rq.switches + 1;
+        if Metrics.on () then Metrics.inc "sched_switches_total"
+      end;
+      run_task rq task
+
+and run_task rq = function
+  | Idle -> ()
+  | Spurious -> run_next rq
+  | Thunk f -> f ()
+  | Continue (ctl, k, v) ->
+      rq.current <- ctl;
+      Effect.Deep.continue k v
+  | Discontinue (ctl, k, e) ->
+      rq.current <- ctl;
+      Effect.Deep.discontinue k e
+
+(* Runnable-wait instrumentation sits {e above} the chaos layer: a resume
+   stashed by the chaos delay fault is still runnable the whole time, so
+   its stash duration counts as scheduler wait.  Chaos's own spurious
+   wakeups go underneath and are never tagged.  With tracing and metrics
+   both off the entry is queued as it is: no clock reads, no closure. *)
+let push rq reason task =
+  let task =
+    if Trace.on () || Metrics.on () then begin
+      let t0 = rq.clock () in
+      Thunk
+        (fun () ->
+          let w = rq.clock () - t0 in
+          let w = if w < 0 then 0 else w in
+          if Metrics.on () then
+            Metrics.observe ~max_value:1_000_000_000 "scheduler_runnable_wait_ns" w;
+          if Trace.on () then
+            Trace.emit ~ts:(rq.clock ()) (Tev.Wakeup { reason; wait_ns = w });
+          run_task rq task)
+    end
+    else task
+  in
+  match rq.chaos with None -> raw_push rq task | Some st -> chaos_push rq st task
+
+(* ------------------------------------------------------------------ *)
+(* Control cells *)
+
+let run_cleanup t =
+  match t.cleanup with
+  | Some f ->
+      t.cleanup <- None;
+      f ()
+  | None -> ()
+
+let cancel t =
+  if (not t.finished) && not t.requested then begin
+    t.requested <- true;
+    run_cleanup t;
+    match t.parked with
+    | Unparked -> ()
+    | Parked w ->
+        t.parked <- Unparked;
+        w.w_state <- st_cancelled;
+        push w.w_rq "wakeup" (Discontinue (w.w_ctl, w.w_k, Cancelled))
+    | Hook d ->
+        t.parked <- Unparked;
+        d Cancelled
+  end
+
+(* Wire one suspension point: the waiter, parked on the cell if there is
+   one, and its resumer, which enqueues the resume on first use, raises
+   [One_shot] on a second, and is a no-op once the suspension has been
+   cancelled. *)
+let arm rq ctl k =
+  let w = { w_rq = rq; w_k = k; w_ctl = ctl; w_state = st_waiting } in
+  (match ctl with Some c -> c.parked <- Parked w | None -> ());
+  fun v ->
+    if w.w_state = st_waiting then begin
+      w.w_state <- st_resumed;
+      (match w.w_ctl with
+      | Some c ->
+          c.parked <- Unparked;
+          c.cleanup <- None
+      | None -> ());
+      push w.w_rq "wakeup" (Continue (w.w_ctl, w.w_k, v))
+    end
+    else if w.w_state = st_resumed then raise One_shot
+
+(* [Ctl] and [Chaos] are thin: the scheduler calls the top-level
+   functions they name, and only [chaos_stats] and [runner_create] reach
+   into them.  Each submodule, and each closure over one, is a block
+   that module initialisation allocates, and perfbench's [fuzz] heap
+   peak moves with any change to start-up allocation (EXPERIMENTS.md,
+   "Start-up allocation and the [fuzz] heap peak"), so the blocks stay
+   as they were: two submodules of eleven and eight values, and two
+   closures over them. *)
 module Ctl = struct
-  type t = {
-    mutable requested : bool;
-    mutable parked : (exn -> unit) option;
-    mutable finished : bool;
-    mutable killable : bool;
-    mutable cleanup : (unit -> unit) option;
-        (* fired exactly once when cancel strikes while this cell is
-           parked (or armed for its next park): lets wait queues purge
-           the dead waiter eagerly instead of leaving a no-op resumer
-           behind.  Cleared on a normal resume. *)
-  }
+  type t = ctl
 
   let create () =
     {
       requested = false;
-      parked = None;
+      parked = Unparked;
       finished = false;
       killable = false;
       cleanup = None;
@@ -44,9 +396,9 @@ module Ctl = struct
 
   let cancelled t = t.requested
 
-  let set_parked t d = t.parked <- Some d
+  let set_parked t d = t.parked <- Hook d
 
-  let clear_parked t = t.parked <- None
+  let clear_parked t = t.parked <- Unparked
 
   let set_killable_cell t b = t.killable <- b
 
@@ -54,63 +406,21 @@ module Ctl = struct
 
   let clear_cleanup t = t.cleanup <- None
 
-  let run_cleanup t =
-    match t.cleanup with
-    | Some f ->
-        t.cleanup <- None;
-        f ()
-    | None -> ()
+  let run_cleanup = run_cleanup
 
-  let cancel t =
-    if (not t.finished) && not t.requested then begin
-      t.requested <- true;
-      run_cleanup t;
-      match t.parked with
-      | Some d ->
-          t.parked <- None;
-          d Cancelled
-      | None -> ()
-    end
+  let cancel = cancel
 
-  (* Wire one suspension point.  The returned resumer enqueues a resume
-     on first use, raises [One_shot] on a second use, and becomes a
-     no-op once the suspension has been cancelled. *)
-  let arm ?ctl ~enqueue ~continue ~discontinue =
-    let state = ref `Waiting in
-    (match ctl with
-    | Some c ->
-        set_parked c (fun e ->
-            state := `Cancelled;
-            enqueue (fun () -> discontinue e))
-    | None -> ());
-    fun v ->
-      match !state with
-      | `Waiting ->
-          state := `Resumed;
-          (match ctl with
-          | Some c ->
-              clear_parked c;
-              clear_cleanup c
-          | None -> ());
-          enqueue (fun () -> continue v)
-      | `Resumed -> raise One_shot
-      | `Cancelled -> ()
+  let arm = arm
 end
 
-(* Deterministic adversarial scheduling (chaos mode).  Every decision is
-   drawn from a dedicated xoshiro stream seeded by the config, at sites
-   whose order is itself deterministic (the cooperative scheduler's
-   enqueue/dequeue sequence), so a chaos run is a pure function of
-   (workload seed, chaos seed): double runs are byte-identical and a
-   failing seed shrinks like a conformance-oracle diff. *)
 module Chaos = struct
-  type t = {
+  type t = chaos_config = {
     seed : int;
-    kill_rate : float;  (** P(kill a killable fiber at a suspension point) *)
-    delay_rate : float;  (** P(stash a resume for a few scheduler ops) *)
-    max_delay : int;  (** max stash duration, in dequeue steps *)
-    reorder_rate : float;  (** P(dequeue an adversarial position instead) *)
-    spurious_rate : float;  (** P(inject a spurious wakeup alongside a push) *)
+    kill_rate : float;
+    delay_rate : float;
+    max_delay : int;
+    reorder_rate : float;
+    spurious_rate : float;
   }
 
   let default ~seed =
@@ -125,107 +435,37 @@ module Chaos = struct
 
   type stats = { kills : int; delays : int; reorders : int; spurious : int }
 
-  type state = {
-    cfg : t;
-    rng : Rng.t;
-    mutable delayed : (int * (unit -> unit)) list;
-        (* (remaining dequeue steps, thunk), in stash order *)
-    mutable kills : int;
-    mutable delays : int;
-    mutable reorders : int;
-    mutable spurious : int;
-  }
+  type state = chaos
 
   let latest : state option ref = ref None
 
-  let make cfg =
-    let st =
-      {
-        cfg;
-        rng = Rng.create cfg.seed;
-        delayed = [];
-        kills = 0;
-        delays = 0;
-        reorders = 0;
-        spurious = 0;
-      }
-    in
-    latest := Some st;
-    st
-
-  let hit st rate = rate > 0.0 && Rng.float st.rng 1.0 < rate
-
-  let snapshot st =
+  let fresh cfg =
     {
-      kills = st.kills;
-      delays = st.delays;
-      reorders = st.reorders;
-      spurious = st.spurious;
+      cfg;
+      rng = Rng.create cfg.seed;
+      ttl = [||];
+      stashed = [||];
+      n_stashed = 0;
+      kills = 0;
+      delays = 0;
+      reorders = 0;
+      spurious = 0;
     }
 
-  let inject _st kind =
-    if Metrics.on () then
-      Metrics.inc "sched_chaos_injections_total" ~labels:[ ("kind", kind) ];
-    if Trace.on () then Trace.emit ~ts:0 (Tev.Chaos_inject { kind })
+  (* The newest state is the one [chaos_stats] reports. *)
+  let register st = latest := Some st
 
-  (* Turn a runner's raw (push, pop) pair into the chaos-perturbed pair.
-     [run_next] must be tied to the runner's drain function before the
-     first pop: spurious wakeups are raw queue entries and must keep the
-     drain chain alive (a bare no-op thunk would stall the runner). *)
-  let wrap st ~push ~pop ~depth ~pop_nth ~run_next =
-    let cpush thunk =
-      (if hit st st.cfg.delay_rate then begin
-         st.delays <- st.delays + 1;
-         inject st "delay";
-         let ttl = 1 + Rng.int st.rng st.cfg.max_delay in
-         st.delayed <- st.delayed @ [ (ttl, thunk) ]
-       end
-       else push thunk);
-      if hit st st.cfg.spurious_rate then begin
-        st.spurious <- st.spurious + 1;
-        inject st "spurious";
-        push (fun () -> !run_next ())
-      end
-    in
-    let cpop () =
-      (* age the stash; expired resumes rejoin the queue in order *)
-      (if st.delayed <> [] then
-         let due, still = List.partition (fun (ttl, _) -> ttl <= 1) st.delayed in
-         st.delayed <- List.map (fun (ttl, t) -> (ttl - 1, t)) still;
-         List.iter (fun (_, t) -> push t) due);
-      let d = depth () in
-      if d = 0 then
-        (* never strand a stashed resume: if the queue ran dry, the
-           oldest delayed thunk runs now regardless of its ttl *)
-        match st.delayed with
-        | (_, t) :: rest ->
-            st.delayed <- rest;
-            Some t
-        | [] -> None
-      else if d > 1 && hit st st.cfg.reorder_rate then begin
-        st.reorders <- st.reorders + 1;
-        inject st "reorder";
-        Some (pop_nth (1 + Rng.int st.rng (d - 1)))
-      end
-      else pop ()
-    in
-    (cpush, cpop)
+  let make cfg =
+    let st = fresh cfg in
+    register st;
+    st
 
-  (* Seeded kill: fires only for fibers that opted in via
-     [set_killable], and only at a suspension point, where discontinuing
-     is always legal. *)
-  let kill_draw st_opt (ctl : Ctl.t option) =
-    match (st_opt, ctl) with
-    | Some st, Some c
-      when c.Ctl.killable && (not c.Ctl.requested) && not c.Ctl.finished ->
-        if hit st st.cfg.kill_rate then begin
-          st.kills <- st.kills + 1;
-          inject st "kill";
-          if Metrics.on () then Metrics.inc "sched_chaos_kills_total";
-          true
-        end
-        else false
-    | _ -> false
+  let hit = hit
+
+  let snapshot (st : state) =
+    { kills = st.kills; delays = st.delays; reorders = st.reorders; spurious = st.spurious }
+
+  let kill_draw = kill_draw
 end
 
 let chaos_stats () = Option.map Chaos.snapshot !Chaos.latest
@@ -256,220 +496,155 @@ let switches = ref 0
 
 let stats_switches () = !switches
 
-(* The run queue holds thunks rather than bare continuations so that
-   resumers can close over the value to deliver (§3.1's asynchronous
-   variant uses the same representation). *)
-type runq = {
-  queue : (unit -> unit) Queue.t;
-  stack : (unit -> unit) Stack.t;
-  policy : policy;
-  mutable ops : int;
-      (* enqueue/dequeue sequence number: the deterministic time base
-         that stamps this scheduler's depth track in the eventlog *)
-}
+(* ------------------------------------------------------------------ *)
+(* Serving the scheduler effects *)
 
-let rq_depth rq = Queue.length rq.queue + Stack.length rq.stack
+let draw_kill rq ctl = kill_draw rq.chaos ctl
 
-let rq_observe rq =
-  rq.ops <- rq.ops + 1;
-  Trace.emit ~ts:rq.ops (Tev.Runq_depth { depth = rq_depth rq })
+let spawn rq ctl f =
+  rq.current <- ctl;
+  Effect.Deep.match_with f () rq.handler
 
-let rq_push rq thunk =
-  (match rq.policy with
-  | Fifo -> Queue.push thunk rq.queue
-  | Lifo -> Stack.push thunk rq.stack);
-  if Metrics.on () then Metrics.inc "sched_runq_pushes_total";
-  if Trace.on () then rq_observe rq
+let on_yield rq k =
+  let ctl = rq.current in
+  if draw_kill rq ctl then push rq "kill" (Discontinue (ctl, k, Killed))
+  else push rq "yield" (Continue (ctl, k, ()));
+  run_next rq
 
-let rq_pop rq =
-  let popped =
-    match rq.policy with
-    | Fifo -> (
-        match Queue.pop rq.queue with t -> Some t | exception Queue.Empty -> None)
-    | Lifo -> (
-        match Stack.pop rq.stack with t -> Some t | exception Stack.Empty -> None)
+let no_fork () = ()
+
+let take_forked rq =
+  let f = rq.forked in
+  rq.forked <- no_fork;
+  f
+
+let on_fork rq k =
+  let f = take_forked rq in
+  push rq "fork" (Continue (rq.current, k, ()));
+  spawn rq None f
+
+let on_suspend rq k f =
+  let ctl = rq.current in
+  (match ctl with
+  | Some c when c.requested ->
+      (* Cancel arrived before this park: discontinue straight away
+         instead of parking. *)
+      push rq "cancel" (Discontinue (ctl, k, Cancelled))
+  | _ ->
+      if draw_kill rq ctl then
+        (* killed instead of parked: the waiter is never handed to [f],
+           so no queue ever holds a dead resumer for it *)
+        push rq "kill" (Discontinue (ctl, k, Killed))
+      else f (arm rq ctl k));
+  run_next rq
+
+let on_set_killable rq k b =
+  (match rq.current with Some c -> c.killable <- b | None -> ());
+  Effect.Deep.continue k ()
+
+let handle (type c) rq (eff : c Effect.t) :
+    ((c, unit) Effect.Deep.continuation -> unit) option =
+  match eff with
+  | Yield -> rq.on_yield
+  | Fork f ->
+      rq.forked <- f;
+      rq.on_fork
+  | Suspend f -> Some (fun k -> on_suspend rq k f)
+  | Fork_cancellable f ->
+      rq.forked <- f;
+      rq.on_fork_cancellable
+  | Set_killable b -> if b then rq.on_killable else rq.on_unkillable
+  | Current_ctl -> rq.on_current
+  | _ -> None
+
+(* A fiber's end: [current] is its cell.  A discontinued fiber unwinds
+   with Cancelled after its cleanup handlers; that is a normal exit, not
+   an error.  A chaos-killed fiber unwinds with Killed the same way. *)
+let retc rq () =
+  (match rq.current with Some c -> c.finished <- true | None -> ());
+  run_next rq
+
+let exnc rq e =
+  match (rq.current, e) with
+  | Some c, Cancelled when c.requested ->
+      c.finished <- true;
+      run_next rq
+  | Some c, Killed ->
+      c.finished <- true;
+      run_cleanup c;
+      run_next rq
+  | _ -> raise e
+
+(* The run queue holds entries rather than bare continuations so that
+   resumers can deliver a value (§3.1's asynchronous variant uses the
+   same representation).  One handler serves every fiber of a run, and
+   the handlers of the effects whose type is fixed are made here, once
+   per run. *)
+let runner_create ?(policy = Fifo) ?chaos ~clock ~by_ops () =
+  let rec rq =
+    {
+      buf = Array.make 16 Idle;
+      head = 0;
+      len = 0;
+      lifo = policy = Lifo;
+      chaos = Option.map Chaos.make chaos;
+      clock;
+      by_ops;
+      ops = 0;
+      switches = 0;
+      current = None;
+      idle = (fun () -> false);
+      handler =
+        {
+          Effect.Deep.retc = (fun () -> retc rq ());
+          exnc = (fun e -> exnc rq e);
+          effc = (fun eff -> handle rq eff);
+        };
+      forked = no_fork;
+      on_fork = Some (fun k -> on_fork rq k);
+      on_fork_cancellable =
+        Some
+          (fun k ->
+            let f = take_forked rq in
+            let child = Ctl.create () in
+            push rq "fork" (Continue (rq.current, k, fun () -> Ctl.cancel child));
+            spawn rq (Some child) f);
+      on_yield = Some (fun k -> on_yield rq k);
+      on_current = Some (fun k -> Effect.Deep.continue k rq.current);
+      on_killable = Some (fun k -> on_set_killable rq k true);
+      on_unkillable = Some (fun k -> on_set_killable rq k false);
+    }
   in
-  (match popped with Some _ when Trace.on () -> rq_observe rq | _ -> ());
-  popped
+  rq
 
-(* Dequeue the element [n] positions below the normal one, preserving
-   the relative order of the elements skipped over. *)
-let rq_pop_nth rq n =
-  match rq.policy with
-  | Fifo ->
-      let rec rotate i =
-        if i > 0 then begin
-          Queue.push (Queue.pop rq.queue) rq.queue;
-          rotate (i - 1)
-        end
-      in
-      let len = Queue.length rq.queue in
-      let n = n mod len in
-      (* take the n-th: rotate it to the front, pop, then restore order *)
-      rotate n;
-      let target = Queue.pop rq.queue in
-      rotate (len - 1 - n);
-      target
-  | Lifo ->
-      let skipped = ref [] in
-      for _ = 1 to n mod Stack.length rq.stack do
-        skipped := Stack.pop rq.stack :: !skipped
-      done;
-      let target = Stack.pop rq.stack in
-      List.iter (fun t -> Stack.push t rq.stack) !skipped;
-      target
+let runner_length rq = rq.len
+
+let runner_current rq = rq.current
+
+let runner_kill_draw = draw_kill
+
+let runner_continue rq reason ctl k v = push rq reason (Continue (ctl, k, v))
+
+let runner_discontinue rq reason ctl k e = push rq reason (Discontinue (ctl, k, e))
+
+let runner_next = run_next
+
+let runner_handle = handle
+
+let runner_retc = retc
+
+let runner_exnc = exnc
+
+let runner_run rq ?handler ~idle main =
+  Option.iter (fun h -> rq.handler <- h) handler;
+  rq.idle <- idle;
+  spawn rq None main
 
 let run ?(policy = Fifo) ?chaos ?(clock = Retrofit_util.Vclock.now) ?idle main =
-  let rq = { queue = Queue.create (); stack = Stack.create (); policy; ops = 0 } in
-  switches := 0;
-  let chst = Option.map Chaos.make chaos in
-  let run_next_cell = ref (fun () -> ()) in
-  let push, pop =
-    match chst with
-    | None -> (rq_push rq, fun () -> rq_pop rq)
-    | Some st ->
-        Chaos.wrap st ~push:(rq_push rq)
-          ~pop:(fun () -> rq_pop rq)
-          ~depth:(fun () -> rq_depth rq)
-          ~pop_nth:(rq_pop_nth rq) ~run_next:run_next_cell
-  in
-  (* Runnable-wait instrumentation sits {e above} the chaos wrap: a
-     resume stashed by the chaos delay fault is still runnable the whole
-     time, so its stash duration must count as scheduler wait.  Chaos's
-     own spurious wakeups go through the raw push underneath and are
-     never tagged.  With tracing and metrics both off this is the bare
-     push — no clock reads, no closure per thunk. *)
-  let push_r reason thunk =
-    if Trace.on () || Metrics.on () then begin
-      let t0 = clock () in
-      push (fun () ->
-          let w = clock () - t0 in
-          let w = if w < 0 then 0 else w in
-          if Metrics.on () then
-            Metrics.observe ~max_value:1_000_000_000
-              "scheduler_runnable_wait_ns" w;
-          if Trace.on () then
-            Trace.emit ~ts:(clock ()) (Tev.Wakeup { reason; wait_ns = w });
-          thunk ())
-    end
-    else push thunk
-  in
-  (* The control cell of the fiber currently executing; every thunk that
-     re-enters a fiber restores it so nested suspensions park against
-     the right cell. *)
-  let current : Ctl.t option ref = ref None in
-  let rec run_next () =
-    match pop () with
-    | Some thunk ->
-        incr switches;
-        if Metrics.on () then Metrics.inc "sched_switches_total";
-        thunk ()
-    | None -> (
-        match idle with
-        | Some f -> if f () then run_next ()
-        | None -> ())
-  in
-  run_next_cell := run_next;
-  let kill_draw ctl = Chaos.kill_draw chst ctl in
-  let rec spawn : Ctl.t option -> (unit -> unit) -> unit =
-   fun ctl f ->
-    current := ctl;
-    Effect.Deep.match_with f ()
-      {
-        Effect.Deep.retc =
-          (fun () ->
-            (match ctl with Some c -> Ctl.finish c | None -> ());
-            run_next ());
-        exnc =
-          (fun e ->
-            (* A discontinued fiber unwinds with Cancelled after its
-               cleanup handlers; that is a normal exit, not an error.
-               A chaos-killed fiber unwinds with Killed the same way. *)
-            match (ctl, e) with
-            | Some c, Cancelled when Ctl.cancelled c ->
-                Ctl.finish c;
-                run_next ()
-            | Some c, Killed ->
-                Ctl.finish c;
-                Ctl.run_cleanup c;
-                run_next ()
-            | _ -> raise e);
-        effc =
-          (fun (type c) (eff : c Effect.t) ->
-            match eff with
-            | Yield ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    if kill_draw ctl then
-                      push_r "kill" (fun () ->
-                          current := ctl;
-                          Effect.Deep.discontinue k Killed)
-                    else
-                      push_r "yield" (fun () ->
-                          current := ctl;
-                          Effect.Deep.continue k ());
-                    run_next ())
-            | Fork f' ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    push_r "fork" (fun () ->
-                        current := ctl;
-                        Effect.Deep.continue k ());
-                    spawn None f')
-            | Fork_cancellable f' ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let parent = !current in
-                    let child = Ctl.create () in
-                    push_r "fork" (fun () ->
-                        current := parent;
-                        Effect.Deep.continue k (fun () -> Ctl.cancel child));
-                    spawn (Some child) f')
-            | Suspend f ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    (match ctl with
-                    | Some c when Ctl.cancelled c ->
-                        (* Cancel arrived before this park: discontinue
-                           straight away instead of parking. *)
-                        push_r "cancel" (fun () ->
-                            current := ctl;
-                            Effect.Deep.discontinue k Cancelled)
-                    | _ ->
-                        if kill_draw ctl then
-                          (* killed instead of parked: the waiter is
-                             never handed to [f], so no queue ever holds
-                             a dead resumer for it *)
-                          push_r "kill" (fun () ->
-                              current := ctl;
-                              Effect.Deep.discontinue k Killed)
-                        else
-                          let resumer =
-                            Ctl.arm ?ctl ~enqueue:(push_r "wakeup")
-                              ~continue:(fun v ->
-                                current := ctl;
-                                Effect.Deep.continue k v)
-                              ~discontinue:(fun e ->
-                                current := ctl;
-                                Effect.Deep.discontinue k e)
-                          in
-                          f resumer);
-                    run_next ())
-            | Set_killable b ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    (match !current with
-                    | Some c -> c.Ctl.killable <- b
-                    | None -> ());
-                    Effect.Deep.continue k ())
-            | Current_ctl ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    Effect.Deep.continue k !current)
-            | _ -> None);
-      }
-  in
-  spawn None main
+  let rq = runner_create ~policy ?chaos ~clock ~by_ops:true () in
+  let finally () = switches := rq.switches in
+  match runner_run rq ~idle:(Option.value idle ~default:rq.idle) main with
+  | () -> finally ()
+  | exception e ->
+      finally ();
+      raise e

@@ -41,6 +41,9 @@ exception One_shot
     resume has nothing left to do and must not crash the resuming
     code. *)
 
+type runner
+(** The machinery of {!run} (see "The runner" below). *)
+
 (** The cancellation control cell shared between a fiber's runner and
     its cancel handle.  Exposed so that other runners (notably {!Aio})
     can implement the same protocol for their own blocking points. *)
@@ -56,7 +59,8 @@ module Ctl : sig
   (** Has cancel been requested? *)
 
   val set_parked : t -> (exn -> unit) -> unit
-  (** Install the discontinue hook for the fiber's current suspension. *)
+  (** Install the discontinue hook for a runner's own blocking point
+      (a {!suspend} parks its waiter on the cell by itself). *)
 
   val set_killable_cell : t -> bool -> unit
   (** Flip the chaos opt-in flag on the cell directly; runners use this
@@ -78,21 +82,18 @@ module Ctl : sig
       {!cancel}. *)
 
   val cancel : t -> unit
-  (** Request cancellation: fires the cleanup hook, then the parked
-      hook with {!Cancelled} if the fiber is suspended, otherwise marks
-      it for discontinuation at its next suspension point.  One-shot; a
-      no-op after the fiber finishes or after a previous cancel. *)
+  (** Request cancellation: fires the cleanup hook, then discontinues
+      the parked suspension with {!Cancelled} if the fiber is suspended,
+      otherwise marks it for discontinuation at its next suspension
+      point.  One-shot; a no-op after the fiber finishes or after a
+      previous cancel. *)
 
-  val arm :
-    ?ctl:t ->
-    enqueue:((unit -> unit) -> unit) ->
-    continue:('a -> unit) ->
-    discontinue:(exn -> unit) ->
-    'a resumer
-  (** Wire one suspension point: returns the one-shot resumer
-      (first use enqueues [continue]; second use raises {!One_shot};
-      any use after cancellation is a no-op) and, when [ctl] is given,
-      installs the cancel hook that enqueues [discontinue]. *)
+  val arm : runner -> t option -> ('a, unit) Effect.Deep.continuation -> 'a resumer
+  (** [arm r ctl k] wires one suspension point of [k] under [ctl] and
+      returns its one-shot resumer: the first use enqueues the resume,
+      a second raises {!One_shot}, any use after cancellation is a
+      no-op.  While the suspension is parked, [ctl]'s cancel
+      discontinues it. *)
 end
 
 (** Seeded adversarial scheduling.  All draws come from one xoshiro
@@ -121,22 +122,11 @@ module Chaos : sig
   val make : t -> state
   (** Also registers the state as the latest for {!chaos_stats}. *)
 
-  val snapshot : state -> stats
+  val hit : state -> float -> bool
+  (** [hit st rate] draws one decision that holds with probability
+      [rate] from the state's stream; no draw when [rate] is 0. *)
 
-  val wrap :
-    state ->
-    push:((unit -> unit) -> unit) ->
-    pop:(unit -> (unit -> unit) option) ->
-    depth:(unit -> int) ->
-    pop_nth:(int -> unit -> unit) ->
-    run_next:(unit -> unit) ref ->
-    ((unit -> unit) -> unit) * (unit -> (unit -> unit) option)
-  (** [wrap st ~push ~pop ~depth ~pop_nth ~run_next] turns a runner's
-      raw queue operations into the chaos-perturbed (push, pop) pair:
-      pushes may be stashed (delayed resume) or doubled with a spurious
-      wakeup, pops may dequeue an adversarial position.  [run_next] must
-      be tied to the runner's drain loop before the first pop.  Used by
-      {!run} and by {!Aio}'s runners. *)
+  val snapshot : state -> stats
 
   val kill_draw : state option -> Ctl.t option -> bool
   (** Draw a kill decision for a fiber about to park: [true] only for a
@@ -214,5 +204,56 @@ val run :
     loop that will resume parked fibers), [false] ends the run. *)
 
 val stats_switches : unit -> int
-(** Context switches performed by the most recent (or current) [run];
-    used by the scheduling experiments. *)
+(** Context switches performed by the most recent [run]; used by the
+    scheduling experiments. *)
+
+(** {1 The runner}
+
+    The machinery of {!run}, for the other runner of this library
+    ({!Aio}), which serves its own I/O effects beside the scheduler
+    effects.  A runner owns a ring-buffer run queue (FIFO or LIFO), the
+    chaos state and the control cell of the running fiber, and one
+    effect handler serves all of its fibers. *)
+
+val runner_create :
+  ?policy:policy -> ?chaos:Chaos.t -> clock:(unit -> int) -> by_ops:bool -> unit -> runner
+(** [policy] defaults to [Fifo].  [by_ops] runners stamp their run-queue depth track by
+    enqueue/dequeue count and count {!stats_switches}, as {!run} does;
+    the others stamp each push by [clock]. *)
+
+val runner_length : runner -> int
+(** Entries in the run queue, not counting chaos-stashed resumes. *)
+
+val runner_current : runner -> Ctl.t option
+(** The control cell of the running fiber. *)
+
+val runner_kill_draw : runner -> Ctl.t option -> bool
+(** Draw a chaos kill for a fiber about to park: [true] only for a
+    live, killable, not-yet-cancelled cell under chaos.  Counts and
+    emits the injection when it fires. *)
+
+val runner_continue :
+  runner -> string -> Ctl.t option -> ('a, unit) Effect.Deep.continuation -> 'a -> unit
+(** [runner_continue r reason ctl k v] enqueues the resume of [k] with
+    [v] under [ctl]; [reason] tags the runnable-wait trace event. *)
+
+val runner_discontinue :
+  runner -> string -> Ctl.t option -> ('a, unit) Effect.Deep.continuation -> exn -> unit
+
+val runner_next : runner -> unit
+(** Run the next entry, or call the idle hook when there is none. *)
+
+val runner_handle :
+  runner -> 'c Effect.t -> (('c, unit) Effect.Deep.continuation -> unit) option
+(** Serve the scheduler effects; [None] for any other. *)
+
+val runner_retc : runner -> unit -> unit
+
+val runner_exnc : runner -> exn -> unit
+
+val runner_run :
+  runner -> ?handler:(unit, unit) Effect.Deep.handler -> idle:(unit -> bool) -> (unit -> unit) -> unit
+(** Run [main] and its descendants under [handler] (default:
+    [runner_retc], [runner_exnc] and [runner_handle]).  [idle] is
+    called when the run queue is empty: [true] retries, [false] ends
+    the run. *)

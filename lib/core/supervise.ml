@@ -470,18 +470,30 @@ let restarts h = h.h_tree.restarts
 
 let escalations h = h.h_tree.escalations
 
+(* A nursery child's cancel handle until its fork returns.  It stays out
+   of [Nursery], whose block module initialisation allocates (see
+   Sched's [Ctl]). *)
+let no_cancel () = ()
+
 (* Trio-style structured concurrency on top of [fork_cancellable]:
    children never outlive the scope, the first unhandled child
    exception cancels the siblings and re-raises at the scope, and a
    cancel reaches each fiber exactly once (Ctl.cancel is one-shot). *)
 module Nursery = struct
-  type kid = { mutable k_cancel : (unit -> unit) option }
+  (* The running children, newest first, in a ring through a sentinel:
+     a child unlinks itself when it finishes, so a long-lived scope
+     holds only its live children. *)
+  type kid = {
+    mutable k_cancel : unit -> unit;
+    mutable older : kid;
+    mutable newer : kid;
+  }
 
   type t = {
     n_name : string;
     mutable n_live : int;
     mutable n_first : exn option;  (* first unhandled child exception *)
-    mutable n_kids : kid list;
+    n_kids : kid;  (* the sentinel *)
     mutable n_closing : bool;
     mutable n_joiner : unit Sched.resumer option;
   }
@@ -491,9 +503,14 @@ module Nursery = struct
   let failed t = t.n_first
 
   let cancel_scope t =
-    List.iter
-      (fun kid -> match kid.k_cancel with Some c -> c () | None -> ())
-      t.n_kids
+    let rec go kid =
+      if kid != t.n_kids then begin
+        let older = kid.older in
+        kid.k_cancel ();
+        go older
+      end
+    in
+    go t.n_kids.older
 
   let wake t =
     match t.n_joiner with
@@ -508,8 +525,10 @@ module Nursery = struct
          immediately, so it is never started *)
     else begin
       t.n_live <- t.n_live + 1;
-      let kid = { k_cancel = None } in
-      t.n_kids <- kid :: t.n_kids;
+      let s = t.n_kids in
+      let kid = { k_cancel = no_cancel; older = s.older; newer = s } in
+      s.older.newer <- kid;
+      s.older <- kid;
       let cancel =
         Sched.fork_cancellable (fun () ->
             if killable then Sched.set_killable true;
@@ -519,7 +538,8 @@ module Nursery = struct
               | exception (Sched.Cancelled | Sched.Killed) -> None
               | exception e -> Some e
             in
-            kid.k_cancel <- None;
+            kid.newer.older <- kid.older;
+            kid.older.newer <- kid.newer;
             t.n_live <- t.n_live - 1;
             (match failure with
             | Some e when t.n_first = None ->
@@ -528,8 +548,9 @@ module Nursery = struct
             | _ -> ());
             if t.n_live = 0 || t.n_first <> None then wake t)
       in
-      (* if the child already finished, this handle is a harmless no-op *)
-      kid.k_cancel <- Some cancel
+      (* if the child already finished, it is unlinked and this handle
+         is never called *)
+      kid.k_cancel <- cancel
     end
 
   let check t = match t.n_first with Some e -> raise e | None -> ()
@@ -547,12 +568,13 @@ module Nursery = struct
     end
 
   let run ?clock ?(name = "nursery") body =
+    let rec sentinel = { k_cancel = no_cancel; older = sentinel; newer = sentinel } in
     let t =
       {
         n_name = name;
         n_live = 0;
         n_first = None;
-        n_kids = [];
+        n_kids = sentinel;
         n_closing = false;
         n_joiner = None;
       }

@@ -102,16 +102,14 @@ let rec parse_headers s acc pos =
     end
   end
 
-(* The value of a [Content-Length], which RFC 7230 defines as 1*DIGIT:
-   -1 when [v] is empty, holds any other byte (a sign, "0x", "_") or
-   does not fit an int. *)
-let rec digits_value v i acc =
-  if i = String.length v then acc
+(* The value of a [Content-Length] at [i, hi), which RFC 7230 defines
+   as 1*DIGIT: -1 when it holds any other byte (a sign, "0x", "_") or
+   does not fit an int; callers reject an empty value first. *)
+let rec digits_in s i hi acc =
+  if i = hi then acc
   else
-    let c = v.[i] in
-    let d = Char.code c - Char.code '0' in
-    if d < 0 || d > 9 || acc > (max_int - d) / 10 then -1
-    else digits_value v (i + 1) ((10 * acc) + d)
+    let d = Char.code s.[i] - Char.code '0' in
+    if d < 0 || d > 9 || acc > (max_int - d) / 10 then -1 else digits_in s (i + 1) hi ((10 * acc) + d)
 
 (* Every [Content-Length] must be valid, and all must be the same text:
    a receiver that took the first of two differing values would frame
@@ -123,7 +121,7 @@ let rec digits_value v i acc =
 let rec content_length_from n first = function
   | [] -> Ok n
   | ("content-length", v) :: rest ->
-      let m = if v = "" then -1 else digits_value v 0 0 in
+      let m = if v = "" then -1 else digits_in v 0 (String.length v) 0 in
       if m < 0 then Error (Printf.sprintf "bad content-length %S" v)
       else if first = "" then content_length_from m v rest
       else if not (String.equal v first) then
@@ -142,7 +140,7 @@ let parse_rest s start k =
       match content_length headers with
       | Error e -> Error e
       | Ok len ->
-          if String.length s < body_start + len then Error "incomplete body"
+          if len > String.length s - body_start then Error "incomplete body"
           else Ok (k headers (sub s body_start (body_start + len)), body_start + len))
 
 (* Start-line tokens are separated by runs of spaces, and only spaces. *)
@@ -304,5 +302,75 @@ let parse_response s =
             let reason = reason_at s (skip_spaces s c1 eol) eol in
             parse_rest s (eol + 2) (fun resp_headers resp_body ->
                 { status; reason; resp_headers; resp_body }))
+    | _ -> Error (Printf.sprintf "malformed status line %S" (sub s 0 eol))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Status-only validation: the checks of [parse_response], on indices,
+   with a copy only to build an error *)
+
+(* Whether [lo, hi) is [lit] once lower-cased; [lit] is lower case. *)
+let rec same_lowered s i lit j =
+  j = String.length lit || (Char.lowercase_ascii s.[i] = lit.[j] && same_lowered s (i + 1) lit (j + 1))
+
+(* Whether the [n] bytes at [i] and at [j] are equal. *)
+let rec same_range s i j n = n = 0 || (s.[i] = s.[j] && same_range s (i + 1) (j + 1) (n - 1))
+
+(* The header lines from [pos] and the body after them, checked as
+   [parse_rest] checks them.  [len] is the [Content-Length] so far (0
+   when none), [f0, f1) the first valid value's bytes ([f0 = -1] before
+   one) and [err] the first [Content-Length] error ("" for none), which
+   a malformed header further down overrides, as in [parse_rest]. *)
+let rec status_headers s status pos len f0 f1 err =
+  let eol = find_crlf s pos in
+  if eol < 0 then Error "incomplete headers"
+  else if eol = pos then
+    if String.length err > 0 then Error err
+    else if len > String.length s - (pos + 2) then Error "incomplete body"
+    else Ok status
+  else begin
+    let colon = index_in s ':' pos eol in
+    if colon < 0 then Error (Printf.sprintf "malformed header %S" (sub s pos eol))
+    else begin
+      let n0 = trim_left s pos colon in
+      let n1 = trim_right s n0 colon in
+      let next = eol + 2 in
+      if n0 = n1 then Error "empty header name"
+      else if String.length err > 0 || n1 - n0 <> 14 || not (same_lowered s n0 "content-length" 0)
+      then status_headers s status next len f0 f1 err
+      else begin
+        let v0 = trim_left s (colon + 1) eol in
+        let v1 = trim_right s v0 eol in
+        let m = if v0 = v1 then -1 else digits_in s v0 v1 0 in
+        if m < 0 then
+          status_headers s status next len f0 f1
+            (Printf.sprintf "bad content-length %S" (sub s v0 v1))
+        else if f0 < 0 then status_headers s status next m v0 v1 err
+        else if v1 - v0 <> f1 - f0 || not (same_range s v0 f0 (v1 - v0)) then
+          status_headers s status next len f0 f1
+            (Printf.sprintf "conflicting content-length %S and %S" (sub s f0 f1) (sub s v0 v1))
+        else status_headers s status next len f0 f1 err
+      end
+    end
+  end
+
+let response_status s =
+  let eol = find_crlf s 0 in
+  if eol < 0 then Error "incomplete status line"
+  else begin
+    let v0 = skip_spaces s 0 eol in
+    let v1 = token_end s v0 eol in
+    let c0 = skip_spaces s v1 eol in
+    let c1 = token_end s c0 eol in
+    match version_at s v0 v1 with
+    | Some _ when c0 < c1 -> (
+        (* digits that fit an int are what [int_of_string] reads them
+           as; anything else (a sign, "0x", "_") is read by it *)
+        let decimal = digits_in s c0 c1 0 in
+        if decimal >= 0 then status_headers s decimal (eol + 2) 0 (-1) (-1) ""
+        else
+          match int_of_string_opt (sub s c0 c1) with
+          | None -> Error (Printf.sprintf "bad status %S" (sub s c0 c1))
+          | Some status -> status_headers s status (eol + 2) 0 (-1) (-1) "")
     | _ -> Error (Printf.sprintf "malformed status line %S" (sub s 0 eol))
   end

@@ -57,6 +57,15 @@ val bad_request : string -> response
 val format_response : response -> string
 
 val parse_response : string -> (response * int, string) result
-(** For the load generator's checking side. *)
+(** Parse one complete response from the front of the buffer, as
+    {!parse_request} does a request. *)
+
+val response_status : string -> (int, string) result
+(** The status of the response at the front of the buffer, after the
+    checks {!parse_response} makes (status line, headers, the
+    [Content-Length] rules and the body length), with the same [Error]
+    text; [Ok s] exactly when [parse_response] gives a response with
+    status [s].  Copies no reason phrase, header or body: the load
+    generators read only the status. *)
 
 val reason_phrase : int -> string

@@ -291,9 +291,7 @@ let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
         (* Really execute the (crash-barriered) server code path. *)
         let reply = process a.sent_raw in
         let status =
-          match Http.parse_response reply with
-          | Ok (resp, _) -> resp.Http.status
-          | Error _ -> 500
+          match Http.response_status reply with Ok s -> s | Error _ -> 500
         in
         (* Stop-the-world GC pauses are driven by the machinery's
            allocation rate. *)
@@ -434,12 +432,11 @@ let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
      retries due strictly before it.  A stalled first attempt is queued
      when the stream reaches it, before any later-due attempt runs. *)
   let rec serve_queued limit =
-    match Pqueue.peek q with
-    | Some (key, a) when key <= limit ->
-        ignore (Pqueue.pop q);
-        serve (key asr 1) a;
-        serve_queued limit
-    | _ -> ()
+    if (not (Pqueue.is_empty q)) && Pqueue.min_priority q <= limit then begin
+      let key = Pqueue.min_priority q in
+      serve (key asr 1) (Pqueue.take q);
+      serve_queued limit
+    end
   in
   let rec stream req = function
     | [] -> serve_queued max_int

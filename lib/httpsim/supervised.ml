@@ -121,7 +121,7 @@ let run_server ~(model : Server.model)
   let loop = Evloop.create () in
   let now () = Evloop.now loop in
   let sleep d =
-    if d > 0 then Sched.suspend (fun r -> Evloop.after loop ~delay:d (fun () -> r ()))
+    if d > 0 then Sched.suspend (fun r -> Evloop.after loop ~delay:d r)
     else Sched.yield ()
   in
   (* The whole workload plan is drawn up front from the seed, so the
@@ -188,9 +188,7 @@ let run_server ~(model : Server.model)
     | reply ->
         let lat = now () - issue in
         let status =
-          match Http.parse_response reply with
-          | Ok (resp, _) -> resp.Http.status
-          | Error _ -> 500
+          match Http.response_status reply with Ok s -> s | Error _ -> 500
         in
         mark cell (Done status);
         if status = 200 then Histogram.record hist lat

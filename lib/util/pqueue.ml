@@ -77,16 +77,26 @@ let add t ~priority value =
   t.len <- t.len + 1;
   sift_up t (t.len - 1) priority s value
 
-let pop t =
-  if t.len = 0 then None
+let empty name = invalid_arg ("Pqueue." ^ name ^ ": empty queue")
+
+let min_priority t = if t.len = 0 then empty "min_priority" else t.prio.(0)
+
+let take t =
+  if t.len = 0 then empty "take"
   else begin
-    let p = t.prio.(0) and v = t.value.(0) in
+    let v = t.value.(0) in
     let last = t.len - 1 in
     t.len <- last;
     if last > 0 then sift_down t 0 t.prio.(last) t.seq.(last) t.value.(last);
     t.value.(last) <- dummy ();
-    Some (p, v)
+    v
   end
+
+let pop t =
+  if t.len = 0 then None
+  else
+    let p = t.prio.(0) in
+    Some (p, take t)
 
 let peek t = if t.len = 0 then None else Some (t.prio.(0), t.value.(0))
 

@@ -16,6 +16,14 @@ val add : 'a t -> priority:int -> 'a -> unit
 (** O(log n).  Smaller priorities are served first; equal priorities are
     served in insertion order. *)
 
+val min_priority : 'a t -> int
+(** The priority {!take} would serve next, without allocating.
+    @raise Invalid_argument on an empty queue. *)
+
+val take : 'a t -> 'a
+(** Remove the minimum and return its value, without allocating.
+    @raise Invalid_argument on an empty queue. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum (priority, value); [None] if empty. *)
 

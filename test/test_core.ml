@@ -1,5 +1,6 @@
 (* Eff, Sched, Mvar, Evloop, Chan, Aio *)
 module C = Retrofit_core
+module Nursery = Retrofit_core.Supervise.Nursery
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -582,6 +583,218 @@ let aio_chaos_deterministic () =
   Alcotest.(check string) "double run byte-identical" a b;
   Alcotest.(check string) "nothing lost under chaos" "a\nb\nc\n" a
 
+(* Every scheduling decision of a run, pinned across rewrites of the
+   scheduler: plain and cancellable forks, yields, [Mvar] hand-offs with
+   parked takers and putters, [Evloop] sleeps, a cancel, and nurseries
+   (one joined, one cancelled with its children parked), under each
+   policy and twenty chaos seeds with high injection rates.  Each step
+   and each unwind appends to [log]. *)
+let pin_workload ~policy ~seed log =
+  let note fmt = Printf.bprintf log (fmt ^^ ";") in
+  let loop = C.Evloop.create () in
+  let sleep d = C.Sched.suspend (fun r -> C.Evloop.after loop ~delay:d r) in
+  let traced name f =
+    match f () with
+    | () -> note "%s:end" name
+    | exception e ->
+        note "%s:%s" name (Printexc.to_string e);
+        raise e
+  in
+  let chaos =
+    {
+      (C.Sched.Chaos.default ~seed) with
+      C.Sched.Chaos.kill_rate = 0.05;
+      delay_rate = 0.25;
+      max_delay = 5;
+      reorder_rate = 0.3;
+      spurious_rate = 0.1;
+    }
+  in
+  C.Sched.run ~policy ~chaos
+    ~clock:(fun () -> C.Evloop.now loop)
+    ~idle:(fun () -> C.Evloop.advance_once loop)
+    (fun () ->
+      let mv = C.Mvar.create_empty () in
+      let producer =
+        C.Sched.fork_cancellable (fun () ->
+            C.Sched.set_killable true;
+            traced "p" (fun () ->
+                for i = 1 to 8 do
+                  C.Mvar.put mv i;
+                  note "p%d" i
+                done))
+      in
+      for c = 1 to 2 do
+        let (_ : unit -> unit) =
+          C.Sched.fork_cancellable (fun () ->
+              C.Sched.set_killable (c = 1);
+              traced (Printf.sprintf "c%d" c) (fun () ->
+                  for _ = 1 to 4 do
+                    let v = C.Mvar.take mv in
+                    note "c%d<%d" c v;
+                    if v mod 3 = 0 then sleep (v * 10) else C.Sched.yield ()
+                  done))
+        in
+        ()
+      done;
+      C.Sched.fork (fun () ->
+          for j = 1 to 3 do
+            note "y%d@%d" j (C.Evloop.now loop);
+            C.Sched.yield ()
+          done);
+      C.Sched.fork (fun () ->
+          sleep 25;
+          note "cancel-p@%d" (C.Evloop.now loop);
+          producer ());
+      let doomed =
+        C.Sched.fork_cancellable (fun () ->
+            traced "scope" (fun () ->
+                Nursery.run (fun n ->
+                    let hold = C.Mvar.create_empty () in
+                    for i = 1 to 4 do
+                      Nursery.fork n (fun () ->
+                          traced (Printf.sprintf "h%d" i) (fun () ->
+                              if i mod 2 = 0 then C.Sched.yield ();
+                              C.Mvar.take hold))
+                    done;
+                    sleep 60)))
+      in
+      Nursery.run (fun n ->
+          for i = 1 to 5 do
+            Nursery.fork n (fun () ->
+                traced (Printf.sprintf "k%d" i) (fun () ->
+                    for j = 1 to 3 do
+                      note "k%d.%d@%d" i j (C.Evloop.now loop);
+                      if j = 2 then sleep (i * 7) else C.Sched.yield ()
+                    done))
+          done;
+          Nursery.join n);
+      note "joined@%d" (C.Evloop.now loop);
+      doomed ());
+  note "switches=%d" (C.Sched.stats_switches ());
+  match C.Sched.chaos_stats () with
+  | Some s ->
+      note "k%d/d%d/r%d/s%d" s.C.Sched.Chaos.kills s.delays s.reorders s.spurious
+  | None -> note "no-chaos"
+
+let sched_decisions_pinned () =
+  let log = Buffer.create 65536 in
+  List.iter
+    (fun policy ->
+      for seed = 1 to 20 do
+        pin_workload ~policy ~seed log;
+        Buffer.add_char log '\n'
+      done)
+    [ C.Sched.Fifo; C.Sched.Lifo ];
+  Alcotest.(check string) "MD5 over run order and chaos counters"
+    "3236a456d567c67c9f2d386073bda4c2"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
+(* ---------------- allocation ceilings ---------------- *)
+
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  f ();
+  let c = Gc.minor_words () in
+  c -. b -. (b -. a)
+
+(* Words per repetition of [body n] between n = 1000 and n = 5000
+   repetitions, so each run's set-up cancels out. *)
+let words_per body =
+  let w1 = minor_words (fun () -> body 1_000)
+  and w2 = minor_words (fun () -> body 5_000) in
+  (w2 -. w1) /. 4_000.
+
+let check_ceiling what words ceiling =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.2f words <= %d" what words ceiling)
+    true
+    (words <= float_of_int ceiling)
+
+(* The ceilings are the measured figures; the scheduler's own share is
+   its run-queue entries and its waiters, its handlers being allocated
+   once per run.  A yield is the continuation and one [Continue]
+   entry. *)
+let alloc_yield () =
+  let words =
+    words_per (fun n ->
+        C.Sched.run (fun () ->
+            for _ = 1 to n do
+              C.Sched.yield ()
+            done))
+  in
+  check_ceiling "yield" words 6
+
+(* The supervised server's sleep: park, and let a timer resume.  The
+   [Suspend] value and the caller's closure, the continuation, the
+   handler closure over the callback, the waiter, the resumer and one
+   [Continue] entry. *)
+let alloc_suspend_evloop () =
+  let words =
+    words_per (fun n ->
+        let loop = C.Evloop.create () in
+        C.Sched.run
+          ~idle:(fun () -> C.Evloop.advance_once loop)
+          (fun () ->
+            for _ = 1 to n do
+              C.Sched.suspend (fun r -> C.Evloop.after loop ~delay:1 r)
+            done))
+  in
+  check_ceiling "suspend/resume through Evloop" words 29
+
+(* The [Fork_cancellable] value, the continuation, the child's control
+   cell, its cancel handle, the [Some] that makes it current, one
+   [Continue] entry and the stack's handler closure. *)
+let alloc_fork_cancellable () =
+  let words =
+    words_per (fun n ->
+        C.Sched.run (fun () ->
+            for _ = 1 to n do
+              let (_ : unit -> unit) = C.Sched.fork_cancellable (fun () -> ()) in
+              ()
+            done))
+  in
+  check_ceiling "fork_cancellable plus finish" words 27
+
+(* A [fork_cancellable] plus the child's link in the scope, its body
+   closure and its [set_killable] effect. *)
+let alloc_nursery_child () =
+  let words =
+    words_per (fun n ->
+        C.Sched.run (fun () ->
+            Nursery.run (fun nu ->
+                for _ = 1 to n do
+                  Nursery.fork nu (fun () -> ());
+                  Nursery.join nu
+                done)))
+  in
+  check_ceiling "nursery child" words 43
+
+(* A long-lived nursery keeps no record of a child that has finished. *)
+let nursery_tracks_live_children_only () =
+  let at = Array.make 2 0 in
+  C.Sched.run (fun () ->
+      Nursery.run (fun nu ->
+          for i = 1 to 10_000 do
+            Nursery.fork nu (fun () -> C.Sched.yield ());
+            Nursery.join nu;
+            if i = 100 then at.(0) <- Obj.reachable_words (Obj.repr nu);
+            if i = 10_000 then at.(1) <- Obj.reachable_words (Obj.repr nu)
+          done));
+  Alcotest.(check int) "reachable words at child 10,000 = at child 100" at.(0)
+    at.(1)
+
+let alloc_suite =
+  [
+    test "yield" alloc_yield;
+    test "suspend/resume through Evloop" alloc_suspend_evloop;
+    test "fork_cancellable plus finish" alloc_fork_cancellable;
+    test "nursery child" alloc_nursery_child;
+    test "nursery tracks live children only" nursery_tracks_live_children_only;
+  ]
+
 let suite =
   [
     test "eff match_with deep" eff_match_with;
@@ -624,4 +837,5 @@ let suite =
     test "sched chaos deterministic" sched_chaos_deterministic;
     test "sched chaos kills killable only" sched_chaos_kills_killable_only;
     test "aio chaos deterministic" aio_chaos_deterministic;
+    test "sched decisions pinned" sched_decisions_pinned;
   ]

@@ -635,6 +635,145 @@ let faults_damage_is_rejected_not_fatal () =
       done)
     H.Experiment.servers
 
+(* ---------------- Status-only validation ---------------- *)
+
+(* [response_status] answers [Ok s] exactly when [parse_response] parses
+   a response with status [s], and fails with the same text otherwise. *)
+let status_agrees raw =
+  match (H.Http.parse_response raw, H.Http.response_status raw) with
+  | Ok (r, _), Ok s -> r.H.Http.status = s
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let check_status_agrees what raw =
+  Alcotest.(check bool) (Printf.sprintf "%s %S" what raw) true (status_agrees raw)
+
+(* Every reply the three servers give: to the clean request, to a 404
+   and a 405, and to every fault the plan can apply at every offset,
+   which covers each reply class of [Faults] (200, the 400s of wire
+   damage, the crash barrier's 500).  Each distinct reply is checked
+   whole and at every prefix. *)
+let response_status_matches_server_replies () =
+  let raw = H.Netsim.request_for ~target:"/" ~conn_id:7 in
+  let len = String.length raw in
+  let faults =
+    H.Faults.[ Backend_fail; Drop; Stall 5; Backend_slow 5 ]
+    @ List.init (len + 2) (fun i -> H.Faults.Truncate i)
+    @ List.init (len + 2) (fun i -> H.Faults.Corrupt i)
+  in
+  let requests =
+    H.Netsim.request_for ~target:"/missing" ~conn_id:0
+    :: "POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+    :: List.map (H.Faults.damaged_raw raw) faults
+  in
+  let replies = Hashtbl.create 64 in
+  List.iter
+    (fun ((model : H.Server.model), process) ->
+      List.iter
+        (fun req ->
+          let reply = process req in
+          if not (Hashtbl.mem replies reply) then Hashtbl.add replies reply model.name)
+        requests)
+    H.Experiment.servers;
+  let statuses = ref [] in
+  Hashtbl.iter
+    (fun reply server ->
+      (match H.Http.response_status reply with
+      | Ok s -> if not (List.mem s !statuses) then statuses := s :: !statuses
+      | Error e -> Alcotest.failf "%s reply rejected: %s" server e);
+      for keep = 0 to String.length reply do
+        check_status_agrees server (String.sub reply 0 keep)
+      done)
+    replies;
+  Alcotest.(check (list int)) "reply classes" [ 200; 400; 404; 405; 500 ]
+    (List.sort compare !statuses)
+
+(* The hand-made replies of the parser pins, each at every prefix. *)
+let response_status_matches_pins () =
+  List.iter
+    (fun (raw, _) ->
+      for keep = 0 to String.length raw do
+        check_status_agrees "pin" (String.sub raw 0 keep)
+      done)
+    response_pins
+
+(* Mutated replies: any version and status token (bad, non-numeric,
+   hex, signed, past max_int), any reason, headers that repeat, conflict
+   or break the [Content-Length] rules (non-digits, signs, spaces in the
+   name, case), malformed header lines, a body shorter or longer than
+   announced, then a truncation or a corrupted byte. *)
+let gen_mutated_reply =
+  let open QCheck.Gen in
+  let version =
+    frequency
+      [ (8, return "HTTP/1.1"); (2, return "HTTP/1.0"); (1, oneofl [ "HTTP/2"; "http/1.1"; "" ]) ]
+  in
+  let status =
+    frequency
+      [
+        (4, oneofl [ "200"; "404"; "500"; "0200" ]);
+        ( 1,
+          oneofl
+            [ "0x1F"; "0o17"; "0b11"; "0u5"; "-5"; "+3"; "1_0"; "2OO"; "abc"; "";
+              "99999999999999999999"; "4611686018427387903"; "4611686018427387904";
+              "123456789012345678"; "1234567890123456789" ] );
+      ]
+  in
+  let reason = oneofl [ ""; "OK"; "Not  Found "; " x"; "\t" ] in
+  let cl_name =
+    oneofl [ "content-length"; "Content-Length"; "CONTENT-LENGTH"; " content-length "; "content-lengths" ]
+  in
+  let cl_value =
+    oneofl
+      [ "0"; "1"; "3"; "5"; "8"; "03"; "+3"; "0x3"; "1_0"; ""; "-1"; " 5 "; "5 "; "abc"; "3 3";
+        "99999999999999999999"; "4611686018427387903"; "4611686018427387904" ]
+  in
+  let header =
+    frequency
+      [
+        (4, map2 (fun n v -> n ^ ":" ^ v) cl_name cl_value);
+        (2, oneofl [ "x-a: 1"; "Server: y"; "x-b:" ]);
+        (1, oneofl [ "nocolon"; ": empty-name"; "  : x"; "a\rb: c" ]);
+      ]
+  in
+  let body = string_size ~gen:(char_range 'a' 'z') (int_range 0 8) in
+  let mutation =
+    frequency
+      [
+        (3, return `None);
+        (2, map (fun k -> `Truncate k) (int_range 0 80));
+        (2, map2 (fun i c -> `Corrupt (i, c)) (int_range 0 80) (oneofl [ '\r'; '\n'; ' '; ':'; 'x'; '9' ]));
+      ]
+  in
+  map
+    (fun ((v, st, r), (hs, b, m)) ->
+      let reply =
+        String.concat ""
+          ([ v; " "; st; (if r = "" then "" else " " ^ r); "\r\n" ]
+          @ List.concat_map (fun h -> [ h; "\r\n" ]) hs
+          @ [ "\r\n"; b ])
+      in
+      let n = String.length reply in
+      match m with
+      | `None -> reply
+      | `Truncate k -> String.sub reply 0 (min k n)
+      | `Corrupt (i, c) ->
+          if i >= n then reply
+          else String.mapi (fun j x -> if j = i then c else x) reply)
+    (pair (triple version status reason) (triple (list_size (int_range 0 4) header) body mutation))
+
+let prop_response_status =
+  QCheck.Test.make ~name:"response_status agrees with parse_response" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_reply)
+    status_agrees
+
+(* Reading a reply's status copies none of it: the static page's reply
+   costs the [Ok] alone. *)
+let response_status_allocates_nothing () =
+  let reply = H.Http.format_response (H.Http.ok H.Server.static_page) in
+  let words = minor_words (fun () -> H.Http.response_status reply) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 2" words) true (words <= 2)
+
 (* ---------------- Resilient engine ---------------- *)
 
 (* Frozen pins: the zero-fault default path is the Fig 6 machinery and
@@ -925,4 +1064,8 @@ let suite =
     test "conflicting content-length is rejected" conflicting_content_length;
     test "netsim shares request bytes per connection" netsim_shares_request_bytes;
     test "faulted outcomes pinned across seeds" resilient_outcomes_pinned;
+    test "response_status agrees on every server reply" response_status_matches_server_replies;
+    test "response_status agrees on the parser pins" response_status_matches_pins;
+    QCheck_alcotest.to_alcotest prop_response_status;
+    test "response_status copies nothing" response_status_allocates_nothing;
   ]

@@ -31,4 +31,5 @@ let () =
       ("causal", Test_causal.suite);
       ("supervise", Test_supervise.suite);
       ("fiber.alloc", Test_fiber.alloc_suite);
+      ("core.alloc", Test_core.alloc_suite);
     ]
