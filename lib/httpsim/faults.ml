@@ -112,7 +112,7 @@ let plan ~seed ~rates events =
     events
 
 let injected_count plan =
-  List.fold_left (fun n i -> if i.fault = None then n else n + 1) 0 plan
+  List.fold_left (fun n i -> match i.fault with None -> n | Some _ -> n + 1) 0 plan
 
 let damaged_raw raw fault =
   let len = String.length raw in

@@ -24,24 +24,13 @@ let meth_to_string = function
   | OPTIONS -> "OPTIONS"
   | Other s -> s
 
-let meth_of_string = function
-  | "GET" -> GET
-  | "HEAD" -> HEAD
-  | "POST" -> POST
-  | "PUT" -> PUT
-  | "DELETE" -> DELETE
-  | "OPTIONS" -> OPTIONS
-  | s -> Other s
-
 (* Byte-range helpers.  The parser works on indices into its input and
    copies out only the fields it returns. *)
 
 let sub s lo hi = if lo = hi then "" else String.sub s lo (hi - lo)
 
-let rec index_in s c lo hi = if lo >= hi then -1 else if s.[lo] = c then lo else index_in s c (lo + 1) hi
-
-let rec has_upper s lo hi =
-  lo < hi && match s.[lo] with 'A' .. 'Z' -> true | _ -> has_upper s (lo + 1) hi
+(* [%S] of [lo, hi): the bytes escaped, in double quotes. *)
+let quoted s lo hi = "\"" ^ String.escaped (sub s lo hi) ^ "\""
 
 let rec same_bytes s i lit j =
   j = String.length lit || (s.[i] = lit.[j] && same_bytes s (i + 1) lit (j + 1))
@@ -49,14 +38,63 @@ let rec same_bytes s i lit j =
 (* Whether [s] holds [lit] at [lo, hi). *)
 let sub_is s lo hi lit = hi - lo = String.length lit && same_bytes s lo lit 0
 
-(* [String.lowercase_ascii] of [lo, hi), copied once. *)
-let sub_lower s lo hi =
-  if has_upper s lo hi then String.init (hi - lo) (fun i -> Char.lowercase_ascii s.[lo + i])
-  else sub s lo hi
+(* Whether [s] from [i + j] on is [lit] from [j] on, once lower-cased. *)
+let rec lowered_at s i lit j =
+  j = String.length lit || (Char.lowercase_ascii s.[i + j] = lit.[j] && lowered_at s i lit (j + 1))
 
-let header req name =
-  let name = if has_upper name 0 (String.length name) then String.lowercase_ascii name else name in
-  List.assoc_opt name req.headers
+(* [String.lowercase_ascii] of [lo, hi), lowered while it is copied. *)
+let lower_copy s lo hi =
+  let b = Bytes.create (hi - lo) in
+  for i = lo to hi - 1 do
+    Bytes.set b (i - lo) (Char.lowercase_ascii s.[i])
+  done;
+  Bytes.unsafe_to_string b
+
+(* The method at [lo, hi), matched in place: only a method with no
+   constructor of its own is copied. *)
+let meth_at s lo hi =
+  if sub_is s lo hi "GET" then GET
+  else if sub_is s lo hi "POST" then POST
+  else if sub_is s lo hi "HEAD" then HEAD
+  else if sub_is s lo hi "PUT" then PUT
+  else if sub_is s lo hi "DELETE" then DELETE
+  else if sub_is s lo hi "OPTIONS" then OPTIONS
+  else Other (sub s lo hi)
+
+let meth_of_string s = meth_at s 0 (String.length s)
+
+(* Whether the line at [pos] starts with [lit], in any case, and a
+   colon. *)
+let name_is s pos lit =
+  let colon = pos + String.length lit in
+  colon < String.length s && lowered_at s pos lit 0 && s.[colon] = ':'
+
+(* The names the simulated requests and replies carry: the load
+   generator's three and [Content-Length].  A line that starts with one of
+   them, in any case, and a colon gets the shared lower-case name,
+   read in place; any other line gets "", and its name is found by a
+   scan and copied. *)
+let known_name s pos =
+  if pos >= String.length s then ""
+  else
+    match s.[pos] with
+    | 'h' | 'H' when name_is s pos "host" -> "host"
+    | 'u' | 'U' when name_is s pos "user-agent" -> "user-agent"
+    | 'x' | 'X' when name_is s pos "x-conn" -> "x-conn"
+    | 'c' | 'C' when name_is s pos "content-length" -> "content-length"
+    | _ -> ""
+
+(* Whether [name] lower-cased is [n], both [i] bytes in. *)
+let rec lowers_to name n i =
+  i = String.length n || (Char.lowercase_ascii name.[i] = n.[i] && lowers_to name n (i + 1))
+
+let rec assoc_lowered name = function
+  | [] -> None
+  | (n, v) :: rest ->
+      if String.length n = String.length name && lowers_to name n 0 then Some v
+      else assoc_lowered name rest
+
+let header req name = assoc_lowered name req.headers
 
 let keep_alive req =
   match (req.version, header req "connection") with
@@ -68,11 +106,27 @@ let keep_alive req =
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-(* The index of the first "\r\n" at or after [i], or -1. *)
-let rec find_crlf s i =
-  if i + 1 >= String.length s then -1
-  else if s.[i] = '\r' && s.[i + 1] = '\n' then i
-  else find_crlf s (i + 1)
+(* The index of the first "\r\n" at or after [i], or -1.  The two
+   line scans loop over a local counter: per byte, that costs less than
+   a recursive call. *)
+let find_crlf s i =
+  let last = String.length s - 1 in
+  let i = ref i in
+  while !i < last && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
+    incr i
+  done;
+  if !i < last then !i else -1
+
+(* The index of the first ':' or "\r\n" at or after [i], or -1: a
+   header line's name is read once, up to its colon, or to the end of
+   a line that has none. *)
+let colon_or_crlf s i =
+  let last = String.length s - 1 in
+  let i = ref i in
+  while !i < last && s.[!i] <> ':' && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
+    incr i
+  done;
+  if !i < last then !i else -1
 
 (* The bytes [String.trim] strips. *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
@@ -80,27 +134,6 @@ let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 let rec trim_left s lo hi = if lo < hi && is_space s.[lo] then trim_left s (lo + 1) hi else lo
 
 let rec trim_right s lo hi = if hi > lo && is_space s.[hi - 1] then trim_right s lo (hi - 1) else hi
-
-(* The header lines from [pos], prepended to [acc]: (headers, offset
-   just past the blank line). *)
-let rec parse_headers s acc pos =
-  let eol = find_crlf s pos in
-  if eol < 0 then Error "incomplete headers"
-  else if eol = pos then Ok (List.rev acc, pos + 2)
-  else begin
-    let colon = index_in s ':' pos eol in
-    if colon < 0 then Error (Printf.sprintf "malformed header %S" (sub s pos eol))
-    else begin
-      let n0 = trim_left s pos colon in
-      let n1 = trim_right s n0 colon in
-      if n0 = n1 then Error "empty header name"
-      else begin
-        let v0 = trim_left s (colon + 1) eol in
-        let value = sub s v0 (trim_right s v0 eol) in
-        parse_headers s ((sub_lower s n0 n1, value) :: acc) (eol + 2)
-      end
-    end
-  end
 
 (* The value of a [Content-Length] at [i, hi), which RFC 7230 defines
    as 1*DIGIT: -1 when it holds any other byte (a sign, "0x", "_") or
@@ -111,42 +144,86 @@ let rec digits_in s i hi acc =
     let d = Char.code s.[i] - Char.code '0' in
     if d < 0 || d > 9 || acc > (max_int - d) / 10 then -1 else digits_in s (i + 1) hi ((10 * acc) + d)
 
-(* Every [Content-Length] must be valid, and all must be the same text:
+(* Whether the [n] bytes at [i] and at [j] are equal. *)
+let rec same_range s i j n = n = 0 || (s.[i] = s.[j] && same_range s (i + 1) (j + 1) (n - 1))
+
+(* The header lines from [pos] and the [Content-Length] body after
+   them, each line read once: its name up to the colon, then its value
+   up to the "\r\n".  [add s known n0 n1 v0 v1 acc] folds in the header
+   with its name at [n0, n1) ([known] when that is a [known_name],
+   else "") and its value at [v0, v1), and [finish acc body_start
+   body_end] makes the result.
+
+   Every [Content-Length] must be valid, and all must be the same text:
    a receiver that took the first of two differing values would frame
    the body differently from one that took the last, which is how
    requests are smuggled (RFC 7230 §3.3.2).  Values are compared as
-   text, so "3" and "03" conflict.  Header values arrive trimmed.
-   [first] is the first value seen, "" before any (no valid value is
-   empty). *)
-let rec content_length_from n first = function
-  | [] -> Ok n
-  | ("content-length", v) :: rest ->
-      let m = if v = "" then -1 else digits_in v 0 (String.length v) 0 in
-      if m < 0 then Error (Printf.sprintf "bad content-length %S" v)
-      else if first = "" then content_length_from m v rest
-      else if not (String.equal v first) then
-        Error (Printf.sprintf "conflicting content-length %S and %S" first v)
-      else content_length_from n first rest
-  | _ :: rest -> content_length_from n first rest
+   text, so "3" and "03" conflict.  [len] is the value so far (0 when
+   none), [f0, f1) the first valid value's bytes ([f0 = -1] before one)
+   and [err] the first [Content-Length] error ("" for none), which a
+   malformed header line further down overrides. *)
+let rec scan_headers s ~add ~finish acc pos len f0 f1 err =
+  let known = known_name s pos in
+  let is_known = String.length known > 0 in
+  let i = if is_known then pos + String.length known else colon_or_crlf s pos in
+  if i < 0 then Error "incomplete headers"
+  else if s.[i] <> ':' then
+    if i > pos then Error ("malformed header " ^ quoted s pos i)
+    else if String.length err > 0 then Error err
+    else if len > String.length s - (pos + 2) then Error "incomplete body"
+    else Ok (finish acc (pos + 2) (pos + 2 + len))
+  else begin
+    let eol = find_crlf s (i + 1) in
+    if eol < 0 then Error "incomplete headers"
+    else begin
+      (* a known name is exactly [pos, i) *)
+      let n0 = if is_known then pos else trim_left s pos i in
+      let n1 = if is_known then i else trim_right s n0 i in
+      if n0 = n1 then Error "empty header name"
+      else begin
+        let v0 = trim_left s (i + 1) eol in
+        let v1 = trim_right s v0 eol in
+        let acc = add s known n0 n1 v0 v1 acc in
+        let next = eol + 2 in
+        let content_length =
+          if is_known then String.equal known "content-length"
+          else n1 - n0 = 14 && lowered_at s n0 "content-length" 0
+        in
+        if String.length err > 0 || not content_length then
+          scan_headers s ~add ~finish acc next len f0 f1 err
+        else begin
+          let m = if v0 = v1 then -1 else digits_in s v0 v1 0 in
+          if m < 0 then
+            scan_headers s ~add ~finish acc next len f0 f1 ("bad content-length " ^ quoted s v0 v1)
+          else if f0 < 0 then scan_headers s ~add ~finish acc next m v0 v1 err
+          else if v1 - v0 <> f1 - f0 || not (same_range s v0 f0 (v1 - v0)) then
+            scan_headers s ~add ~finish acc next len f0 f1
+              ("conflicting content-length " ^ quoted s f0 f1 ^ " and " ^ quoted s v0 v1)
+          else scan_headers s ~add ~finish acc next len f0 f1 err
+        end
+      end
+    end
+  end
 
-let content_length headers = content_length_from 0 "" headers
+let add_header s known n0 n1 v0 v1 acc =
+  let name = if String.length known > 0 then known else lower_copy s n0 n1 in
+  (name, sub s v0 v1) :: acc
 
-(* The headers and the [Content-Length] body from [start]; [k] builds
-   the message from them. *)
-let parse_rest s start k =
-  match parse_headers s [] start with
-  | Error e -> Error e
-  | Ok (headers, body_start) -> (
-      match content_length headers with
-      | Error e -> Error e
-      | Ok len ->
-          if len > String.length s - body_start then Error "incomplete body"
-          else Ok (k headers (sub s body_start (body_start + len)), body_start + len))
+let headers_and_body acc body_start body_end = (List.rev acc, body_start, body_end)
+
+(* The headers, in order, and the body's bounds, of the message whose
+   header lines start at [pos]. *)
+let parse_rest s pos =
+  scan_headers s ~add:add_header ~finish:headers_and_body [] pos 0 (-1) (-1) ""
 
 (* Start-line tokens are separated by runs of spaces, and only spaces. *)
 let rec skip_spaces s i hi = if i < hi && s.[i] = ' ' then skip_spaces s (i + 1) hi else i
 
 let rec token_end s i hi = if i < hi && s.[i] <> ' ' then token_end s (i + 1) hi else i
+
+(* The target at [lo, hi): the root, which every simulated request
+   asks for, shared; any other target copied. *)
+let target_at s lo hi = if hi - lo = 1 && s.[lo] = '/' then "/" else sub s lo hi
 
 (* The version at [lo, hi) if supported, shared rather than copied. *)
 let version_at s lo hi =
@@ -164,15 +241,16 @@ let parse_request s =
     let t1 = token_end s t0 eol in
     let v0 = skip_spaces s t1 eol in
     let v1 = token_end s v0 eol in
-    if v0 = v1 || skip_spaces s v1 eol < eol then
-      Error (Printf.sprintf "malformed request line %S" (sub s 0 eol))
+    if v0 = v1 || skip_spaces s v1 eol < eol then Error ("malformed request line " ^ quoted s 0 eol)
     else
       match version_at s v0 v1 with
-      | None -> Error (Printf.sprintf "unsupported version %S" (sub s v0 v1))
-      | Some version ->
-          let meth = meth_of_string (sub s m0 m1) in
-          let target = sub s t0 t1 in
-          parse_rest s (eol + 2) (fun headers body -> { meth; target; version; headers; body })
+      | None -> Error ("unsupported version " ^ quoted s v0 v1)
+      | Some version -> (
+          match parse_rest s (eol + 2) with
+          | Error e -> Error e
+          | Ok (headers, b0, b1) ->
+              let meth = meth_at s m0 m1 and target = target_at s t0 t1 in
+              Ok ({ meth; target; version; headers; body = sub s b0 b1 }, b1))
   end
 
 (* Serialisation writes each message into one buffer of exactly its
@@ -197,17 +275,49 @@ let rec put_headers buf pos = function
   | (name, value) :: rest ->
       put_headers buf (put_crlf buf (put buf (put buf (put buf pos name) ": ") value)) rest
 
+(* The decimal digits of [n >= 0]. *)
+let rec digit_count n = if n < 10 then 1 else 1 + digit_count (n / 10)
+
+(* Writes [n >= 0] in decimal with its last digit at [hi - 1]. *)
+let rec put_digits buf hi n =
+  Bytes.set buf (hi - 1) (Char.chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_digits buf (hi - 1) (n / 10)
+
+(* [string_of_int n] for [n >= 0], without the C formatter. *)
+let decimal n =
+  let buf = Bytes.create (digit_count n) in
+  put_digits buf (Bytes.length buf) n;
+  Bytes.unsafe_to_string buf
+
+(* The length of [string_of_int n], and [n] written at [pos] as it
+   would print. *)
+let int_length n = if n < 0 then String.length (string_of_int n) else digit_count n
+
+let put_int buf pos n =
+  if n < 0 then put buf pos (string_of_int n)
+  else begin
+    let hi = pos + digit_count n in
+    put_digits buf hi n;
+    hi
+  end
+
+(* The size of a message whose start line, without its "\r\n", is
+   [line] bytes long. *)
+let message_length line headers body = headers_length (line + 4 + String.length body) headers
+
+(* The start line's "\r\n" at [pos], the header lines, a blank line,
+   the body. *)
+let put_message buf pos headers body =
+  ignore (put buf (put_crlf buf (put_headers buf (put_crlf buf pos) headers)) body)
+
 (* "a b c\r\n", the header lines, a blank line, the body. *)
 let serialise a b c headers body =
-  let len =
-    headers_length
-      (String.length a + String.length b + String.length c + 6 + String.length body)
-      headers
+  let buf =
+    Bytes.create
+      (message_length (String.length a + String.length b + String.length c + 2) headers body)
   in
-  let buf = Bytes.create len in
   let pos = put buf (put_char buf (put buf (put_char buf (put buf 0 a) ' ') b) ' ') c in
-  let pos = put_crlf buf (put_headers buf (put_crlf buf pos) headers) in
-  ignore (put buf pos body);
+  put_message buf pos headers body;
   Bytes.unsafe_to_string buf
 
 let format_request req =
@@ -220,7 +330,7 @@ let format_request req =
   in
   let headers =
     if has_content_length || req.body = "" then req.headers
-    else req.headers @ [ ("content-length", string_of_int (String.length req.body)) ]
+    else req.headers @ [ ("content-length", decimal (String.length req.body)) ]
   in
   serialise (meth_to_string req.meth) req.target req.version headers req.body
 
@@ -245,10 +355,11 @@ let reason_phrase = function
   | n -> Printf.sprintf "Status %d" n
 
 let response ?(headers = []) ~status body =
+  let length = ("content-length", decimal (String.length body)) in
   {
     status;
     reason = reason_phrase status;
-    resp_headers = headers @ [ ("content-length", string_of_int (String.length body)) ];
+    resp_headers = (match headers with [] -> [ length ] | _ -> headers @ [ length ]);
     resp_body = body;
   }
 
@@ -258,8 +369,13 @@ let not_found = response ~status:404 "not found"
 
 let bad_request msg = response ~status:400 msg
 
+(* "HTTP/1.1 <status> <reason>", the status written in place. *)
 let format_response r =
-  serialise "HTTP/1.1" (string_of_int r.status) r.reason r.resp_headers r.resp_body
+  let line = 10 + int_length r.status + String.length r.reason in
+  let buf = Bytes.create (message_length line r.resp_headers r.resp_body) in
+  let pos = put buf (put_char buf (put_int buf (put buf 0 "HTTP/1.1 ") r.status) ' ') r.reason in
+  put_message buf pos r.resp_headers r.resp_body;
+  Bytes.unsafe_to_string buf
 
 let rec trim_right_spaces s lo hi =
   if hi > lo && s.[hi - 1] = ' ' then trim_right_spaces s lo (hi - 1) else hi
@@ -297,62 +413,23 @@ let parse_response s =
     match version_at s v0 v1 with
     | Some _ when c0 < c1 -> (
         match int_of_string_opt (sub s c0 c1) with
-        | None -> Error (Printf.sprintf "bad status %S" (sub s c0 c1))
-        | Some status ->
+        | None -> Error ("bad status " ^ quoted s c0 c1)
+        | Some status -> (
             let reason = reason_at s (skip_spaces s c1 eol) eol in
-            parse_rest s (eol + 2) (fun resp_headers resp_body ->
-                { status; reason; resp_headers; resp_body }))
-    | _ -> Error (Printf.sprintf "malformed status line %S" (sub s 0 eol))
+            match parse_rest s (eol + 2) with
+            | Error e -> Error e
+            | Ok (resp_headers, b0, b1) ->
+                Ok ({ status; reason; resp_headers; resp_body = sub s b0 b1 }, b1)))
+    | _ -> Error ("malformed status line " ^ quoted s 0 eol)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Status-only validation: the checks of [parse_response], on indices,
    with a copy only to build an error *)
 
-(* Whether [lo, hi) is [lit] once lower-cased; [lit] is lower case. *)
-let rec same_lowered s i lit j =
-  j = String.length lit || (Char.lowercase_ascii s.[i] = lit.[j] && same_lowered s (i + 1) lit (j + 1))
+let skip_header _ _ _ _ _ _ status = status
 
-(* Whether the [n] bytes at [i] and at [j] are equal. *)
-let rec same_range s i j n = n = 0 || (s.[i] = s.[j] && same_range s (i + 1) (j + 1) (n - 1))
-
-(* The header lines from [pos] and the body after them, checked as
-   [parse_rest] checks them.  [len] is the [Content-Length] so far (0
-   when none), [f0, f1) the first valid value's bytes ([f0 = -1] before
-   one) and [err] the first [Content-Length] error ("" for none), which
-   a malformed header further down overrides, as in [parse_rest]. *)
-let rec status_headers s status pos len f0 f1 err =
-  let eol = find_crlf s pos in
-  if eol < 0 then Error "incomplete headers"
-  else if eol = pos then
-    if String.length err > 0 then Error err
-    else if len > String.length s - (pos + 2) then Error "incomplete body"
-    else Ok status
-  else begin
-    let colon = index_in s ':' pos eol in
-    if colon < 0 then Error (Printf.sprintf "malformed header %S" (sub s pos eol))
-    else begin
-      let n0 = trim_left s pos colon in
-      let n1 = trim_right s n0 colon in
-      let next = eol + 2 in
-      if n0 = n1 then Error "empty header name"
-      else if String.length err > 0 || n1 - n0 <> 14 || not (same_lowered s n0 "content-length" 0)
-      then status_headers s status next len f0 f1 err
-      else begin
-        let v0 = trim_left s (colon + 1) eol in
-        let v1 = trim_right s v0 eol in
-        let m = if v0 = v1 then -1 else digits_in s v0 v1 0 in
-        if m < 0 then
-          status_headers s status next len f0 f1
-            (Printf.sprintf "bad content-length %S" (sub s v0 v1))
-        else if f0 < 0 then status_headers s status next m v0 v1 err
-        else if v1 - v0 <> f1 - f0 || not (same_range s v0 f0 (v1 - v0)) then
-          status_headers s status next len f0 f1
-            (Printf.sprintf "conflicting content-length %S and %S" (sub s f0 f1) (sub s v0 v1))
-        else status_headers s status next len f0 f1 err
-      end
-    end
-  end
+let status_only status _ _ = status
 
 let response_status s =
   let eol = find_crlf s 0 in
@@ -362,15 +439,18 @@ let response_status s =
     let v1 = token_end s v0 eol in
     let c0 = skip_spaces s v1 eol in
     let c1 = token_end s c0 eol in
+    let check status =
+      scan_headers s ~add:skip_header ~finish:status_only status (eol + 2) 0 (-1) (-1) ""
+    in
     match version_at s v0 v1 with
     | Some _ when c0 < c1 -> (
         (* digits that fit an int are what [int_of_string] reads them
            as; anything else (a sign, "0x", "_") is read by it *)
         let decimal = digits_in s c0 c1 0 in
-        if decimal >= 0 then status_headers s decimal (eol + 2) 0 (-1) (-1) ""
+        if decimal >= 0 then check decimal
         else
           match int_of_string_opt (sub s c0 c1) with
-          | None -> Error (Printf.sprintf "bad status %S" (sub s c0 c1))
-          | Some status -> status_headers s status (eol + 2) 0 (-1) (-1) "")
-    | _ -> Error (Printf.sprintf "malformed status line %S" (sub s 0 eol))
+          | None -> Error ("bad status " ^ quoted s c0 c1)
+          | Some status -> check status)
+    | _ -> Error ("malformed status line " ^ quoted s 0 eol)
   end

@@ -59,7 +59,7 @@ let crash_header = "x-fault-inject"
 let internal_error = Http.response ~status:500 "internal server error"
 
 let app_handler (req : Http.request) =
-  if Http.header req crash_header = Some "crash" then raise Backend_failure;
+  (match Http.header req crash_header with Some "crash" -> raise Backend_failure | _ -> ());
   match (req.meth, req.target) with
   | Http.GET, "/" -> Http.ok static_page
   | Http.GET, _ -> Http.not_found

@@ -9,6 +9,7 @@ type t = {
   sub_bucket_count : int;
   sub_bucket_half_count : int;
   sub_bucket_mask : int;
+  sub_bucket_magnitude : int;  (* log2 sub_bucket_count *)
   unit_magnitude : int;  (* always 0 here: unit precision of 1 *)
   counts : int array;
   mutable total : int;
@@ -17,19 +18,15 @@ type t = {
   mutable max_seen : int;
 }
 
+(* The number of significant bits of [n >= 0]. *)
+let rec bit_length n acc = if n = 0 then acc else bit_length (n lsr 1) (acc + 1)
+
+(* Index of the exponential bucket holding [v]: the bit length of
+   [v lor sub_bucket_mask] past the sub-bucket magnitude.  That length
+   is at least the magnitude, so the bits below it are shifted off
+   first. *)
 let bucket_index t v =
-  (* Index of the exponential bucket holding [v]. *)
-  let pow2ceiling =
-    let x = v lor t.sub_bucket_mask in
-    (* position of highest set bit, +1 *)
-    let rec msb n acc = if n = 0 then acc else msb (n lsr 1) (acc + 1) in
-    msb x 0
-  in
-  let sub_bucket_count_magnitude =
-    let rec msb n acc = if n <= 1 then acc else msb (n lsr 1) (acc + 1) in
-    msb t.sub_bucket_count 0
-  in
-  pow2ceiling - t.unit_magnitude - sub_bucket_count_magnitude
+  bit_length ((v lor t.sub_bucket_mask) lsr t.sub_bucket_magnitude) 0 - t.unit_magnitude
 
 let sub_bucket_index t v bucket =
   v lsr (bucket + t.unit_magnitude)
@@ -59,6 +56,7 @@ let create ?(significant_figures = 3) ~max_value () =
     next_pow2 largest_resolvable 2
   in
   let sub_bucket_half_count = sub_bucket_count / 2 in
+  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   let t =
     {
       sig_figs = significant_figures;
@@ -66,6 +64,7 @@ let create ?(significant_figures = 3) ~max_value () =
       sub_bucket_count;
       sub_bucket_half_count;
       sub_bucket_mask = sub_bucket_count - 1;
+      sub_bucket_magnitude = log2 sub_bucket_count 0;
       unit_magnitude = 0;
       counts = [||];
       total = 0;

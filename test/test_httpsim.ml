@@ -322,7 +322,9 @@ let minor_words f =
 (* The parser copies out only the fields it returns, and a reply is
    written once into a buffer of its exact size (the 1141-byte page
    alone is 144 words).  Ceilings at the measured figures keep either
-   from silently regressing. *)
+   from silently regressing.  A server's whole request (parse, handle,
+   serialise, and its own machinery) and the page's response record
+   have ceilings too. *)
 let http_allocation_ceilings () =
   let raw = H.Netsim.request_for ~target:"/" ~conn_id:0 in
   let page = H.Http.ok H.Server.static_page in
@@ -332,7 +334,11 @@ let http_allocation_ceilings () =
       (words <= ceiling)
   in
   check "parse_request of a simulated request" 72 (fun () -> H.Http.parse_request raw);
-  check "format_response of the static page" 146 (fun () -> H.Http.format_response page)
+  check "format_response of the static page" 146 (fun () -> H.Http.format_response page);
+  check "Http.ok of the static page" 13 (fun () -> H.Http.ok H.Server.static_page);
+  check "mc process of a simulated request" 229 (fun () -> H.Server_effects.process_raw raw);
+  check "go process of a simulated request" 221 (fun () -> H.Server_go.process_raw raw);
+  check "lwt process of a simulated request" 333 (fun () -> H.Server_monad.process_raw raw)
 
 (* Regression: content_length took the first of several Content-Length
    headers.  Differing values must be rejected (RFC 7230 §3.3.2), and
@@ -774,6 +780,111 @@ let response_status_allocates_nothing () =
   let words = minor_words (fun () -> H.Http.response_status reply) in
   Alcotest.(check bool) (Printf.sprintf "%d words <= 2" words) true (words <= 2)
 
+(* ---------------- Reply bytes ---------------- *)
+
+(* Mutated requests: any method token (known, lower case, unknown,
+   empty), target and version, headers whose names the parser knows in
+   any case ([Host], [Content-Length], [Connection], the crash tag) or
+   does not, with good and bad values, malformed header lines, a body
+   shorter or longer than announced, then a truncation or a corrupted
+   byte. *)
+let gen_mutated_request =
+  let open QCheck.Gen in
+  let meth =
+    frequency
+      [
+        (6, return "GET");
+        (3, oneofl [ "HEAD"; "POST"; "PUT"; "DELETE"; "OPTIONS" ]);
+        (1, oneofl [ "get"; "GETS"; "PATCH"; "G"; ""; "\031ET" ]);
+      ]
+  in
+  let target = frequency [ (4, return "/"); (1, oneofl [ "/missing"; "/a\tb"; "" ]) ] in
+  let version =
+    frequency
+      [ (8, return "HTTP/1.1"); (2, return "HTTP/1.0"); (1, oneofl [ "HTTP/2"; "http/1.1"; "" ]) ]
+  in
+  let name =
+    oneofl
+      [ "host"; "Host"; "HOST"; "content-length"; "Content-Length"; " content-length ";
+        "connection"; "Connection"; "x-fault-inject"; "X-Fault-Inject"; "user-agent";
+        "User-Agent"; "x-conn"; "X-Mixed-CASE"; "content-lengths"; "hos"; "x" ]
+  in
+  let value =
+    oneofl
+      [ "bench.local"; "crash"; " crash "; "CRASH"; "close"; "Close"; "keep-alive"; "0"; "3";
+        "5"; "03"; "+3"; "-1"; ""; "abc"; "99999999999999999999"; "a:b" ]
+  in
+  let header =
+    frequency
+      [
+        (6, map2 (fun n v -> n ^ ":" ^ v) name value);
+        (2, map2 (fun n v -> n ^ ": " ^ v) name value);
+        (1, oneofl [ "nocolon"; ": empty-name"; "  : x"; "a\rb: c"; "\012A\012: \012v\012" ]);
+      ]
+  in
+  let body = string_size ~gen:(char_range 'a' 'z') (int_range 0 8) in
+  let mutation =
+    frequency
+      [
+        (3, return `None);
+        (2, map (fun k -> `Truncate k) (int_range 0 100));
+        ( 2,
+          map2 (fun i c -> `Corrupt (i, c)) (int_range 0 100)
+            (oneofl [ '\r'; '\n'; ' '; ':'; 'x'; 'A'; '\031' ]) );
+      ]
+  in
+  map
+    (fun ((m, t, v), (hs, b, mu)) ->
+      let raw =
+        String.concat ""
+          ([ m; " "; t; " "; v; "\r\n" ]
+          @ List.concat_map (fun h -> [ h; "\r\n" ]) hs
+          @ [ "\r\n"; b ])
+      in
+      let n = String.length raw in
+      match mu with
+      | `None -> raw
+      | `Truncate k -> String.sub raw 0 (min k n)
+      | `Corrupt (i, c) ->
+          if i >= n then raw else String.mapi (fun j x -> if j = i then c else x) raw)
+    (pair (triple meth target version) (triple (list_size (int_range 0 5) header) body mutation))
+
+(* One MD5 over every server's reply bytes, and the printed parse, for
+   the clean simulated request, each fault at every offset, a 404, a
+   405 and 3,000 seeded mutations: a rewrite of the request path that
+   moves one reply byte or one error text fails here.  The value is the
+   one the path gave before it was rewritten to read each byte once. *)
+let reply_bytes_pinned () =
+  let raw = H.Netsim.request_for ~target:"/" ~conn_id:7 in
+  let len = String.length raw in
+  let faults =
+    (H.Faults.Backend_fail :: List.init (len + 2) (fun i -> H.Faults.Truncate i))
+    @ List.init (len + 2) (fun i -> H.Faults.Corrupt i)
+  in
+  let mutated =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:3000 gen_mutated_request
+  in
+  let requests =
+    (raw :: H.Netsim.request_for ~target:"/missing" ~conn_id:0
+     :: "POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+     :: List.map (H.Faults.damaged_raw raw) faults)
+    @ mutated
+  in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun req ->
+      Buffer.add_string b (show_request (H.Http.parse_request req));
+      Buffer.add_char b '\n';
+      List.iter
+        (fun (_, process) ->
+          Buffer.add_string b (process req);
+          Buffer.add_char b '\n')
+        H.Experiment.servers)
+    requests;
+  Alcotest.(check int) "inputs" 3164 (List.length requests);
+  Alcotest.(check string) "MD5 of replies and parses" "81792be5f31d8e56819aa2f846b9ccca"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------------- Resilient engine ---------------- *)
 
 (* Frozen pins: the zero-fault default path is the Fig 6 machinery and
@@ -1068,4 +1179,5 @@ let suite =
     test "response_status agrees on the parser pins" response_status_matches_pins;
     QCheck_alcotest.to_alcotest prop_response_status;
     test "response_status copies nothing" response_status_allocates_nothing;
+    test "reply bytes pinned" reply_bytes_pinned;
   ]
