@@ -32,12 +32,6 @@ let sub s lo hi = if lo = hi then "" else String.sub s lo (hi - lo)
 (* [%S] of [lo, hi): the bytes escaped, in double quotes. *)
 let quoted s lo hi = "\"" ^ String.escaped (sub s lo hi) ^ "\""
 
-let rec same_bytes s i lit j =
-  j = String.length lit || (s.[i] = lit.[j] && same_bytes s (i + 1) lit (j + 1))
-
-(* Whether [s] holds [lit] at [lo, hi). *)
-let sub_is s lo hi lit = hi - lo = String.length lit && same_bytes s lo lit 0
-
 (* Whether [s] from [i + j] on is [lit] from [j] on, once lower-cased. *)
 let rec lowered_at s i lit j =
   j = String.length lit || (Char.lowercase_ascii s.[i + j] = lit.[j] && lowered_at s i lit (j + 1))
@@ -51,37 +45,79 @@ let lower_copy s lo hi =
   Bytes.unsafe_to_string b
 
 (* The method at [lo, hi), matched in place: only a method with no
-   constructor of its own is copied. *)
+   constructor of its own is copied.  A token of three to seven bytes
+   fits an int: the word at [lo], masked to the token's length, is
+   compared whole with each name (written little-endian).  The caller
+   has found a target and an eight-byte version after the method, so
+   eight bytes remain at [lo]. *)
 let meth_at s lo hi =
-  if sub_is s lo hi "GET" then GET
-  else if sub_is s lo hi "POST" then POST
-  else if sub_is s lo hi "HEAD" then HEAD
-  else if sub_is s lo hi "PUT" then PUT
-  else if sub_is s lo hi "DELETE" then DELETE
-  else if sub_is s lo hi "OPTIONS" then OPTIONS
-  else Other (sub s lo hi)
-
-let meth_of_string s = meth_at s 0 (String.length s)
-
-(* Whether the line at [pos] starts with [lit], in any case, and a
-   colon. *)
-let name_is s pos lit =
-  let colon = pos + String.length lit in
-  colon < String.length s && lowered_at s pos lit 0 && s.[colon] = ':'
+  let len = hi - lo in
+  if len < 3 || len > 7 then Other (sub s lo hi)
+  else
+    match Int64.to_int (String.get_int64_le s lo) land ((1 lsl (8 * len)) - 1) with
+    | 0x54_4547 (* "GET" *) when len = 3 -> GET
+    | 0x5453_4f50 (* "POST" *) when len = 4 -> POST
+    | 0x4441_4548 (* "HEAD" *) when len = 4 -> HEAD
+    | 0x54_5550 (* "PUT" *) when len = 3 -> PUT
+    | 0x4554_454c_4544 (* "DELETE" *) when len = 6 -> DELETE
+    | 0x53_4e4f_4954_504f (* "OPTIONS" *) when len = 7 -> OPTIONS
+    | _ -> Other (sub s lo hi)
 
 (* The names the simulated requests and replies carry: the load
    generator's three and [Content-Length].  A line that starts with one of
    them, in any case, and a colon gets the shared lower-case name,
    read in place; any other line gets "", and its name is found by a
-   scan and copied. *)
+   scan and copied.
+
+   Where eight bytes remain, a name and its colon are one masked compare
+   of a word, or two for a name longer than seven bytes (the second word
+   ends at the colon): [(w lor fold) land keep = lit], where [fold] is
+   0x20 at each byte where [lit] has a lower-case letter and 0
+   elsewhere.  At a letter [l], [b lor 0x20 = l] exactly when
+   [Char.lowercase_ascii b = l]; at a '-' or ':' the compare must stay
+   exact, because '\r' lor 0x20 is '-' and 0x1a lor 0x20 is ':'.  A
+   line nearer the end gets "": a complete head needs more bytes after
+   any of these names ("host:\r\n\r\n" is nine), so such a line's name
+   is never returned, and its scan finds the same bounds. *)
 let known_name s pos =
-  if pos >= String.length s then ""
+  let n = String.length s in
+  if pos + 8 > n then ""
   else
+    let w = String.get_int64_le s pos in
     match s.[pos] with
-    | 'h' | 'H' when name_is s pos "host" -> "host"
-    | 'u' | 'U' when name_is s pos "user-agent" -> "user-agent"
-    | 'x' | 'X' when name_is s pos "x-conn" -> "x-conn"
-    | 'c' | 'C' when name_is s pos "content-length" -> "content-length"
+    | 'h' | 'H' ->
+        (* "host:" *)
+        if Int64.equal (Int64.logand (Int64.logor w 0x20202020L) 0xff_ffff_ffffL) 0x3a_7473_6f68L
+        then "host"
+        else ""
+    | 'x' | 'X' ->
+        (* "x-conn:" *)
+        if
+          Int64.equal
+            (Int64.logand (Int64.logor w 0x2020_2020_0020L) 0xff_ffff_ffff_ffffL)
+            0x3a_6e6e_6f63_2d78L
+        then "x-conn"
+        else ""
+    | 'u' | 'U' ->
+        (* "user-age", then "r-agent:" *)
+        if
+          pos + 11 <= n
+          && Int64.equal (Int64.logor w 0x2020_2000_2020_2020L) 0x6567_612d_7265_7375L
+          && Int64.equal
+               (Int64.logor (String.get_int64_le s (pos + 3)) 0x20_2020_2020_0020L)
+               0x3a74_6e65_6761_2d72L
+        then "user-agent"
+        else ""
+    | 'c' | 'C' ->
+        (* "content-", then "-length:" *)
+        if
+          pos + 15 <= n
+          && Int64.equal (Int64.logor w 0x20_2020_2020_2020L) 0x2d74_6e65_746e_6f63L
+          && Int64.equal
+               (Int64.logor (String.get_int64_le s (pos + 7)) 0x20_2020_2020_2000L)
+               0x3a68_7467_6e65_6c2dL
+        then "content-length"
+        else ""
     | _ -> ""
 
 (* Whether [name] lower-cased is [n], both [i] bytes in. *)
@@ -96,37 +132,78 @@ let rec assoc_lowered name = function
 
 let header req name = assoc_lowered name req.headers
 
-let keep_alive req =
-  match (req.version, header req "connection") with
-  | _, Some c when String.lowercase_ascii c = "close" -> false
-  | "HTTP/1.0", Some c when String.lowercase_ascii c = "keep-alive" -> true
-  | "HTTP/1.0", _ -> false
-  | _, _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-(* The index of the first "\r\n" at or after [i], or -1.  The two
-   line scans loop over a local counter: per byte, that costs less than
-   a recursive call. *)
+(* The line scans read a word at a time where eight bytes remain
+   ([String.get_int64_le]: the byte at [i] is the lowest).  A word
+   holds a byte [c] exactly when [x], the word XOR [c] in every byte,
+   holds a zero byte, which is when
+   [(x - 0x0101..01) land lnot x land 0x8080..80] is not 0.  Each
+   [Int64] stays let-bound in the loop that reads it, so the compiler
+   keeps it unboxed; passed to a helper it would be boxed on every read.
+   A word that holds a byte the scan stops at, and the last seven bytes,
+   are read one byte at a time; then the words resume. *)
+
+(* The index of the first "\r\n" at or after [i], or -1: words with
+   no '\r' are skipped whole. *)
 let find_crlf s i =
-  let last = String.length s - 1 in
-  let i = ref i in
-  while !i < last && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
-    incr i
+  let n = String.length s in
+  let last = n - 1 in
+  let i = ref i and found = ref (-1) in
+  while !found < 0 && !i < last do
+    if
+      !i + 8 <= n
+      &&
+      let x = Int64.logxor (String.get_int64_le s !i) 0x0d0d_0d0d_0d0d_0d0dL in
+      Int64.equal
+        (Int64.logand
+           (Int64.logand (Int64.sub x 0x0101_0101_0101_0101L) (Int64.lognot x))
+           0x8080_8080_8080_8080L)
+        0L
+    then i := !i + 8
+    else begin
+      let stop = if !i + 8 < last then !i + 8 else last in
+      while !i < stop && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
+        incr i
+      done;
+      if !i < stop then found := !i
+    end
   done;
-  if !i < last then !i else -1
+  !found
 
 (* The index of the first ':' or "\r\n" at or after [i], or -1: a
    header line's name is read once, up to its colon, or to the end of
-   a line that has none. *)
+   a line that has none.  Words with neither ':' nor '\r' are skipped
+   whole. *)
 let colon_or_crlf s i =
-  let last = String.length s - 1 in
-  let i = ref i in
-  while !i < last && s.[!i] <> ':' && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
-    incr i
+  let n = String.length s in
+  let last = n - 1 in
+  let i = ref i and found = ref (-1) in
+  while !found < 0 && !i < last do
+    if
+      !i + 8 <= n
+      &&
+      let w = String.get_int64_le s !i in
+      let c = Int64.logxor w 0x3a3a_3a3a_3a3a_3a3aL in
+      let r = Int64.logxor w 0x0d0d_0d0d_0d0d_0d0dL in
+      Int64.equal
+        (Int64.logand
+           (Int64.logor
+              (Int64.logand (Int64.sub c 0x0101_0101_0101_0101L) (Int64.lognot c))
+              (Int64.logand (Int64.sub r 0x0101_0101_0101_0101L) (Int64.lognot r)))
+           0x8080_8080_8080_8080L)
+        0L
+    then i := !i + 8
+    else begin
+      let stop = if !i + 8 < last then !i + 8 else last in
+      while !i < stop && s.[!i] <> ':' && (s.[!i] <> '\r' || s.[!i + 1] <> '\n') do
+        incr i
+      done;
+      if !i < stop then found := !i
+    end
   done;
-  if !i < last then !i else -1
+  !found
 
 (* The bytes [String.trim] strips. *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
@@ -225,11 +302,15 @@ let rec token_end s i hi = if i < hi && s.[i] <> ' ' then token_end s (i + 1) hi
    asks for, shared; any other target copied. *)
 let target_at s lo hi = if hi - lo = 1 && s.[lo] = '/' then "/" else sub s lo hi
 
-(* The version at [lo, hi) if supported, shared rather than copied. *)
+(* The version at [lo, hi) if supported, shared rather than copied:
+   one word, compared whole. *)
 let version_at s lo hi =
-  if sub_is s lo hi "HTTP/1.1" then Some "HTTP/1.1"
-  else if sub_is s lo hi "HTTP/1.0" then Some "HTTP/1.0"
-  else None
+  if hi - lo <> 8 then None
+  else
+    let w = String.get_int64_le s lo in
+    if Int64.equal w 0x312e_312f_5054_5448L (* "HTTP/1.1" *) then Some "HTTP/1.1"
+    else if Int64.equal w 0x302e_312f_5054_5448L (* "HTTP/1.0" *) then Some "HTTP/1.0"
+    else None
 
 let parse_request s =
   let eol = find_crlf s 0 in
@@ -325,7 +406,7 @@ let format_request req =
      spelled "Content-Length" must suppress the synthesised one. *)
   let has_content_length =
     List.exists
-      (fun (name, _) -> String.lowercase_ascii name = "content-length")
+      (fun (name, _) -> String.length name = 14 && lowers_to name "content-length" 0)
       req.headers
   in
   let headers =
@@ -377,6 +458,10 @@ let format_response r =
   put_message buf pos r.resp_headers r.resp_body;
   Bytes.unsafe_to_string buf
 
+(* The status code at [lo, hi), which RFC 9112 §4 defines as 3DIGIT,
+   or -1: a sign, "0x", "_" or a fourth digit makes it a bad status. *)
+let status_code s lo hi = if hi - lo = 3 then digits_in s lo hi 0 else -1
+
 let rec trim_right_spaces s lo hi =
   if hi > lo && s.[hi - 1] = ' ' then trim_right_spaces s lo (hi - 1) else hi
 
@@ -412,14 +497,14 @@ let parse_response s =
     let c1 = token_end s c0 eol in
     match version_at s v0 v1 with
     | Some _ when c0 < c1 -> (
-        match int_of_string_opt (sub s c0 c1) with
-        | None -> Error ("bad status " ^ quoted s c0 c1)
-        | Some status -> (
-            let reason = reason_at s (skip_spaces s c1 eol) eol in
-            match parse_rest s (eol + 2) with
-            | Error e -> Error e
-            | Ok (resp_headers, b0, b1) ->
-                Ok ({ status; reason; resp_headers; resp_body = sub s b0 b1 }, b1)))
+        let status = status_code s c0 c1 in
+        if status < 0 then Error ("bad status " ^ quoted s c0 c1)
+        else
+          let reason = reason_at s (skip_spaces s c1 eol) eol in
+          match parse_rest s (eol + 2) with
+          | Error e -> Error e
+          | Ok (resp_headers, b0, b1) ->
+              Ok ({ status; reason; resp_headers; resp_body = sub s b0 b1 }, b1))
     | _ -> Error ("malformed status line " ^ quoted s 0 eol)
   end
 
@@ -439,18 +524,10 @@ let response_status s =
     let v1 = token_end s v0 eol in
     let c0 = skip_spaces s v1 eol in
     let c1 = token_end s c0 eol in
-    let check status =
-      scan_headers s ~add:skip_header ~finish:status_only status (eol + 2) 0 (-1) (-1) ""
-    in
     match version_at s v0 v1 with
-    | Some _ when c0 < c1 -> (
-        (* digits that fit an int are what [int_of_string] reads them
-           as; anything else (a sign, "0x", "_") is read by it *)
-        let decimal = digits_in s c0 c1 0 in
-        if decimal >= 0 then check decimal
-        else
-          match int_of_string_opt (sub s c0 c1) with
-          | None -> Error ("bad status " ^ quoted s c0 c1)
-          | Some status -> check status)
+    | Some _ when c0 < c1 ->
+        let status = status_code s c0 c1 in
+        if status < 0 then Error ("bad status " ^ quoted s c0 c1)
+        else scan_headers s ~add:skip_header ~finish:status_only status (eol + 2) 0 (-1) (-1) ""
     | _ -> Error ("malformed status line " ^ quoted s 0 eol)
   end

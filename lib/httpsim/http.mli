@@ -3,8 +3,7 @@
     The web-server experiment (§6.3.4) uses httpaf for HTTP handling;
     this module is our substitute.  It implements enough of RFC 7230
     for the benchmark and the tests: request lines, header fields,
-    [Content-Length] bodies, response serialisation, and keep-alive
-    semantics. *)
+    [Content-Length] bodies and response serialisation. *)
 
 type meth = GET | HEAD | POST | PUT | DELETE | OPTIONS | Other of string
 
@@ -25,14 +24,8 @@ type response = {
 
 val meth_to_string : meth -> string
 
-val meth_of_string : string -> meth
-
 val header : request -> string -> string option
 (** Case-insensitive lookup of the first matching header. *)
-
-val keep_alive : request -> bool
-(** HTTP/1.1 defaults to keep-alive unless [Connection: close];
-    HTTP/1.0 the reverse. *)
 
 val parse_request : string -> (request * int, string) result
 (** Parse one complete request from the front of the buffer, returning
@@ -58,7 +51,8 @@ val format_response : response -> string
 
 val parse_response : string -> (response * int, string) result
 (** Parse one complete response from the front of the buffer, as
-    {!parse_request} does a request. *)
+    {!parse_request} does a request.  The status code is exactly three
+    digits (RFC 9112's [3DIGIT]). *)
 
 val response_status : string -> (int, string) result
 (** The status of the response at the front of the buffer, after the
