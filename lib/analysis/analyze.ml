@@ -42,11 +42,10 @@ exception M_abort
 
 exception M_fuel
 
-let must_run ?(fuel = 200_000) (cfun_model : string -> Cfg.cfun_model)
-    (p : F.Ir.program) : must * bool =
+let must_run (cfun_model : string -> Cfg.cfun_model) (p : F.Ir.program) : must * bool =
   let fns = Hashtbl.create 16 in
   List.iter (fun (f : F.Ir.fn) -> Hashtbl.replace fns f.F.Ir.fn_name f) p.F.Ir.fns;
-  let fuel = ref fuel in
+  let fuel = ref 200_000 in
   let violated = ref false in
   let tick () =
     decr fuel;
@@ -203,7 +202,7 @@ let refine ~flow_may ~(must : must) label =
   | M_raises _ -> Diag.Safe
   | M_unknown -> Diag.May
 
-let analyze ?cfun_model ?must_fuel ?(multishot = false) ?compiled
+let analyze ?cfun_model ?(multishot = false) ?compiled
     ?(lints = true) (p : F.Ir.program) : result =
   let cfg = Cfg.build ?cfun_model p in
   let lin = Linearity.analyze cfg in
@@ -216,7 +215,7 @@ let analyze ?cfun_model ?must_fuel ?(multishot = false) ?compiled
     match compiled with Some c -> c | None -> F.Compile.compile p
   in
   let cost = Costbound.analyze ~cfun_model:cfg.Cfg.cfun_model compiled in
-  let must, hit_violation = must_run ?fuel:must_fuel cfg.Cfg.cfun_model p in
+  let must, hit_violation = must_run cfg.Cfg.cfun_model p in
   (* The interpreter's continuations are the host's, hence one-shot:
      past a violation its execution diverges from the cloning runtime,
      so its outcome cannot sharpen multishot verdicts. *)
@@ -236,8 +235,7 @@ let analyze ?cfun_model ?must_fuel ?(multishot = false) ?compiled
     compiled;
   }
 
-let lint ?cfun_model ?(red_zone = 16) ?must_fuel ?multishot (p : F.Ir.program) :
-    Diag.report =
-  let r = analyze ?cfun_model ?must_fuel ?multishot p in
-  let rz = Redzone.audit ~red_zone r.compiled in
+let lint ?cfun_model (p : F.Ir.program) : Diag.report =
+  let r = analyze ?cfun_model p in
+  let rz = Redzone.audit ~red_zone:16 r.compiled in
   { r.report with Diag.diags = Diag.dedup (rz @ r.report.Diag.diags) }

@@ -30,15 +30,8 @@ type result = {
           runtime map) ran against *)
 }
 
-val must_run :
-  ?fuel:int ->
-  (string -> Cfg.cfun_model) ->
-  Retrofit_fiber.Ir.program ->
-  must * bool
-
 val analyze :
   ?cfun_model:(string -> Cfg.cfun_model) ->
-  ?must_fuel:int ->
   ?multishot:bool ->
   ?compiled:Retrofit_fiber.Compile.compiled ->
   ?lints:bool ->
@@ -66,11 +59,6 @@ val analyze :
     point it diverges from the cloning runtime). *)
 
 val lint :
-  ?cfun_model:(string -> Cfg.cfun_model) ->
-  ?red_zone:int ->
-  ?must_fuel:int ->
-  ?multishot:bool ->
-  Retrofit_fiber.Ir.program ->
-  Diag.report
-(** [analyze] plus the §5.2 red-zone audit over the compiled form;
-    [red_zone] defaults to the paper's 16 words. *)
+  ?cfun_model:(string -> Cfg.cfun_model) -> Retrofit_fiber.Ir.program -> Diag.report
+(** [analyze] plus the §5.2 red-zone audit over the compiled form, at
+    the paper's 16-word red zone. *)

@@ -55,14 +55,6 @@ val iter_expr : (Retrofit_fiber.Ir.expr -> unit) -> Retrofit_fiber.Ir.expr -> un
     traversal order is part of the contract: the escape analysis and the
     linearity analysis both number resume sites by this order. *)
 
-type edge_kind =
-  | Ecall
-  | Ehandle_body
-  | Ehandle_case
-  | Ecallback of string  (** via the named C function *)
-
-val iter_edges : t -> string -> (edge_kind -> string -> unit) -> unit
-
 val is_reachable : t -> string -> bool
 
 val path_to : t -> string -> string list
@@ -70,8 +62,6 @@ val path_to : t -> string -> string list
     [[name]] if unreachable. *)
 
 val specs_inside : t -> string -> spec list
-
-val builtin_exns : string list
 
 (** {1 Instruction-level CFG}
 

@@ -18,12 +18,6 @@
 
 type bound = Fin of int | Inf
 
-val badd : bound -> bound -> bound
-
-val bmul : bound -> bound -> bound
-
-val ble : bound -> bound -> bool
-
 val bound_to_string : bound -> string
 
 val finite : bound -> int option

@@ -2,7 +2,12 @@ module F = Retrofit_fiber
 module SS = Set.Make (String)
 module IS = Set.Make (Int)
 
-type ctx_entry = { top : bool; via_c : string option }
+type ctx_entry = {
+  top : bool;
+      (* some context reaching the function leaves the label unhandled
+         all the way to toplevel *)
+  via_c : string option;  (* ... or up to a callback frame of this C function *)
+}
 
 type esc = { eff : SS.t; exn : SS.t }
 

@@ -24,15 +24,6 @@
     claims the behaviour is impossible in every execution, which the
     conformance fuzzer cross-checks against all backends. *)
 
-type ctx_entry = {
-  top : bool;  (** some context reaching the function leaves the label
-                   unhandled all the way to toplevel *)
-  via_c : string option;  (** ... or up to a callback frame of this C
-                              function *)
-}
-
-type esc = { eff : Set.Make(String).t; exn : Set.Make(String).t }
-
 type t
 
 val analyze : ?multishot:bool -> Cfg.t -> Linearity.t -> t
@@ -41,11 +32,6 @@ val analyze : ?multishot:bool -> Cfg.t -> Linearity.t -> t
     ["Invalid_argument"], and {!Diag.May_resume_twice} findings are
     reported with a [Safe] verdict — the shape is still worth flagging,
     but a second resume is legal. *)
-
-val ctx_entry : t -> string -> string -> ctx_entry
-(** [ctx_entry t fn label] *)
-
-val escape : t -> string -> esc
 
 val diagnostics : t -> Diag.t list
 (** Possibly-unhandled and effect-across-C-frame per perform site,

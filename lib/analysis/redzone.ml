@@ -118,8 +118,3 @@ let audit ~red_zone (c : F.Compile.compiled) =
   Diag.sorted
     (Array.to_list c.F.Compile.fns
     |> List.filter_map (audit_fn ~red_zone c))
-
-(* Agreement with the runtime's decision procedure, for the macro-suite
-   cross-check: on a sound compile the audit must accept exactly the
-   functions [Otss.needs_check] exempts. *)
-let agrees ~red_zone (c : F.Compile.compiled) = audit ~red_zone c = []

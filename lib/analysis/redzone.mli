@@ -29,7 +29,3 @@ val audit_fn :
   Diag.t option
 
 val audit : red_zone:int -> Retrofit_fiber.Compile.compiled -> Diag.t list
-
-val agrees : red_zone:int -> Retrofit_fiber.Compile.compiled -> bool
-(** No findings: the audit and {!Retrofit_fiber.Otss.needs_check} make
-    the same elision decisions on every function. *)

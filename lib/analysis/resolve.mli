@@ -45,9 +45,6 @@ val sites_of : t -> string -> site array
 val all_sites : t -> site list
 (** Program order, compile order within each function. *)
 
-val census : t -> int * int * int
-(** [(mono, poly, mega)] over {!all_sites}. *)
-
 val klass_to_string : klass -> string
 
 val outcomes : site -> int

@@ -18,11 +18,9 @@ val critical_edges : Graph.t -> Graph.edge_stat list
     (service split into service / gc-pause / backend-slow), sorted by
     total time descending, then kind. *)
 
-val flows : Graph.t -> Retrofit_trace.Event.t list
-(** One Chrome flow (s/t/f chain) per complete request: arrival ->
-    each attempt's service start -> resolution, id = request id. *)
-
 val with_flows :
   Retrofit_trace.Event.t list -> Graph.t -> Retrofit_trace.Event.t list
-(** The original events merged with {!flows}, stably sorted by
-    timestamp — ready for {!Retrofit_trace.Export.to_chrome}. *)
+(** The original events merged with one Chrome flow (s/t/f chain) per
+    complete request — arrival -> each attempt's service start ->
+    resolution, id = request id — stably sorted by timestamp, ready for
+    {!Retrofit_trace.Export.to_chrome}. *)

@@ -3,7 +3,8 @@
     Scenario [i] derives a small randomized configuration (2-6
     connections, 1-4 requests each, 1-2 shards, random supervision
     strategy, random server model, chaos on/off, drain on/off, wedges
-    on/off) from [scenario_seed ~seed i], runs the simulation twice and
+    on/off) from a seed derived from the campaign seed and [i] alone
+    (recorded in each failure), runs the simulation twice and
     byte-compares the deterministic summary lines, then audits the
     accounting invariants: dispositions sum to [total], zero silent
     drops, and a calm (no chaos, no drain, no wedges) run completes
@@ -24,10 +25,6 @@ type stats = {
   restarts : int;  (** total supervisor restarts observed *)
   failures : failure list;
 }
-
-val scenario_seed : seed:int -> int -> int
-(** Deterministic per-scenario seed, replayable from campaign seed and
-    index alone. *)
 
 val campaign : ?count:int -> seed:int -> unit -> stats
 (** Run [count] (default 200) scenarios. *)

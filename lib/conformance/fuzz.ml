@@ -35,7 +35,7 @@ let pair_names = [ "semantics<->fiber"; "fiber<->native"; "semantics<->native" ]
 
 let default_policies = F.Stack_policy.[ segmented; segmented_cow; large_reserve ]
 
-let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
+let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
     ?(audit = true) ?(dwarf = true) ?(analyze = false) ?(max_failures = 5)
     ?(shrink = true) ?(policies = []) ?(multishot = false) ~seed ~count () :
     stats =
@@ -172,7 +172,7 @@ let campaign ?cfg ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
   let i = ref 0 in
   while !i < count && List.length !failures < max_failures do
     let s = prog_seed ~seed !i in
-    let p = Gen.program_of_seed ?cfg s in
+    let p = Gen.program_of_seed s in
     let r = run_oracle p s in
     audit_checks := !audit_checks + r.Oracle.audit_checks;
     audit_visits := !audit_visits + r.Oracle.audit_visits;

@@ -51,7 +51,6 @@ val default_policies : Retrofit_fiber.Stack_policy.t list
     matrix. *)
 
 val campaign :
-  ?cfg:Gen.cfg ->
   ?fiber_config:Retrofit_fiber.Config.t ->
   ?fib_fuel:int ->
   ?sem_one_shot:bool ->

@@ -2,10 +2,12 @@ module Rng = Retrofit_util.Rng
 module Ir = Retrofit_fiber.Ir
 
 type cfg = {
-  max_fns : int;
-  max_depth : int;
-  small_count : int;
+  max_fns : int;  (* helper functions generated before main *)
+  max_depth : int;  (* expression tree depth *)
+  small_count : int;  (* bound for nested recursion counters *)
   big_count : int;
+      (* base for the one deep-recursion driver allowed per program,
+         sized to overflow [Config.mc]'s initial fiber several times *)
   extcalls : bool;
   oneshot_violations : bool;
 }
@@ -244,7 +246,8 @@ let gen_fn st =
   st.pool <- st.pool @ [ i ];
   fn
 
-let gen ?(cfg = default_cfg) rng : Ir.program =
+let gen rng : Ir.program =
+  let cfg = default_cfg in
   let st = { rng; cfg; pool = []; fresh = 0; big_left = true; in_main = false } in
   (* Seed the pool with a guaranteed 1-argument plain function so that
      handlers (which need a return case) can always be formed. *)
@@ -258,4 +261,4 @@ let gen ?(cfg = default_cfg) rng : Ir.program =
   st.in_main <- false;
   { Ir.fns = (id_fn :: helpers) @ [ Ir.fn "main" [] main_body ]; main = "main" }
 
-let program_of_seed ?cfg seed = gen ?cfg (Rng.create seed)
+let program_of_seed seed = gen (Rng.create seed)

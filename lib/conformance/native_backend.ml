@@ -17,10 +17,10 @@ let one_shot_label = "Invalid_argument"
 
 let division_label = "Division_by_zero"
 
-let run ?(fuel = 10_000_000) (p : Ir.program) : Outcome.t =
+let run (p : Ir.program) : Outcome.t =
   let fns = Hashtbl.create 16 in
   List.iter (fun (f : Ir.fn) -> Hashtbl.replace fns f.fn_name f) p.fns;
-  let fuel = ref fuel in
+  let fuel = ref 10_000_000 in
   let tick () =
     decr fuel;
     if !fuel <= 0 then raise Fuel_exhausted

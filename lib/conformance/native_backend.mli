@@ -13,5 +13,5 @@
     site, [Continuation_already_resumed] → "Invalid_argument" at the
     resume site, exactly as the other two models behave. *)
 
-val run : ?fuel:int -> Retrofit_fiber.Ir.program -> Outcome.t
-(** Default fuel: 10 million interpreted nodes. *)
+val run : Retrofit_fiber.Ir.program -> Outcome.t
+(** Fuel: 10 million interpreted nodes. *)

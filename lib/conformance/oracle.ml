@@ -20,15 +20,15 @@ let compare_pair a b =
 
 let is_model_error = function Outcome.Model_error _ -> true | _ -> false
 
-let run ?sem_fuel ?fib_fuel ?nat_fuel ?(audit = true) ?dwarf_seed
+let run ?fib_fuel ?(audit = true) ?dwarf_seed
     ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
     ?(with_native = true) (p : Retrofit_fiber.Ir.program) : report =
-  let sem = Sem_backend.run ?fuel:sem_fuel ~one_shot:sem_one_shot p in
+  let sem = Sem_backend.run ~one_shot:sem_one_shot p in
   let fr = Fiber_backend.run ~config:fiber_config ?fuel:fib_fuel ~audit ?dwarf_seed p in
   (* Host effects are one-shot; multishot campaigns drop the native leg
      by reporting it as inconclusive, which [compare_pair] skips. *)
   let nat =
-    if with_native then Native_backend.run ?fuel:nat_fuel p else Outcome.Fuel_out
+    if with_native then Native_backend.run p else Outcome.Fuel_out
   in
   let fib = fr.Fiber_backend.outcome in
   {

@@ -35,9 +35,7 @@ type report = {
 }
 
 val run :
-  ?sem_fuel:int ->
   ?fib_fuel:int ->
-  ?nat_fuel:int ->
   ?audit:bool ->
   ?dwarf_seed:int ->
   ?fiber_config:Retrofit_fiber.Config.t ->

@@ -12,10 +12,8 @@
     one-shot discipline by default so all three models share §5's
     linearity. *)
 
-val lower : Retrofit_fiber.Ir.program -> Retrofit_semantics.Ast.t
-(** @raise Invalid_argument on a construct outside the {!Fragment}. *)
-
 val run : ?fuel:int -> ?one_shot:bool -> Retrofit_fiber.Ir.program -> Outcome.t
 (** Default fuel 5 million steps; [one_shot] defaults to [true] (pass
     [false] to re-expose the multi-shot semantics as a seeded
-    mutation). *)
+    mutation).  @raise Invalid_argument on a construct outside the
+    {!Fragment}. *)

@@ -11,12 +11,6 @@
     [interesting] is expensive: every accepted step strictly decreases
     {!Fragment.program_nodes}. *)
 
-val variants : Retrofit_fiber.Ir.program -> Retrofit_fiber.Ir.program list
-(** All single-simplification candidates (unvalidated, unpruned). *)
-
-val prune : Retrofit_fiber.Ir.program -> Retrofit_fiber.Ir.program
-(** Drop functions unreachable from [main]. *)
-
 val minimize :
   interesting:(Retrofit_fiber.Ir.program -> bool) ->
   Retrofit_fiber.Ir.program ->

@@ -15,8 +15,8 @@ type claims = A.Analyze.result
    resolution, cost bounds) against executions; the rendered per-site
    lint findings are a CLI concern, so their construction is skipped
    here — it is a third of the analyzer's time budget. *)
-let analyze ?must_fuel ?compiled (p : Retrofit_fiber.Ir.program) : claims =
-  A.Analyze.analyze ~cfun_model ?must_fuel ?compiled ~lints:false p
+let analyze ?compiled (p : Retrofit_fiber.Ir.program) : claims =
+  A.Analyze.analyze ~cfun_model ?compiled ~lints:false p
 
 (* The per-backend verdict.  The must pass's execution follows the
    one-shot discipline; it also predicts a multi-shot backend as long
@@ -166,15 +166,3 @@ let bound_contradiction (c : claims) ~(policy : Retrofit_fiber.Stack_policy.t)
                  limit)
           else None)
     bounds
-
-let claims_to_string (c : claims) =
-  let vu, vo = verdicts ~one_shot:true c in
-  Printf.sprintf "static: unhandled=%s one-shot=%s (flow %b/%b, must %s%s)"
-    (A.Diag.verdict_to_string vu)
-    (A.Diag.verdict_to_string vo)
-    c.A.Analyze.flow_unhandled_may c.A.Analyze.flow_one_shot_may
-    (match c.A.Analyze.must with
-    | A.Analyze.M_value -> "value"
-    | A.Analyze.M_raises l -> "raises " ^ l
-    | A.Analyze.M_unknown -> "unknown")
-    (if c.A.Analyze.hit_violation then ", violated" else "")

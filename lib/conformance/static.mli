@@ -17,7 +17,6 @@ val cfun_model : string -> Retrofit_analysis.Cfg.cfun_model
 type claims = Retrofit_analysis.Analyze.result
 
 val analyze :
-  ?must_fuel:int ->
   ?compiled:Retrofit_fiber.Compile.compiled ->
   Retrofit_fiber.Ir.program ->
   claims
@@ -44,8 +43,6 @@ val check :
   string option
 (** First contradiction across the three backends of one oracle
     report, labelled with the backend name. *)
-
-val claims_to_string : claims -> string
 
 (** {1 Handler-resolution and cost-bound soundness}
 

@@ -25,14 +25,9 @@ val feed_line : ic -> delay:int -> string -> unit
 val feed_eof : ic -> delay:int -> unit
 (** Schedule end-of-input; lines scheduled after it are dropped. *)
 
-val has_line : ic -> bool
-(** A line is already buffered. *)
-
-val at_eof : ic -> bool
-(** End-of-input was reached and the buffer is empty. *)
-
 val readable : ic -> bool
-(** [has_line] or [at_eof] — a blocking read would not block. *)
+(** A line is buffered, or end-of-input was reached and the buffer is
+    empty: a blocking read would not block. *)
 
 val read_line_nonblock : ic -> [ `Line of string | `Eof | `Not_ready ]
 (** @raise Sys_error if the channel is closed. *)

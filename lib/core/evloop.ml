@@ -16,9 +16,6 @@ let after t ~delay callback =
 
 let pending t = Pqueue.length t.events
 
-let next_event_time t =
-  if Pqueue.is_empty t.events then None else Some (Pqueue.min_priority t.events)
-
 let advance_once t =
   let q = t.events in
   if Pqueue.is_empty q then false

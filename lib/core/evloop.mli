@@ -23,8 +23,6 @@ val after : t -> delay:int -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of scheduled callbacks not yet run. *)
 
-val next_event_time : t -> int option
-
 val advance_once : t -> bool
 (** Advance to the next scheduled callback and run it (plus any others
     scheduled for the same instant); false when nothing is pending. *)

@@ -32,8 +32,6 @@ type restart =
 
 type exit_reason = Exit_normal | Exit_crashed of exn | Exit_killed
 
-val reason_label : exit_reason -> string
-
 type outcome = Completed | Gave_up of string
 
 type event =

@@ -26,9 +26,6 @@ val hook : t -> Retrofit_fiber.Machine.t -> unit
 (** The per-step callback: pass as [~on_step] to
     {!Retrofit_fiber.Machine.run}. *)
 
-val sample : t -> Retrofit_fiber.Machine.t -> unit
-(** Take one sample immediately, off the interval grid. *)
-
 val samples : t -> int
 (** Samples attempted (successful or not). *)
 
@@ -46,8 +43,6 @@ val record_wait : ?n:int -> t -> kind:string -> unit
 
 val wait_samples : t -> int
 (** Samples recorded via {!record_wait}. *)
-
-val crosses_fiber_boundary : Unwind.entry list -> bool
 
 val stacks : t -> (string * int) list
 (** Folded stacks with counts, sorted by stack. *)

@@ -43,22 +43,13 @@ val iter :
 (** [backtrace] one entry at a time, in the same order, without building
     the list.  @raise Unwind_error as [backtrace] does. *)
 
-val backtrace_of_fiber :
-  ?interp_ops:int ref ->
-  Table.t ->
-  Retrofit_fiber.Machine.t ->
-  Retrofit_fiber.Fiber.t ->
-  entry list
-(** Unwind a {e suspended} fiber from its saved registers.  A captured
-    continuation's chain ends with [Captured_end] at the severed
-    parent. *)
-
 val snapshot_continuations :
   ?interp_ops:int ref -> Table.t -> Retrofit_fiber.Machine.t -> (int * entry list) list
-(** A backtrace for every live continuation — the "backtrace snapshot
-    of all current requests" §6.3.4 credits effect handlers with
-    enabling (available in Go, absent from Lwt/Async because monadic
-    code has no stacks). *)
+(** A backtrace for every live continuation, unwound from its suspended
+    fiber's saved registers and ending with [Captured_end] at the
+    severed parent — the "backtrace snapshot of all current requests"
+    §6.3.4 credits effect handlers with enabling (available in Go,
+    absent from Lwt/Async because monadic code has no stacks). *)
 
 val name : entry -> string option
 (** One entry of {!names}; [None] for a [Fiber_boundary]. *)

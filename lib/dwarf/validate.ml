@@ -39,44 +39,32 @@ let checker table =
              (String.concat "; " shadow))
     | exception Unwind.Unwind_error msg -> Error ("unwind error: " ^ msg)
 
-let check_now table machine = checker table machine
-
 let max_recorded_mismatches = 10
 
-let probe_every n table =
-  if n <= 0 then invalid_arg "Validate.probe_every: n must be positive";
+let run_validated ?cfuns cfg compiled =
+  let table = Table.build compiled in
   let report = ref empty in
   let calls = ref 0 in
   let buf = Vec.create () in
-  let hook machine =
+  let on_call machine =
     incr calls;
-    if !calls mod n = 0 then begin
-      let ops = ref 0 in
-      let r = !report in
-      let r =
-        match compare_traces buf table machine ~ops with
-        | Ok frames ->
-            { r with probes = r.probes + 1; frames = r.frames + frames }
-        | Error (unwound, shadow) ->
-            let context = Printf.sprintf "probe at call %d" !calls in
-            let mismatches =
-              if List.length r.mismatches >= max_recorded_mismatches then
-                r.mismatches
-              else r.mismatches @ [ (context, unwound, shadow) ]
-            in
-            { r with probes = r.probes + 1; mismatches }
-        | exception Unwind.Unwind_error msg ->
-            let context = Printf.sprintf "probe at call %d: %s" !calls msg in
-            { r with probes = r.probes + 1;
-              mismatches = r.mismatches @ [ (context, [], []) ] }
-      in
-      report := { r with interp_ops = r.interp_ops + !ops }
-    end
+    let ops = ref 0 in
+    let r = !report in
+    let r =
+      match compare_traces buf table machine ~ops with
+      | Ok frames -> { r with probes = r.probes + 1; frames = r.frames + frames }
+      | Error (unwound, shadow) ->
+          let context = Printf.sprintf "probe at call %d" !calls in
+          let mismatches =
+            if List.length r.mismatches >= max_recorded_mismatches then r.mismatches
+            else r.mismatches @ [ (context, unwound, shadow) ]
+          in
+          { r with probes = r.probes + 1; mismatches }
+      | exception Unwind.Unwind_error msg ->
+          let context = Printf.sprintf "probe at call %d: %s" !calls msg in
+          { r with probes = r.probes + 1; mismatches = r.mismatches @ [ (context, [], []) ] }
+    in
+    report := { r with interp_ops = r.interp_ops + !ops }
   in
-  (hook, report)
-
-let run_validated ?cfuns ?(every = 1) cfg compiled =
-  let table = Table.build compiled in
-  let hook, report = probe_every every table in
-  let outcome, _counters = Machine.run ?cfuns ~on_call:hook cfg compiled in
+  let outcome, _counters = Machine.run ?cfuns ~on_call cfg compiled in
   (outcome, !report)

@@ -14,24 +14,16 @@ type report = {
   interp_ops : int;  (** CFI bytecode operations interpreted *)
 }
 
-val check_now : Table.t -> Retrofit_fiber.Machine.t -> (unit, string) result
-(** Unwind at the current machine state and compare against the shadow
-    backtrace. *)
-
 val checker : Table.t -> Retrofit_fiber.Machine.t -> (unit, string) result
-(** [checker table] is [check_now table] with a name buffer kept across
-    its calls, so repeated probes of one run allocate no backtrace. *)
-
-val probe_every : int -> Table.t -> (Retrofit_fiber.Machine.t -> unit) * report ref
-(** [probe_every n table] returns an [on_call] hook that validates every
-    [n]th call, together with the report it fills in.  Pass the hook to
-    {!Retrofit_fiber.Machine.run}. *)
+(** [checker table machine] unwinds at the current machine state and
+    compares against the shadow backtrace.  The partial application
+    [checker table] keeps a name buffer across its calls, so repeated
+    probes of one run allocate no backtrace. *)
 
 val run_validated :
   ?cfuns:(string * Retrofit_fiber.Machine.cfun) list ->
-  ?every:int ->
   Retrofit_fiber.Config.t ->
   Retrofit_fiber.Compile.compiled ->
   Retrofit_fiber.Machine.outcome * report
-(** Compile-time convenience: build the table, run the program with
-    validation probes, and return the outcome with the report. *)
+(** Build the table and run the program with a validation probe at
+    every call; return the outcome with the report. *)

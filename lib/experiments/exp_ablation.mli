@@ -13,16 +13,4 @@
     - {e interpreted vs precompiled unwind tables} (§5.5 / Bastian et
       al.): CFI operations executed versus table memory. *)
 
-val stack_cache : ?quick:bool -> unit -> string
-
-val red_zone_sweep : ?quick:bool -> unit -> string
-
-val initial_size_sweep : ?quick:bool -> unit -> string
-
-val exceptions_vs_effects : ?quick:bool -> unit -> string
-
-val one_shot_vs_multishot : ?quick:bool -> unit -> string
-
-val unwind_strategy : ?quick:bool -> unit -> string
-
 val report : ?quick:bool -> unit -> string

@@ -9,8 +9,4 @@
 val meander_backtrace : unit -> string
 (** The formatted backtrace captured at the [raise E1] point. *)
 
-val validation_summary : ?quick:bool -> unit -> string
-(** Runs the program suite under both configurations with per-call
-    validation probes and reports probes/frames/mismatches. *)
-
 val report : ?quick:bool -> unit -> string

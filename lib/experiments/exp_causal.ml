@@ -20,12 +20,14 @@ type cell = {
   c_graph : Causal.Graph.t;
 }
 
-let run_cell ~seed ~rate_rps ~duration_ms ~intensity ~queue_cap =
+let rate_rps = 20_000
+
+let run_cell ~duration_ms ~intensity ~queue_cap =
   let faults = HS.Faults.scale intensity HS.Faults.default in
   let resilience = { HS.Loadgen.default_resilience with queue_cap } in
   let outcome, ring =
     Trace.scoped ~capacity:(1 lsl 18) (fun () ->
-        HS.Loadgen.run ~seed ~faults ~resilience ~model:HS.Server.mc
+        HS.Loadgen.run ~seed:42 ~faults ~resilience ~model:HS.Server.mc
           ~process:HS.Server_effects.process_raw ~rate_rps ~duration_ms ())
   in
   {
@@ -35,14 +37,15 @@ let run_cell ~seed ~rate_rps ~duration_ms ~intensity ~queue_cap =
     c_graph = Causal.Reconstruct.of_trace ring;
   }
 
-let sweep ?(seed = 42) ?(rate_rps = 20_000) ~duration_ms
-    ?(intensities = [ 0.0; 0.5; 2.0 ]) ?(caps = [ 64; 512 ]) () =
+(* Fault intensities 0, 0.5 and 2 times [Faults.default], each with
+   admission-queue caps of 64 and 512. *)
+let sweep ~duration_ms =
   List.concat_map
     (fun intensity ->
       List.map
-        (fun queue_cap -> run_cell ~seed ~rate_rps ~duration_ms ~intensity ~queue_cap)
-        caps)
-    intensities
+        (fun queue_cap -> run_cell ~duration_ms ~intensity ~queue_cap)
+        [ 64; 512 ])
+    [ 0.0; 0.5; 2.0 ]
 
 let share total part = if total = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int total
 
@@ -69,7 +72,7 @@ let row (c : cell) =
 
 let report ?(quick = false) () =
   let duration_ms = if quick then 150 else 500 in
-  let cells = sweep ~duration_ms () in
+  let cells = sweep ~duration_ms in
   let header =
     [
       "faults"; "cap"; "reqs"; "complete"; "incompl"; "run%"; "sched%"; "io%";
@@ -91,6 +94,6 @@ let report ?(quick = false) () =
      %s\n\
      attribution invariant (buckets sum to latency, every complete request, \
      every cell): %s\n"
-    20_000 duration_ms
+    rate_rps duration_ms
     (Table.render ~align ~header (List.map row cells))
     (if exact then "holds" else "VIOLATED")

@@ -3,28 +3,4 @@
     reconstruction per cell, and a bucket-share table showing how
     latency attribution shifts (DESIGN.md §14). *)
 
-type cell = {
-  c_intensity : float;
-  c_cap : int;
-  c_outcome : Retrofit_httpsim.Loadgen.outcome;
-  c_graph : Retrofit_causal.Graph.t;
-}
-
-val run_cell :
-  seed:int ->
-  rate_rps:int ->
-  duration_ms:int ->
-  intensity:float ->
-  queue_cap:int ->
-  cell
-
-val sweep :
-  ?seed:int ->
-  ?rate_rps:int ->
-  duration_ms:int ->
-  ?intensities:float list ->
-  ?caps:int list ->
-  unit ->
-  cell list
-
 val report : ?quick:bool -> unit -> string

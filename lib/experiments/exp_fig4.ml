@@ -109,7 +109,7 @@ let report ?quick () =
       (body @ [ gm_row ])
   in
   let chart =
-    Retrofit_util.Table.bar_chart ~baseline:1.0
+    Retrofit_util.Table.bar_chart
       (List.map (fun r -> (r.workload, List.assoc "mc" r.normalized)) rows)
   in
   "Fig 4: macro benchmark time normalized to stock\n\

@@ -12,12 +12,10 @@ module Metrics = Retrofit_metrics.Metrics
 let machine_workload ~quick =
   F.Programs.effect_depth ~depth:6 ~iters:(if quick then 10 else 60)
 
-let default_interval = 500
-
-let profiled_run ?(quick = false) ?(interval = default_interval) () =
+let profiled_run ?(quick = false) () =
   let compiled = F.Compile.compile (machine_workload ~quick) in
   let table = D.Table.build compiled in
-  let prof = D.Profile.create ~interval table in
+  let prof = D.Profile.create ~interval:500 table in
   let cache = F.Stack_cache.create () in
   let (outcome, counters), cache_stats =
     F.Stack_cache.scoped_stats cache (fun () ->

@@ -9,12 +9,7 @@
     cost counters in under a [fiber_] prefix plus the stack-cache
     statistics as gauges. *)
 
-val default_interval : int
-
-val machine_workload : quick:bool -> Retrofit_fiber.Ir.program
-
-val profiled_run :
-  ?quick:bool -> ?interval:int -> unit -> Retrofit_dwarf.Profile.t
+val profiled_run : ?quick:bool -> unit -> Retrofit_dwarf.Profile.t
 (** @raise Failure if the workload does not complete normally. *)
 
 val sched_workload : unit -> int

@@ -14,12 +14,4 @@
       versus refcounted chunk sharing with copy-on-resume
       ([segmented-cow]). *)
 
-val growth : ?quick:bool -> unit -> string
-
-val per_call : ?quick:bool -> unit -> string
-
-val cache : ?quick:bool -> unit -> string
-
-val nqueens : ?quick:bool -> unit -> string
-
 val report : ?quick:bool -> unit -> string

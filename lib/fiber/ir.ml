@@ -148,8 +148,4 @@ let program_to_string p =
 
 let call name args = Call (name, args)
 
-let seq = function
-  | [] -> invalid_arg "Ir.seq: empty sequence"
-  | e :: rest -> List.fold_left (fun acc e -> Seq (acc, e)) e rest
-
 let fn fn_name params body = { fn_name; params; body }

@@ -90,16 +90,10 @@ val instr_to_string : instr -> string
 
 val expr_to_string : expr -> string
 
-val fn_to_string : fn -> string
-
 val program_to_string : program -> string
 
 (** {1 Convenience constructors} *)
 
 val call : string -> expr list -> expr
-
-val seq : expr list -> expr
-(** [seq \[e1; ...; en\]] evaluates all, keeping the last value.
-    @raise Invalid_argument on an empty list. *)
 
 val fn : string -> string list -> expr -> fn

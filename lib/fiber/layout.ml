@@ -8,10 +8,6 @@ let return_pc_words = 1
 
 let preamble_words = handler_info_words + context_words + trap_words + return_pc_words
 
-let call_frame_overhead = 1
-
-let callback_ctx_words = 1
-
 let ret_to_parent = -101
 
 let cb_done = -102

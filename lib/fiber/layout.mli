@@ -15,27 +15,14 @@
       low addresses (limit; red zone just above it)
     v} *)
 
-val handler_info_words : int
-(** parent (1) + clos_hval + clos_hexn + clos_heffect (3) = 4 *)
-
-val context_words : int
-(** saved system stack pointer and flags for callbacks = 2 *)
-
 val trap_words : int
 (** a trap frame is \[handler pc; previous exception pointer\] = 2 *)
 
-val return_pc_words : int
-
 val preamble_words : int
-(** total words consumed by the preamble above the variable area *)
-
-val call_frame_overhead : int
-(** words pushed by a call before the callee's own data: the return
-    address = 1 *)
-
-val callback_ctx_words : int
-(** words pushed at a callback entry to save the pre-callback program
-    counter for unwinding (the context block of Fig 3a) = 1 *)
+(** total words consumed by the preamble above the variable area:
+    handler_info (parent + clos_hval + clos_hexn + clos_heffect = 4),
+    the context block (saved system stack pointer and flags = 2), the
+    forwarding trap (2) and the return pc (1) *)
 
 (** {1 Sentinel return addresses}
 

@@ -769,8 +769,6 @@ let machine_raise t exn_id payload =
 
 let () = raise_ref := machine_raise
 
-let c_raise _t name payload = raise (Ocaml_exn (name, payload))
-
 (* ------------------------------------------------------------------ *)
 (* Fiber returns, effects, continuations *)
 

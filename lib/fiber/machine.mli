@@ -176,10 +176,6 @@ val run :
     Disabled, every site is a single untaken branch: no counter moves
     and the frozen cost tables stay bit-identical. *)
 
-val c_raise : t -> string -> int -> 'a
-(** For C-function implementations: raise an OCaml exception across the
-    external call, like [caml_raise] in C stubs. *)
-
 (** {1 Introspection (for the unwinder, the validator and tests)} *)
 
 val compiled : t -> Compile.compiled

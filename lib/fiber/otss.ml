@@ -1,7 +1,10 @@
 let bytes_per_instruction = 5
 
+(* prologue + epilogue common to all functions *)
 let function_overhead_bytes = 8
 
+(* compare against the threshold, conditional branch, and the cold-path
+   call to the growth routine *)
 let check_bytes = 12
 
 let needs_check ~red_zone ~is_leaf ~frame_words =

@@ -11,21 +11,8 @@
     requires to be checked (a function is exempt when it is a leaf whose
     frame fits in the red zone, §5.2). *)
 
-val bytes_per_instruction : int
-
-val function_overhead_bytes : int
-(** prologue + epilogue common to all functions *)
-
-val check_bytes : int
-(** compare against the threshold, conditional branch, and the cold-path
-    call to the growth routine *)
-
 val needs_check : red_zone:int -> is_leaf:bool -> frame_words:int -> bool
 (** The elision rule of §5.2, shared with the macro-suite OTSS model. *)
-
-val function_size : Config.t -> Compile.cfn -> int
-(** Modeled text bytes for one compiled function under the
-    configuration. *)
 
 val total : Config.t -> Compile.compiled -> int
 

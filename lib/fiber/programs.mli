@@ -41,7 +41,7 @@ val callback : iters:int -> Ir.program
 val meander : Ir.program
 (** Fig 1: OCaml installs handlers for E1 and E2, calls C, C calls back
     into OCaml, the callback raises E1; the program evaluates to 42.
-    Requires {!c_meander_impl}. *)
+    Requires {!standard_cfuns}. *)
 
 val effect_roundtrip : iters:int -> Ir.program
 (** The annotated sequence of §6.3: install a handler, perform, handle,
@@ -72,7 +72,7 @@ val deep_recursion : depth:int -> Ir.program
 val effect_in_callback : Ir.program
 (** Performs an effect under a callback: the effect must not cross the C
     boundary, so Unhandled is raised and caught by the OCaml caller,
-    evaluating to 7.  Requires {!c_meander_impl}. *)
+    evaluating to 7.  Requires {!standard_cfuns}. *)
 
 (** {1 C function implementations} *)
 
@@ -83,11 +83,9 @@ val c_callback_impl : string * Machine.cfun
 (** ["c_cb"]: calls back into the OCaml function ["ocaml_id"] with its
     argument. *)
 
-val c_meander_impl : string * Machine.cfun
-(** ["ocaml_to_c"]: calls back into ["c_to_ocaml"], as in Fig 1b. *)
-
 val standard_cfuns : (string * Machine.cfun) list
-(** All of the above. *)
+(** The two above, and ["ocaml_to_c"], which calls back into
+    ["c_to_ocaml"], as in Fig 1b. *)
 
 val cross_resume : Ir.program
 (** A continuation captured by one handler is resumed from inside a

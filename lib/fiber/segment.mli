@@ -54,8 +54,6 @@ val ext_words : t -> int
 val ext_count : t -> int
 (** Number of committed extension chunks (0 for flat segments). *)
 
-val is_flat : t -> bool
-
 val contains : t -> int -> bool
 (** Whether the address is committed: in [\[limit, top)]. *)
 

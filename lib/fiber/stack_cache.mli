@@ -17,7 +17,8 @@ val create : ?max_per_bucket:int -> ?max_total_words:int -> unit -> t
 (** [max_per_bucket] (default 64) bounds retained stacks per size;
     [0] degrades the cache to a pass-through that retains nothing.
     [max_total_words] (default unlimited) bounds the aggregate retained
-    words across all buckets. *)
+    words across all buckets.  Only tests set either cap; every
+    production cache uses the defaults. *)
 
 val put : t -> size:int -> Segment.t -> unit
 (** Offer a freed segment to the cache; dropped if its bucket is full or
@@ -70,9 +71,6 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 (** Zero the statistics (the cached segments are untouched). *)
-
-val diff_stats : stats -> stats -> stats
-(** Componentwise [a - b]. *)
 
 val scoped_stats : t -> (unit -> 'a) -> 'a * stats
 (** Run the thunk and return the statistics delta it produced — the

@@ -37,18 +37,6 @@ let large_reserve =
     cow_clone = false;
   }
 
-let with_chunk_words n t =
-  if n < 8 then invalid_arg "Stack_policy.with_chunk_words: too small";
-  { t with chunk_words = n }
-
-let with_reserve_words n t =
-  if n < 64 then invalid_arg "Stack_policy.with_reserve_words: too small";
-  { t with reserve_words = n }
-
-let with_page_words n t =
-  if n < 8 then invalid_arg "Stack_policy.with_page_words: too small";
-  { t with page_words = n }
-
 let name t =
   match t.pk with
   | Copy_double -> "copy"

@@ -54,12 +54,6 @@ val segmented_cow : t
 val large_reserve : t
 (** 1M-word reservation, 256-word pages. *)
 
-val with_chunk_words : int -> t -> t
-
-val with_reserve_words : int -> t -> t
-
-val with_page_words : int -> t -> t
-
 val name : t -> string
 (** ["copy"], ["segmented"], ["segmented-cow"] or ["reserve"]. *)
 

@@ -5,16 +5,3 @@ let elapsed_ns f =
   let result = f () in
   let t1 = now_ns () in
   (result, Int64.sub t1 t0)
-
-(* Virtual time, for the observability layer: deterministic, advanced
-   by the simulated workloads, never by the host.  Delegates to the
-   process-wide Util.Vclock so libraries that must not depend on the
-   harness (trace, metrics) read the same clock. *)
-
-let virtual_now () = Retrofit_util.Vclock.now ()
-
-let set_virtual v = Retrofit_util.Vclock.set v
-
-let advance_virtual n = Retrofit_util.Vclock.advance n
-
-let reset_virtual () = Retrofit_util.Vclock.reset ()

@@ -4,18 +4,3 @@ val now_ns : unit -> int64
 
 val elapsed_ns : (unit -> 'a) -> 'a * int64
 (** Run the thunk and return its result with the elapsed time. *)
-
-(** {1 Virtual time}
-
-    The deterministic clock that stamps eventlog entries: advanced by
-    simulated workloads, never by the host.  These delegate to
-    {!Retrofit_util.Vclock}, the process-wide instance shared with the
-    trace and metrics libraries. *)
-
-val virtual_now : unit -> int
-
-val set_virtual : int -> unit
-
-val advance_virtual : int -> unit
-
-val reset_virtual : unit -> unit

@@ -23,17 +23,12 @@ let fig6b ?(rate_rps = 20_000) ?(duration_ms = 4_000) () =
     (fun (model, process) -> Loadgen.run ~model ~process ~rate_rps ~duration_ms ())
     servers
 
-let plateau points = List.fold_left (fun acc (_, a) -> max acc a) 0.0 points
-
 type degradation_cell = {
   intensity : float;
   outcome : Loadgen.outcome;
 }
 
-let default_intensities = [ 0.0; 0.5; 1.0; 2.0 ]
-
-let degradation ?(seed = 42) ?(duration_ms = 1_000) ?(rates = [ 10_000; 20_000; 30_000 ])
-    ?(intensities = default_intensities) () =
+let degradation ?(duration_ms = 1_000) ?(rates = [ 10_000; 20_000; 30_000 ]) () =
   List.map
     (fun (model, process) ->
       ( model.Server.name,
@@ -43,9 +38,9 @@ let degradation ?(seed = 42) ?(duration_ms = 1_000) ?(rates = [ 10_000; 20_000; 
             List.map
               (fun rate_rps ->
                 let outcome =
-                  Loadgen.run ~seed ~faults ~model ~process ~rate_rps ~duration_ms ()
+                  Loadgen.run ~seed:42 ~faults ~model ~process ~rate_rps ~duration_ms ()
                 in
                 { intensity; outcome })
               rates)
-          intensities ))
+          [ 0.0; 0.5; 1.0; 2.0 ] ))
     servers

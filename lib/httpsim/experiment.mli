@@ -15,22 +15,12 @@ val fig6b : ?rate_rps:int -> ?duration_ms:int -> unit -> Loadgen.outcome list
 (** Latency distributions at the default 20k requests/s — two thirds of
     the plateau, the paper's "optimal load" point. *)
 
-val plateau : (int * float) list -> float
-(** Largest achieved rate in a sweep. *)
-
 type degradation_cell = { intensity : float; outcome : Loadgen.outcome }
 
-val default_intensities : float list
-(** Multipliers over {!Faults.default}: [0; 0.5; 1; 2]. *)
-
 val degradation :
-  ?seed:int ->
-  ?duration_ms:int ->
-  ?rates:int list ->
-  ?intensities:float list ->
-  unit ->
-  (string * degradation_cell list) list
-(** The degradation sweep: offered load × fault intensity, per server
-    model, under {!Loadgen.default_resilience}.  Each cell carries the
+  ?duration_ms:int -> ?rates:int list -> unit -> (string * degradation_cell list) list
+(** The degradation sweep: offered load × fault intensity (multipliers
+    0, 0.5, 1 and 2 over {!Faults.default}), per server model, under
+    {!Loadgen.default_resilience}, at seed 42.  Each cell carries the
     full resilient outcome (goodput, p99, error taxonomy, fault
-    accounting).  Deterministic in [seed]. *)
+    accounting). *)

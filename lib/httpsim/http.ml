@@ -435,12 +435,11 @@ let reason_phrase = function
   | 503 -> "Service Unavailable"
   | n -> Printf.sprintf "Status %d" n
 
-let response ?(headers = []) ~status body =
-  let length = ("content-length", decimal (String.length body)) in
+let response ~status body =
   {
     status;
     reason = reason_phrase status;
-    resp_headers = (match headers with [] -> [ length ] | _ -> headers @ [ length ]);
+    resp_headers = [ ("content-length", decimal (String.length body)) ];
     resp_body = body;
   }
 

@@ -37,7 +37,7 @@ val parse_request : string -> (request * int, string) result
 
 val format_request : request -> string
 
-val response : ?headers:(string * string) list -> status:int -> string -> response
+val response : status:int -> string -> response
 (** Builds a response with the standard reason phrase and a
     [Content-Length] header. *)
 

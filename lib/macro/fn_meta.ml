@@ -20,6 +20,8 @@ let checked ~red_zone kind =
       | Nonleaf -> true
       | Leaf_small | Leaf_mid | Leaf_big -> frame_words_of_kind kind > rz)
 
+(* Size of one emitted check sequence, as in [Retrofit_fiber.Otss];
+   defined here to keep the libraries independent. *)
 let check_bytes = 12
 
 let otss ~red_zone fns =
@@ -27,6 +29,3 @@ let otss ~red_zone fns =
     (fun acc f ->
       acc + f.body_bytes + if checked ~red_zone f.kind then check_bytes else 0)
     0 fns
-
-let checked_count ~red_zone fns =
-  List.fold_left (fun acc f -> acc + if checked ~red_zone f.kind then 1 else 0) 0 fns

@@ -21,11 +21,4 @@ val frame_words_of_kind : kind -> int
 val checked : red_zone:int option -> kind -> bool
 (** [red_zone = None] is stock: nothing checked. *)
 
-val check_bytes : int
-(** Size of one emitted check sequence; shared with
-    {!Retrofit_fiber.Otss.check_bytes}'s role but defined here to keep
-    the libraries independent. *)
-
 val otss : red_zone:int option -> t list -> int
-
-val checked_count : red_zone:int option -> t list -> int

@@ -35,8 +35,6 @@ let enabled = ref false
 
 let on () = !enabled
 
-let set_enabled v = enabled := v
-
 (* Enable for the duration of [f], restoring the previous state: tests
    and scoped experiment runs must not leak enablement. *)
 let scoped ?(r = default) f =

@@ -23,8 +23,6 @@ val default : t
 
 val on : unit -> bool
 
-val set_enabled : bool -> unit
-
 val scoped : ?r:t -> (t -> 'a) -> 'a
 (** Enable for the duration of the callback (restoring the previous
     state), passing the registry through. *)

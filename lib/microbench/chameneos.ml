@@ -1,5 +1,3 @@
-let creatures = 4
-
 let initial_colors = [ 0; 1; 2; 0 ]
 
 (* complement: meeting two different colours yields the third; equal

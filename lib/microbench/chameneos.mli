@@ -12,9 +12,6 @@
     Each returns the total number of individual meetings counted by the
     creatures, which must equal [2 * meetings]. *)
 
-val creatures : int
-(** Number of creatures in the standard game (4). *)
-
 val run_effects : meetings:int -> int
 
 val run_monad : meetings:int -> int

@@ -14,8 +14,6 @@ type 'a t
 
 val return : 'a -> 'a t
 
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-
 val ( >>= ) : 'a t -> ('a -> 'b t) -> 'b t
 
 val map : ('a -> 'b) -> 'a t -> 'b t

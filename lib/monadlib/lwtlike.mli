@@ -14,8 +14,6 @@ val return : 'a -> 'a t
 
 val fail : exn -> 'a t
 
-val bind : 'a t -> ('a -> 'b t) -> 'b t
-
 val ( >>= ) : 'a t -> ('a -> 'b t) -> 'b t
 
 val map : ('a -> 'b) -> 'a t -> 'b t
@@ -26,8 +24,6 @@ val wait : unit -> 'a t * 'a resolver
 
 val wakeup : 'a resolver -> 'a -> unit
 (** @raise Invalid_argument if already resolved. *)
-
-val wakeup_exn : 'a resolver -> exn -> unit
 
 val async : (unit -> unit t) -> unit
 (** Run a thread for its side effects; an escaping exception is raised

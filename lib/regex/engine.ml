@@ -1,8 +1,6 @@
 type t = { nfa : Nfa.t }
 
-let of_syntax re = { nfa = Nfa.compile re }
-
-let of_string src = of_syntax (Parse.parse_exn src)
+let of_string src = { nfa = Nfa.compile (Parse.parse_exn src) }
 
 let find t ?(start = 0) s =
   let n = String.length s in

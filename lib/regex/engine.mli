@@ -10,8 +10,6 @@ type t
 val of_string : string -> t
 (** Compile a pattern.  @raise Invalid_argument on a malformed pattern. *)
 
-val of_syntax : Syntax.t -> t
-
 val is_match : t -> string -> bool
 (** Does the pattern match anywhere in the subject? *)
 

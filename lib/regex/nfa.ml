@@ -102,7 +102,6 @@ let compile re =
   let first_set, nullable = compute_first prog start in
   { prog; start; first_set; nullable }
 
-let size t = Array.length t.prog
 
 let can_start t c = t.first_set.(Char.code c)
 

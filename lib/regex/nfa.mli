@@ -9,9 +9,6 @@ type t
 
 val compile : Syntax.t -> t
 
-val size : t -> int
-(** Number of compiled instructions, for diagnostics. *)
-
 val match_at : t -> string -> int -> int option
 (** [match_at t s pos] is [Some e] when the regex matches [s] between
     [pos] (inclusive) and [e] (exclusive), with [e] the {e longest} such

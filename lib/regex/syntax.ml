@@ -83,8 +83,6 @@ let to_string re =
   emit buf 0 re;
   Buffer.contents buf
 
-let pp fmt re = Format.pp_print_string fmt (to_string re)
-
 let class_mem ~negated ~ranges c =
   let inside = List.exists (fun (lo, hi) -> lo <= c && c <= hi) ranges in
   if negated then not inside else inside

@@ -19,10 +19,8 @@ type t =
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** Prints a regex source string that re-parses to an equal AST. *)
-
 val to_string : t -> string
+(** A regex source string that re-parses to an equal AST. *)
 
 val class_mem : negated:bool -> ranges:(char * char) list -> char -> bool
 (** Membership test used by both the compiler and the tests. *)

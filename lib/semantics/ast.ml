@@ -102,51 +102,6 @@ let pp fmt e = pp_prec 0 fmt e
 
 let to_string e = Format.asprintf "%a" pp e
 
-let free_vars e =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let add bound x =
-    if (not (List.mem x bound)) && not (Hashtbl.mem seen x) then begin
-      Hashtbl.add seen x ();
-      order := x :: !order
-    end
-  in
-  let rec go bound = function
-    | Int _ -> ()
-    | Var x -> add bound x
-    | Lam (_, x, b) -> go (x :: bound) b
-    | App (f, a) ->
-        go bound f;
-        go bound a
-    | Binop (_, a, b) ->
-        go bound a;
-        go bound b
-    | If (c, t, f) ->
-        go bound c;
-        go bound t;
-        go bound f
-    | Let (x, e1, e2) ->
-        go bound e1;
-        go (x :: bound) e2
-    | Letrec (f, x, e1, e2) ->
-        go (f :: x :: bound) e1;
-        go (f :: bound) e2
-    | Raise (_, e) | Perform (_, e) -> go bound e
-    | Continue (k, e) ->
-        go bound k;
-        go bound e
-    | Discontinue (k, _, e) ->
-        go bound k;
-        go bound e
-    | Match (e, h) ->
-        go bound e;
-        go (h.return_var :: bound) h.return_body;
-        List.iter (fun (_, x, b) -> go (x :: bound) b) h.exn_cases;
-        List.iter (fun (_, x, k, b) -> go (x :: k :: bound) b) h.eff_cases
-  in
-  go [] e;
-  List.rev !order
-
 (* §4.2.4: continue k e = (k (λ°x.x)) e
            discontinue k l e = (k (λ°x.raise l x)) e *)
 let rec elaborate = function

@@ -48,14 +48,7 @@ and handler = {
 
 val binop_to_string : binop -> string
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
-
-val free_vars : t -> string list
-(** Free variables in order of first occurrence; a closed program has
-    none.  [Match] effect cases bind both the parameter and the
-    continuation variable. *)
 
 val elaborate : t -> t
 (** Rewrites [Continue] and [Discontinue] into the §4.2.4 encodings so

@@ -6,6 +6,9 @@ type outcome =
   | Uncaught of string * value
   | Stuck of string
 
+(* The exception labels of rule EffUnHn, of division by zero, and of a
+   second resume under the one-shot discipline (the runtime's
+   behaviour, §5.2). *)
 let unhandled_label = "Unhandled"
 
 let division_label = "Division_by_zero"

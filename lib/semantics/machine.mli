@@ -21,16 +21,6 @@ type outcome =
       (** an exception reached the bottom of the stack: fatal_uncaught *)
   | Stuck of string  (** no rule applies; the message names the reason *)
 
-val unhandled_label : string
-(** The label of the exception raised by rule EffUnHn ("Unhandled"). *)
-
-val division_label : string
-(** The label raised on division by zero ("Division_by_zero"). *)
-
-val one_shot_label : string
-(** The label raised by the one-shot discipline on a second resume
-    ("Invalid_argument"), matching the runtime's behaviour (§5.2). *)
-
 val step : Syntax.config -> outcome
 (** One top-level reduction (STEPC or STEPO). *)
 
@@ -47,7 +37,7 @@ val run :
     called on every configuration including the initial one.
     [one_shot] (default false, i.e. the paper's multi-shot semantics)
     overlays §5's linearity restriction: resuming the same continuation
-    twice raises {!one_shot_label} at the resume site, which is how the
+    twice raises ["Invalid_argument"] at the resume site, which is how the
     conformance fuzzer aligns this machine with the one-shot fiber
     runtime and native OCaml effects. *)
 

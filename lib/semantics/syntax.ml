@@ -124,22 +124,6 @@ let pp_config fmt { term; env = _; stack } =
 
 let value_to_string v = asprintf "%a" pp_value v
 
-let frames_len = List.length
-
-let cont_frames k =
-  List.fold_left (fun acc (frames, _) -> acc + frames_len frames) 0 k
-
-let rec c_stack_depth { c_frames; c_under } =
-  frames_len c_frames + ocaml_stack_depth c_under
-
-and ocaml_stack_depth = function
-  | O_empty -> 0
-  | O_stack { cont; o_under } -> cont_frames cont + c_stack_depth o_under
-
-let stack_depth = function
-  | C_stack g -> c_stack_depth g
-  | OCaml_stack w -> ocaml_stack_depth w
-
 let rec c_fibers { c_under; _ } = ocaml_fibers c_under
 
 and ocaml_fibers = function

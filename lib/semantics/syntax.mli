@@ -52,12 +52,10 @@ type term = Expr of Ast.t | Value of value
 type config = { term : term; env : env; stack : stack }
 (** ℭ = ‖τ, ε, σ‖ *)
 
-val identity_handler : handler_closure
-(** [({return x ↦ x}, ∅)] — the handler closure used for the empty
-    continuation pushed by Perform and for callback fibers. *)
-
 val identity_fiber : fiber
-(** [(\[\], identity_handler)] *)
+(** [(\[\], ({return x ↦ x}, ∅))] — the fiber with the identity handler
+    closure, used for the empty continuation pushed by Perform and for
+    callback fibers. *)
 
 val is_identity_handler : handler_closure -> bool
 (** Recognises (up to the return variable's name) the identity handler
@@ -75,18 +73,9 @@ val env_lookup : env -> string -> value option
 
 val env_bind : env -> string -> value -> env
 
-val pp_value : Format.formatter -> value -> unit
-
-val pp_frame : Format.formatter -> frame -> unit
-
-val pp_stack : Format.formatter -> stack -> unit
-
 val pp_config : Format.formatter -> config -> unit
 
 val value_to_string : value -> string
-
-val stack_depth : stack -> int
-(** Total number of frames across all segments, for tests and traces. *)
 
 val fiber_count : stack -> int
 (** Number of fibers on the current OCaml stack segments. *)

@@ -8,28 +8,11 @@ val to_chrome : ?dropped:int -> Event.t list -> string
 
 val of_trace_chrome : Trace.t -> string
 
-val to_text : Event.t list -> string
+val of_trace_text : Trace.t -> string
 (** Human-readable flat form: one line per event — timestamp, category,
     name, key=value args. *)
 
-val of_trace_text : Trace.t -> string
-
 (** {1 Schema checking} *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-val parse_json : string -> json
-(** Minimal self-contained JSON reader.  @raise Bad_json on malformed
-    input. *)
 
 val validate_chrome : string -> (int, string) result
 (** Check the schema the trace viewers rely on: [traceEvents] is an

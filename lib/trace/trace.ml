@@ -107,5 +107,3 @@ let emit ?ts ev =
       add t { Event.ts; ev }
 
 let events () = match !current with Some t -> to_list t | None -> []
-
-let dropped_events () = match !current with Some t -> t.dropped | None -> 0

@@ -35,11 +35,9 @@ val to_list : t -> Event.t list
 val on : unit -> bool
 (** The static flag every instrumentation site branches on. *)
 
-val default_capacity : int
-(** 65536 events. *)
-
 val start : ?capacity:int -> unit -> t
-(** Install a fresh ring as the current session and enable tracing. *)
+(** Install a fresh ring (of 65536 events by default) as the current
+    session and enable tracing. *)
 
 val stop : unit -> t option
 (** Disable tracing and detach the current ring (returned for export). *)
@@ -54,5 +52,3 @@ val emit : ?ts:int -> Event.ev -> unit
     with [on ()] so the disabled path does not even build the event. *)
 
 val events : unit -> Event.t list
-
-val dropped_events : unit -> int

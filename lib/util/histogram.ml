@@ -1,16 +1,19 @@
 (* Log-linear bucketing, following HdrHistogram: values are grouped into
    exponentially growing "buckets", each containing [sub_bucket_count]
    linear sub-buckets, so the representation error of a value is at most
-   one part in [sub_bucket_count / 2]. *)
+   one part in [sub_bucket_count / 2].  Three significant figures need
+   2 * 10^3 sub-buckets, rounded up to a power of two. *)
+
+let sub_bucket_magnitude = 11
+
+let sub_bucket_count = 1 lsl sub_bucket_magnitude
+
+let sub_bucket_half_count = sub_bucket_count / 2
+
+let sub_bucket_mask = sub_bucket_count - 1
 
 type t = {
-  sig_figs : int;
   max_value : int;
-  sub_bucket_count : int;
-  sub_bucket_half_count : int;
-  sub_bucket_mask : int;
-  sub_bucket_magnitude : int;  (* log2 sub_bucket_count *)
-  unit_magnitude : int;  (* always 0 here: unit precision of 1 *)
   counts : int array;
   mutable total : int;
   mutable saturated : int;
@@ -21,86 +24,55 @@ type t = {
 (* The number of significant bits of [n >= 0]. *)
 let rec bit_length n acc = if n = 0 then acc else bit_length (n lsr 1) (acc + 1)
 
-(* Index of the exponential bucket holding [v]: the bit length of
-   [v lor sub_bucket_mask] past the sub-bucket magnitude.  That length
-   is at least the magnitude, so the bits below it are shifted off
-   first. *)
-let bucket_index t v =
-  bit_length ((v lor t.sub_bucket_mask) lsr t.sub_bucket_magnitude) 0 - t.unit_magnitude
-
-let sub_bucket_index t v bucket =
-  v lsr (bucket + t.unit_magnitude)
-
-let counts_index t v =
-  let bucket = bucket_index t v in
-  let sub = sub_bucket_index t v bucket in
+let counts_index v =
+  (* The exponential bucket holding [v]: the bit length of
+     [v lor sub_bucket_mask] past the sub-bucket magnitude.  That length
+     is at least the magnitude, so the bits below it are shifted off
+     first. *)
+  let bucket = bit_length ((v lor sub_bucket_mask) lsr sub_bucket_magnitude) 0 in
+  let sub = v lsr bucket in
   (* Buckets overlap in their lower half; the canonical flat index skips
      the redundant lower halves of buckets > 0. *)
-  let base = (bucket + 1) * t.sub_bucket_half_count in
-  base + (sub - t.sub_bucket_half_count)
+  let base = (bucket + 1) * sub_bucket_half_count in
+  base + (sub - sub_bucket_half_count)
 
-let value_from_index t idx =
-  let bucket = (idx / t.sub_bucket_half_count) - 1 in
-  let sub = (idx mod t.sub_bucket_half_count) + t.sub_bucket_half_count in
+let value_from_index idx =
+  let bucket = (idx / sub_bucket_half_count) - 1 in
+  let sub = (idx mod sub_bucket_half_count) + sub_bucket_half_count in
   (* indices below one half-count decode bucket 0 exactly *)
-  if bucket < 0 then (sub - t.sub_bucket_half_count) lsl t.unit_magnitude
-  else sub lsl (bucket + t.unit_magnitude)
+  if bucket < 0 then sub - sub_bucket_half_count else sub lsl bucket
 
-let create ?(significant_figures = 3) ~max_value () =
-  if significant_figures < 1 || significant_figures > 5 then
-    invalid_arg "Histogram.create: significant_figures must be in 1..5";
+let create ~max_value () =
   if max_value < 2 then invalid_arg "Histogram.create: max_value must be >= 2";
-  let largest_resolvable = 2 * int_of_float (10.0 ** float_of_int significant_figures) in
-  let sub_bucket_count =
-    let rec next_pow2 n p = if p >= n then p else next_pow2 n (p * 2) in
-    next_pow2 largest_resolvable 2
-  in
-  let sub_bucket_half_count = sub_bucket_count / 2 in
-  let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-  let t =
-    {
-      sig_figs = significant_figures;
-      max_value;
-      sub_bucket_count;
-      sub_bucket_half_count;
-      sub_bucket_mask = sub_bucket_count - 1;
-      sub_bucket_magnitude = log2 sub_bucket_count 0;
-      unit_magnitude = 0;
-      counts = [||];
-      total = 0;
-      saturated = 0;
-      min_seen = Stdlib.max_int;
-      max_seen = 0;
-    }
-  in
   let buckets_needed =
     let rec go smallest n =
       if smallest > max_value then n else go (smallest * 2) (n + 1)
     in
     go sub_bucket_count 1
   in
-  let counts_len = (buckets_needed + 1) * sub_bucket_half_count in
-  { t with counts = Array.make counts_len 0 }
+  {
+    max_value;
+    counts = Array.make ((buckets_needed + 1) * sub_bucket_half_count) 0;
+    total = 0;
+    saturated = 0;
+    min_seen = Stdlib.max_int;
+    max_seen = 0;
+  }
 
-let record_n t v n =
+let record t v =
   if v < 0 then invalid_arg "Histogram.record: negative value";
-  if n < 0 then invalid_arg "Histogram.record_n: negative count";
-  if n > 0 then begin
-    let v =
-      if v > t.max_value then begin
-        t.saturated <- t.saturated + n;
-        t.max_value
-      end
-      else v
-    in
-    let idx = counts_index t v in
-    t.counts.(idx) <- t.counts.(idx) + n;
-    t.total <- t.total + n;
-    if v < t.min_seen then t.min_seen <- v;
-    if v > t.max_seen then t.max_seen <- v
-  end
-
-let record t v = record_n t v 1
+  let v =
+    if v > t.max_value then begin
+      t.saturated <- t.saturated + 1;
+      t.max_value
+    end
+    else v
+  in
+  let idx = counts_index v in
+  t.counts.(idx) <- t.counts.(idx) + 1;
+  t.total <- t.total + 1;
+  if v < t.min_seen then t.min_seen <- v;
+  if v > t.max_seen then t.max_seen <- v
 
 let count t = t.total
 
@@ -124,7 +96,7 @@ let value_at_percentile t p =
      for i = 0 to Array.length t.counts - 1 do
        acc := !acc + t.counts.(i);
        if !acc >= target then begin
-         result := value_from_index t i;
+         result := value_from_index i;
          raise Exit
        end
      done
@@ -137,15 +109,14 @@ let mean t =
     let sum = ref 0.0 in
     Array.iteri
       (fun i c ->
-        if c > 0 then sum := !sum +. (float_of_int (value_from_index t i) *. float_of_int c))
+        if c > 0 then sum := !sum +. (float_of_int (value_from_index i) *. float_of_int c))
       t.counts;
     !sum /. float_of_int t.total
   end
 
 let merge_into ~dst src =
   if
-    dst.sig_figs <> src.sig_figs
-    || dst.max_value <> src.max_value
+    dst.max_value <> src.max_value
     || Array.length dst.counts <> Array.length src.counts
   then invalid_arg "Histogram.merge_into: parameter mismatch";
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
@@ -158,15 +129,10 @@ let merge_into ~dst src =
 
 let copy t = { t with counts = Array.copy t.counts }
 
-(* Non-destructive merge: a fresh histogram holding the union of both
-   recording sets.  Aggregating per-fiber (or per-run) latency
-   histograms into a registry snapshot goes through here. *)
 let merge a b =
   let dst = copy a in
   merge_into ~dst b;
   dst
-
-let add_hist = merge_into
 
 (* The raw bucket counts, for property tests: merge must preserve the
    per-bucket sums exactly, not just the total. *)

@@ -6,22 +6,18 @@
     queries with bounded relative error.  This module is our equivalent.
 
     Values are non-negative integers (we use nanoseconds of simulated
-    time).  With [significant_figures = 3] any recorded value is recovered
-    to within 0.1 %. *)
+    time), recorded to three significant figures: any recorded value is
+    recovered to within 0.1 %. *)
 
 type t
 
-val create : ?significant_figures:int -> max_value:int -> unit -> t
+val create : max_value:int -> unit -> t
 (** [create ~max_value ()] can record values in [\[0, max_value\]].
-    [significant_figures] (1–5, default 3) bounds the relative error.
-    @raise Invalid_argument on out-of-range parameters. *)
+    @raise Invalid_argument if [max_value < 2]. *)
 
 val record : t -> int -> unit
 (** Record one value.  Values above [max_value] are clamped to it and
     counted in [saturated].  @raise Invalid_argument on negatives. *)
-
-val record_n : t -> int -> int -> unit
-(** [record_n t v n] records [v] with multiplicity [n]. *)
 
 val count : t -> int
 (** Total number of recorded values. *)
@@ -45,20 +41,17 @@ val mean : t -> float
 
 val merge_into : dst:t -> t -> unit
 (** Add all recordings of the source into [dst].  Both histograms must
-    have identical parameters.  @raise Invalid_argument otherwise. *)
-
-val add_hist : dst:t -> t -> unit
-(** Alias of {!merge_into}. *)
+    have the same [max_value].  @raise Invalid_argument otherwise. *)
 
 val copy : t -> t
 (** An independent histogram with the same parameters and recordings. *)
 
 val merge : t -> t -> t
 (** Non-destructive merge: a fresh histogram holding the union of both
-    recording sets — used to aggregate per-fiber latency histograms
-    into registry snapshots.  Preserves total count, per-bucket sums,
-    saturation counts and min/max.  Both arguments must have identical
-    parameters.  @raise Invalid_argument otherwise. *)
+    recording sets, the pure form of {!merge_into}.  Preserves total
+    count, per-bucket sums, saturation counts and min/max.  Both
+    arguments must have the same [max_value].
+    @raise Invalid_argument otherwise. *)
 
 val bucket_counts : t -> int array
 (** A copy of the raw per-bucket counts, for property tests that check
@@ -67,10 +60,10 @@ val bucket_counts : t -> int array
 (** {2 Bucketing internals}
 
     Exposed so property tests can check the log-linear indexing
-    directly: [value_from_index t (counts_index t v)] must be a bucket
+    directly: [value_from_index (counts_index v)] must be a bucket
     lower bound within the advertised relative error of [v], and
     [counts_index] must be monotone in [v]. *)
 
-val counts_index : t -> int -> int
+val counts_index : int -> int
 
-val value_from_index : t -> int -> int
+val value_from_index : int -> int

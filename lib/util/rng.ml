@@ -58,10 +58,6 @@ let exponential t ~mean =
   let u = float t 1.0 in
   -.mean *. log1p (-.u)
 
-let pareto t ~shape ~scale =
-  let u = float t 1.0 in
-  scale /. ((1.0 -. u) ** (1.0 /. shape))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

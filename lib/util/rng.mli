@@ -31,9 +31,5 @@ val exponential : t -> mean:float -> float
 (** A draw from the exponential distribution with the given mean; used for
     Poisson arrival processes in the load generator. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** A draw from the Pareto distribution; used for heavy-tailed service
-    times. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -52,17 +52,15 @@ let render_kv kvs =
   |> String.concat "\n"
   |> fun s -> s ^ "\n"
 
-let bar_chart ?(width = 50) ?(baseline = 1.0) entries =
+let bar_chart entries =
   if entries = [] then ""
   else begin
-    let max_value =
-      List.fold_left (fun acc (_, v) -> Stdlib.max acc v) baseline entries
-    in
+    let max_value = List.fold_left (fun acc (_, v) -> Stdlib.max acc v) 1.0 entries in
     let label_width =
       List.fold_left (fun acc (l, _) -> Stdlib.max acc (String.length l)) 0 entries
     in
-    let scale v = int_of_float (Float.round (v /. max_value *. float_of_int width)) in
-    let baseline_col = scale baseline in
+    let scale v = int_of_float (Float.round (v /. max_value *. 50.0)) in
+    let baseline_col = scale 1.0 in
     let buf = Buffer.create 256 in
     List.iter
       (fun (label, v) ->

@@ -14,7 +14,7 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 val render_kv : (string * string) list -> string
 (** Two-column key/value block without a header. *)
 
-val bar_chart : ?width:int -> ?baseline:float -> (string * float) list -> string
-(** A horizontal ASCII bar chart: one row per (label, value).  [baseline]
-    (default 1.0) draws a reference mark, used for normalized-time figures
-    like Fig 4.  [width] is the maximum bar width in characters. *)
+val bar_chart : (string * float) list -> string
+(** A horizontal ASCII bar chart: one row per (label, value), at most 50
+    characters of bar, with a reference mark at 1.0 for normalized-time
+    figures like Fig 4. *)

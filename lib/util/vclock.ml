@@ -9,17 +9,3 @@
 let clock = ref 0
 
 let now () = !clock
-
-let set v = if v < 0 then invalid_arg "Vclock.set: negative time" else clock := v
-
-let advance n = if n > 0 then clock := !clock + n
-
-let reset () = clock := 0
-
-(* Run [f] against a clock temporarily rewound to [at] (default 0),
-   restoring the previous reading afterwards — used by scoped
-   experiments so one run's time does not leak into the next. *)
-let scoped ?(at = 0) f =
-  let saved = !clock in
-  set at;
-  Fun.protect ~finally:(fun () -> clock := saved) f

@@ -2,18 +2,7 @@
 
     The observability layer stamps events from this clock whenever a
     site does not pass an explicit virtual timestamp of its own.  It
-    never consults the host clock. *)
+    never consults the host clock, and nothing advances it: every
+    simulated workload passes its own timestamps. *)
 
 val now : unit -> int
-
-val set : int -> unit
-(** @raise Invalid_argument on negative time. *)
-
-val advance : int -> unit
-(** Advance by [n] ns; non-positive [n] is a no-op. *)
-
-val reset : unit -> unit
-
-val scoped : ?at:int -> (unit -> 'a) -> 'a
-(** Run the thunk with the clock rewound to [at] (default 0), restoring
-    the previous reading afterwards. *)

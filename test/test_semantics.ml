@@ -70,12 +70,6 @@ let pp_roundtrip () =
       | Error msg -> Alcotest.failf "%s reprint failed: %s\n%s" ex.name msg printed)
     S.Examples.all
 
-let free_vars () =
-  let ast = parse_ok "fun x -> x + y" in
-  Alcotest.(check (list string)) "free" [ "y" ] (S.Ast.free_vars ast);
-  let closed = parse_ok "let rec f n = if n = 0 then 0 else f (n - 1) in f 3" in
-  Alcotest.(check (list string)) "closed" [] (S.Ast.free_vars closed)
-
 (* ---------------- Machine ---------------- *)
 
 let all_examples () =
@@ -239,7 +233,6 @@ let suite =
     test "parser match cases" parse_match_cases;
     test "parser errors" parse_errors;
     test "printer/parser roundtrip on examples" pp_roundtrip;
-    test "free variables" free_vars;
     test "all built-in examples" all_examples;
     test "handler rules" machine_rules;
     test "C stack rules" machine_c_stack_rules;

@@ -89,7 +89,7 @@ let hist_basic () =
     (Histogram.value_at_percentile h 100.0)
 
 let hist_precision () =
-  let h = Histogram.create ~significant_figures:3 ~max_value:10_000_000 () in
+  let h = Histogram.create ~max_value:10_000_000 () in
   List.iter (Histogram.record h) [ 123_456; 500; 9_999_999 ];
   let p100 = Histogram.value_at_percentile h 100.0 in
   let err = abs (p100 - 9_999_999) in
@@ -138,13 +138,13 @@ let prop_hist_merge_sums =
       && Histogram.bucket_counts a = ba
       && Histogram.bucket_counts b = bb)
 
-let prop_hist_add_hist_matches_merge =
-  QCheck.Test.make ~name:"add_hist mutates dst to the merge" ~count:200
+let prop_hist_merge_into_matches_merge =
+  QCheck.Test.make ~name:"merge_into mutates dst to the merge" ~count:200
     QCheck.(pair (list (int_range 1 200_000)) (list (int_range 1 200_000)))
     (fun (xs, ys) ->
       let a = hist_of_samples xs and b = hist_of_samples ys in
       let m = Histogram.merge a b in
-      Histogram.add_hist ~dst:a b;
+      Histogram.merge_into ~dst:a b;
       Histogram.count a = Histogram.count m
       && Histogram.saturated a = Histogram.saturated m
       && Histogram.bucket_counts a = Histogram.bucket_counts m
@@ -479,25 +479,23 @@ let rng_split_independent () =
 let prop_hist_index_roundtrip =
   QCheck.Test.make ~name:"histogram counts_index/value_from_index round-trip"
     ~count:1000
-    QCheck.(pair (int_range 1 5) (int_range 0 100_000_000))
-    (fun (sig_figs, v) ->
-      let h = Histogram.create ~significant_figures:sig_figs ~max_value:100_000_000 () in
-      let i = Histogram.counts_index h v in
-      let d = Histogram.value_from_index h i in
+    QCheck.(int_range 0 100_000_000)
+    (fun v ->
+      let i = Histogram.counts_index v in
+      let d = Histogram.value_from_index i in
       (* decoded value is the bucket lower bound: at most v, within the
-         advertised relative error, and decoding is a fixed point *)
+         advertised relative error (three significant figures), and
+         decoding is a fixed point *)
       d <= v
-      && float_of_int (v - d)
-         <= (10.0 ** float_of_int (-sig_figs)) *. float_of_int (max v 1)
-      && Histogram.counts_index h d = i)
+      && float_of_int (v - d) <= 1e-3 *. float_of_int (max v 1)
+      && Histogram.counts_index d = i)
 
 let prop_hist_index_monotone =
   QCheck.Test.make ~name:"histogram counts_index monotone" ~count:500
     QCheck.(pair (int_range 0 10_000_000) (int_range 0 10_000_000))
     (fun (a, b) ->
-      let h = Histogram.create ~max_value:10_000_000 () in
       let lo = min a b and hi = max a b in
-      Histogram.counts_index h lo <= Histogram.counts_index h hi)
+      Histogram.counts_index lo <= Histogram.counts_index hi)
 
 let prop_hist_percentile_monotone =
   QCheck.Test.make ~name:"histogram percentile monotone in p" ~count:200
@@ -541,7 +539,7 @@ let suite =
     test "histogram saturation" hist_saturation;
     test "histogram merge" hist_merge;
     QCheck_alcotest.to_alcotest prop_hist_merge_sums;
-    QCheck_alcotest.to_alcotest prop_hist_add_hist_matches_merge;
+    QCheck_alcotest.to_alcotest prop_hist_merge_into_matches_merge;
     QCheck_alcotest.to_alcotest prop_hist_percentile_bounds;
     QCheck_alcotest.to_alcotest prop_hist_mean_close;
     test "pqueue order" pq_order;
