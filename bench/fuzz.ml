@@ -9,14 +9,8 @@ module C = Retrofit_conformance
 let () =
   let seed = ref 1 in
   let count = ref 1000 in
-  let max_steps = ref 20_000_000 in
-  let no_dwarf = ref false in
-  let no_audit = ref false in
-  let no_shrink = ref false in
   let analyze = ref false in
   let multishot = ref false in
-  let fib_multishot = ref false in
-  let sem_multishot = ref false in
   let skip_corpus = ref false in
   let stack_policy = ref "" in
   let policy_diff = ref false in
@@ -24,12 +18,6 @@ let () =
     [
       ("--seed", Arg.Set_int seed, "INT campaign seed (default 1)");
       ("--count", Arg.Set_int count, "INT number of generated programs (default 1000)");
-      ( "--max-steps",
-        Arg.Set_int max_steps,
-        "INT fiber-machine fuel per program (default 20M)" );
-      ("--no-dwarf", Arg.Set no_dwarf, " disable DWARF unwind sampling");
-      ("--no-audit", Arg.Set no_audit, " disable the fiber-machine auditor");
-      ("--no-shrink", Arg.Set no_shrink, " report failures unshrunk");
       ( "--analyze",
         Arg.Set analyze,
         " run the static effect-safety analyzer on every program and fail on \
@@ -39,14 +27,6 @@ let () =
         " multishot campaign: clone continuations on resume in both the \
          semantics machine and the fiber backend and skip the (one-shot) \
          native leg; requires a multishot-capable fiber configuration" );
-      ( "--fib-multishot",
-        Arg.Set fib_multishot,
-        " mutation mode: enable fiber-side cloning alone, against the \
-         one-shot semantics machine (expected to fail)" );
-      ( "--sem-multishot",
-        Arg.Set sem_multishot,
-        " mutation mode: disable the semantics machine's one-shot discipline (expected \
-         to fail)" );
       ("--skip-corpus", Arg.Set skip_corpus, " skip the corpus replay");
       ( "--stack-policy",
         Arg.Set_string stack_policy,
@@ -86,14 +66,12 @@ let () =
   let fiber_config =
     F.Config.mc
     |> F.Config.with_policy policy
-    |> F.Config.with_multishot (!multishot || !fib_multishot)
+    |> F.Config.with_multishot !multishot
   in
   let policies = if !policy_diff then C.Fuzz.default_policies else [] in
   let stats =
-    C.Fuzz.campaign ~fiber_config ~fib_fuel:!max_steps
-      ~sem_one_shot:(not !sem_multishot) ~audit:(not !no_audit)
-      ~dwarf:(not !no_dwarf) ~analyze:!analyze ~shrink:(not !no_shrink)
-      ~policies ~multishot:!multishot ~seed:!seed ~count:!count ()
+    C.Fuzz.campaign ~fiber_config ~analyze:!analyze ~policies ~multishot:!multishot
+      ~seed:!seed ~count:!count ()
   in
   print_string (C.Fuzz.stats_to_string stats);
   if stats.C.Fuzz.failures <> [] then failed := true;

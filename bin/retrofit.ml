@@ -6,8 +6,7 @@
    retrofit examples           list the built-in semantics examples
    retrofit bench table1       regenerate one of the paper's tables/figures
    retrofit bench --all --quick
-   retrofit bench --bechamel   the Bechamel micro suite
-   retrofit backtrace          the Fig 1d meander backtrace
+   retrofit bench backtrace    the Fig 1d meander backtrace
    retrofit lint               static effect-safety lints over the built-ins
    retrofit websim --rate 20000
    retrofit websim --trace out.json --metrics out.prom --profile out.folded
@@ -98,74 +97,11 @@ let examples_cmd =
 (* ------------------------------------------------------------------ *)
 (* bench *)
 
-(* The Bechamel micro suite: one [Test.make] per table workload, with
-   OLS per-run estimates. *)
-let bechamel_tests () =
-  let open Bechamel in
-  let module R = Retrofit_micro.Rec_bench in
-  [
-    (* Table 1 workloads *)
-    Test.make ~name:"table1/exnval"
-      (Staged.stage (fun () -> Retrofit_micro.Exn_bench.exnval_loop 1_000));
-    Test.make ~name:"table1/exnraise"
-      (Staged.stage (fun () -> Retrofit_micro.Exn_bench.exnraise_loop 1_000));
-    Test.make ~name:"table1/extcall"
-      (Staged.stage (fun () -> Retrofit_micro.Extern.extcall_loop 1_000));
-    Test.make ~name:"table1/callback"
-      (Staged.stage (fun () -> Retrofit_micro.Extern.callback_loop 1_000));
-    Test.make ~name:"table1/ack" (Staged.stage (fun () -> R.plain.R.ack 2 6));
-    Test.make ~name:"table1/fib" (Staged.stage (fun () -> R.plain.R.fib 18));
-    Test.make ~name:"table1/motzkin" (Staged.stage (fun () -> R.plain.R.motzkin 10));
-    Test.make ~name:"table1/sudan" (Staged.stage (fun () -> R.plain.R.sudan 2 2 2));
-    Test.make ~name:"table1/tak" (Staged.stage (fun () -> R.plain.R.tak 14 10 4));
-    (* Table 2 styles on a common workload *)
-    Test.make ~name:"table2/fib-plain" (Staged.stage (fun () -> R.plain.R.fib 15));
-    Test.make ~name:"table2/fib-handler" (Staged.stage (fun () -> R.handler.R.fib 15));
-    Test.make ~name:"table2/fib-monad" (Staged.stage (fun () -> R.monadic.R.fib 15));
-    (* Section 6.3 workloads *)
-    Test.make ~name:"concurrent/generator-effect"
-      (Staged.stage (fun () -> Retrofit_micro.Genbench.effect_sum ~depth:12));
-    Test.make ~name:"concurrent/generator-cps"
-      (Staged.stage (fun () -> Retrofit_micro.Genbench.cps_sum ~depth:12));
-    Test.make ~name:"concurrent/generator-monad"
-      (Staged.stage (fun () -> Retrofit_micro.Genbench.monad_sum ~depth:12));
-    Test.make ~name:"concurrent/chameneos-effects"
-      (Staged.stage (fun () -> Retrofit_micro.Chameneos.run_effects ~meetings:2_000));
-    Test.make ~name:"concurrent/chameneos-monad"
-      (Staged.stage (fun () -> Retrofit_micro.Chameneos.run_monad ~meetings:2_000));
-    Test.make ~name:"concurrent/chameneos-lwt"
-      (Staged.stage (fun () -> Retrofit_micro.Chameneos.run_lwt ~meetings:2_000));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1_000 ~quota:(Time.second 0.25) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  print_endline "Bechamel micro suite (monotonic clock, ns per run):";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) raw [] |> List.sort compare
-      in
-      List.iter
-        (fun (name, m) ->
-          let result = Analyze.one ols instance m in
-          let estimate =
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> Printf.sprintf "%12.1f ns/run" est
-            | _ -> "(no estimate)"
-          in
-          Printf.printf "  %-34s %s\n%!" name estimate)
-        results)
-    (bechamel_tests ())
-
-let run_bench ids all quick bechamel =
+let run_bench ids all quick =
   let targets =
     if all then List.map (fun (e : E.Registry.t) -> e.id) E.Registry.all else ids
   in
-  if targets = [] && not bechamel then begin
+  if targets = [] then begin
     List.iter
       (fun (e : E.Registry.t) ->
         Printf.printf "%-11s %s (%s)\n" e.id e.title e.paper_ref)
@@ -187,7 +123,6 @@ let run_bench ids all quick bechamel =
             Printf.printf "=== %s: %s (%s) ===\n\n%s\n" e.id e.title e.paper_ref
               (e.run ~quick ()))
           targets;
-        if bechamel then run_bechamel ();
         0
   end
 
@@ -197,30 +132,13 @@ let bench_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Small sizes (for smoke runs).")
   in
-  let bechamel =
-    Arg.(
-      value & flag
-      & info [ "bechamel" ]
-          ~doc:"Then run the Bechamel micro suite (ns per run, OLS estimates).")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Regenerate the paper's tables and figures (no arguments: list them)")
-    Term.(const run_bench $ ids $ all $ quick $ bechamel)
+    Term.(const run_bench $ ids $ all $ quick)
 
 (* ------------------------------------------------------------------ *)
-(* backtrace and websim *)
-
-let backtrace_cmd =
-  let run quick =
-    print_string (E.Exp_backtrace.report ~quick ());
-    0
-  in
-  let quick = Arg.(value & flag & info [ "quick" ]) in
-  Cmd.v
-    (Cmd.info "backtrace"
-       ~doc:"Print the Fig 1d meander backtrace and the DWARF validation table")
-    Term.(const run $ quick)
+(* websim *)
 
 let websim_cmd =
   let module HS = Retrofit_httpsim in
@@ -659,7 +577,7 @@ let main_cmd =
        ~doc:
          "Reproduction of 'Retrofitting Effect Handlers onto OCaml' (PLDI 2021)")
     [
-      interp_cmd; examples_cmd; bench_cmd; backtrace_cmd; lint_cmd; websim_cmd;
+      interp_cmd; examples_cmd; bench_cmd; lint_cmd; websim_cmd;
       causal_cmd; validate_trace_cmd;
     ]
 

@@ -37,7 +37,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
         counters = Retrofit_util.Counter.create ();
       }
   | prog ->
-      let auditor = if audit then Some (F.Machine.audit ()) else None in
+      let auditor = if audit then Some (F.Audit.audit ()) else None in
       let probes = ref 0 in
       let dwarf_failures = ref [] in
       let on_call =
@@ -73,10 +73,10 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
       in
       {
         outcome;
-        audit_checks = (match auditor with Some a -> F.Machine.audit_checks a | None -> 0);
-        audit_visits = (match auditor with Some a -> F.Machine.audit_visits a | None -> 0);
+        audit_checks = (match auditor with Some a -> F.Audit.audit_checks a | None -> 0);
+        audit_visits = (match auditor with Some a -> F.Audit.audit_visits a | None -> 0);
         audit_violations =
-          (match auditor with Some a -> F.Machine.audit_violations a | None -> []);
+          (match auditor with Some a -> F.Audit.audit_violations a | None -> []);
         dwarf_probes = !probes;
         dwarf_failures = List.rev !dwarf_failures;
         counters;

@@ -13,7 +13,7 @@ type result = {
   outcome : Outcome.t;
   audit_checks : int;  (** invariant passes performed *)
   audit_visits : int;
-      (** what those passes examined ({!Retrofit_fiber.Machine.audit_visits}) *)
+      (** what those passes examined ({!Retrofit_fiber.Audit.audit_visits}) *)
   audit_violations : (string * string) list;
   dwarf_probes : int;  (** sampled unwind round-trips *)
   dwarf_failures : string list;
@@ -35,7 +35,7 @@ val run :
   Retrofit_fiber.Ir.program ->
   result
 (** Defaults: {!Retrofit_fiber.Config.mc}, 20-million-op fuel, the
-    auditor on its fixed schedule ({!Retrofit_fiber.Machine.audit}), no
+    auditor on its fixed schedule ({!Retrofit_fiber.Audit.audit}), no
     DWARF sampling.  When a [dwarf_seed] is given, about one call in
     eight is probed, up to [dwarf_max_probes] (default 500) per program
     — each probe unwinds the whole stack, so an unbounded rate would be

@@ -30,7 +30,7 @@ type stats = {
           default policy did not hit *)
   audit_checks : int;
   audit_visits : int;
-      (** {!Retrofit_fiber.Machine.audit_visits}, summed over every
+      (** {!Retrofit_fiber.Audit.audit_visits}, summed over every
           audited run *)
   dwarf_probes : int;
   analyzed : int;  (** programs run through the static analyzer *)

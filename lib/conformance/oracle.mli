@@ -28,7 +28,7 @@ type report = {
       (** ["semantics<->fiber"], ["fiber<->native"],
           ["semantics<->native"] *)
   audit_checks : int;
-  audit_visits : int;  (** audit work: {!Retrofit_fiber.Machine.audit_visits} *)
+  audit_visits : int;  (** audit work: {!Retrofit_fiber.Audit.audit_visits} *)
   audit_violations : (string * string) list;
   dwarf_probes : int;
   dwarf_failures : string list;

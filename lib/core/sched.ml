@@ -640,7 +640,7 @@ let runner_run rq ?handler ~idle main =
   rq.idle <- idle;
   spawn rq None main
 
-let run ?(policy = Fifo) ?chaos ?(clock = Retrofit_util.Vclock.now) ?idle main =
+let run ?(policy = Fifo) ?chaos ?(clock = fun () -> 0) ?idle main =
   let rq = runner_create ~policy ?chaos ~clock ~by_ops:true () in
   let finally () = switches := rq.switches in
   match runner_run rq ~idle:(Option.value idle ~default:rq.idle) main with

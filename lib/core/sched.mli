@@ -197,9 +197,9 @@ val run :
     enabled) to stamp runnable-enqueue instants: every enqueue records
     how long the thunk sat runnable before running, as a [Wakeup] event
     tagged with its cause (yield / fork / wakeup / cancel / kill) and a
-    [scheduler_runnable_wait_ns] histogram sample.  Defaults to
-    {!Retrofit_util.Vclock.now}; pass the driving event loop's clock
-    when one exists.  [idle] is called when the run queue is empty;
+    [scheduler_runnable_wait_ns] histogram sample.  An unclocked run
+    stamps every instant 0; pass the driving event loop's clock when
+    one exists.  [idle] is called when the run queue is empty;
     returning [true] retries (use it to advance a virtual-time event
     loop that will resume parked fibers), [false] ends the run. *)
 

@@ -567,7 +567,7 @@ module Nursery = struct
       join t
     end
 
-  let run ?clock ?(name = "nursery") body =
+  let run ?(clock = fun () -> 0) ?(name = "nursery") body =
     let rec sentinel = { k_cancel = no_cancel; older = sentinel; newer = sentinel } in
     let t =
       {
@@ -581,11 +581,7 @@ module Nursery = struct
     in
     (* Scope markers for the causal layer; emitted even when the body
        raises, so every begin has a matching end in a complete log. *)
-    let mark ev =
-      if Trace.on () then
-        let ts = match clock with Some c -> c () | None -> Retrofit_util.Vclock.now () in
-        Trace.emit ~ts ev
-    in
+    let mark ev = if Trace.on () then Trace.emit ~ts:(clock ()) ev in
     mark (Tev.Nursery_begin { name });
     let finally () = mark (Tev.Nursery_end { name }) in
     let result = match body t with v -> Ok v | exception e -> Error e in

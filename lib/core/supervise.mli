@@ -132,7 +132,7 @@ module Nursery : sig
   (** Raises the body's exception, or the first child failure, after
       all children have been cancelled and have unwound.  When tracing
       is on, the scope emits [Nursery_begin]/[Nursery_end] span markers
-      stamped from [clock] (default {!Retrofit_util.Vclock.now}). *)
+      stamped from [clock]; an unclocked scope stamps them 0. *)
 
   val fork : ?killable:bool -> t -> (unit -> unit) -> unit
   (** No-op if the scope is already failing or closing. *)

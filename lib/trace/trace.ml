@@ -10,10 +10,9 @@
    (drop-oldest) and the loss is counted — both locally and, when the
    metrics registry is live, as the [trace_dropped_events] counter.
 
-   Timestamps are virtual: sites either pass [~ts] from their own
-   virtual time base, or default to the process-wide [Vclock]. *)
+   Timestamps are virtual: every site passes [~ts] from its own virtual
+   time base. *)
 
-module Vclock = Retrofit_util.Vclock
 module Metrics = Retrofit_metrics.Metrics
 
 type t = {
@@ -99,11 +98,6 @@ let scoped ?capacity f =
       restore ();
       raise e
 
-let emit ?ts ev =
-  match !current with
-  | None -> ()
-  | Some t ->
-      let ts = match ts with Some x -> x | None -> Vclock.now () in
-      add t { Event.ts; ev }
+let emit ~ts ev = match !current with None -> () | Some t -> add t { Event.ts; ev }
 
 let events () = match !current with Some t -> to_list t | None -> []

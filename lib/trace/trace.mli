@@ -46,9 +46,9 @@ val scoped : ?capacity:int -> (unit -> 'a) -> 'a * t
 (** Trace for the duration of the thunk; restores the previous session
     (enabled or not) afterwards, so scopes nest safely. *)
 
-val emit : ?ts:int -> Event.ev -> unit
-(** Append to the current session (no-op without one).  [ts] defaults
-    to {!Retrofit_util.Vclock.now}.  Call sites on hot paths must guard
-    with [on ()] so the disabled path does not even build the event. *)
+val emit : ts:int -> Event.ev -> unit
+(** Append to the current session (no-op without one), stamped [ts] in
+    the caller's virtual time.  Call sites on hot paths must guard with
+    [on ()] so the disabled path does not even build the event. *)
 
 val events : unit -> Event.t list

@@ -27,7 +27,7 @@ let expected_result = 3
 (* The first step at which [at] holds, [break] damages the machine and
    returns the undo; the next step's hook undoes it.  Returns the
    recorded violations. *)
-let run_broken ?(audit = F.Machine.audit) ?(config = F.Config.mc) pol ~at ~break =
+let run_broken ?(audit = F.Audit.audit) ?(config = F.Config.mc) pol ~at ~break =
   let cfg = F.Config.with_policy pol config in
   let a = audit () in
   let fired = ref false and undo = ref None in
@@ -49,9 +49,9 @@ let run_broken ?(audit = F.Machine.audit) ?(config = F.Config.mc) pol ~at ~break
   | F.Machine.Uncaught (l, _) -> Alcotest.failf "uncaught %s" l
   | F.Machine.Fatal msg -> Alcotest.failf "fatal: %s" msg);
   Alcotest.(check int) "violation count"
-    (List.length (F.Machine.audit_violations a))
-    (F.Machine.audit_violation_count a);
-  F.Machine.audit_violations a
+    (List.length (F.Audit.audit_violations a))
+    (F.Audit.audit_violation_count a);
+  F.Audit.audit_violations a
 
 (* Inside the handled body: the running fiber is the handler fiber and
    the main fiber, its parent, is suspended. *)
@@ -70,15 +70,15 @@ let violations = Alcotest.(list (pair string string))
 let clean () =
   List.iter
     (fun (pname, pol) ->
-      let a = F.Machine.audit () in
+      let a = F.Audit.audit () in
       let outcome, _ =
         F.Machine.run ~audit:a (F.Config.with_policy pol F.Config.mc) program
       in
       Alcotest.(check bool)
         (pname ^ " result") true
         (outcome = F.Machine.Done expected_result);
-      Alcotest.(check bool) (pname ^ " audited") true (F.Machine.audit_checks a > 0);
-      Alcotest.check violations (pname ^ " clean") [] (F.Machine.audit_violations a))
+      Alcotest.(check bool) (pname ^ " audited") true (F.Audit.audit_checks a > 0);
+      Alcotest.check violations (pname ^ " clean") [] (F.Audit.audit_violations a))
     policies
 
 let liveness m =
@@ -246,10 +246,10 @@ let passes_allocate_nothing () =
           ignore (F.Machine.run ~cfuns:F.Programs.standard_cfuns ?audit cfg compiled)
         in
         let bare = minor_words (run None) in
-        let a = F.Machine.audit () in
+        let a = F.Audit.audit () in
         let audited = minor_words (run (Some a)) in
-        Alcotest.(check bool) (pname ^ " clean") true (F.Machine.audit_ok a);
-        (audited -. bare, F.Machine.audit_checks a)
+        Alcotest.(check bool) (pname ^ " clean") true (F.Audit.audit_ok a);
+        (audited -. bare, F.Audit.audit_checks a)
       in
       let few, few_checks = extra 5 and many, many_checks = extra 100 in
       Alcotest.(check bool) (pname ^ " more passes") true (many_checks > 10 * few_checks);
@@ -422,7 +422,7 @@ let counted make =
     last := Some a;
     a
   in
-  (audit, fun () -> F.Machine.audit_checks (Option.get !last))
+  (audit, fun () -> F.Audit.audit_checks (Option.get !last))
 
 let fires_match_full () =
   List.iter
@@ -434,7 +434,7 @@ let fires_match_full () =
             let v = run_broken ~audit pol ~at ~break:(fun m -> fst (break m)) in
             (v, checks ())
           in
-          let v, n = run F.Machine.audit and v', n' = run F.Machine.Testing.full_audit in
+          let v, n = run F.Audit.audit and v', n' = run F.Audit.Testing.full_audit in
           Alcotest.check violations pname v' v;
           Alcotest.(check int) (pname ^ " passes") n' n)
         policies)
@@ -512,10 +512,10 @@ let fuzz_match_full () =
                 F.Machine.run ~cfuns:(C.Fiber_backend.cfuns prog) ~on_call ~on_step
                   ~audit:a ~fuel:2_000_000 config prog
               in
-              (outcome, F.Machine.audit_violations a, F.Machine.audit_checks a, !steps)
+              (outcome, F.Audit.audit_violations a, F.Audit.audit_checks a, !steps)
             in
-            let o, v, n, steps = run (F.Machine.audit ())
-            and o', v', n', _ = run (F.Machine.Testing.full_audit ()) in
+            let o, v, n, steps = run (F.Audit.audit ())
+            and o', v', n', _ = run (F.Audit.Testing.full_audit ()) in
             let where = Printf.sprintf "#%d %s" idx pname in
             Alcotest.(check bool) (where ^ " outcome") true (o = o');
             Alcotest.check violations where v' v;
@@ -525,8 +525,8 @@ let fuzz_match_full () =
               let r = Retrofit_util.Rng.create seed in
               let at = 1 + Retrofit_util.Rng.int r (min (steps - 1) 50_000) in
               let break = (at, seed) in
-              let _, v, n, _ = run ~break (F.Machine.audit ())
-              and _, v', n', _ = run ~break (F.Machine.Testing.full_audit ()) in
+              let _, v, n, _ = run ~break (F.Audit.audit ())
+              and _, v', n', _ = run ~break (F.Audit.Testing.full_audit ()) in
               let where = Printf.sprintf "#%d %s broken at step %d" idx pname at in
               Alcotest.(check bool) (where ^ " found") true (v <> []);
               Alcotest.check violations where v' v;
@@ -578,14 +578,14 @@ let refcount_broken () =
       F.Machine.run ~on_step ~audit:a (F.Config.with_policy pol F.Config.mc) program
     in
     Alcotest.(check bool) "result" true (outcome = F.Machine.Done expected_result);
-    (F.Machine.audit_violation_count a, F.Machine.audit_violations a)
+    (F.Audit.audit_violation_count a, F.Audit.audit_violations a)
   in
-  let n, v = run F.Machine.Testing.full_audit in
+  let n, v = run F.Audit.Testing.full_audit in
   Alcotest.(check int) "full walk: reports" 32 n;
   Alcotest.check violations "full walk: first report"
     [ ("layout-parent", "fiber 2: parent word 0 but fiber record says -1") ]
     [ List.hd v ];
-  let n, v = run F.Machine.audit in
+  let n, v = run F.Audit.audit in
   Alcotest.(check int) "change-driven: reports" 0 n;
   Alcotest.check violations "change-driven: none" [] v
 
@@ -633,14 +633,14 @@ let deep_performs_program ~depth ~performs =
    it once per fiber would square it (222,043 visits at depth 64). *)
 let deep_performs () =
   let visits depth =
-    let a = F.Machine.audit () in
+    let a = F.Audit.audit () in
     let outcome, _ =
       F.Machine.run ~audit:a F.Config.mc (deep_performs_program ~depth ~performs:50)
     in
     Alcotest.(check bool) "ran to the end" true
       (match outcome with F.Machine.Done _ -> true | _ -> false);
-    Alcotest.(check int) "violations" 0 (F.Machine.audit_violation_count a);
-    F.Machine.audit_visits a
+    Alcotest.(check int) "violations" 0 (F.Audit.audit_violation_count a);
+    F.Audit.audit_visits a
   in
   let v16 = visits 16 and v32 = visits 32 and v64 = visits 64 in
   Alcotest.(check (list int)) "visits at depth 16, 32, 64" [ 2_898; 4_722; 8_370 ]

@@ -445,11 +445,11 @@ let spent_continuation_released () =
       let cfg = F.Config.with_policy pol F.Config.mc in
       List.iter
         (fun p ->
-          let a = F.Machine.audit () in
+          let a = F.Audit.audit () in
           match F.Machine.run ~audit:a cfg (F.Compile.compile p) with
           | F.Machine.Uncaught (l, _), _ ->
               Alcotest.(check string) pname "Invalid_argument" l;
-              Alcotest.(check bool) (pname ^ " audit ok") true (F.Machine.audit_ok a)
+              Alcotest.(check bool) (pname ^ " audit ok") true (F.Audit.audit_ok a)
           | _ -> Alcotest.failf "%s: expected Invalid_argument" pname)
         [ F.Programs.one_shot_violation; resume_after_discontinue ];
       let captured = Weak.create 1 and collected = ref false in
@@ -748,13 +748,13 @@ let stale_after_reuse =
 let stale_resume_after_reuse () =
   List.iter
     (fun (pname, pol) ->
-      let a = F.Machine.audit () in
+      let a = F.Audit.audit () in
       let outcome, _, m =
         run_keep ~audit:a (F.Config.with_policy pol F.Config.mc) stale_after_reuse
       in
       Alcotest.(check bool) (pname ^ " result 42") true (outcome = F.Machine.Done 42);
       Alcotest.(check int) (pname ^ " one slot, reused") 1 (F.Machine.cont_slots m);
-      Alcotest.(check bool) (pname ^ " audit ok") true (F.Machine.audit_ok a))
+      Alcotest.(check bool) (pname ^ " audit ok") true (F.Audit.audit_ok a))
     F.Stack_policy.all
 
 let one_shot_slots_bounded () =
@@ -824,7 +824,7 @@ let slot_retired_at_generation_cap () =
     end;
     List.iter (fun (kid, _) -> top_kid := max !top_kid kid) (F.Machine.live_continuations m)
   in
-  let a = F.Machine.audit () in
+  let a = F.Audit.audit () in
   let outcome, c, m =
     run_keep ~audit:a ~on_step F.Config.mc (F.Programs.effect_roundtrip ~iters:10)
   in
@@ -834,7 +834,7 @@ let slot_retired_at_generation_cap () =
   Alcotest.(check bool) "below 2^53" true (!top_kid < 1 lsl 53);
   Alcotest.(check int) "slots" 2 (F.Machine.cont_slots m);
   Alcotest.(check int) "free" 1 (F.Machine.free_cont_slots m);
-  Alcotest.(check bool) "audit ok" true (F.Machine.audit_ok a)
+  Alcotest.(check bool) "audit ok" true (F.Audit.audit_ok a)
 
 (* ---------------- Allocation ceilings ---------------- *)
 
