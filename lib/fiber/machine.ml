@@ -165,12 +165,16 @@ let put_chunk t arr =
     t.chunk_pool_len <- t.chunk_pool_len + 1
   end
 
+(* The stock main stack is the system stack: a reservation backed as it
+   is first written.  An mc segment is backed whole at creation, since
+   growing it copies every word anyway. *)
 let seg_create t ~size =
   let pol = mc_policy t in
   let seg =
-    match pol.Stack_policy.pk with
-    | Stack_policy.Copy_double -> Segment.create ~base:t.next_base ~size
-    | Stack_policy.Segmented | Stack_policy.Large_reserve ->
+    match (t.cfg.kind, pol.Stack_policy.pk) with
+    | Config.Stock, _ -> Segment.create_on_demand ~base:t.next_base ~size
+    | Config.Mc, Stack_policy.Copy_double -> Segment.create ~base:t.next_base ~size
+    | Config.Mc, (Stack_policy.Segmented | Stack_policy.Large_reserve) ->
         Segment.create_reserved ~base:t.next_base
           ~reserve:(max pol.Stack_policy.reserve_words size)
           ~committed:size

@@ -12,6 +12,9 @@ type t = {
   sg_ext_words : int;  (* uniform extension size; 0 = not extensible *)
   head_lo : int;  (* head chunk covers [head_lo, seg_top) *)
   mutable head : chunk;
+      (* backs the top [Array.length head.data] words of the head chunk;
+         below them, down to [head_lo], an on-demand segment's words read
+         0 until first written *)
   exts : chunk Vec.t;
       (* exts.(i) covers [head_lo - (i+1)*ext, head_lo - i*ext) *)
   mutable notify_cow : int -> unit;
@@ -20,25 +23,40 @@ type t = {
 
 let no_notify (_ : int) = ()
 
-let create_reserved ~base ~reserve ~committed ~ext_words =
-  if committed <= 0 then invalid_arg "Segment.create_reserved: committed must be positive";
-  if committed > reserve then
-    invalid_arg "Segment.create_reserved: committed exceeds the reservation";
-  if ext_words < 0 then invalid_arg "Segment.create_reserved: negative ext_words";
+(* The words of a segment whose words were dropped: none.  The empty
+   array is a single shared atom, so [==] recognises it. *)
+let no_words = [||]
+
+(* Words an on-demand segment backs at creation: the largest array
+   OCaml allocates on the minor heap. *)
+let first_backing = 256
+
+let make ~base ~reserve ~committed ~ext_words ~backed =
   {
     seg_base = base;
     seg_top = base + reserve;
     sg_ext_words = ext_words;
     head_lo = base + reserve - committed;
-    head = { rc = 1; data = Array.make committed 0 };
+    head = { rc = 1; data = Array.make backed 0 };
     exts = Vec.create ();
     notify_cow = no_notify;
     cached = 0;
   }
 
+let create_reserved ~base ~reserve ~committed ~ext_words =
+  if committed <= 0 then invalid_arg "Segment.create_reserved: committed must be positive";
+  if committed > reserve then
+    invalid_arg "Segment.create_reserved: committed exceeds the reservation";
+  if ext_words < 0 then invalid_arg "Segment.create_reserved: negative ext_words";
+  make ~base ~reserve ~committed ~ext_words ~backed:committed
+
 let create ~base ~size =
   if size <= 0 then invalid_arg "Segment.create: size must be positive";
   create_reserved ~base ~reserve:size ~committed:size ~ext_words:0
+
+let create_on_demand ~base ~size =
+  if size <= 0 then invalid_arg "Segment.create_on_demand: size must be positive";
+  make ~base ~reserve:size ~committed:size ~ext_words:0 ~backed:(min size first_backing)
 
 let base t = t.seg_base
 
@@ -54,7 +72,9 @@ let ext_words t = t.sg_ext_words
 
 let ext_count t = Vec.length t.exts
 
-let is_flat t = t.head_lo = t.seg_base && Vec.is_empty t.exts
+let is_flat t =
+  t.head_lo = t.seg_base && Vec.is_empty t.exts
+  && Array.length t.head.data = t.seg_top - t.seg_base
 
 let contains t addr = addr >= limit t && addr < t.seg_top
 
@@ -63,18 +83,25 @@ let check t addr =
     invalid_arg
       (Printf.sprintf "Segment: address %d outside [%d, %d)" addr (limit t) t.seg_top)
 
-(* Address -> chunk in O(1): head first (the flat fast path and the hot
-   top-of-stack region), otherwise index arithmetic over the uniform
-   extension chunks. *)
+(* Address -> chunk in O(1): the head's backed words first (the flat
+   fast path and the hot top-of-stack region), otherwise index
+   arithmetic over the uniform extension chunks. *)
 let ext_index t addr = (t.head_lo - 1 - addr) / t.sg_ext_words
 
+(* A dropped segment raises what an access to its empty array did. *)
+let dropped () = invalid_arg "index out of bounds"
+
 let read t addr =
-  if addr >= t.head_lo && addr < t.seg_top then t.head.data.(addr - t.head_lo)
+  let d = t.head.data in
+  let lo = t.seg_top - Array.length d in
+  if addr >= lo && addr < t.seg_top then Array.unsafe_get d (addr - lo)
   else begin
     check t addr;
-    let i = ext_index t addr in
-    let c = Vec.get t.exts i in
-    c.data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
+    if addr >= t.head_lo then if d == no_words then dropped () else 0
+    else
+      let i = ext_index t addr in
+      let c = Vec.get t.exts i in
+      c.data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
   end
 
 let privatize_head t =
@@ -93,17 +120,35 @@ let privatize_ext t i =
     t.notify_cow (Array.length c.data)
   end
 
-let write t addr v =
-  if addr >= t.head_lo && addr < t.seg_top then begin
+(* Back the head's words down to [addr], at least doubling them: the
+   backed words move to the high end of a fresh array. *)
+let back t addr =
+  if t.head.data == no_words then dropped ();
+  privatize_head t;
+  let d = t.head.data in
+  let n = Array.length d in
+  let want = min (t.seg_top - t.head_lo) (max (2 * n) (t.seg_top - addr)) in
+  let grown = Array.make want 0 in
+  Array.blit d 0 grown (want - n) n;
+  t.head <- { rc = 1; data = grown }
+
+let rec write t addr v =
+  let lo = t.seg_top - Array.length t.head.data in
+  if addr >= lo && addr < t.seg_top then begin
     if t.head.rc > 1 then privatize_head t;
-    t.head.data.(addr - t.head_lo) <- v
+    Array.unsafe_set t.head.data (addr - lo) v
   end
   else begin
     check t addr;
-    let i = ext_index t addr in
-    if (Vec.get t.exts i).rc > 1 then privatize_ext t i;
-    (Vec.get t.exts i).data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
-    <- v
+    if addr >= t.head_lo then begin
+      back t addr;
+      write t addr v
+    end
+    else
+      let i = ext_index t addr in
+      if (Vec.get t.exts i).rc > 1 then privatize_ext t i;
+      (Vec.get t.exts i).data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
+      <- v
   end
 
 let can_extend t =
@@ -162,7 +207,11 @@ let shared_writes () = !shared_write_count
 
 let chunk_at t addr =
   check t addr;
-  if addr >= t.head_lo then (t.head, addr - t.head_lo)
+  if addr >= t.head_lo then begin
+    if addr < t.seg_top - Array.length t.head.data && t.head.data != no_words then
+      back t addr;
+    (t.head, addr - (t.seg_top - Array.length t.head.data))
+  end
   else
     let e = ext_index t addr in
     (Vec.get t.exts e, addr - (t.head_lo - ((e + 1) * t.sg_ext_words)))
@@ -173,10 +222,6 @@ let poke t addr v =
   c.data.(i) <- v
 
 let set_rc t addr n = (fst (chunk_at t addr)).rc <- n
-
-(* The words of a segment whose words were dropped: none.  The empty
-   array is a single shared atom, so [==] recognises it. *)
-let no_words = [||]
 
 let drop_words t =
   if Vec.is_empty t.exts && t.head.rc = 1 then t.head <- { rc = 1; data = no_words }

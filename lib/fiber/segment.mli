@@ -10,7 +10,15 @@
 
     Under the default copy-and-double policy a segment is {e flat}:
     fully committed, [limit = base], one backing array — byte-for-byte
-    the original representation.  The segmented and large-reserve
+    the original representation.  The stock main stack is flat as well,
+    but it models the system stack, a reservation the OS backs page by
+    page: {!create_on_demand} backs only the top of it, and a first
+    write below the backed window doubles the window (or more, down to
+    the written word), moving its words to the top of a fresh array.
+    A word never written reads 0, so the window is invisible to
+    everything but memory use: [limit], [size], [contains] and every
+    address stay those of the whole reservation.  The segmented and
+    large-reserve
     policies commit lazily: the head chunk covers the top of the
     reservation and growth {!extend}s the committed region downwards in
     uniform [ext_words]-sized chunks, in place, with no copying and no
@@ -22,6 +30,11 @@ type t
 
 val create : base:int -> size:int -> t
 (** A flat, fully committed segment: [limit = base], not extensible. *)
+
+val create_on_demand : base:int -> size:int -> t
+(** A flat segment like {!create}, whose words are backed from the top
+    down as they are first written, starting with the top 256.
+    {!read} of a word below the backed window returns 0. *)
 
 val create_reserved :
   base:int -> reserve:int -> committed:int -> ext_words:int -> t

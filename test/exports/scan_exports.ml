@@ -12,7 +12,9 @@
    that does not name its value.
 
    The check is a word match, not name resolution: a value whose name is
-   also used for something else elsewhere passes unseen.  Operators
+   also used for something else elsewhere passes unseen.  A record field
+   after a dot ([t.free_slots]) and a record label ([free_slots : ...],
+   [{ free_slots = ... }]) are not read as words.  Operators
    ([val ( >>= )]) are skipped.  Run it from the root of the tree, with
    no arguments; [dune runtest] does. *)
 
@@ -130,9 +132,49 @@ let rec files_under dir =
          else if Sys.is_directory path then files_under path
          else [ path ])
 
+let is_upper w = w.[0] >= 'A' && w.[0] <= 'Z'
+
+(* The words of a token list that can name a value.  Left out: a field
+   reached through a dot after a lower-case identifier or [)]
+   ([t.free_slots], [(f x).seg], [f.Fiber.seg]), and a record label
+   inside braces, in a type or an expression ([free_slots : Ivec.t;],
+   [{ t with head = c }], [{ Fiber.seg = s }]). *)
+let value_words toks =
+  let a = Array.of_list toks in
+  let n = Array.length a in
+  let ident i = i >= 0 && i < n && is_ident_start a.(i).[0] in
+  let field = Array.make n false in
+  for i = 2 to n - 1 do
+    if ident i && a.(i - 1) = "."
+       && ((ident (i - 2) && not (is_upper a.(i - 2))) || a.(i - 2) = ")" || field.(i - 2))
+    then field.(i) <- true
+  done;
+  (* [in_braces.(i)]: the innermost bracket open at token [i] is [{]. *)
+  let in_braces = Array.make n false in
+  let stack = ref [] in
+  for i = 0 to n - 1 do
+    (match a.(i) with
+    | "{" | "(" | "[" -> stack := a.(i) :: !stack
+    | "}" | ")" | "]" -> stack := (match !stack with [] -> [] | _ :: s -> s)
+    | _ -> ());
+    in_braces.(i) <- !stack <> [] && List.hd !stack = "{"
+  done;
+  let label i =
+    ident i && (not (is_upper a.(i))) && in_braces.(i) && i + 1 < n
+    && (a.(i + 1) = "=" || a.(i + 1) = ":")
+    &&
+    let j = ref (i - 1) in
+    while !j >= 1 && a.(!j) = "." && ident (!j - 1) && is_upper a.(!j - 1) do
+      j := !j - 2
+    done;
+    if !j >= 0 && a.(!j) = "mutable" then decr j;
+    !j >= 0 && (a.(!j) = "{" || a.(!j) = ";" || a.(!j) = "with")
+  in
+  List.filteri (fun i _ -> not (field.(i) || label i)) toks
+
 let words_of path =
   let tbl = Hashtbl.create 256 in
-  List.iter (fun w -> Hashtbl.replace tbl w ()) (tokens (read_file path));
+  List.iter (fun w -> Hashtbl.replace tbl w ()) (value_words (tokens (read_file path)));
   tbl
 
 (* The allowlist: one [Module.value  client] line per entry; blank

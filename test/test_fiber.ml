@@ -46,6 +46,38 @@ let segment_blit () =
     Alcotest.(check int) "word" (i + 1) (F.Segment.read dst (104 + i))
   done
 
+(* An on-demand segment reads and writes like a flat one of the same
+   shape, whatever order its words are first written in: the backed
+   window grows under writes far below it and one word below it. *)
+let segment_on_demand_matches_flat () =
+  let size = 5000 and base = 300 in
+  let flat = F.Segment.create ~base ~size in
+  let lazy_ = F.Segment.create_on_demand ~base ~size in
+  let same what =
+    for a = base to base + size - 1 do
+      Alcotest.(check int) (Printf.sprintf "%s: word %d" what a)
+        (F.Segment.read flat a) (F.Segment.read lazy_ a)
+    done
+  in
+  same "fresh";
+  let rng = Random.State.make [| 24 |] in
+  List.iteri
+    (fun i a ->
+      F.Segment.write flat a (i + 1);
+      F.Segment.write lazy_ a (i + 1);
+      same (Printf.sprintf "after write %d" i))
+    ([ base + size - 1; base + size - 300; base + size - 301; base + 2; base ]
+    @ List.init 20 (fun _ -> base + Random.State.int rng size));
+  List.iter
+    (fun (what, f) -> Alcotest.(check int) what (f flat) (f lazy_))
+    [
+      ("limit", F.Segment.limit); ("size", F.Segment.size);
+      ("reserve", F.Segment.reserve); ("top", F.Segment.top);
+    ];
+  Alcotest.check_raises "below the reservation"
+    (Invalid_argument "Segment: address 299 outside [300, 5300)") (fun () ->
+      ignore (F.Segment.read lazy_ (base - 1)))
+
 let cache_roundtrip () =
   let c = F.Stack_cache.create () in
   let s = F.Segment.create ~base:0 ~size:32 in
@@ -337,6 +369,41 @@ let stock_stack_overflow () =
         | F.Machine.Uncaught (l, _) -> l
         | F.Machine.Fatal m -> m
         | _ -> "?")
+
+(* The stock stack is backed as it is written, which the program
+   cannot see: a word never written reads 0 anywhere in the
+   reservation, and the word below it is still unmapped. *)
+let stock_unwritten_words_read_zero () =
+  let cfg = F.Config.stock in
+  let seen = ref false in
+  let on_call m =
+    if not !seen then begin
+      seen := true;
+      let sp = F.Machine.saved_sp m (F.Machine.current_id m) in
+      let top = F.Machine.stack_top_at m sp in
+      let bottom = top - cfg.F.Config.stock_stack_words in
+      List.iter
+        (fun a -> Alcotest.(check int) (Printf.sprintf "word %d" a) 0 (F.Machine.read_mem m a))
+        [ bottom; bottom + 1; top - 300_000; sp - 1_000 ];
+      Alcotest.check_raises "below the reservation"
+        (Invalid_argument (Printf.sprintf "Machine.read_mem: unmapped address %d" (bottom - 1)))
+        (fun () -> ignore (F.Machine.read_mem m (bottom - 1)))
+    end
+  in
+  (match F.Machine.run ~on_call cfg (F.Compile.compile (count_down 10)) with
+  | F.Machine.Done 10, _ -> ()
+  | _ -> Alcotest.fail "count_down 10 failed");
+  Alcotest.(check bool) "hook ran" true !seen
+
+(* The full reservation overflows at the same depth however its words
+   are backed: two words a frame, 524,282 frames fit in 2^20 words. *)
+let stock_overflow_point () =
+  (match run F.Config.stock (count_down 524_282) with
+  | F.Machine.Done 524_282, _ -> ()
+  | _ -> Alcotest.fail "524,282 frames should fit");
+  match run F.Config.stock (count_down 524_283) with
+  | F.Machine.Uncaught ("Stack_overflow", _), _ -> ()
+  | _ -> Alcotest.fail "524,283 frames should overflow"
 
 let mc_grows_instead () =
   (* the same deep recursion that overflows a 256-word stock stack just
@@ -890,10 +957,33 @@ let effect_roundtrip_ceiling () =
   Alcotest.(check bool) (Printf.sprintf "%.2f words per iteration <= 110" words) true
     (words <= 110.)
 
+(* One stock run backs only the stack words it writes: it allocates
+   nothing directly on the major heap (backing the whole 2^20-word
+   reservation at creation put 1,048,580 words there) and a bounded
+   number of minor words (14,521 measured).  Promoted words are netted
+   out: a minor collection during the run would promote the machine's
+   live state. *)
+let stock_run_allocation_ceiling () =
+  let compiled = F.Compile.compile (F.Programs.fib ~n:15) in
+  let run () = F.Machine.run F.Config.stock compiled in
+  ignore (run ());
+  let direct_major () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.minor ();
+  let major0 = direct_major () in
+  let minor = minor_words run in
+  let major1 = direct_major () in
+  Alcotest.(check (float 0.)) "major words" 0. (major1 -. major0);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 20000" minor) true
+    (minor <= 20_000.)
+
 let alloc_suite =
   [
     test "fib allocates one shadow frame per call" fib_allocates_one_frame_per_call;
     test "effect_roundtrip allocation per iteration" effect_roundtrip_ceiling;
+    test "stock run backs only the words it writes" stock_run_allocation_ceiling;
   ]
 
 let suite =
@@ -903,6 +993,7 @@ let suite =
     test "stack cache roundtrip" cache_roundtrip;
     test "stack cache bound" cache_bound;
     test "stack cache reuses a segment without words" cache_dropped_words;
+    test "on-demand segment matches a flat one" segment_on_demand_matches_flat;
     test "stack cache pass-through at bucket 0" cache_passthrough;
     test "stack cache total-words cap" cache_total_words_cap;
     test "stack cache total-words exact" cache_total_words_exact;
@@ -918,6 +1009,8 @@ let suite =
     test "effect programs" effect_programs;
     test "stock rejects effects" stock_rejects_effects;
     test "stock stack overflow" stock_stack_overflow;
+    test "stock stack: unwritten words read 0" stock_unwritten_words_read_zero;
+    test "stock stack: overflow point of the full reservation" stock_overflow_point;
     test "mc grows instead of overflowing" mc_grows_instead;
     test "growth is transparent" growth_transparent;
     test "red zone is transparent" red_zone_transparent;

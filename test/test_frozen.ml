@@ -15,6 +15,29 @@ module C = Retrofit_util.Counter
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* [Programs.deep_recursion] without its handler, which the stock
+   configuration rejects, raising from its deepest frame to a trap that
+   [main] pushes first: the 20,000 frames grow the stock stack's backed
+   window many times, and the raise reads a trap frame written before
+   all of them. *)
+let stock_recursion ~depth =
+  let open F.Ir in
+  {
+    fns =
+      [
+        fn "dr_rec" [ "n" ]
+          (If
+             ( Binop (Eq, Var "n", Int 0),
+               Raise ("E", Int 7),
+               Binop (Add, Int 1, Call ("dr_rec", [ Binop (Sub, Var "n", Int 1) ])) ));
+        fn "main" []
+          (Trywith
+             ( Call ("dr_rec", [ Int depth ]),
+               [ ("E", "x", Binop (Add, Var "x", Int depth)) ] ));
+      ];
+    main = "main";
+  }
+
 let programs =
   [
     ("fib15", (F.Programs.fib ~n:15, false));
@@ -36,6 +59,7 @@ let programs =
     ("effect_in_callback", (F.Programs.effect_in_callback, true));
     ("multishot_choice", (F.Programs.multishot_choice, false));
     ("nqueens5", (F.Programs.nqueens ~n:5, false));
+    ("stock_recursion20k", (stock_recursion ~depth:20_000, false));
   ]
 
 (* The policy configs (seg/segcow-ms/res/res-ms) pin the alternative
@@ -228,6 +252,9 @@ let expected : (string * string * (string * int) list) list =
     ( "nqueens5/segcow-ms",
       "Done 10",
       [ ("call", 5080); ("chunk_commit", 7); ("chunk_cow", 420); ("chunk_pool_hit", 6); ("cont_copy", 220); ("cont_share", 220); ("cow_words", 21820); ("fiber_alloc", 1); ("fiber_free", 177); ("fiber_return", 177); ("handle", 1); ("instructions", 116684); ("malloc", 2); ("ops", 56948); ("perform", 44); ("resume", 220); ("ret", 5908); ("segment_check", 5080); ("switch", 442); ] );
+    ( "stock_recursion20k/stock",
+      "Done 20007",
+      [ ("call", 20002); ("instructions", 220056); ("malloc", 1); ("ops", 180020); ("pushtrap", 1); ("raise", 1); ("ret", 1); ] );
   ]
 
 let check_entry (key, want_outcome, frozen) =
