@@ -6,10 +6,8 @@
    0 only when every scenario is deterministic and invariant-clean, so
    CI can gate on it directly. *)
 
-module C = Retrofit_conformance
+module Campaign = Retrofit_httpsim.Chaos_campaign
 module Sim = Retrofit_httpsim.Supervised
-module Server = Retrofit_httpsim.Server
-module Sched = Retrofit_core.Sched
 
 let drain_demo ~seed =
   let base = Sim.default_config ~seed in
@@ -18,7 +16,6 @@ let drain_demo ~seed =
       base with
       Sim.connections = 40;
       drain_after_ns = Some 400_000;
-      drain_deadline_ns = 2_000_000;
     }
   in
   let s = Sim.run cfg in
@@ -27,16 +24,8 @@ let drain_demo ~seed =
 
 let recovery_demo ~seed =
   let base = Sim.default_config ~seed in
-  let calm = Sim.run { base with Sim.wedge_rate = 0.0 } in
-  let chaos =
-    Sim.run
-      {
-        base with
-        Sim.chaos = Some (Sched.Chaos.default ~seed);
-        wedge_rate = 0.05;
-        max_restarts = 1000;
-      }
-  in
+  let calm = Sim.run base in
+  let chaos = Sim.run (Sim.with_chaos base) in
   let pct =
     100.0 *. float_of_int chaos.Sim.completed /. float_of_int calm.Sim.completed
   in
@@ -69,9 +58,9 @@ let () =
     "chaos [options]";
   if !smoke then count := 50;
   let failed = ref false in
-  let st = C.Chaos.campaign ~count:!count ~seed:!seed () in
-  print_string (C.Chaos.stats_to_string st);
-  if st.C.Chaos.failures <> [] then failed := true;
+  let st = Campaign.campaign ~count:!count ~seed:!seed () in
+  print_string (Campaign.stats_to_string st);
+  if st.Campaign.failures <> [] then failed := true;
   if !drain && not (drain_demo ~seed:!seed) then begin
     print_endline "FAIL: drain demonstration violated accounting";
     failed := true

@@ -151,17 +151,10 @@ let websim_cmd =
              loops in a supervision tree, per-connection nurseries, a
              watchdog, and optionally a graceful drain.  Deterministic
              in the seed — see DESIGN.md §12. *)
-          let base = HS.Supervised.default_config ~seed:cseed in
-          let cfg =
-            {
-              base with
-              HS.Supervised.chaos =
-                Some (Retrofit_core.Sched.Chaos.default ~seed:cseed);
-              wedge_rate = 0.05;
-              max_restarts = 1000;
-              drain_after_ns = drain;
-            }
+          let chaotic =
+            HS.Supervised.with_chaos (HS.Supervised.default_config ~seed:cseed)
           in
+          let cfg = { chaotic with drain_after_ns = drain } in
           List.iter
             (fun s -> print_endline (HS.Supervised.summary_to_string s))
             (HS.Supervised.run_servers cfg)
@@ -480,10 +473,9 @@ let causal_cmd =
         1
     | Some (m, process) ->
         let fault_rates = HS.Faults.scale faults HS.Faults.default in
-        let resilience = { HS.Loadgen.default_resilience with queue_cap } in
         let _outcome, ring =
           Trace.scoped ~capacity (fun () ->
-              HS.Loadgen.run ~seed ~faults:fault_rates ~resilience ~model:m
+              HS.Loadgen.run ~seed ~faults:fault_rates ~queue_cap ~model:m
                 ~process ~rate_rps:rate ~duration_ms:duration ())
         in
         let g = Causal.Reconstruct.of_trace ring in

@@ -4,9 +4,9 @@
 
    Waiters carry a liveness flag tied to their fiber's cancellation
    cell: a fiber cancelled while parked here is purged from the queue
-   eagerly (via Ctl.set_cleanup), so no dead resumer ever lingers to
-   skew the queue-depth accounting — and a cancelled put never deposits
-   its value. *)
+   eagerly (by the undo it hands to Sched.park), so no dead resumer
+   ever lingers to skew the queue-depth accounting — and a cancelled
+   put never deposits its value. *)
 
 type 'a taker = { t_resume : 'a Sched.resumer; mutable t_live : bool }
 
@@ -50,22 +50,15 @@ let refill t =
     n.p_resume ()
   end
 
-(* The control cell is fetched before suspending: effects cannot be
-   performed from inside the suspend callback (it runs in the
-   scheduler's handler context). *)
 let take t =
   match t.value with
   | None ->
-      let ctl = Sched.current_ctl () in
-      Sched.suspend (fun resume ->
+      Sched.park (fun resume ->
           let n = { t_resume = resume; t_live = true } in
           Queue.push n t.takers;
-          match ctl with
-          | Some c ->
-              Sched.Ctl.set_cleanup c (fun () ->
-                  n.t_live <- false;
-                  purge t.takers taker_live)
-          | None -> ())
+          fun () ->
+            n.t_live <- false;
+            purge t.takers taker_live)
   | Some v ->
       refill t;
       v
@@ -73,16 +66,12 @@ let take t =
 let put t v =
   match t.value with
   | Some _ ->
-      let ctl = Sched.current_ctl () in
-      Sched.suspend (fun resume ->
+      Sched.park (fun resume ->
           let n = { p_value = v; p_resume = resume; p_live = true } in
           Queue.push n t.putters;
-          match ctl with
-          | Some c ->
-              Sched.Ctl.set_cleanup c (fun () ->
-                  n.p_live <- false;
-                  purge t.putters putter_live)
-          | None -> ())
+          fun () ->
+            n.p_live <- false;
+            purge t.putters putter_live)
   | None ->
       drop_dead t.takers taker_live;
       if Queue.is_empty t.takers then t.value <- Some v

@@ -2,7 +2,7 @@
 
     An MVar is either empty or holds one value.  [take] on an empty
     MVar and [put] on a full one park the calling thread via
-    {!Sched.suspend}; resumptions preserve FIFO order.  This is the
+    {!Sched.park}; resumptions preserve FIFO order.  This is the
     synchronisation primitive of the chameneos benchmark (§6.3.2) and of
     the concurrency-monad comparison (§6.2). *)
 
@@ -25,6 +25,6 @@ val is_empty : 'a t -> bool
 
 val waiters : 'a t -> int
 (** Number of live parked waiters (takers when empty, putters when
-    full).  Fibers cancelled while parked are purged eagerly — via
-    {!Sched.Ctl.set_cleanup} — so they never count here, and a
+    full).  Fibers cancelled while parked are purged eagerly — by the
+    undo they hand to {!Sched.park} — so they never count here, and a
     cancelled [put] never deposits its value. *)

@@ -492,6 +492,15 @@ let set_killable b =
 let current_ctl () =
   try Effect.perform Current_ctl with Effect.Unhandled _ -> None
 
+(* The control cell is fetched before suspending: effects cannot be
+   performed from inside the suspend callback (it runs in the
+   scheduler's handler context). *)
+let park register =
+  let ctl = current_ctl () in
+  suspend (fun resume ->
+      let undo = register resume in
+      match ctl with Some c -> c.cleanup <- Some undo | None -> ())
+
 let switches = ref 0
 
 let stats_switches () = !switches

@@ -70,9 +70,9 @@ module Ctl : sig
 
   val set_cleanup : t -> (unit -> unit) -> unit
   (** Install a hook fired exactly once if the fiber is cancelled (or
-      chaos-killed) before its current suspension resumes: wait queues
-      use it to purge the dead waiter eagerly.  Cleared automatically
-      when the suspension resumes normally. *)
+      chaos-killed) before its current suspension resumes: {!park}
+      installs its undo here.  Cleared automatically when the
+      suspension resumes normally. *)
 
   val clear_cleanup : t -> unit
 
@@ -174,11 +174,14 @@ val set_killable : bool -> unit
     restart / unwind story — are ever killed; bare fibers are not.
     A no-op outside {!run} / {!Aio}. *)
 
-val current_ctl : unit -> Ctl.t option
-(** The control cell of the calling fiber, if it was spawned with
-    {!fork_cancellable}.  Wait queues capture it {e before} parking to
-    register an eager-purge cleanup.  [None] for plain fibers or
-    outside a runner. *)
+val park : ('a resumer -> unit -> unit) -> 'a
+(** [park register] is {!suspend} for a wait queue: [register resume]
+    stores the resumer where the waking code will find it and returns
+    the undo that takes it out again.  If the fiber is cancelled while
+    parked, the undo runs exactly once, before the fiber unwinds, so no
+    queue keeps a dead resumer; after a normal resume it never runs.  A
+    fiber cancelled before it parks, or chaos-killed at the park, never
+    calls [register], so there is nothing to undo. *)
 
 val run :
   ?policy:policy ->

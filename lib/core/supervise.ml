@@ -43,12 +43,7 @@ type event =
   | Stopped of string
 
 type spec =
-  | Worker of {
-      w_name : string;
-      w_restart : restart;
-      w_killable : bool;
-      w_body : unit -> unit;
-    }
+  | Worker of { w_name : string; w_restart : restart; w_body : unit -> unit }
   | Sup of {
       s_name : string;
       s_strategy : strategy;
@@ -57,8 +52,8 @@ type spec =
       s_children : spec list;
     }
 
-let worker ?(restart = Transient) ?(killable = true) name body =
-  Worker { w_name = name; w_restart = restart; w_killable = killable; w_body = body }
+let worker ?(restart = Transient) name body =
+  Worker { w_name = name; w_restart = restart; w_body = body }
 
 let supervisor ?(strategy = One_for_one) ?(max_restarts = 3) ?(window = 0) name
     children =
@@ -102,12 +97,9 @@ module Mailbox = struct
     match Queue.pop t.q with
     | m -> m
     | exception Queue.Empty ->
-        let ctl = Sched.current_ctl () in
-        Sched.suspend (fun r ->
+        Sched.park (fun r ->
             t.waiter <- Some r;
-            match ctl with
-            | Some c -> Sched.Ctl.set_cleanup c (fun () -> t.waiter <- None)
-            | None -> ())
+            fun () -> t.waiter <- None)
 end
 
 (* Introspection effects served by each child's wrapper handler. *)
@@ -196,7 +188,7 @@ let rec start_child tree mb rt =
   rt.c_beat <- tree.clock ();
   let body, killable, stop =
     match rt.c_spec with
-    | Worker w -> (w.w_body, w.w_killable, None)
+    | Worker w -> (w.w_body, true, None)
     | Sup s ->
         let sub_mb = Mailbox.create () in
         let strategy = s.s_strategy
@@ -437,14 +429,9 @@ let rec wait h =
   match h.h_outcome with
   | Some o -> o
   | None ->
-      let ctl = Sched.current_ctl () in
-      Sched.suspend (fun r ->
+      Sched.park (fun r ->
           h.h_waiters <- r :: h.h_waiters;
-          match ctl with
-          | Some c ->
-              Sched.Ctl.set_cleanup c (fun () ->
-                  h.h_waiters <- List.filter (fun r' -> r' != r) h.h_waiters)
-          | None -> ());
+          fun () -> h.h_waiters <- List.filter (fun r' -> r' != r) h.h_waiters);
       wait h
 
 let shutdown h =
@@ -519,7 +506,7 @@ module Nursery = struct
         r ()
     | None -> ()
 
-  let fork ?(killable = true) t f =
+  let fork t f =
     if t.n_first <> None || t.n_closing then ()
       (* the scope is failing or closing: a new child would be cancelled
          immediately, so it is never started *)
@@ -531,7 +518,7 @@ module Nursery = struct
       s.older <- kid;
       let cancel =
         Sched.fork_cancellable (fun () ->
-            if killable then Sched.set_killable true;
+            Sched.set_killable true;
             let failure =
               match f () with
               | () -> None
@@ -558,12 +545,9 @@ module Nursery = struct
   let rec join t =
     check t;
     if t.n_live > 0 then begin
-      let ctl = Sched.current_ctl () in
-      Sched.suspend (fun r ->
+      Sched.park (fun r ->
           t.n_joiner <- Some r;
-          match ctl with
-          | Some c -> Sched.Ctl.set_cleanup c (fun () -> t.n_joiner <- None)
-          | None -> ());
+          fun () -> t.n_joiner <- None);
       join t
     end
 
@@ -592,13 +576,9 @@ module Nursery = struct
     let rec drain () =
       if t.n_live > 0 then begin
         match
-          let ctl = Sched.current_ctl () in
-          Sched.suspend (fun r ->
+          Sched.park (fun r ->
               t.n_joiner <- Some r;
-              match ctl with
-              | Some c ->
-                  Sched.Ctl.set_cleanup c (fun () -> t.n_joiner <- None)
-              | None -> ())
+              fun () -> t.n_joiner <- None)
         with
         | () -> drain ()
         | exception Sched.Cancelled ->

@@ -43,10 +43,9 @@ type event =
 
 type spec
 
-val worker : ?restart:restart -> ?killable:bool -> string -> (unit -> unit) -> spec
-(** A leaf child.  [restart] defaults to [Transient]; [killable]
-    (default [true]) opts the fiber into chaos kills — it has a restart
-    story, after all. *)
+val worker : ?restart:restart -> string -> (unit -> unit) -> spec
+(** A leaf child.  [restart] defaults to [Transient].  The fiber is
+    opted into chaos kills: it has a restart story, after all. *)
 
 val supervisor :
   ?strategy:strategy -> ?max_restarts:int -> ?window:int -> string -> spec list -> spec
@@ -134,7 +133,7 @@ module Nursery : sig
       is on, the scope emits [Nursery_begin]/[Nursery_end] span markers
       stamped from [clock]; an unclocked scope stamps them 0. *)
 
-  val fork : ?killable:bool -> t -> (unit -> unit) -> unit
+  val fork : t -> (unit -> unit) -> unit
   (** No-op if the scope is already failing or closing. *)
 
   val join : t -> unit

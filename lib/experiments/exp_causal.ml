@@ -24,10 +24,9 @@ let rate_rps = 20_000
 
 let run_cell ~duration_ms ~intensity ~queue_cap =
   let faults = HS.Faults.scale intensity HS.Faults.default in
-  let resilience = { HS.Loadgen.default_resilience with queue_cap } in
   let outcome, ring =
     Trace.scoped ~capacity:(1 lsl 18) (fun () ->
-        HS.Loadgen.run ~seed:42 ~faults ~resilience ~model:HS.Server.mc
+        HS.Loadgen.run ~seed:42 ~faults ~queue_cap ~model:HS.Server.mc
           ~process:HS.Server_effects.process_raw ~rate_rps ~duration_ms ())
   in
   {

@@ -15,15 +15,8 @@
 module Sim = Retrofit_httpsim.Supervised
 module Server = Retrofit_httpsim.Server
 module Sched = Retrofit_core.Sched
-module Chaos = Retrofit_conformance.Chaos
+module Campaign = Retrofit_httpsim.Chaos_campaign
 module Table = Retrofit_util.Table
-
-let models =
-  [
-    (Server.mc, Retrofit_httpsim.Server_effects.process_raw_with);
-    (Server.go, Retrofit_httpsim.Server_go.process_raw_with);
-    (Server.lwt, Retrofit_httpsim.Server_monad.process_raw_with);
-  ]
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
@@ -32,15 +25,7 @@ let recovery_rows ~seed ~connections =
     (fun ((model : Server.model), process) ->
       let base = { (Sim.default_config ~seed) with Sim.connections } in
       let calm = Sim.run ~model ~process base in
-      let chaos =
-        Sim.run ~model ~process
-          {
-            base with
-            Sim.chaos = Some (Sched.Chaos.default ~seed);
-            wedge_rate = 0.05;
-            max_restarts = 1000;
-          }
-      in
+      let chaos = Sim.run ~model ~process (Sim.with_chaos base) in
       [
         model.Server.name;
         string_of_int calm.Sim.completed;
@@ -57,7 +42,7 @@ let recovery_rows ~seed ~connections =
               c.Sched.Chaos.spurious
         | None -> "-");
       ])
-    models
+    (Sim.servers ())
 
 let drain_rows ~seed ~connections =
   List.map
@@ -84,7 +69,7 @@ let drain_rows ~seed ~connections =
           (float_of_int s.Sim.drain_latency_ns /. 1e6);
         s.Sim.outcome;
       ])
-    models
+    (Sim.servers ())
 
 let report ?(quick = false) () =
   let seed = 1 in
@@ -107,7 +92,7 @@ let report ?(quick = false) () =
     Table.render ~align:(align d_header) ~header:d_header
       (drain_rows ~seed ~connections)
   in
-  let st = Chaos.campaign ~count ~seed () in
+  let st = Campaign.campaign ~count ~seed () in
   Printf.sprintf
     "Supervised websim under seeded chaos (seed=%d, %d connections x 6 \
      requests, 4 shards)\n\
@@ -122,4 +107,4 @@ let report ?(quick = false) () =
      Determinism campaign (%d randomized scenarios, each run twice, \
      summaries byte-compared):\n\
      %s"
-    seed connections recovery drain count (Chaos.stats_to_string st)
+    seed connections recovery drain count (Campaign.stats_to_string st)

@@ -11,8 +11,7 @@
 module Rng = Retrofit_util.Rng
 module Sched = Retrofit_core.Sched
 module Sup = Retrofit_core.Supervise
-module Sim = Retrofit_httpsim.Supervised
-module Server = Retrofit_httpsim.Server
+module Sim = Supervised
 
 type failure = {
   index : int;
@@ -51,12 +50,10 @@ let scenario_config sseed =
   in
   let drain =
     if Rng.int rng 3 = 0 then
-      Some (base.Sim.interarrival_ns * connections * (1 + Rng.int rng 2))
+      Some (Sim.interarrival_ns * connections * (1 + Rng.int rng 2))
     else None
   in
-  let model =
-    match Rng.int rng 3 with 0 -> Server.mc | 1 -> Server.go | _ -> Server.lwt
-  in
+  let server = List.nth (Sim.servers ()) (Rng.int rng 3) in
   ( {
       base with
       Sim.connections;
@@ -74,13 +71,7 @@ let scenario_config sseed =
       drain_after_ns = drain;
       drain_deadline_ns = 1_000_000;
     },
-    model )
-
-let process_for (model : Server.model) =
-  if model.Server.name = "go" then Retrofit_httpsim.Server_go.process_raw_with
-  else if model.Server.name = "lwt" then
-    Retrofit_httpsim.Server_monad.process_raw_with
-  else Retrofit_httpsim.Server_effects.process_raw_with
+    server )
 
 let check_invariants cfg (s : Sim.summary) =
   let errs = ref [] in
@@ -110,7 +101,7 @@ let campaign ?(count = 200) ~seed () =
   let restarts = ref 0 in
   for i = 0 to count - 1 do
     let sseed = scenario_seed ~seed i in
-    let cfg, model = scenario_config sseed in
+    let cfg, (model, process) = scenario_config sseed in
     if cfg.Sim.chaos <> None then incr chaotic;
     if cfg.Sim.drain_after_ns <> None then incr drained;
     let fail kind detail =
@@ -119,7 +110,7 @@ let campaign ?(count = 200) ~seed () =
     match
       let run () =
         incr runs;
-        Sim.run ~model ~process:(process_for model) cfg
+        Sim.run ~model ~process cfg
       in
       let a = run () in
       let b = run () in

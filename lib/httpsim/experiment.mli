@@ -21,6 +21,6 @@ val degradation :
   ?duration_ms:int -> ?rates:int list -> unit -> (string * degradation_cell list) list
 (** The degradation sweep: offered load × fault intensity (multipliers
     0, 0.5, 1 and 2 over {!Faults.default}), per server model, under
-    {!Loadgen.default_resilience}, at seed 42.  Each cell carries the
+    the resilient policy of {!Loadgen.run}, at seed 42.  Each cell carries the
     full resilient outcome (goodput, p99, error taxonomy, fault
     accounting). *)

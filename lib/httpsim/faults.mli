@@ -17,14 +17,10 @@
       mid-request ({!Server.Backend_failure}), exercising each server
       model's crash barrier. *)
 
-type rates = {
-  truncate : float;  (** probability of truncating the request bytes *)
-  corrupt : float;  (** probability of corrupting one byte *)
-  drop : float;  (** probability the connection is dropped *)
-  stall : float;  (** probability of a slow-client stall *)
-  backend_slow : float;  (** probability of a backend latency spike *)
-  backend_fail : float;  (** probability of a transient backend crash *)
-}
+type rates
+(** The probability of each fault kind per request: truncated bytes,
+    one corrupted byte, a dropped connection, a slow-client stall, a
+    backend latency spike and a transient backend crash. *)
 
 val none : rates
 (** All rates zero: a plan from [none] injects nothing. *)
@@ -36,8 +32,6 @@ val default : rates
 val scale : float -> rates -> rates
 (** Multiply every rate; the fault-intensity axis of the degradation
     sweep.  @raise Invalid_argument on a negative factor. *)
-
-val total : rates -> float
 
 type fault =
   | Truncate of int  (** keep only this many leading bytes *)

@@ -126,13 +126,13 @@ type attempt = {
   fault : Faults.fault option;
 }
 
-let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
-    ~rate_rps ~duration_ms () =
+(* The client connections the trace is spread over, as in the paper. *)
+let connections = 1000
+
+let run ?(seed = 42) ?faults ?queue_cap ~model ~process ~rate_rps ~duration_ms () =
+  let policy = if Option.is_some faults then default_resilience else lenient_resilience in
   let resilience =
-    match (resilience, faults) with
-    | Some r, _ -> r
-    | None, Some _ -> default_resilience
-    | None, None -> lenient_resilience
+    match queue_cap with Some queue_cap -> { policy with queue_cap } | None -> policy
   in
   let rates = Option.value faults ~default:Faults.none in
   let rng = Rng.create seed in

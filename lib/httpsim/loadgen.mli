@@ -12,8 +12,8 @@
     fault plan ({!Faults}), per-request deadlines, client-side retry
     with exponential backoff and jitter, admission control (shedding to
     503 past a queue-depth cap), and deadline propagation (expired
-    requests answered 408 without paying service time).  A zero-fault
-    run under {!lenient_resilience} is the plain Fig 6 measurement. *)
+    requests answered 408 without paying service time).  A run without
+    a fault plan is the plain Fig 6 measurement (see {!run}). *)
 
 type fault_account = {
   injected : int;  (** faults tagged onto the trace by {!Faults.plan} *)
@@ -26,25 +26,6 @@ type fault_account = {
 (** Where each injected fault ended up.  Attribution is exclusive:
     [injected = to_malformed + to_retried + to_timeout +
     to_server_error + to_absorbed] (a tested invariant). *)
-
-type resilience = {
-  deadline_ns : int;  (** end-to-end budget from first scheduled arrival *)
-  max_attempts : int;  (** total tries, first attempt included *)
-  backoff_base_ns : int;  (** retry [n] waits [base * 2^(n-1) + jitter] *)
-  backoff_jitter_ns : int;  (** uniform in [0, jitter] *)
-  drop_detect_ns : int;  (** how long the client takes to notice a drop *)
-  queue_cap : int;  (** admission control: depth past this sheds to 503 *)
-}
-
-val default_resilience : resilience
-(** 1 s deadline, 3 attempts, 1 ms base backoff with 0.5 ms jitter,
-    0.2 ms drop detection, queue cap 512. *)
-
-val lenient_resilience : resilience
-(** Effectively-infinite deadline and cap, no retries: the policy of a
-    run with neither [?faults] nor [?resilience].  Under {!Faults.none}
-    no request can time out, retry or be shed, so the run is the plain
-    Fig 6 measurement. *)
 
 type outcome = {
   model_name : string;
@@ -75,20 +56,25 @@ type outcome = {
 
 val run :
   ?seed:int ->
-  ?connections:int ->
   ?faults:Faults.rates ->
-  ?resilience:resilience ->
+  ?queue_cap:int ->
   model:Server.model ->
   process:(string -> string) ->
   rate_rps:int ->
   duration_ms:int ->
   unit ->
   outcome
-(** Simulate [duration_ms] of Poisson load at mean rate [rate_rps]
-    (default 1000 connections, as in the paper).  Each request really
-    executes [process]; its virtual completion time comes from the
-    model's cost constants and a single-CPU queue with GC pauses.
+(** Simulate [duration_ms] of Poisson load at mean rate [rate_rps] over
+    1000 connections, as in the paper.  Each request really executes
+    [process]; its virtual completion time comes from the model's cost
+    constants and a single-CPU queue with GC pauses.
 
-    [?faults] defaults to {!Faults.none}.  [?resilience] defaults to
-    {!lenient_resilience} when [?faults] is absent too, and to
-    {!default_resilience} when a fault plan is given. *)
+    The resilience policy follows [?faults].  Without it the run
+    injects nothing and is lenient: an effectively infinite deadline
+    and queue cap and no retries, so no request can time out, retry or
+    be shed, and the run is the plain Fig 6 measurement.  With a fault
+    plan (even {!Faults.none}) the run is resilient: a 1 s deadline, 3
+    attempts, 1 ms base backoff with 0.5 ms jitter, 0.2 ms drop
+    detection and a queue cap of 512.  [?queue_cap] replaces the
+    policy's admission-control cap: a queue deeper than it sheds to
+    503. *)

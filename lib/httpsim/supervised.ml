@@ -36,45 +36,52 @@ type config = {
   seed : int;
   connections : int;
   requests_per_conn : int;
-  interarrival_ns : int;  (** mean gap between connection arrivals *)
-  think_ns : int;  (** gap between pipelined requests on a connection *)
-  service_jitter_ns : int;  (** uniform jitter added to each service time *)
   shards : int;  (** number of accept loops *)
   listener_strategy : Sup.strategy;
   max_restarts : int;
-  window_ns : int;  (** restart-intensity window; 0 = unbounded *)
   chaos : Sched.Chaos.t option;
   wedge_rate : float;  (** P(a connection wedges its accept loop) *)
   wedge_ns : int;  (** how long a wedged loop stops heartbeating *)
-  watchdog_interval_ns : int;
-  watchdog_stale_ns : int;  (** heartbeat age that gets a loop killed *)
-  accept_chunk_ns : int;  (** max sleep between accept-loop heartbeats *)
   drain_after_ns : int option;  (** start graceful drain at this time *)
   drain_deadline_ns : int;  (** grace period before in-flight cancel *)
-  poll_ns : int;  (** main/drain poll interval *)
 }
+
+(* The workload's and the tree's fixed timings, in virtual ns. *)
+let interarrival_ns = 20_000 (* mean gap between connection arrivals *)
+
+let think_ns = 30_000 (* gap between pipelined requests on a connection *)
+
+let service_jitter_ns = 10_000 (* uniform jitter added to each service time *)
+
+let watchdog_interval_ns = 200_000
+
+let watchdog_stale_ns = 1_000_000 (* heartbeat age that gets a loop killed *)
+
+let accept_chunk_ns = 100_000 (* max sleep between accept-loop heartbeats *)
+
+let poll_ns = 50_000 (* main/drain poll interval *)
 
 let default_config ~seed =
   {
     seed;
     connections = 120;
     requests_per_conn = 6;
-    interarrival_ns = 20_000;
-    think_ns = 30_000;
-    service_jitter_ns = 10_000;
     shards = 4;
     listener_strategy = Sup.One_for_one;
     max_restarts = 100;
-    window_ns = 0;
     chaos = None;
     wedge_rate = 0.0;
     wedge_ns = 5_000_000;
-    watchdog_interval_ns = 200_000;
-    watchdog_stale_ns = 1_000_000;
-    accept_chunk_ns = 100_000;
     drain_after_ns = None;
     drain_deadline_ns = 2_000_000;
-    poll_ns = 50_000;
+  }
+
+let with_chaos cfg =
+  {
+    cfg with
+    chaos = Some (Sched.Chaos.default ~seed:cfg.seed);
+    wedge_rate = 0.05;
+    max_restarts = 1000;
   }
 
 (* Exactly one terminal disposition per request. *)
@@ -131,7 +138,7 @@ let run_server ~(model : Server.model)
   let wedges = Array.make cfg.connections false in
   let t = ref 0 in
   for c = 0 to cfg.connections - 1 do
-    t := !t + 1 + Rng.int rng (max 1 (2 * cfg.interarrival_ns));
+    t := !t + 1 + Rng.int rng (2 * interarrival_ns);
     arrivals.(c) <- !t;
     wedges.(c) <- cfg.wedge_rate > 0.0 && Rng.float rng 1.0 < cfg.wedge_rate
   done;
@@ -142,7 +149,7 @@ let run_server ~(model : Server.model)
               st = Pending;
               cost =
                 model.Server.parse_ns + model.Server.service_ns
-                + Rng.int rng (max 1 cfg.service_jitter_ns);
+                + Rng.int rng service_jitter_ns;
             }))
   in
   let raws =
@@ -205,7 +212,7 @@ let run_server ~(model : Server.model)
         ~name:("conn-" ^ string_of_int c)
         (fun n ->
           for r = 0 to cfg.requests_per_conn - 1 do
-            if r > 0 then sleep cfg.think_ns;
+            if r > 0 then sleep think_ns;
             Nursery.check n;
             Nursery.fork n (request_fiber c r)
           done;
@@ -226,7 +233,7 @@ let run_server ~(model : Server.model)
   let rec wait_until target =
     let n = now () in
     if n < target && not !draining then begin
-      sleep (min cfg.accept_chunk_ns (target - n));
+      sleep (min accept_chunk_ns (target - n));
       Sup.heartbeat ();
       wait_until target
     end
@@ -278,7 +285,7 @@ let run_server ~(model : Server.model)
   in
   let watchdog () =
     let rec wd () =
-      sleep cfg.watchdog_interval_ns;
+      sleep watchdog_interval_ns;
       Sup.heartbeat ();
       if not !draining then begin
         (match !h_ref with
@@ -287,7 +294,7 @@ let run_server ~(model : Server.model)
               let name = "accept-" ^ string_of_int i in
               if shard_state.(i) = `Accepting then
                 match Sup.last_heartbeat h name with
-                | Some beat when now () - beat > cfg.watchdog_stale_ns ->
+                | Some beat when now () - beat > watchdog_stale_ns ->
                     incr watchdog_kills;
                     if Metrics.on () then Metrics.inc "websim_watchdog_kills_total";
                     ignore (Sup.kill h name)
@@ -300,16 +307,15 @@ let run_server ~(model : Server.model)
     wd ()
   in
   let tree =
-    Sup.supervisor ~strategy:Sup.One_for_one ~max_restarts:cfg.max_restarts
-      ~window:cfg.window_ns "root"
+    Sup.supervisor ~strategy:Sup.One_for_one ~max_restarts:cfg.max_restarts "root"
       [
-        Sup.supervisor ~strategy:cfg.listener_strategy
-          ~max_restarts:cfg.max_restarts ~window:cfg.window_ns "listeners"
+        Sup.supervisor ~strategy:cfg.listener_strategy ~max_restarts:cfg.max_restarts
+          "listeners"
           (List.init cfg.shards (fun i ->
-               Sup.worker ~restart:Sup.Transient ~killable:true
+               Sup.worker ~restart:Sup.Transient
                  ("accept-" ^ string_of_int i)
                  (accept_loop i)));
-        Sup.worker ~restart:Sup.Transient ~killable:true "watchdog" watchdog;
+        Sup.worker ~restart:Sup.Transient "watchdog" watchdog;
       ]
   in
   let in_flight () =
@@ -342,7 +348,7 @@ let run_server ~(model : Server.model)
                 let rec poll () =
                   if in_flight () > 0 && now () < deadline && Sup.running h
                   then begin
-                    sleep cfg.poll_ns;
+                    sleep poll_ns;
                     poll ()
                   end
                 in
@@ -363,7 +369,7 @@ let run_server ~(model : Server.model)
           | None -> all_terminal () || not (Sup.running h)
         in
         if not finished then begin
-          sleep cfg.poll_ns;
+          sleep poll_ns;
           waitloop ()
         end
       in
@@ -441,18 +447,25 @@ let run_server ~(model : Server.model)
   end;
   s
 
-let run ?(model = Server.mc) ?process cfg =
-  let process =
-    match process with Some p -> p | None -> Server_effects.process_raw_with
-  in
-  run_server ~model ~process cfg
-
-let run_servers cfg =
+(* A function, not a value: a list built at module initialisation
+   would add to the start-up allocation of every program that links
+   this library, and perfbench's fuzz heap peak follows that
+   allocation (ROADMAP item 1). *)
+let servers () : (Server.model * (?pre:(unit -> unit) -> string -> string)) list =
   [
-    run_server ~model:Server.mc ~process:Server_effects.process_raw_with cfg;
-    run_server ~model:Server.go ~process:Server_go.process_raw_with cfg;
-    run_server ~model:Server.lwt ~process:Server_monad.process_raw_with cfg;
+    (Server.mc, Server_effects.process_raw_with);
+    (Server.go, Server_go.process_raw_with);
+    (Server.lwt, Server_monad.process_raw_with);
   ]
+
+let run ?model ?process cfg =
+  let default_model, default_process = List.hd (servers ()) in
+  run_server
+    ~model:(Option.value model ~default:default_model)
+    ~process:(Option.value process ~default:default_process)
+    cfg
+
+let run_servers cfg = List.map (fun (model, process) -> run_server ~model ~process cfg) (servers ())
 
 let chaos_of_summary s =
   match s.chaos_stats with

@@ -19,27 +19,33 @@ type config = {
   seed : int;
   connections : int;
   requests_per_conn : int;
-  interarrival_ns : int;  (** mean gap between connection arrivals *)
-  think_ns : int;  (** gap between pipelined requests on a connection *)
-  service_jitter_ns : int;  (** uniform jitter added to each service time *)
   shards : int;  (** number of accept loops *)
   listener_strategy : Retrofit_core.Supervise.strategy;
-  max_restarts : int;
-  window_ns : int;  (** restart-intensity window; 0 = unbounded *)
+  max_restarts : int;  (** per supervisor, over the whole run *)
   chaos : Retrofit_core.Sched.Chaos.t option;
   wedge_rate : float;  (** P(a connection wedges its accept loop) *)
   wedge_ns : int;  (** how long a wedged loop stops heartbeating *)
-  watchdog_interval_ns : int;
-  watchdog_stale_ns : int;  (** heartbeat age that gets a loop killed *)
-  accept_chunk_ns : int;  (** max sleep between accept-loop heartbeats *)
   drain_after_ns : int option;  (** start graceful drain at this time *)
   drain_deadline_ns : int;  (** grace period before in-flight cancel *)
-  poll_ns : int;  (** main/drain poll interval *)
 }
+(** The timings no run varies are constants of the implementation:
+    the arrival gap ({!interarrival_ns}), the think time between
+    pipelined requests, the service jitter, the watchdog's period and
+    staleness limit, the accept loop's heartbeat chunk and the poll
+    interval.  Every supervisor's restart budget covers the whole run
+    (no intensity window). *)
+
+val interarrival_ns : int
+(** Mean virtual gap between connection arrivals (20 us). *)
 
 val default_config : seed:int -> config
 (** 120 connections x 6 requests, 4 shards, no chaos, no wedges, no
     drain: a healthy baseline run. *)
+
+val with_chaos : config -> config
+(** The chaos-recovery scenario on top of [config]: the default chaos
+    policy seeded with the config's seed, 5% of accepts wedged, and a
+    budget of 1000 restarts. *)
 
 (** Where every request ended up.  Each of the [total] requests lands
     in exactly one of the disposition counters; [silent] counts
@@ -75,13 +81,16 @@ val run :
   config ->
   summary
 (** Run the supervised simulation.  [model] (default {!Server.mc})
-    supplies the cost constants; [process] (default
-    {!Server_effects.process_raw_with}) handles one raw request with
-    the request's service time injected via [?pre]. *)
+    supplies the cost constants; [process] (default: mc's, the first
+    entry of {!servers}) handles one raw request with the request's
+    service time injected via [?pre]. *)
+
+val servers : unit -> (Server.model * (?pre:(unit -> unit) -> string -> string)) list
+(** Each server model with its request path: effects (mc), goroutine
+    (go), monadic (lwt), in that order. *)
 
 val run_servers : config -> summary list
-(** [run] once per server: effects (mc), goroutine (go), monadic
-    (lwt), in that order. *)
+(** [run] once per entry of {!servers}, in order. *)
 
 val summary_to_string : summary -> string
 (** One deterministic line — the chaos campaign byte-compares these. *)

@@ -17,10 +17,9 @@ let capture ?(capacity = 1 lsl 18) ?(seed = 42) ?(faults = 0.5)
     ?(queue_cap = 512) ?(rate = 5_000) ?(duration = 300) () =
   let m, process = List.hd HS.Experiment.servers in
   let fault_rates = HS.Faults.scale faults HS.Faults.default in
-  let resilience = { HS.Loadgen.default_resilience with queue_cap } in
   let _outcome, ring =
     Trace.scoped ~capacity (fun () ->
-        HS.Loadgen.run ~seed ~faults:fault_rates ~resilience ~model:m ~process
+        HS.Loadgen.run ~seed ~faults:fault_rates ~queue_cap ~model:m ~process
           ~rate_rps:rate ~duration_ms:duration ())
   in
   ring

@@ -206,6 +206,93 @@ let sched_cancel_before_suspend () =
     [ "start"; "cancelled"; "after" ]
     (List.rev !log)
 
+(* [Sched.park]: the undo a fiber registers runs exactly once when it
+   is cancelled while parked, never after a normal resume (even when a
+   cancel or a chaos kill follows it), and a fiber chaos-killed at the
+   park never registers at all. *)
+let sched_park_undo () =
+  let registered = ref 0 and undone = ref 0 in
+  let slot = ref None in
+  let park () =
+    C.Sched.park (fun r ->
+        incr registered;
+        slot := Some r;
+        fun () ->
+          incr undone;
+          slot := None)
+  in
+  let resume v =
+    match !slot with
+    | Some r ->
+        slot := None;
+        r v
+    | None -> Alcotest.fail "no parked resumer"
+  in
+  let counts what reg und =
+    Alcotest.(check (pair int int)) what (reg, und) (!registered, !undone);
+    registered := 0;
+    undone := 0
+  in
+  (* cancelled while parked, twice: one undo, and the slot is empty *)
+  let outcome = ref "" in
+  C.Sched.run (fun () ->
+      let cancel =
+        C.Sched.fork_cancellable (fun () ->
+            match park () with
+            | (_ : int) -> outcome := "resumed"
+            | exception C.Sched.Cancelled -> outcome := "cancelled")
+      in
+      cancel ();
+      cancel ());
+  counts "cancelled: registered, undone" 1 1;
+  Alcotest.(check string) "cancelled fiber unwound" "cancelled" !outcome;
+  Alcotest.(check bool) "slot emptied by the undo" true (!slot = None);
+  (* resumed, then cancelled before the resume has run: no undo, and
+     the resumed value is delivered *)
+  let got = ref 0 in
+  C.Sched.run (fun () ->
+      let cancel = C.Sched.fork_cancellable (fun () -> got := park ()) in
+      resume 7;
+      cancel ());
+  counts "resumed then cancelled: registered, undone" 1 0;
+  Alcotest.(check int) "resumed value delivered" 7 !got;
+  (* a plain fiber is never cancelled: its undo never runs *)
+  C.Sched.run (fun () ->
+      C.Sched.fork (fun () -> got := park ());
+      resume 8);
+  counts "plain fiber: registered, undone" 1 0;
+  let always_kill =
+    { (C.Sched.Chaos.default ~seed:5) with C.Sched.Chaos.kill_rate = 1.0 }
+  in
+  (* resumed normally, then chaos-killed at a later yield: the killed
+     fiber's cleanup hook is empty, so the first park's undo stays
+     unrun *)
+  let killed = ref 0 in
+  C.Sched.run ~chaos:always_kill (fun () ->
+      let (_ : unit -> unit) =
+        C.Sched.fork_cancellable (fun () ->
+            Fun.protect
+              ~finally:(fun () -> incr killed)
+              (fun () ->
+                got := park ();
+                C.Sched.set_killable true;
+                C.Sched.yield ()))
+      in
+      resume 9);
+  counts "resumed then killed: registered, undone" 1 0;
+  Alcotest.(check (pair int int)) "value delivered, then killed" (9, 1) (!got, !killed);
+  (* chaos-killed at the park itself: nothing registered, nothing to
+     undo *)
+  C.Sched.run ~chaos:always_kill (fun () ->
+      let (_ : unit -> unit) =
+        C.Sched.fork_cancellable (fun () ->
+            C.Sched.set_killable true;
+            Fun.protect ~finally:(fun () -> incr killed) (fun () -> ignore (park ())))
+      in
+      ());
+  counts "killed at the park: registered, undone" 0 0;
+  Alcotest.(check int) "killed at the park, unwound once" 2 !killed
+
 (* ---------------- Mvar ---------------- *)
 
 let mvar_basic () =
@@ -813,6 +900,7 @@ let suite =
     test "sched cancel suspended" sched_cancel_suspended;
     test "sched cancel completed" sched_cancel_completed;
     test "sched cancel before suspend" sched_cancel_before_suspend;
+    test "sched park undo" sched_park_undo;
     test "mvar basics" mvar_basic;
     test "mvar blocking take" mvar_blocking_take;
     test "mvar blocking put" mvar_blocking_put;

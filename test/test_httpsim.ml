@@ -950,16 +950,17 @@ let loadgen_frozen_counters () =
   Alcotest.(check int) "mc 25k completed" 7558 over.completed;
   Alcotest.(check int) "mc 25k p99" 405248 over.p99_ns
 
-(* With no faults and a lenient policy, the resilient engine must
-   reproduce the plain engine exactly: same RNG draw order, same FIFO
-   service order, same histogram. *)
+(* An empty fault plan under the resilient policy must reproduce the
+   run without faults exactly at a load where no deadline, retry or
+   queue cap comes into play: same RNG draw order, same FIFO service
+   order, same histogram. *)
 let resilient_zero_fault_equivalence () =
   List.iter
     (fun (model, process) ->
       let plain = H.Loadgen.run ~model ~process ~rate_rps:10_000 ~duration_ms:200 () in
       let res =
-        H.Loadgen.run ~faults:H.Faults.none ~resilience:H.Loadgen.lenient_resilience
-          ~model ~process ~rate_rps:10_000 ~duration_ms:200 ()
+        H.Loadgen.run ~faults:H.Faults.none ~model ~process ~rate_rps:10_000
+          ~duration_ms:200 ()
       in
       let name = model.H.Server.name in
       Alcotest.(check int) (name ^ " completed") plain.H.Loadgen.completed res.H.Loadgen.completed;
@@ -1012,10 +1013,8 @@ let resilient_default_faults () =
 
 let resilient_sheds_under_tiny_cap () =
   let o =
-    H.Loadgen.run ~faults:H.Faults.none
-      ~resilience:{ H.Loadgen.default_resilience with queue_cap = 2 }
-      ~model:H.Server.mc ~process:H.Server_effects.process_raw ~rate_rps:40_000
-      ~duration_ms:200 ()
+    H.Loadgen.run ~faults:H.Faults.none ~queue_cap:2 ~model:H.Server.mc
+      ~process:H.Server_effects.process_raw ~rate_rps:40_000 ~duration_ms:200 ()
   in
   Alcotest.(check bool) "sheds under overload" true (o.H.Loadgen.shed > 0);
   check_taxonomy "mc tiny cap" o
@@ -1050,18 +1049,17 @@ let resilient_outcomes_pinned () =
   let b = Buffer.create 65536 in
   let settings =
     [
-      (H.Faults.default, H.Loadgen.default_resilience);
-      ( H.Faults.scale 4.0 H.Faults.default,
-        { H.Loadgen.default_resilience with queue_cap = 8 } );
+      (H.Faults.default, None);
+      (H.Faults.scale 4.0 H.Faults.default, Some 8);
     ]
   in
   for seed = 1 to 10 do
     List.iter
       (fun (model, process) ->
         List.iter
-          (fun (faults, resilience) ->
+          (fun (faults, queue_cap) ->
             let o =
-              H.Loadgen.run ~seed ~faults ~resilience ~model ~process ~rate_rps:30_000
+              H.Loadgen.run ~seed ~faults ?queue_cap ~model ~process ~rate_rps:30_000
                 ~duration_ms:200 ()
             in
             let f = o.H.Loadgen.faults in

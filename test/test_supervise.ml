@@ -383,7 +383,7 @@ let nursery_kill_is_not_failure () =
   in
   C.Sched.run ~chaos (fun () ->
       N.run (fun n ->
-          N.fork n ~killable:true (fun () ->
+          N.fork n (fun () ->
               Fun.protect
                 ~finally:(fun () -> incr killed_cleanup)
                 (fun () ->
