@@ -90,7 +90,6 @@ and runner = {
   on_fork : ((unit, unit) Effect.Deep.continuation -> unit) option;
   on_fork_cancellable : ((unit -> unit, unit) Effect.Deep.continuation -> unit) option;
   on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  on_current : ((ctl option, unit) Effect.Deep.continuation -> unit) option;
   on_killable : ((unit, unit) Effect.Deep.continuation -> unit) option;
   on_unkillable : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
@@ -476,7 +475,7 @@ type _ Effect.t +=
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
   | Fork_cancellable : (unit -> unit) -> (unit -> unit) Effect.t
   | Set_killable : bool -> unit Effect.t
-  | Current_ctl : Ctl.t option Effect.t
+  | Park : ('a resumer -> unit -> unit) -> 'a Effect.t
 
 let fork f = Effect.perform (Fork f)
 
@@ -489,17 +488,7 @@ let suspend f = Effect.perform (Suspend f)
 let set_killable b =
   try Effect.perform (Set_killable b) with Effect.Unhandled _ -> ()
 
-let current_ctl () =
-  try Effect.perform Current_ctl with Effect.Unhandled _ -> None
-
-(* The control cell is fetched before suspending: effects cannot be
-   performed from inside the suspend callback (it runs in the
-   scheduler's handler context). *)
-let park register =
-  let ctl = current_ctl () in
-  suspend (fun resume ->
-      let undo = register resume in
-      match ctl with Some c -> c.cleanup <- Some undo | None -> ())
+let park register = Effect.perform (Park register)
 
 let switches = ref 0
 
@@ -532,19 +521,36 @@ let on_fork rq k =
   push rq "fork" (Continue (rq.current, k, ()));
   spawn rq None f
 
-let on_suspend rq k f =
-  let ctl = rq.current in
-  (match ctl with
+(* A suspension point of the running fiber under [ctl]: [true] if it
+   parks, [false] if it is discontinued instead. *)
+let parks rq ctl k =
+  match ctl with
   | Some c when c.requested ->
       (* Cancel arrived before this park: discontinue straight away
          instead of parking. *)
-      push rq "cancel" (Discontinue (ctl, k, Cancelled))
+      push rq "cancel" (Discontinue (ctl, k, Cancelled));
+      false
   | _ ->
-      if draw_kill rq ctl then
-        (* killed instead of parked: the waiter is never handed to [f],
-           so no queue ever holds a dead resumer for it *)
-        push rq "kill" (Discontinue (ctl, k, Killed))
-      else f (arm rq ctl k));
+      if draw_kill rq ctl then begin
+        (* killed instead of parked: the waiter is never armed, so no
+           queue ever holds a dead resumer for it *)
+        push rq "kill" (Discontinue (ctl, k, Killed));
+        false
+      end
+      else true
+
+let on_suspend rq k f =
+  let ctl = rq.current in
+  if parks rq ctl k then f (arm rq ctl k);
+  run_next rq
+
+(* A wait queue's park: the undo [register] returns becomes the cell's
+   cleanup, fired if cancel strikes before the resume. *)
+let on_park rq k register =
+  let ctl = rq.current in
+  (if parks rq ctl k then
+     let undo = register (arm rq ctl k) in
+     match ctl with Some c -> c.cleanup <- Some undo | None -> ());
   run_next rq
 
 let on_set_killable rq k b =
@@ -563,7 +569,7 @@ let handle (type c) rq (eff : c Effect.t) :
       rq.forked <- f;
       rq.on_fork_cancellable
   | Set_killable b -> if b then rq.on_killable else rq.on_unkillable
-  | Current_ctl -> rq.on_current
+  | Park register -> Some (fun k -> on_park rq k register)
   | _ -> None
 
 (* A fiber's end: [current] is its cell.  A discontinued fiber unwinds
@@ -619,7 +625,6 @@ let runner_create ?(policy = Fifo) ?chaos ~clock ~by_ops () =
             push rq "fork" (Continue (rq.current, k, fun () -> Ctl.cancel child));
             spawn rq (Some child) f);
       on_yield = Some (fun k -> on_yield rq k);
-      on_current = Some (fun k -> Effect.Deep.continue k rq.current);
       on_killable = Some (fun k -> on_set_killable rq k true);
       on_unkillable = Some (fun k -> on_set_killable rq k false);
     }

@@ -147,7 +147,6 @@ type _ Effect.t +=
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
   | Fork_cancellable : (unit -> unit) -> (unit -> unit) Effect.t
   | Set_killable : bool -> unit Effect.t
-  | Current_ctl : Ctl.t option Effect.t
 
 val fork : (unit -> unit) -> unit
 (** Must run inside {!run}. *)

@@ -4,7 +4,14 @@
     network simulator, property tests that need auxiliary randomness) draw
     from explicitly seeded generators so that every experiment is exactly
     repeatable.  The implementation is xoshiro256** seeded via splitmix64,
-    the combination recommended by Blackman and Vigna. *)
+    the combination recommended by Blackman and Vigna.
+
+    The 256-bit state is one 32-byte [Bytes.t], read and written as
+    four unboxed 64-bit words, so a draw allocates nothing of its own:
+    {!int}, {!bool} and {!shuffle} allocate nothing at all, {!float} and
+    {!exponential} at most the float they return (none where the
+    caller's code unboxes it), and {!bits64} its [int64] box.
+    [test util.alloc] pins these figures. *)
 
 type t
 
@@ -26,6 +33,7 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
+(** The lowest bit of the next 64. *)
 
 val exponential : t -> mean:float -> float
 (** A draw from the exponential distribution with the given mean; used for

@@ -814,6 +814,48 @@ let alloc_yield () =
   in
   check_ceiling "yield" words 6
 
+(* The same yield under the default chaos policy: two [Rng.float]
+   draws a push (delay, spurious wakeup), whose returned floats are all
+   a draw allocates, plus the chaos stash's share.  The main fiber is
+   not killable and alone in the queue, so no kill or reorder draw is
+   made. *)
+let alloc_yield_chaos () =
+  let words =
+    words_per (fun n ->
+        C.Sched.run ~chaos:(C.Sched.Chaos.default ~seed:1) (fun () ->
+            for _ = 1 to n do
+              C.Sched.yield ()
+            done))
+  in
+  check_ceiling "yield under chaos" words 11
+
+(* Two fibers passing a value through two [Mvar]s, as chameneos does
+   (§6.3.2): a round trip parks each fiber once, with one [Park]
+   effect.  A cancellable fiber's park also stores the undo in its
+   cell. *)
+let mvar_round_trips ~cancellable n =
+  let ping = C.Mvar.create_empty () and pong = C.Mvar.create_empty () in
+  let fork f =
+    if cancellable then ignore (C.Sched.fork_cancellable f : unit -> unit)
+    else C.Sched.fork f
+  in
+  C.Sched.run (fun () ->
+      fork (fun () ->
+          for _ = 1 to n do
+            C.Mvar.put pong (C.Mvar.take ping + 1)
+          done);
+      fork (fun () ->
+          for i = 1 to n do
+            C.Mvar.put ping i;
+            ignore (C.Mvar.take pong : int)
+          done))
+
+let alloc_mvar_round_trip () =
+  check_ceiling "Mvar round trip" (words_per (mvar_round_trips ~cancellable:false)) 80;
+  check_ceiling "Mvar round trip, fork_cancellable fibers"
+    (words_per (mvar_round_trips ~cancellable:true))
+    88
+
 (* The supervised server's sleep: park, and let a timer resume.  The
    [Suspend] value and the caller's closure, the continuation, the
    handler closure over the callback, the waiter, the resumer and one
@@ -876,6 +918,8 @@ let nursery_tracks_live_children_only () =
 let alloc_suite =
   [
     test "yield" alloc_yield;
+    test "yield under chaos" alloc_yield_chaos;
+    test "Mvar round trip" alloc_mvar_round_trip;
     test "suspend/resume through Evloop" alloc_suspend_evloop;
     test "fork_cancellable plus finish" alloc_fork_cancellable;
     test "nursery child" alloc_nursery_child;

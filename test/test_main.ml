@@ -30,6 +30,7 @@ let () =
       ("analysis.resolve", Test_resolve.suite);
       ("causal", Test_causal.suite);
       ("supervise", Test_supervise.suite);
+      ("util.alloc", Test_util.alloc_suite);
       ("fiber.alloc", Test_fiber.alloc_suite);
       ("core.alloc", Test_core.alloc_suite);
     ]

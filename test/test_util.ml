@@ -333,6 +333,109 @@ let rng_shuffle_permutes () =
   Alcotest.(check (list int)) "same elements" (List.init 20 Fun.id)
     (List.sort compare (Array.to_list arr))
 
+(* Known answers: values drawn from the boxed-record generator that
+   preceded the unboxed state, for seeds 0, 1, -1 and 1 lsl 40 and for
+   every kind of draw.  The goldens and the chaos MD5s pin the stream
+   only through what they print; these pin it directly. *)
+let rng_known_answers () =
+  let bits seed n =
+    let r = Rng.create seed in
+    List.init n (fun _ -> Rng.bits64 r)
+  and draws seed n f =
+    let r = Rng.create seed in
+    List.init n (fun _ -> f r)
+  in
+  let i64s = Alcotest.(check (list int64))
+  and ints = Alcotest.(check (list int))
+  and floats = Alcotest.(check (list (float 0.0))) in
+  i64s "bits64 seed 0"
+    [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+      7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+      7788427924976520344L; -8565655843838424513L ]
+    (bits 0 8);
+  i64s "bits64 seed 1"
+    [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+      7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+      1310552918490157286L; 7031611932980406429L ]
+    (bits 1 8);
+  i64s "bits64 seed -1"
+    [ -8118546653352383224L; -4290065566684577747L; -9088772293754075490L;
+      -4655159067405239249L; -7983312046894832854L; -4948507577611999963L;
+      6831296623176769502L; -4285393230689821982L ]
+    (bits (-1) 8);
+  i64s "bits64 seed 1 lsl 40"
+    [ -7794965304565281922L; -44287127274702489L; 7040339152346828948L;
+      -3994291882321842148L; 6688168523897792436L; 6955219940481456461L;
+      -6774257906910435609L; 7690467217124919586L ]
+    (bits (1 lsl 40) 8);
+  ints "int 1" [ 0; 0; 0; 0; 0; 0; 0; 0 ] (draws 42 8 (fun r -> Rng.int r 1));
+  ints "int 10" [ 2; 8; 1; 1; 4; 2; 6; 5 ] (draws 42 8 (fun r -> Rng.int r 10));
+  ints "int max_int"
+    [ 1546998764402558742; 2379265674537155198; 3321214725393783201;
+      3222516053899960481; 4460494922783153764; 364128774783586872;
+      4044606872079424946; 1844830170035650695 ]
+    (draws 42 8 (fun r -> Rng.int r max_int));
+  floats "float 1.0"
+    [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1 ]
+    (draws 42 6 (fun r -> Rng.float r 1.0));
+  floats "float 1000.0"
+    [ 0x1.4f73aeaf7e5a8p+6; 0x1.7afaf1b51a0b4p+8; 0x1.54058e7e19128p+9;
+      0x1.ce58b26eb33a5p+9; 0x1.efe6e6a9c735ap+9; 0x1.80dea6a3b6e0fp+9 ]
+    (draws 42 6 (fun r -> Rng.float r 1000.0));
+  Alcotest.(check (list bool)) "bool"
+    [ false; false; true; true; false; false; false; true; false; true; true;
+      true; false; false; true; false ]
+    (draws 42 16 Rng.bool);
+  floats "exponential ~mean:50"
+    [ 0x1.18492dfb2dcbap+2; 0x1.7d1d299a6526bp+4; 0x1.c7d3f68bbeadfp+5;
+      0x1.029e3ed29dffbp+7; 0x1.e068ec853c215p+7; 0x1.25b571b1c9417p+6 ]
+    (draws 42 6 (fun r -> Rng.exponential r ~mean:50.0));
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  i64s "split child"
+    [ -5274542019872928699L; 3333208791178059692L; 4436588858355913672L;
+      5438316142355315829L ]
+    (List.init 4 (fun _ -> Rng.bits64 child));
+  i64s "split parent after"
+    [ 6990951692964543102L; -5902157311460992607L ]
+    (List.init 2 (fun _ -> Rng.bits64 parent));
+  let arr = Array.init 10 Fun.id in
+  Rng.shuffle (Rng.create 42) arr;
+  Alcotest.(check (array int)) "shuffle" [| 7; 3; 0; 8; 9; 4; 6; 1; 5; 2 |] arr
+
+(* Minor-heap words per draw of [draw], net of the measurement itself. *)
+let words_per_draw draw =
+  let r = Rng.create 5 in
+  let n = 10_000 in
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  for _ = 1 to n do
+    draw r
+  done;
+  let c = Gc.minor_words () in
+  (c -. b -. (b -. a)) /. float_of_int n
+
+(* The state is unboxed, so an [int] or [bool] draw allocates nothing,
+   a [float] draw at most the float it returns (two words; none where
+   the caller unboxes it) and [bits64] at most its [int64] box. *)
+let rng_draws_allocate_nothing () =
+  let ceiling what draw words =
+    let w = words_per_draw draw in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words a draw <= %d" what w words)
+      true
+      (w <= float_of_int words)
+  in
+  ceiling "int 10" (fun r -> ignore (Sys.opaque_identity (Rng.int r 10))) 0;
+  ceiling "int max_int" (fun r -> ignore (Sys.opaque_identity (Rng.int r max_int))) 0;
+  ceiling "bool" (fun r -> ignore (Sys.opaque_identity (Rng.bool r))) 0;
+  ceiling "float" (fun r -> ignore (Sys.opaque_identity (Rng.float r 1.0))) 2;
+  ceiling "exponential"
+    (fun r -> ignore (Sys.opaque_identity (Rng.exponential r ~mean:5.0)))
+    2;
+  ceiling "bits64" (fun r -> ignore (Sys.opaque_identity (Rng.bits64 r))) 3
+
 (* ---------------- Counter ---------------- *)
 
 let counter_basics () =
@@ -556,6 +659,7 @@ let suite =
     test "rng uniformity smoke" rng_uniformity_smoke;
     QCheck_alcotest.to_alcotest prop_rng_float_in_bound;
     test "rng split independence" rng_split_independent;
+    test "rng known answers" rng_known_answers;
     QCheck_alcotest.to_alcotest prop_hist_index_roundtrip;
     QCheck_alcotest.to_alcotest prop_hist_index_monotone;
     QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
@@ -568,3 +672,5 @@ let suite =
     test "table kv and chart" table_kv_and_chart;
     QCheck_alcotest.to_alcotest prop_pq_model;
   ]
+
+let alloc_suite = [ test "rng draws allocate nothing" rng_draws_allocate_nothing ]
