@@ -20,9 +20,9 @@ let () =
       | F.Machine.Done v ->
           Printf.printf "%-10s fib 10 = %d  instructions=%d checks=%d growths=%d\n"
             (F.Config.name cfg) v
-            (Retrofit_util.Counter.get counters "instructions")
-            (Retrofit_util.Counter.get counters "overflow_check")
-            (Retrofit_util.Counter.get counters "stack_grow")
+            (Retrofit_util.Counter.(value counters Instructions))
+            (Retrofit_util.Counter.(value counters Overflow_check))
+            (Retrofit_util.Counter.(value counters Stack_grow))
       | _ -> print_endline "unexpected outcome")
     [ F.Config.stock; F.Config.mc ];
 
@@ -31,8 +31,9 @@ let () =
   let _, counters = F.Machine.run F.Config.mc compiled in
   List.iter
     (fun name ->
-      Printf.printf "  %-16s %d\n" name (Retrofit_util.Counter.get counters name))
-    [ "fiber_alloc"; "stack_cache_hit"; "malloc"; "perform"; "resume"; "fiber_free" ];
+      Printf.printf "  %-16s %d\n" (Retrofit_util.Counter.to_string name)
+        (Retrofit_util.Counter.value counters name))
+    Retrofit_util.Counter.[ Fiber_alloc; Stack_cache_hit; Malloc; Perform; Resume; Fiber_free ];
 
   print_endline "\n-- Fig 1d: DWARF backtrace from inside the callback --";
   let compiled = F.Compile.compile F.Programs.meander in

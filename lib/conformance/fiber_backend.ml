@@ -23,8 +23,8 @@ let cfuns (prog : F.Compile.compiled) =
              Some (c, fun (ctx : F.Machine.ctx) args -> ctx.callback f args)
          | Fragment.Foreign -> None)
 
-let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
-    ?(dwarf_max_probes = 500) ?on_perform (p : F.Ir.program) : result =
+let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.Ir.program)
+    : result =
   match F.Compile.compile p with
   | exception F.Compile.Error msg ->
       {
@@ -51,7 +51,7 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
                 (* Each probe unwinds the whole stack, so probing a fixed
                    fraction of calls would be quadratic on deep fuel-bound
                    runs; stop sampling after the per-program budget. *)
-                if !probes < dwarf_max_probes && Rng.int rng 8 = 0 then begin
+                if !probes < 500 && Rng.int rng 8 = 0 then begin
                   incr probes;
                   match check m with
                   | Ok () -> ()
@@ -61,8 +61,8 @@ let run ?(config = F.Config.mc) ?(fuel = 20_000_000) ?(audit = true) ?dwarf_seed
                 end)
       in
       let outcome, counters =
-        F.Machine.run ~cfuns:(cfuns prog) ?on_call ?on_perform ?audit:auditor ~fuel
-          config prog
+        F.Machine.run ~cfuns:(cfuns prog) ?on_call ?on_perform ?audit:auditor
+          ~fuel:20_000_000 config prog
       in
       let outcome =
         match outcome with

@@ -27,19 +27,17 @@ val cfuns :
 
 val run :
   ?config:Retrofit_fiber.Config.t ->
-  ?fuel:int ->
   ?audit:bool ->
   ?dwarf_seed:int ->
-  ?dwarf_max_probes:int ->
   ?on_perform:(site:int -> eff:int -> handler:int -> unit) ->
   Retrofit_fiber.Ir.program ->
   result
-(** Defaults: {!Retrofit_fiber.Config.mc}, 20-million-op fuel, the
-    auditor on its fixed schedule ({!Retrofit_fiber.Audit.audit}), no
-    DWARF sampling.  When a [dwarf_seed] is given, about one call in
-    eight is probed, up to [dwarf_max_probes] (default 500) per program
-    — each probe unwinds the whole stack, so an unbounded rate would be
-    quadratic on deep fuel-bound runs.  Pass
+(** Runs on 20 million ops of fuel.  Defaults:
+    {!Retrofit_fiber.Config.mc}, the auditor on its fixed schedule
+    ({!Retrofit_fiber.Audit.audit}), no DWARF sampling.  When a
+    [dwarf_seed] is given, about one call in eight is probed, up to 500
+    per program — each probe unwinds the whole stack, so an unbounded
+    rate would be quadratic on deep fuel-bound runs.  Pass
     [Config.with_multishot true Config.mc] to disable the one-shot
     check — the canonical seeded mutation the fuzzer must catch.
 

@@ -35,7 +35,7 @@ let pair_names = [ "semantics<->fiber"; "fiber<->native"; "semantics<->native" ]
 
 let default_policies = F.Stack_policy.[ segmented; segmented_cow; large_reserve ]
 
-let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
+let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
     ?(audit = true) ?(dwarf = true) ?(analyze = false) ?(max_failures = 5)
     ?(shrink = true) ?(policies = []) ?(multishot = false) ~seed ~count () :
     stats =
@@ -69,7 +69,7 @@ let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
   let failures = ref [] in
   let analyzed = ref 0 in
   let run_oracle p s =
-    Oracle.run ~fiber_config ?fib_fuel ?sem_one_shot ~audit ~with_native
+    Oracle.run ~fiber_config ?sem_one_shot ~audit ~with_native
       ?dwarf_seed:(if dwarf then Some s else None)
       p
   in
@@ -77,7 +77,7 @@ let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
     List.map
       (fun (name, cfgp) ->
         ( name,
-          Fiber_backend.run ~config:cfgp ?fuel:fib_fuel ~audit
+          Fiber_backend.run ~config:cfgp ~audit
             ?dwarf_seed:(if dwarf then Some s else None)
             p ))
       policy_cfgs
@@ -121,8 +121,7 @@ let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
         let obs = ref [] in
         let on_perform ~site ~eff:_ ~handler = obs := (site, handler) :: !obs in
         let fr =
-          Fiber_backend.run ~config:cfgp ?fuel:fib_fuel ~audit:false ~on_perform
-            p
+          Fiber_backend.run ~config:cfgp ~audit:false ~on_perform p
         in
         match fr.Fiber_backend.outcome with
         | Outcome.Model_error _ -> None
@@ -134,8 +133,7 @@ let campaign ?(fiber_config = F.Config.mc) ?fib_fuel ?sem_one_shot
             | None -> (
                 incr bound_checks;
                 match
-                  Static.bound_contradiction c ~policy:cfgp.F.Config.policy
-                    ~multishot:cfgp.F.Config.multishot fr.Fiber_backend.counters
+                  Static.bound_contradiction c ~config:cfgp fr.Fiber_backend.counters
                 with
                 | Some msg -> Some (Printf.sprintf "[%s] %s" name msg)
                 | None -> None)))

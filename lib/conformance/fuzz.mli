@@ -52,7 +52,6 @@ val default_policies : Retrofit_fiber.Stack_policy.t list
 
 val campaign :
   ?fiber_config:Retrofit_fiber.Config.t ->
-  ?fib_fuel:int ->
   ?sem_one_shot:bool ->
   ?audit:bool ->
   ?dwarf:bool ->

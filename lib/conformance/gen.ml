@@ -8,8 +8,6 @@ type cfg = {
   big_count : int;
       (* base for the one deep-recursion driver allowed per program,
          sized to overflow [Config.mc]'s initial fiber several times *)
-  extcalls : bool;
-  oneshot_violations : bool;
 }
 
 let default_cfg =
@@ -18,8 +16,6 @@ let default_cfg =
     max_depth = 4;
     small_count = 6;
     big_count = 160;
-    extcalls = true;
-    oneshot_violations = true;
   }
 
 type info = { gi_name : string; gi_arity : int; gi_eff : bool; gi_rec : bool }
@@ -116,19 +112,17 @@ let rec gen_expr st ~depth ~vars ~kvar : Ir.expr =
          else [ (10, fun () -> gen_call st ~depth ~vars ~kvar (pick st plain)) ])
       @ (if arity1 = [] then []
          else [ (10, fun () -> gen_handle st ~depth ~vars ~kvar) ])
-      @ (if not st.cfg.extcalls then []
+      @ (4, fun () -> Fragment.ext_id (sub ()))
+        ::
+        (if arity1 = [] then []
          else
-           (4, fun () -> Fragment.ext_id (sub ()))
-           ::
-           (if arity1 = [] then []
-            else
-              [
-                ( 4,
-                  fun () ->
-                    let target = pick st arity1 in
-                    let arg = if target.gi_rec then rec_counter st else sub () in
-                    Fragment.callback target.gi_name arg );
-              ]))
+           [
+             ( 4,
+               fun () ->
+                 let target = pick st arity1 in
+                 let arg = if target.gi_rec then rec_counter st else sub () in
+                 Fragment.callback target.gi_name arg );
+           ])
       @
       match kvar with
       | None -> []
@@ -136,22 +130,17 @@ let rec gen_expr st ~depth ~vars ~kvar : Ir.expr =
           [
             (14, fun () -> Ir.Continue (Ir.Var k, sub ()));
             (6, fun () -> Ir.Discontinue (Ir.Var k, pick st exn_labels, sub ()));
+            ( 10,
+              fun () ->
+                Ir.Seq
+                  (Ir.Continue (Ir.Var k, sub ~d:1 ()), Ir.Continue (Ir.Var k, sub ~d:1 ()))
+            );
+            ( 4,
+              fun () ->
+                Ir.Seq
+                  ( Ir.Discontinue (Ir.Var k, pick st exn_labels, sub ~d:1 ()),
+                    Ir.Continue (Ir.Var k, sub ~d:1 ()) ) );
           ]
-          @
-          if st.cfg.oneshot_violations then
-            [
-              ( 10,
-                fun () ->
-                  Ir.Seq
-                    ( Ir.Continue (Ir.Var k, sub ~d:1 ()),
-                      Ir.Continue (Ir.Var k, sub ~d:1 ()) ) );
-              ( 4,
-                fun () ->
-                  Ir.Seq
-                    ( Ir.Discontinue (Ir.Var k, pick st exn_labels, sub ~d:1 ()),
-                      Ir.Continue (Ir.Var k, sub ~d:1 ()) ) );
-            ]
-          else []
     in
     let total = List.fold_left (fun n (w, _) -> n + w) 0 choices in
     let rec select r = function

@@ -35,7 +35,6 @@ type report = {
 }
 
 val run :
-  ?fib_fuel:int ->
   ?audit:bool ->
   ?dwarf_seed:int ->
   ?fiber_config:Retrofit_fiber.Config.t ->

@@ -106,8 +106,8 @@ let lower_fn (fn : Ir.fn) rest =
 let lower (p : Ir.program) : S.Ast.t =
   List.fold_right lower_fn p.fns (S.Ast.App (S.Ast.Var p.main, S.Ast.Int 0))
 
-let run ?(fuel = 5_000_000) ?(one_shot = true) (p : Ir.program) : Outcome.t =
-  match S.Machine.run ~fuel ~one_shot (lower p) with
+let run ?(one_shot = true) (p : Ir.program) : Outcome.t =
+  match S.Machine.run ~fuel:5_000_000 ~one_shot (lower p) with
   | S.Machine.Value (S.Syntax.V_int n) -> Outcome.Value n
   | S.Machine.Value _ -> Outcome.Model_error "semantics: non-integer result"
   | S.Machine.Uncaught_exception (l, v) ->

@@ -12,8 +12,8 @@
     one-shot discipline by default so all three models share §5's
     linearity. *)
 
-val run : ?fuel:int -> ?one_shot:bool -> Retrofit_fiber.Ir.program -> Outcome.t
-(** Default fuel 5 million steps; [one_shot] defaults to [true] (pass
+val run : ?one_shot:bool -> Retrofit_fiber.Ir.program -> Outcome.t
+(** Runs on 5 million steps of fuel; [one_shot] defaults to [true] (pass
     [false] to re-expose the multi-shot semantics as a seeded
     mutation).  @raise Invalid_argument on a construct outside the
     {!Fragment}. *)

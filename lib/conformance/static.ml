@@ -141,13 +141,10 @@ let dispatch_contradiction (c : claims) (rt : A.Resolve.rt)
                    (A.Resolve.site_to_string resolve s)))
     observed
 
-let bound_contradiction (c : claims) ~(policy : Retrofit_fiber.Stack_policy.t)
-    ~multishot ?(red_zone = 16) (counters : Retrofit_util.Counter.t) :
-    string option =
-  let bounds =
-    A.Costbound.counter_bounds c.A.Analyze.cost ~policy ~multishot
-      ~red_zone
-  in
+let bound_contradiction (c : claims) ~(config : Retrofit_fiber.Config.t)
+    (counters : Retrofit_util.Counter.t) : string option =
+  let { Retrofit_fiber.Config.policy; multishot; red_zone; _ } = config in
+  let bounds = A.Costbound.counter_bounds c.A.Analyze.cost ~policy ~multishot ~red_zone in
   List.find_map
     (fun (name, b) ->
       match A.Costbound.finite b with

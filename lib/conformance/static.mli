@@ -65,12 +65,7 @@ val dispatch_contradiction :
     [+toplevel]/[+via-c], or a perform at an unmapped pc. *)
 
 val bound_contradiction :
-  claims ->
-  policy:Retrofit_fiber.Stack_policy.t ->
-  multishot:bool ->
-  ?red_zone:int ->
-  Retrofit_util.Counter.t ->
-  string option
-(** First measured counter exceeding its finite static bound under the
-    given policy/discipline; ∞ bounds are vacuous.  [red_zone] defaults
-    to the machine's 16 words. *)
+  claims -> config:Retrofit_fiber.Config.t -> Retrofit_util.Counter.t -> string option
+(** First counter measured by a run under [config] that exceeds its
+    finite static bound under that run's policy, discipline and red
+    zone; ∞ bounds are vacuous. *)

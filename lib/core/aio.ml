@@ -29,12 +29,8 @@ type timeout_status = [ `Running | `Done | `Cancelled ]
 (* The scheduler's runner (FIFO, depth stamped by the loop's clock),
    serving the two I/O effects beside the scheduler effects; its idle
    hook is the do_reads of §3.1. *)
-let run_mode mode ?chaos loop main =
-  let rq =
-    Sched.runner_create ?chaos
-      ~clock:(fun () -> Evloop.now loop)
-      ~by_ops:false ()
-  in
+let run_mode mode loop main =
+  let rq = Sched.runner_create ~clock:(fun () -> Evloop.now loop) in
   let pending_reads : pending list ref = ref [] in
   (* The event-loop clock stamps this loop's I/O depth track. *)
   let observe_pending () =
@@ -81,25 +77,21 @@ let run_mode mode ?chaos loop main =
     | Some c when Sched.Ctl.cancelled c ->
         Sched.runner_discontinue rq "cancel" ctl k Sched.Cancelled
     | _ ->
-        if Sched.runner_kill_draw rq ctl then
-          Sched.runner_discontinue rq "kill" ctl k Sched.Killed
-        else begin
-          let live = ref true in
-          (match ctl with
-          | Some c ->
-              Sched.Ctl.set_parked c (fun e ->
-                  live := false;
-                  (* eager purge: drop the dead read now, so the pending
-                     depth metric never counts cancelled waiters *)
-                  pending_reads :=
-                    List.filter (fun (Pending p) -> !(p.live)) !pending_reads;
-                  observe_pending ();
-                  Sched.runner_discontinue rq "cancel" ctl k e)
-          | None -> ());
-          pending_reads := Pending { ic; k; ctl; live } :: !pending_reads;
-          if Metrics.on () then Metrics.inc "aio_parked_reads_total";
-          observe_pending ()
-        end);
+        let live = ref true in
+        (match ctl with
+        | Some c ->
+            Sched.Ctl.set_parked c (fun e ->
+                live := false;
+                (* eager purge: drop the dead read now, so the pending
+                   depth metric never counts cancelled waiters *)
+                pending_reads :=
+                  List.filter (fun (Pending p) -> !(p.live)) !pending_reads;
+                observe_pending ();
+                Sched.runner_discontinue rq "cancel" ctl k e)
+        | None -> ());
+        pending_reads := Pending { ic; k; ctl; live } :: !pending_reads;
+        if Metrics.on () then Metrics.inc "aio_parked_reads_total";
+        observe_pending ());
     Sched.runner_next rq
   in
   let effc (type c) (eff : c Effect.t) : ((c, unit) Effect.Deep.continuation -> unit) option =
@@ -131,9 +123,9 @@ let run_mode mode ?chaos loop main =
       { Effect.Deep.retc = Sched.runner_retc rq; exnc = Sched.runner_exnc rq; effc }
     ~idle main
 
-let run_sync ?chaos loop main = run_mode Sync ?chaos loop main
+let run_sync loop main = run_mode Sync loop main
 
-let run_async ?chaos loop main = run_mode Async ?chaos loop main
+let run_async loop main = run_mode Async loop main
 
 let timeout loop ~delay f =
   let state = ref (`Running : timeout_status) in

@@ -32,15 +32,13 @@ val input_line : Chan.ic -> string
 val output_string : Chan.oc -> string -> unit
 (** Performs [Out_str]. *)
 
-val run_sync : ?chaos:Sched.Chaos.t -> Evloop.t -> (unit -> unit) -> unit
+val run_sync : Evloop.t -> (unit -> unit) -> unit
 (** Also handles {!Sched.Fork}, {!Sched.Yield}, {!Sched.Suspend} and
     {!Sched.Fork_cancellable}, so threads, MVars and cancellation work
     under it.  Reads block inline, so a sync read cannot be cancelled
-    mid-wait.  [chaos] enables the same seeded adversarial policy as
-    {!Sched.run}: kills at suspension points (including parked reads),
-    delayed resumes, reorders, spurious wakeups. *)
+    mid-wait.  Both runners schedule FIFO, without chaos. *)
 
-val run_async : ?chaos:Sched.Chaos.t -> Evloop.t -> (unit -> unit) -> unit
+val run_async : Evloop.t -> (unit -> unit) -> unit
 
 type timeout_status = [ `Running | `Done | `Cancelled ]
 

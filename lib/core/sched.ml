@@ -266,8 +266,8 @@ let chaos_pop rq st =
 (* Seeded kill: fires only for fibers that opted in via [set_killable],
    and only at a suspension point, where discontinuing is always
    legal. *)
-let kill_draw st_opt ctl =
-  match (st_opt, ctl) with
+let draw_kill rq ctl =
+  match (rq.chaos, ctl) with
   | Some st, Some c when c.killable && (not c.requested) && not c.finished ->
       if hit st st.cfg.kill_rate then begin
         st.kills <- st.kills + 1;
@@ -371,14 +371,6 @@ let arm rq ctl k =
     end
     else if w.w_state = st_resumed then raise One_shot
 
-(* [Ctl] and [Chaos] are thin: the scheduler calls the top-level
-   functions they name, and only [chaos_stats] and [runner_create] reach
-   into them.  Each submodule, and each closure over one, is a block
-   that module initialisation allocates, and perfbench's [fuzz] heap
-   peak moves with any change to start-up allocation (EXPERIMENTS.md,
-   "Start-up allocation and the [fuzz] heap peak"), so the blocks stay
-   as they were: two submodules of eleven and eight values, and two
-   closures over them. *)
 module Ctl = struct
   type t = ctl
 
@@ -398,14 +390,6 @@ module Ctl = struct
   let set_parked t d = t.parked <- Hook d
 
   let clear_parked t = t.parked <- Unparked
-
-  let set_killable_cell t b = t.killable <- b
-
-  let set_cleanup t f = t.cleanup <- Some f
-
-  let clear_cleanup t = t.cleanup <- None
-
-  let run_cleanup = run_cleanup
 
   let cancel = cancel
 
@@ -459,12 +443,8 @@ module Chaos = struct
     register st;
     st
 
-  let hit = hit
-
   let snapshot (st : state) =
     { kills = st.kills; delays = st.delays; reorders = st.reorders; spurious = st.spurious }
-
-  let kill_draw = kill_draw
 end
 
 let chaos_stats () = Option.map Chaos.snapshot !Chaos.latest
@@ -496,8 +476,6 @@ let stats_switches () = !switches
 
 (* ------------------------------------------------------------------ *)
 (* Serving the scheduler effects *)
-
-let draw_kill rq ctl = kill_draw rq.chaos ctl
 
 let spawn rq ctl f =
   rq.current <- ctl;
@@ -595,7 +573,7 @@ let exnc rq e =
    same representation).  One handler serves every fiber of a run, and
    the handlers of the effects whose type is fixed are made here, once
    per run. *)
-let runner_create ?(policy = Fifo) ?chaos ~clock ~by_ops () =
+let create ~policy ~chaos ~clock ~by_ops =
   let rec rq =
     {
       buf = Array.make 16 Idle;
@@ -631,11 +609,11 @@ let runner_create ?(policy = Fifo) ?chaos ~clock ~by_ops () =
   in
   rq
 
+let runner_create ~clock = create ~policy:Fifo ~chaos:None ~clock ~by_ops:false
+
 let runner_length rq = rq.len
 
 let runner_current rq = rq.current
-
-let runner_kill_draw = draw_kill
 
 let runner_continue rq reason ctl k v = push rq reason (Continue (ctl, k, v))
 
@@ -655,7 +633,7 @@ let runner_run rq ?handler ~idle main =
   spawn rq None main
 
 let run ?(policy = Fifo) ?chaos ?(clock = fun () -> 0) ?idle main =
-  let rq = runner_create ~policy ?chaos ~clock ~by_ops:true () in
+  let rq = create ~policy ~chaos ~clock ~by_ops:true in
   let finally () = switches := rq.switches in
   match runner_run rq ~idle:(Option.value idle ~default:rq.idle) main with
   | () -> finally ()

@@ -62,30 +62,13 @@ module Ctl : sig
   (** Install the discontinue hook for a runner's own blocking point
       (a {!suspend} parks its waiter on the cell by itself). *)
 
-  val set_killable_cell : t -> bool -> unit
-  (** Flip the chaos opt-in flag on the cell directly; runners use this
-      to serve the {!Set_killable} effect. *)
-
   val clear_parked : t -> unit
 
-  val set_cleanup : t -> (unit -> unit) -> unit
-  (** Install a hook fired exactly once if the fiber is cancelled (or
-      chaos-killed) before its current suspension resumes: {!park}
-      installs its undo here.  Cleared automatically when the
-      suspension resumes normally. *)
-
-  val clear_cleanup : t -> unit
-
-  val run_cleanup : t -> unit
-  (** Fire and clear the cleanup hook, if any.  Runners call this when a
-      fiber dies abnormally ({!Killed}) without going through
-      {!cancel}. *)
-
   val cancel : t -> unit
-  (** Request cancellation: fires the cleanup hook, then discontinues
-      the parked suspension with {!Cancelled} if the fiber is suspended,
-      otherwise marks it for discontinuation at its next suspension
-      point.  One-shot; a no-op after the fiber finishes or after a
+  (** Request cancellation: fires the undo of a {!park}, if any, then
+      discontinues the parked suspension with {!Cancelled} if the fiber
+      is suspended, otherwise marks it for discontinuation at its next
+      suspension point.  One-shot; a no-op after the fiber finishes or after a
       previous cancel. *)
 
   val arm : runner -> t option -> ('a, unit) Effect.Deep.continuation -> 'a resumer
@@ -122,21 +105,12 @@ module Chaos : sig
   val make : t -> state
   (** Also registers the state as the latest for {!chaos_stats}. *)
 
-  val hit : state -> float -> bool
-  (** [hit st rate] draws one decision that holds with probability
-      [rate] from the state's stream; no draw when [rate] is 0. *)
-
   val snapshot : state -> stats
-
-  val kill_draw : state option -> Ctl.t option -> bool
-  (** Draw a kill decision for a fiber about to park: [true] only for a
-      live, killable, not-yet-cancelled cell under an active chaos
-      state.  Counts and emits the injection when it fires. *)
 end
 
 val chaos_stats : unit -> Chaos.stats option
 (** Injection counts of the most recent (or current) chaos-enabled
-    {!run} / {!Aio} run; [None] before any chaos run. *)
+    {!run}; [None] before any chaos run. *)
 
 (** The scheduler effects are public so that other runners (notably
     {!Aio}) can handle them alongside their own — an effect declared
@@ -171,7 +145,7 @@ val set_killable : bool -> unit
 (** Opt the current fiber in (or out) of chaos kills.  Only fibers that
     opted in — supervised workers and nursery children, which have a
     restart / unwind story — are ever killed; bare fibers are not.
-    A no-op outside {!run} / {!Aio}. *)
+    A no-op outside a runner. *)
 
 val park : ('a resumer -> unit -> unit) -> 'a
 (** [park register] is {!suspend} for a wait queue: [register resume]
@@ -217,22 +191,15 @@ val stats_switches : unit -> int
     chaos state and the control cell of the running fiber, and one
     effect handler serves all of its fibers. *)
 
-val runner_create :
-  ?policy:policy -> ?chaos:Chaos.t -> clock:(unit -> int) -> by_ops:bool -> unit -> runner
-(** [policy] defaults to [Fifo].  [by_ops] runners stamp their run-queue depth track by
-    enqueue/dequeue count and count {!stats_switches}, as {!run} does;
-    the others stamp each push by [clock]. *)
+val runner_create : clock:(unit -> int) -> runner
+(** A FIFO runner without chaos that stamps each push of its run-queue
+    depth track by [clock]. *)
 
 val runner_length : runner -> int
 (** Entries in the run queue, not counting chaos-stashed resumes. *)
 
 val runner_current : runner -> Ctl.t option
 (** The control cell of the running fiber. *)
-
-val runner_kill_draw : runner -> Ctl.t option -> bool
-(** Draw a chaos kill for a fiber about to park: [true] only for a
-    live, killable, not-yet-cancelled cell under chaos.  Counts and
-    emits the injection when it fires. *)
 
 val runner_continue :
   runner -> string -> Ctl.t option -> ('a, unit) Effect.Deep.continuation -> 'a -> unit

@@ -6,15 +6,14 @@
    [Self_path]/[Beat] introspection effects and (b) funnels every way a
    fiber can end — normal return, an escaped exception, a [Cancelled]
    or chaos [Killed] unwind — into a single [Child_exited] message to
-   the parent's mailbox.  Restart strategies, intensity windows and
+   the parent's mailbox.  Restart strategies, restart budgets and
    escalation are then plain message-loop logic, exactly the paper's
    pitch that retrofitted handlers make concurrency patterns library
    code.
 
    Time is virtual: the tree is parameterised by a [clock] (the
-   supervised httpsim passes [Evloop.now]), so restart-intensity
-   windows and heartbeat staleness are deterministic in the workload
-   seed. *)
+   supervised httpsim passes [Evloop.now]), so heartbeats and the
+   eventlog's stamps are deterministic in the workload seed. *)
 
 module Trace = Retrofit_trace.Trace
 module Tev = Retrofit_trace.Event
@@ -23,8 +22,6 @@ module Metrics = Retrofit_metrics.Metrics
 exception Escalation of string
 
 type strategy = One_for_one | One_for_all | Rest_for_one
-
-type restart = Permanent | Transient | Temporary
 
 type exit_reason = Exit_normal | Exit_crashed of exn | Exit_killed
 
@@ -35,47 +32,28 @@ let reason_label = function
 
 type outcome = Completed | Gave_up of string
 
-type event =
-  | Started of string
-  | Exited of string * exit_reason
-  | Restarted of string
-  | Escalated of string
-  | Stopped of string
-
 type spec =
-  | Worker of { w_name : string; w_restart : restart; w_body : unit -> unit }
+  | Worker of { w_name : string; w_body : unit -> unit }
   | Sup of {
       s_name : string;
       s_strategy : strategy;
       s_max_restarts : int;
-      s_window : int;
       s_children : spec list;
     }
 
-let worker ?(restart = Transient) name body =
-  Worker { w_name = name; w_restart = restart; w_body = body }
+let worker name body = Worker { w_name = name; w_body = body }
 
-let supervisor ?(strategy = One_for_one) ?(max_restarts = 3) ?(window = 0) name
-    children =
+let supervisor ?(strategy = One_for_one) ?(max_restarts = 3) name children =
   if children = [] then invalid_arg "Supervise.supervisor: no children";
   Sup
     {
       s_name = name;
       s_strategy = strategy;
       s_max_restarts = max_restarts;
-      s_window = window;
       s_children = children;
     }
 
 let spec_name = function Worker w -> w.w_name | Sup s -> s.s_name
-
-let spec_restart = function
-  | Worker w -> w.w_restart
-  | Sup _ ->
-      (* a supervisor child restarts like a Transient worker: crashes
-         and escalations bring the subtree back, a normal exit (all its
-         children completed, or it was stopped) does not *)
-      Transient
 
 (* A single-reader mailbox.  [send] never blocks; [recv] parks the
    reader.  A reader cancelled while parked is purged eagerly (same
@@ -126,7 +104,6 @@ type msg = Child_exited of child * int * exit_reason | Stop_req
 
 type tree = {
   clock : unit -> int;
-  on_event : event -> unit;
   registry : (string, child) Hashtbl.t;  (* leaf name -> live child *)
   mutable restarts : int;
   mutable escalations : int;
@@ -135,24 +112,6 @@ type tree = {
          [start] parks until this drains so the whole tree — including
          nested sub-supervisors — is running before it returns *)
 }
-
-let emit_ev tree ev =
-  (match ev with
-  | Exited (path, how) ->
-      if Trace.on () then
-        Trace.emit ~ts:(tree.clock ())
-          (Tev.Sup_child_exit { path; how = reason_label how });
-      if Metrics.on () then Metrics.inc "sup_child_exits_total"
-  | Restarted path ->
-      if Trace.on () then
-        Trace.emit ~ts:(tree.clock ()) (Tev.Sup_restart { path });
-      if Metrics.on () then Metrics.inc "sup_restarts_total"
-  | Escalated path ->
-      if Trace.on () then
-        Trace.emit ~ts:(tree.clock ()) (Tev.Sup_escalate { path });
-      if Metrics.on () then Metrics.inc "sup_escalations_total"
-  | Started _ | Stopped _ -> ());
-  tree.on_event ev
 
 (* Run a child body under the wrapper handler: serve the introspection
    effects and normalise every exit into an [exit_reason]. *)
@@ -193,17 +152,13 @@ let rec start_child tree mb rt =
         let sub_mb = Mailbox.create () in
         let strategy = s.s_strategy
         and max_restarts = s.s_max_restarts
-        and window = s.s_window
         and children = s.s_children in
-        ( (fun () ->
-            run_sup tree sub_mb rt.c_path ~strategy ~max_restarts ~window
-              ~children),
+        ( (fun () -> run_sup tree sub_mb rt.c_path ~strategy ~max_restarts ~children),
           false,
           Some (fun () -> Mailbox.send sub_mb Stop_req) )
   in
   rt.c_stop <- stop;
   Hashtbl.replace tree.registry (spec_name rt.c_spec) rt;
-  emit_ev tree (Started rt.c_path);
   let cancel =
     Sched.fork_cancellable (fun () ->
         if killable then Sched.set_killable true;
@@ -216,7 +171,7 @@ let rec start_child tree mb rt =
 (* The supervisor loop for one node of the tree.  Runs in its own
    fiber; returns normally when stopped or when every child is
    terminal, raises [Escalation] when the restart budget is blown. *)
-and run_sup tree mb path ~strategy ~max_restarts ~window ~children =
+and run_sup tree mb path ~strategy ~max_restarts ~children =
   let rts =
     List.mapi
       (fun i spec ->
@@ -241,7 +196,10 @@ and run_sup tree mb path ~strategy ~max_restarts ~window ~children =
   in
   let note_exit rt reason =
     rt.c_cancel <- None;
-    emit_ev tree (Exited (rt.c_path, reason))
+    if Trace.on () then
+      Trace.emit ~ts:(tree.clock ())
+        (Tev.Sup_child_exit { path = rt.c_path; how = reason_label reason });
+    if Metrics.on () then Metrics.inc "sup_child_exits_total"
   in
   (* Kill the given children and wait for each to unwind; messages for
      other children are kept aside for the main loop. *)
@@ -267,20 +225,11 @@ and run_sup tree mb path ~strategy ~max_restarts ~window ~children =
       process (Mailbox.recv mb)
     done
   in
-  let restart_times = ref [] in
-  let over_budget () =
-    let now = tree.clock () in
-    let kept =
-      if window > 0 then
-        List.filter (fun t -> now - t < window) !restart_times
-      else !restart_times
-    in
-    restart_times := now :: kept;
-    List.length !restart_times > max_restarts
-  in
+  let restarts = ref 0 in
   let escalate () =
     tree.escalations <- tree.escalations + 1;
-    emit_ev tree (Escalated path);
+    if Trace.on () then Trace.emit ~ts:(tree.clock ()) (Tev.Sup_escalate { path });
+    if Metrics.on () then Metrics.inc "sup_escalations_total";
     kill_and_wait (List.filter (fun rt -> rt.c_cancel <> None) rts);
     raise (Escalation path)
   in
@@ -306,26 +255,21 @@ and run_sup tree mb path ~strategy ~max_restarts ~window ~children =
   List.iter (start_child tree mb) rts;
   let rec loop () =
     match recv () with
-    | Stop_req ->
-        List.iter stop_child (List.rev rts);
-        emit_ev tree (Stopped path)
+    | Stop_req -> List.iter stop_child (List.rev rts)
     | Child_exited (rt, gen, _) when gen <> rt.c_gen -> loop ()  (* stale *)
     | Child_exited (rt, _, reason) ->
         note_exit rt reason;
+        (* every child is restarted after an abnormal exit (a crash, or
+           a kill the supervisor did not itself request) and only then *)
         let abnormal =
           match reason with
           | Exit_crashed _ -> true
           | Exit_killed -> not rt.c_expect_kill
           | Exit_normal -> false
         in
-        let want_restart =
-          match spec_restart rt.c_spec with
-          | Permanent -> true
-          | Transient -> abnormal
-          | Temporary -> false
-        in
-        if want_restart then begin
-          if over_budget () then escalate ()
+        if abnormal then begin
+          incr restarts;
+          if !restarts > max_restarts then escalate ()
           else begin
             tree.restarts <- tree.restarts + 1;
             let targets =
@@ -339,7 +283,9 @@ and run_sup tree mb path ~strategy ~max_restarts ~window ~children =
             List.iter
               (fun r ->
                 if not r.c_done then begin
-                  emit_ev tree (Restarted r.c_path);
+                  if Trace.on () then
+                    Trace.emit ~ts:(tree.clock ()) (Tev.Sup_restart { path = r.c_path });
+                  if Metrics.on () then Metrics.inc "sup_restarts_total";
                   start_child tree mb r
                 end)
               targets
@@ -374,14 +320,13 @@ type handle = {
   mutable h_waiters : unit Sched.resumer list;
 }
 
-let start ?(clock = fun () -> 0) ?(on_event = fun _ -> ()) spec =
+let start ?(clock = fun () -> 0) spec =
   match spec with
   | Worker _ -> invalid_arg "Supervise.start: top-level spec must be a supervisor"
   | Sup s ->
       let tree =
         {
           clock;
-          on_event;
           registry = Hashtbl.create 16;
           restarts = 0;
           escalations = 0;
@@ -403,8 +348,7 @@ let start ?(clock = fun () -> 0) ?(on_event = fun _ -> ()) spec =
             let out =
               match
                 run_sup tree mb s.s_name ~strategy:s.s_strategy
-                  ~max_restarts:s.s_max_restarts ~window:s.s_window
-                  ~children:s.s_children
+                  ~max_restarts:s.s_max_restarts ~children:s.s_children
               with
               | () -> Completed
               | exception Escalation p -> Gave_up p
@@ -457,9 +401,7 @@ let restarts h = h.h_tree.restarts
 
 let escalations h = h.h_tree.escalations
 
-(* A nursery child's cancel handle until its fork returns.  It stays out
-   of [Nursery], whose block module initialisation allocates (see
-   Sched's [Ctl]). *)
+(* A nursery child's cancel handle until its fork returns. *)
 let no_cancel () = ()
 
 (* Trio-style structured concurrency on top of [fork_cancellable]:

@@ -6,12 +6,18 @@
     effects and funnels every possible end of the fiber — normal
     return, escaped exception, {!Sched.Cancelled} or {!Sched.Killed}
     unwind — into one exit message to the parent.  Restart strategies,
-    intensity windows and escalation are plain message-loop logic: the
+    restart budgets and escalation are plain message-loop logic: the
     paper's claim that retrofitted handlers make concurrency patterns
     library code, applied to OTP.
 
-    Time is virtual: pass [clock] (e.g. [Evloop.now loop]) and restart
-    windows / heartbeat staleness become deterministic in the seed. *)
+    Every child is restarted after an abnormal exit (a crash, or a kill
+    its supervisor did not itself request) and never after a normal
+    one.  Restarts, escalations and child exits go to the eventlog
+    ([Sup_restart], [Sup_escalate], [Sup_child_exit]) and to the
+    metrics registry when those are on.
+
+    Time is virtual: pass [clock] (e.g. [Evloop.now loop]) and
+    heartbeats and eventlog stamps become deterministic in the seed. *)
 
 exception Escalation of string
 (** Raised (internally) by a supervisor whose restart budget is blown;
@@ -24,34 +30,19 @@ type strategy =
   | One_for_all  (** kill and restart all children *)
   | Rest_for_one  (** kill and restart the exited child and all started after it *)
 
-type restart =
-  | Permanent  (** always restart, even after a normal exit *)
-  | Transient  (** restart only after an abnormal exit (crash, or a kill
-                   the supervisor did not itself request) *)
-  | Temporary  (** never restart *)
-
 type exit_reason = Exit_normal | Exit_crashed of exn | Exit_killed
 
 type outcome = Completed | Gave_up of string
 
-type event =
-  | Started of string
-  | Exited of string * exit_reason
-  | Restarted of string
-  | Escalated of string
-  | Stopped of string
-
 type spec
 
-val worker : ?restart:restart -> string -> (unit -> unit) -> spec
-(** A leaf child.  [restart] defaults to [Transient].  The fiber is
-    opted into chaos kills: it has a restart story, after all. *)
+val worker : string -> (unit -> unit) -> spec
+(** A leaf child.  The fiber is opted into chaos kills: it has a
+    restart story, after all. *)
 
-val supervisor :
-  ?strategy:strategy -> ?max_restarts:int -> ?window:int -> string -> spec list -> spec
-(** A supervisor child.  At most [max_restarts] (default 3) restarts
-    within [window] clock units (default 0 = unbounded window, i.e. a
-    total budget); one more escalates.  Supervisor fibers are never
+val supervisor : ?strategy:strategy -> ?max_restarts:int -> string -> spec list -> spec
+(** A supervisor child.  At most [max_restarts] (default 3) restarts in
+    its lifetime; one more escalates.  Supervisor fibers are never
     killable — chaos targets the leaves. *)
 
 (** A single-reader mailbox: [send] never blocks, [recv] parks.
@@ -80,13 +71,10 @@ val heartbeat : unit -> unit
 
 type handle
 
-val start :
-  ?clock:(unit -> int) -> ?on_event:(event -> unit) -> spec -> handle
+val start : ?clock:(unit -> int) -> spec -> handle
 (** Fork the tree (root spec must be a supervisor) and return its
     handle.  The whole tree is running — every worker forked, every
-    supervisor parked on its mailbox — when this returns.  [on_event]
-    observes lifecycle transitions; supervision trace events and
-    metrics are emitted regardless when enabled. *)
+    supervisor parked on its mailbox — when this returns. *)
 
 val running : handle -> bool
 
@@ -103,8 +91,8 @@ val shutdown : handle -> outcome
 
 val kill : handle -> string -> bool
 (** [kill h name] force-kills the named child (leaf name, e.g.
-    ["accept-0"]) — an {e abnormal} exit, so its supervisor restarts it
-    per its restart policy.  This is the watchdog's hammer.  [false] if
+    ["accept-0"]) — an {e abnormal} exit, so its supervisor restarts it.
+    This is the watchdog's hammer.  [false] if
     no such child is running. *)
 
 val last_heartbeat : handle -> string -> int option
@@ -146,9 +134,6 @@ module Nursery : sig
   val failed : t -> exn option
 
   val live : t -> int
-
-  val cancel_scope : t -> unit
-  (** Cancel every still-running child now (each exactly once). *)
 
   val name : t -> string
 end

@@ -98,11 +98,11 @@ let folded t =
     (stacks t);
   Buffer.contents buf
 
-let publish ?r t =
+let publish t =
   if Metrics.on () then begin
-    Metrics.inc ?r ~by:t.samples "profile_samples_total";
-    Metrics.inc ?r ~by:t.failures "profile_unwind_failures_total";
-    Metrics.inc ?r ~by:t.boundary_samples "profile_fiber_boundary_samples_total";
-    Metrics.inc ?r ~by:t.wait_samples "profile_wait_samples_total";
-    Metrics.set_gauge ?r "profile_distinct_stacks" (Hashtbl.length t.stacks)
+    Metrics.inc ~by:t.samples "profile_samples_total";
+    Metrics.inc ~by:t.failures "profile_unwind_failures_total";
+    Metrics.inc ~by:t.boundary_samples "profile_fiber_boundary_samples_total";
+    Metrics.inc ~by:t.wait_samples "profile_wait_samples_total";
+    Metrics.set_gauge "profile_distinct_stacks" (Hashtbl.length t.stacks)
   end

@@ -50,6 +50,6 @@ val stacks : t -> (string * int) list
 val folded : t -> string
 (** The folded flamegraph file contents. *)
 
-val publish : ?r:Retrofit_metrics.Metrics.t -> t -> unit
+val publish : t -> unit
 (** Push sample/failure/boundary totals into the metrics registry
     (no-op while the registry is disabled). *)

@@ -76,13 +76,11 @@ let backtrace ?interp_ops table machine =
   backtrace_from ?interp_ops table machine ~pc:(Machine.saved_pc machine id)
     ~sp:(Machine.saved_sp machine id)
 
-let backtrace_of_fiber ?interp_ops table machine (f : Fiber.t) =
-  backtrace_from ?interp_ops table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp
-
-let snapshot_continuations ?interp_ops table machine =
+let snapshot_continuations table machine =
   List.map
     (fun (kid, fibers) ->
-      (kid, backtrace_of_fiber ?interp_ops table machine (List.hd fibers)))
+      let (f : Fiber.t) = List.hd fibers in
+      (kid, backtrace_from table machine ~pc:f.Fiber.regs.pc ~sp:f.Fiber.regs.sp))
     (Machine.live_continuations machine)
 
 let name = function

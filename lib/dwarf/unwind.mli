@@ -43,8 +43,7 @@ val iter :
 (** [backtrace] one entry at a time, in the same order, without building
     the list.  @raise Unwind_error as [backtrace] does. *)
 
-val snapshot_continuations :
-  ?interp_ops:int ref -> Table.t -> Retrofit_fiber.Machine.t -> (int * entry list) list
+val snapshot_continuations : Table.t -> Retrofit_fiber.Machine.t -> (int * entry list) list
 (** A backtrace for every live continuation, unwound from its suspended
     fiber's saved registers and ending with [Captured_end] at the
     severed parent — the "backtrace snapshot of all current requests"

@@ -21,11 +21,11 @@ let stack_cache ?(quick = false) () =
       (List.map
          (fun name ->
            [
-             name;
-             string_of_int (Counter.get with_cache name);
-             string_of_int (Counter.get without name);
+             Counter.to_string name;
+             string_of_int (Counter.value with_cache name);
+             string_of_int (Counter.value without name);
            ])
-         [ "malloc"; "stack_cache_hit"; "fiber_alloc"; "instructions" ])
+         Counter.[ Malloc; Stack_cache_hit; Fiber_alloc; Instructions ])
 
 (* A program with leaf functions in each frame class (small <= 16,
    mid <= 32, big > 32 words), so the sweep shows the elision rule
@@ -66,8 +66,8 @@ let red_zone_sweep ?(quick = false) () =
         let counters = run_counters cfg p in
         [
           string_of_int rz;
-          string_of_int (Counter.get counters "overflow_check");
-          string_of_int (Counter.get counters "check_elided");
+          string_of_int (Counter.value counters Counter.Overflow_check);
+          string_of_int (Counter.value counters Counter.Check_elided);
           string_of_int (F.Otss.checked_functions cfg compiled);
           string_of_int (F.Otss.total cfg compiled);
         ])
@@ -93,9 +93,9 @@ let initial_size_sweep ?(quick = false) () =
         let counters = run_counters cfg p in
         [
           string_of_int words;
-          string_of_int (Counter.get counters "stack_grow");
-          string_of_int (Counter.get counters "words_copied");
-          string_of_int (Counter.get counters "instructions");
+          string_of_int (Counter.value counters Counter.Stack_grow);
+          string_of_int (Counter.value counters Counter.Words_copied);
+          string_of_int (Counter.value counters Counter.Instructions);
         ])
       [ 16; 64; 256; 1024 ]
   in
@@ -144,7 +144,7 @@ let exceptions_vs_effects ?(quick = false) () =
   in
   let exn_c = run_counters F.Config.mc exn_prog in
   let eff_c = run_counters F.Config.mc eff_prog in
-  let per name c = float_of_int (Counter.get c "instructions") /. float_of_int iters |> fun v -> (name, Printf.sprintf "%.1f instr/iter" v) in
+  let per name c = float_of_int (Counter.value c Counter.Instructions) /. float_of_int iters |> fun v -> (name, Printf.sprintf "%.1f instr/iter" v) in
   "Exceptions as linked trap frames vs as effects (why §5.1 keeps stock\n\
    exceptions):\n"
   ^ Retrofit_util.Table.render_kv
@@ -161,17 +161,16 @@ let one_shot_vs_multishot ?(quick = false) () =
   let one_shot = run_counters F.Config.mc p in
   let multi = run_counters (F.Config.with_multishot true F.Config.mc) p in
   let row name = [
-    name;
-    string_of_int (Counter.get one_shot name);
-    string_of_int (Counter.get multi name);
+    Counter.to_string name;
+    string_of_int (Counter.value one_shot name);
+    string_of_int (Counter.value multi name);
   ] in
   "One-shot vs multi-shot (copying) resumption on the effect roundtrip\n\
    (the §5.2 trade-off: one-shot avoids copying entirely):\n"
   ^ Retrofit_util.Table.render
       ~align:[ Retrofit_util.Table.Left; Retrofit_util.Table.Right; Retrofit_util.Table.Right ]
       ~header:[ "counter"; "one-shot"; "multi-shot" ]
-      [ row "instructions"; row "words_copied"; row "cont_copy"; row "malloc";
-        row "fiber_alloc" ]
+      (List.map row Counter.[ Instructions; Words_copied; Cont_copy; Malloc; Fiber_alloc ])
 
 let unwind_strategy ?(quick = false) () =
   let p = if quick then F.Programs.fib ~n:10 else F.Programs.fib ~n:14 in

@@ -27,7 +27,7 @@ let profiled_run ?(quick = false) () =
   | F.Machine.Uncaught (l, _) -> failwith ("observe workload raised " ^ l)
   | F.Machine.Fatal m -> failwith ("observe workload fatal: " ^ m));
   if Metrics.on () then begin
-    Metrics.merge_counter_table ~prefix:"fiber_" counters;
+    Metrics.merge_counter_table counters;
     Metrics.set_gauge "stack_cache_lookups" cache_stats.F.Stack_cache.lookups;
     Metrics.set_gauge "stack_cache_hits" cache_stats.F.Stack_cache.hits;
     Metrics.set_gauge "stack_cache_misses" cache_stats.F.Stack_cache.misses;

@@ -20,7 +20,7 @@ let run_counters cfg p =
   | F.Machine.Fatal msg, _ -> failwith ("stacklab program failed: " ^ msg)
   | _, counters -> counters
 
-let num c name = string_of_int (Counter.get c name)
+let num c name = string_of_int (Counter.value c name)
 
 let right n = List.init n (fun _ -> Table.Right)
 
@@ -33,11 +33,11 @@ let growth ?(quick = false) () =
         let c = run_counters (F.Config.with_policy pol F.Config.mc) p in
         [
           F.Stack_policy.name pol;
-          num c "stack_grow";
-          num c "words_copied";
-          num c "chunk_commit";
-          num c "page_fault";
-          num c "instructions";
+          num c Counter.Stack_grow;
+          num c Counter.Words_copied;
+          num c Counter.Chunk_commit;
+          num c Counter.Page_fault;
+          num c Counter.Instructions;
         ])
       policies
   in
@@ -59,12 +59,12 @@ let per_call ?(quick = false) () =
     List.map
       (fun pol ->
         let c = run_counters (F.Config.with_policy pol F.Config.mc) p in
-        let instr = Counter.get c "instructions" in
+        let instr = Counter.value c Counter.Instructions in
         [
           F.Stack_policy.name pol;
-          num c "overflow_check";
-          num c "check_elided";
-          num c "segment_check";
+          num c Counter.Overflow_check;
+          num c Counter.Check_elided;
+          num c Counter.Segment_check;
           string_of_int instr;
           Printf.sprintf "%.1f" (float_of_int instr /. float_of_int iters);
         ])
@@ -91,16 +91,16 @@ let cache ?(quick = false) () =
     List.map
       (fun pol ->
         let c = run_counters (F.Config.with_policy pol F.Config.mc) p in
-        let lookups = Counter.get c "stack_cache_lookup" in
-        let hits = Counter.get c "stack_cache_hit" in
+        let lookups = Counter.value c Counter.Stack_cache_lookup in
+        let hits = Counter.value c Counter.Stack_cache_hit in
         [
           F.Stack_policy.name pol;
           string_of_int lookups;
           string_of_int hits;
           (if lookups = 0 then "-"
            else Printf.sprintf "%.1f%%" (100. *. float_of_int hits /. float_of_int lookups));
-          num c "chunk_pool_hit";
-          num c "malloc";
+          num c Counter.Chunk_pool_hit;
+          num c Counter.Malloc;
         ])
       policies
   in
@@ -136,11 +136,11 @@ let nqueens ?(quick = false) () =
         [
           F.Stack_policy.name pol;
           solutions;
-          num c "cont_copy";
-          num c "words_copied";
-          num c "cont_share";
-          num c "cow_words";
-          num c "instructions";
+          num c Counter.Cont_copy;
+          num c Counter.Words_copied;
+          num c Counter.Cont_share;
+          num c Counter.Cow_words;
+          num c Counter.Instructions;
         ])
       clone_policies
   in

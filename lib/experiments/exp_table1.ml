@@ -14,7 +14,7 @@ let machine_instr cfg p =
   let compiled = F.Compile.compile p in
   match F.Machine.run ~cfuns:F.Programs.standard_cfuns cfg compiled with
   | F.Machine.Fatal msg, _ -> failwith ("Table 1 program failed: " ^ msg)
-  | _, counters -> Retrofit_util.Counter.get counters "instructions"
+  | _, counters -> Retrofit_util.Counter.(value counters Instructions)
 
 let row ?(time = None) bench p =
   let stock_instr = machine_instr F.Config.stock p in

@@ -369,8 +369,7 @@ let raise_ref :
 (* In-place growth for the segmented and large-reserve policies: commit
    chunks below the live region until the frame (plus the red-zone
    scratch that callbacks and boundary traps rely on) fits.  No copy,
-   no rebasing.  Returns false — after raising Stack_overflow — when
-   the reservation is exhausted. *)
+   no rebasing.  Returns false when the reservation is exhausted. *)
 let grow_in_place t (f : Fiber.t) ~needed ~per_chunk =
   let seg = f.seg in
   let old_words = Segment.size seg in
@@ -382,11 +381,7 @@ let grow_in_place t (f : Fiber.t) ~needed ~per_chunk =
       Segment.extend seg (take_chunk t ~words:(Segment.ext_words seg));
       loop ()
     end
-    else begin
-      (* The reservation's guard page: a real overflow. *)
-      !raise_ref t t.overflow_id 0;
-      false
-    end
+    else false (* the reservation's guard page: a real overflow *)
   in
   let ok = loop () in
   if ok && Trace.on () && Segment.size seg > old_words then
@@ -400,6 +395,32 @@ let grow_in_place t (f : Fiber.t) ~needed ~per_chunk =
          });
   ok
 
+(* Make room for [needed] words (plus the red zone) below [f]'s sp by
+   the policy's own step: copy-and-double growth, or committing chunks
+   or pages in place.  False when the stack cannot grow: the stock
+   stack's guard page, or an exhausted reservation; the caller raises
+   Stack_overflow. *)
+let make_room t (f : Fiber.t) ~needed =
+  match t.cfg.kind with
+  | Config.Stock -> false
+  | Config.Mc -> (
+      match t.cfg.Config.policy.Stack_policy.pk with
+      | Stack_policy.Copy_double ->
+          grow t f ~needed;
+          true
+      | Stack_policy.Segmented ->
+          grow_in_place t f ~needed ~per_chunk:(fun () ->
+              count t Counter.Chunk_commit;
+              charge t Costs.chunk_commit)
+      | Stack_policy.Large_reserve ->
+          (* Crossing the committed watermark is a modeled fault that
+             commits pages in place. *)
+          count t Counter.Page_fault;
+          charge t Costs.page_fault;
+          grow_in_place t f ~needed ~per_chunk:(fun () ->
+              count t Counter.Page_commit;
+              charge t Costs.page_commit))
+
 (* Enter function [fid] on [f].  Its arguments are the top [nparams]
    words of [f]'s operand stack, the last one on top; they move into the
    new frame's parameter slots and leave the stack. *)
@@ -412,12 +433,8 @@ let emulate_call t (f : Fiber.t) fid ~ra =
   let ok =
     match t.cfg.kind with
     | Config.Stock ->
-        if f.regs.sp - needed < Segment.limit f.seg then begin
-          (* Guard page hit: stock OCaml raises Stack_overflow. *)
-          !raise_ref t t.overflow_id 0;
-          false
-        end
-        else true
+        (* A guard page hit raises Stack_overflow below. *)
+        f.regs.sp - needed >= Segment.limit f.seg
     | Config.Mc -> (
         match t.cfg.Config.policy.Stack_policy.pk with
         | Stack_policy.Copy_double ->
@@ -450,25 +467,15 @@ let emulate_call t (f : Fiber.t) fid ~ra =
                elision to buy back (the libseff segmented trade-off). *)
             count t Counter.Segment_check;
             charge t Costs.segment_check;
-            if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
-              grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t Counter.Chunk_commit;
-                  charge t Costs.chunk_commit)
-            else true
+            f.regs.sp - needed >= Segment.limit f.seg + t.cfg.red_zone
+            || make_room t f ~needed
         | Stack_policy.Large_reserve ->
-            (* No prologue checks at all: the guard page is the check.
-               Crossing the committed watermark is a modeled fault that
-               commits pages in place. *)
-            if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then begin
-              count t Counter.Page_fault;
-              charge t Costs.page_fault;
-              grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t Counter.Page_commit;
-                  charge t Costs.page_commit)
-            end
-            else true)
+            (* No prologue checks at all: the guard page is the check. *)
+            f.regs.sp - needed >= Segment.limit f.seg + t.cfg.red_zone
+            || make_room t f ~needed)
   in
-  if ok then begin
+  if not ok then !raise_ref t t.overflow_id 0
+  else begin
     bump t slot_call 1;
     charge t Costs.call;
     let ra_addr = f.regs.sp - 1 in
@@ -843,6 +850,14 @@ let pop_trap t (f : Fiber.t) =
   f.regs.sp <- a + 2;
   Ivec.truncate f.traps (Ivec.length f.traps - 2)
 
+(* The context word and the boundary trap of a callback take three
+   words below sp.  A checked prologue leaves the red zone free for
+   them; with a red zone under three words, make room as a call does.
+   A stack that cannot grow raises Stack_overflow out of the callback. *)
+let make_callback_room t (f : Fiber.t) =
+  if f.regs.sp - 3 < Segment.limit f.seg && not (make_room t f ~needed:3) then
+    raise (Ocaml_exn (Compile.exn_name t.prog t.overflow_id, 0))
+
 (* ------------------------------------------------------------------ *)
 (* Instruction dispatch *)
 
@@ -990,8 +1005,9 @@ and run_callback t name args =
   in
   count t Counter.Callback;
   charge t (Costs.callback t.cfg);
-  if Trace.on () then emit_ev t (Tev.Callback_begin { name });
   let f = t.current in
+  make_callback_room t f;
+  if Trace.on () then emit_ev t (Tev.Callback_begin { name });
   (* Save and blank the handler for the duration (§5.3): effects
      performed under the callback must not find it.  The parent pointer
      stays — backtraces cross callback boundaries (Fig 1d) — and is

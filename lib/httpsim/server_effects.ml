@@ -2,10 +2,6 @@ module Sched = Retrofit_core.Sched
 
 type _ Effect.t += Io_ready : unit Effect.t
 
-let handled = ref 0
-
-let requests_handled () = !handled
-
 (* The per-request thread body, in direct style: wait for the socket,
    parse, handle, serialise.  [pre] runs between the socket wait and
    the parse: the supervised simulation injects the request's service
@@ -19,7 +15,6 @@ let request_thread ~pre raw () =
   | Error e -> Http.format_response (Http.bad_request e)
 
 let process_raw_with ?(pre = fun () -> ()) raw =
-  incr handled;
   Effect.Deep.match_with (request_thread ~pre raw) ()
     {
       Effect.Deep.retc = Fun.id;

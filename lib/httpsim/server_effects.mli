@@ -22,6 +22,3 @@ val process_raw_with : ?pre:(unit -> unit) -> string -> string
     an exception escaping the handler still becomes a 500, but a
     {!Retrofit_core.Sched.Cancelled} or {!Retrofit_core.Sched.Killed}
     unwind re-raises (cancelled ≠ crashed). *)
-
-val requests_handled : unit -> int
-(** Total requests processed since program start. *)

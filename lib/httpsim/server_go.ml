@@ -1,9 +1,5 @@
 module Sched = Retrofit_core.Sched
 
-let handled = ref 0
-
-let requests_handled () = !handled
-
 (* A single-threaded GOMAXPROCS=1 world: goroutines are queued closures
    run to completion. *)
 let runq : (unit -> unit) Queue.t = Queue.create ()
@@ -16,7 +12,6 @@ let run_all () =
   done
 
 let process_raw_with ?(pre = fun () -> ()) raw =
-  incr handled;
   let result = ref "" in
   go (fun () ->
       (* Crash barrier: a panicking handler goroutine recovers to a 500

@@ -14,5 +14,3 @@ val process_raw_with : ?pre:(unit -> unit) -> string -> string
     inside the recover barrier.  {!Retrofit_core.Sched.Cancelled} and
     {!Retrofit_core.Sched.Killed} re-raise instead of recovering to a
     500: cancelled ≠ crashed. *)
-
-val requests_handled : unit -> int

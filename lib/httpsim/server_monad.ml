@@ -1,12 +1,7 @@
 module L = Retrofit_monad.Lwtlike
 module Sched = Retrofit_core.Sched
 
-let handled = ref 0
-
-let requests_handled () = !handled
-
 let process_raw_with ?(pre = fun () -> ()) raw =
-  incr handled;
   let open L in
   run
     (* Crash barrier: a handler exception fails the promise chain and is

@@ -312,10 +312,8 @@ let run_server ~(model : Server.model)
         Sup.supervisor ~strategy:cfg.listener_strategy ~max_restarts:cfg.max_restarts
           "listeners"
           (List.init cfg.shards (fun i ->
-               Sup.worker ~restart:Sup.Transient
-                 ("accept-" ^ string_of_int i)
-                 (accept_loop i)));
-        Sup.worker ~restart:Sup.Transient "watchdog" watchdog;
+               Sup.worker ("accept-" ^ string_of_int i) (accept_loop i)));
+        Sup.worker "watchdog" watchdog;
       ]
   in
   let in_flight () =

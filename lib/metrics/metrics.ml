@@ -25,11 +25,7 @@ type instrument =
   | Gauge of int ref
   | Hist of Histogram.t
 
-type t = { tbl : ((string * labels) , instrument) Hashtbl.t }
-
-let create () = { tbl = Hashtbl.create 64 }
-
-let default = create ()
+let tbl : (string * labels, instrument) Hashtbl.t = Hashtbl.create 64
 
 let enabled = ref false
 
@@ -37,72 +33,67 @@ let on () = !enabled
 
 (* Enable for the duration of [f], restoring the previous state: tests
    and scoped experiment runs must not leak enablement. *)
-let scoped ?(r = default) f =
+let scoped f =
   let saved = !enabled in
   enabled := true;
-  Fun.protect ~finally:(fun () -> enabled := saved) (fun () -> f r)
+  Fun.protect ~finally:(fun () -> enabled := saved) f
 
-let reset r = Hashtbl.reset r.tbl
+let reset () = Hashtbl.reset tbl
 
 let norm_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
-let find_or_add r name labels make =
+let find_or_add name labels make =
   let key = (name, norm_labels labels) in
-  match Hashtbl.find_opt r.tbl key with
+  match Hashtbl.find_opt tbl key with
   | Some i -> i
   | None ->
       let i = make () in
-      Hashtbl.add r.tbl key i;
+      Hashtbl.add tbl key i;
       i
 
 let kind_mismatch name =
   invalid_arg (Printf.sprintf "Metrics: %s already registered with another kind" name)
 
-let inc ?(r = default) ?(labels = []) ?(by = 1) name =
+let inc ?(labels = []) ?(by = 1) name =
   if !enabled then
-    match find_or_add r name labels (fun () -> Counter (ref 0)) with
+    match find_or_add name labels (fun () -> Counter (ref 0)) with
     | Counter c -> c := !c + by
     | _ -> kind_mismatch name
 
-let set_gauge ?(r = default) ?(labels = []) name v =
+let set_gauge ?(labels = []) name v =
   if !enabled then
-    match find_or_add r name labels (fun () -> Gauge (ref 0)) with
+    match find_or_add name labels (fun () -> Gauge (ref 0)) with
     | Gauge g -> g := v
     | _ -> kind_mismatch name
 
 let default_hist_max = 60_000_000_000
 
-let observe ?(r = default) ?(labels = []) ?(max_value = default_hist_max) name v =
+let observe ?(max_value = default_hist_max) name v =
   if !enabled then
-    match
-      find_or_add r name labels (fun () ->
-          Hist (Histogram.create ~max_value ()))
-    with
+    match find_or_add name [] (fun () -> Hist (Histogram.create ~max_value ())) with
     | Hist h -> Histogram.record h v
     | _ -> kind_mismatch name
 
 (* Fold a whole pre-recorded histogram into the registry's instrument
    (creating it as a copy on first sight), preserving bucket sums. *)
-let observe_histogram ?(r = default) ?(labels = []) name src =
+let observe_histogram ?(labels = []) name src =
   if !enabled then begin
     let key = (name, norm_labels labels) in
-    match Hashtbl.find_opt r.tbl key with
-    | None -> Hashtbl.add r.tbl key (Hist (Histogram.copy src))
+    match Hashtbl.find_opt tbl key with
+    | None -> Hashtbl.add tbl key (Hist (Histogram.copy src))
     | Some (Hist h) -> Histogram.merge_into ~dst:h src
     | Some _ -> kind_mismatch name
   end
 
-(* Ingest an ad-hoc [Util.Counter] table (e.g. a fiber machine's probe
-   counters) as registry counters under [prefix]. *)
-let merge_counter_table ?(r = default) ?(labels = []) ?(prefix = "") table =
+(* Ingest a fiber machine's [Util.Counter] table as registry counters
+   under "fiber_". *)
+let merge_counter_table table =
   if !enabled then
-    List.iter
-      (fun (name, v) -> inc ~r ~labels ~by:v (prefix ^ name))
-      (Counter_tbl.to_list table)
+    List.iter (fun (name, v) -> inc ~by:v ("fiber_" ^ name)) (Counter_tbl.to_list table)
 
-let get ?(r = default) ?(labels = []) name =
-  match Hashtbl.find_opt r.tbl (name, norm_labels labels) with
+let get ?(labels = []) name =
+  match Hashtbl.find_opt tbl (name, norm_labels labels) with
   | Some (Counter c) -> !c
   | Some (Gauge g) -> !g
   | Some (Hist h) -> Histogram.count h
@@ -131,7 +122,7 @@ let compare_sample a b =
   | 0 -> compare a.labels b.labels
   | c -> c
 
-let snapshot ?(r = default) () =
+let snapshot () =
   Hashtbl.fold
     (fun (name, labels) inst acc ->
       let value =
@@ -154,7 +145,7 @@ let snapshot ?(r = default) () =
               }
       in
       { name; labels; value } :: acc)
-    r.tbl []
+    tbl []
   |> List.sort compare_sample
 
 let render_labels = function
@@ -170,8 +161,8 @@ let quantile_labels labels q = norm_labels (("quantile", q) :: labels)
 (* Prometheus text exposition (version 0.0.4 flavoured): one # TYPE
    line per metric name, then one line per labelled sample.  Histograms
    render as summaries with fixed quantiles plus _count / _saturated. *)
-let to_prometheus ?(r = default) () =
-  let samples = snapshot ~r () in
+let to_prometheus () =
+  let samples = snapshot () in
   let buf = Buffer.create 1024 in
   let last_name = ref "" in
   List.iter

@@ -1,4 +1,4 @@
-(** Process-wide metrics registry.
+(** The process-wide metrics registry.
 
     Named, labelled instruments — counters, gauges and HDR histograms —
     with a deterministic snapshot and a Prometheus-style text
@@ -12,44 +12,38 @@
     hash order: two runs of the same seeded workload render
     byte-identical text. *)
 
-type t
-
 type labels = (string * string) list
-
-val create : unit -> t
-
-val default : t
-(** The process-wide registry used when [?r] is omitted. *)
 
 val on : unit -> bool
 
-val scoped : ?r:t -> (t -> 'a) -> 'a
-(** Enable for the duration of the callback (restoring the previous
-    state), passing the registry through. *)
+val scoped : (unit -> 'a) -> 'a
+(** Enable for the duration of the callback, restoring the previous
+    state.  What the registry held before stays: call {!reset} first for
+    a clean slate. *)
 
-val reset : t -> unit
+val reset : unit -> unit
+(** Drop every instrument. *)
 
-val inc : ?r:t -> ?labels:labels -> ?by:int -> string -> unit
+val inc : ?labels:labels -> ?by:int -> string -> unit
 (** Increment a counter (created at zero on first use).
     @raise Invalid_argument if the name is registered as another kind. *)
 
-val set_gauge : ?r:t -> ?labels:labels -> string -> int -> unit
+val set_gauge : ?labels:labels -> string -> int -> unit
 
-val observe : ?r:t -> ?labels:labels -> ?max_value:int -> string -> int -> unit
+val observe : ?max_value:int -> string -> int -> unit
 (** Record one value into a histogram instrument (created on first use
     with [max_value], default 60 s in ns). *)
 
-val observe_histogram : ?r:t -> ?labels:labels -> string -> Retrofit_util.Histogram.t -> unit
+val observe_histogram : ?labels:labels -> string -> Retrofit_util.Histogram.t -> unit
 (** Fold an entire pre-recorded histogram into the instrument,
     preserving bucket sums (the registry stores a copy; the argument is
     not retained). *)
 
-val merge_counter_table :
-  ?r:t -> ?labels:labels -> ?prefix:string -> Retrofit_util.Counter.t -> unit
-(** Ingest an ad-hoc counter table (e.g. a fiber machine's probe
-    counters) as registry counters named [prefix ^ name]. *)
+val merge_counter_table : Retrofit_util.Counter.t -> unit
+(** Ingest a fiber machine's counter table as registry counters named
+    ["fiber_" ^ name]. *)
 
-val get : ?r:t -> ?labels:labels -> string -> int
+val get : ?labels:labels -> string -> int
 (** Current counter/gauge value (histograms: total count); 0 if absent. *)
 
 type value =
@@ -67,10 +61,10 @@ type value =
 
 type sample = { name : string; labels : labels; value : value }
 
-val snapshot : ?r:t -> unit -> sample list
+val snapshot : unit -> sample list
 (** Atomic, deterministic view: sorted by (name, labels). *)
 
-val to_prometheus : ?r:t -> unit -> string
+val to_prometheus : unit -> string
 (** Text exposition: [# TYPE] lines plus one line per sample;
     histograms render as summaries with 0.5/0.9/0.99 quantiles and
     [_count] / [_saturated] lines. *)

@@ -415,12 +415,12 @@ let run_config ?(fuel = 10_000_000) ?trace ?(one_shot = false) cfg =
   in
   go cfg fuel
 
-let steps_taken ?fuel e = run_config ?fuel (initial (Ast.elaborate e))
+let steps_taken e = run_config (initial (Ast.elaborate e))
 
 let run ?fuel ?trace ?one_shot e =
   snd (run_config ?fuel ?trace ?one_shot (initial (Ast.elaborate e)))
 
-let run_string ?fuel src = run ?fuel (Parser.parse_exn src)
+let run_string src = run (Parser.parse_exn src)
 
 let result_to_string = function
   | Value v -> Printf.sprintf "value %s" (value_to_string v)

@@ -41,10 +41,11 @@ val run :
     conformance fuzzer aligns this machine with the one-shot fiber
     runtime and native OCaml effects. *)
 
-val run_string : ?fuel:int -> string -> result
-(** Parse and [run]. @raise Invalid_argument on a syntax error. *)
+val run_string : string -> result
+(** Parse and [run] with the default fuel. @raise Invalid_argument on a
+    syntax error. *)
 
-val steps_taken : ?fuel:int -> Ast.t -> int * result
+val steps_taken : Ast.t -> int * result
 (** Like [run] but also counts reduction steps, for the semantics-level
     cost experiments. *)
 

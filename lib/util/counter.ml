@@ -84,11 +84,6 @@ let to_string = function
   | Switch -> "switch"
   | Words_copied -> "words_copied"
 
-let of_string s =
-  match List.find_opt (fun n -> to_string n = s) all with
-  | Some n -> n
-  | None -> invalid_arg ("Counter.of_string: unknown counter " ^ s)
-
 (* The slot of each name: its position in [all].  A match on constant
    constructors whose results are consecutive compiles to arithmetic,
    so a bump is one array read and one write. *)
@@ -147,7 +142,10 @@ let incr t n = add t n 1
 
 let value t n = Array.unsafe_get t (index n)
 
-let get t s = value t (of_string s)
+let get t s =
+  match List.find_opt (fun n -> to_string n = s) all with
+  | Some n -> value t n
+  | None -> invalid_arg ("Counter.get: unknown counter " ^ s)
 
 let to_list t =
   List.filter_map

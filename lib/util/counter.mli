@@ -51,10 +51,6 @@ val to_string : name -> string
 (** The reported name: the constructor in lower case ([Words_copied] is
     ["words_copied"]). *)
 
-val of_string : string -> name
-(** Inverse of {!to_string}.  Raises [Invalid_argument] naming the
-    string when it names no counter. *)
-
 type t
 
 val create : unit -> t
@@ -76,8 +72,8 @@ val add : t -> name -> int -> unit
 val value : t -> name -> int
 
 val get : t -> string -> int
-(** [get t s] is [value t (of_string s)], so it raises [Invalid_argument]
-    when [s] names no counter. *)
+(** [get t s] is the value of the counter whose {!to_string} is [s].
+    @raise Invalid_argument naming [s] when it names no counter. *)
 
 val to_list : t -> (string * int) list
 (** The nonzero counters, sorted by name. *)

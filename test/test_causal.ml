@@ -204,16 +204,15 @@ let flows_validate () =
 (* (satellite) scheduler_runnable_wait_ns lands in the registry when
    both tracing and metrics are on *)
 let runnable_wait_metric () =
-  (* the scheduler's internal observe targets the default registry *)
-  Metrics.scoped (fun r ->
-      let before = Metrics.get ~r "scheduler_runnable_wait_ns" in
+  Metrics.reset ();
+  Metrics.scoped (fun () ->
       C.Sched.run (fun () ->
           for _ = 1 to 4 do
             C.Sched.fork (fun () -> C.Sched.yield ())
           done;
           C.Sched.yield ());
       Alcotest.(check bool) "histogram observed" true
-        (Metrics.get ~r "scheduler_runnable_wait_ns" > before))
+        (Metrics.get "scheduler_runnable_wait_ns" > 0))
 
 (* (satellite) golden: the Prometheus exposition of a fixed registry is
    byte-stable, including sample ordering *)
@@ -223,24 +222,25 @@ let metrics_golden () =
   let want = really_input_string ic n in
   close_in ic;
   let got =
-    Metrics.scoped ~r:(Metrics.create ()) (fun r ->
-        Metrics.inc ~r ~labels:[ ("model", "mc") ] ~by:3 "httpsim_requests_total";
-        Metrics.inc ~r ~labels:[ ("model", "go") ] ~by:2 "httpsim_requests_total";
-        Metrics.inc ~r ~by:7 "profile_wait_samples_total";
+    Metrics.reset ();
+    Metrics.scoped (fun () ->
+        Metrics.inc ~labels:[ ("model", "mc") ] ~by:3 "httpsim_requests_total";
+        Metrics.inc ~labels:[ ("model", "go") ] ~by:2 "httpsim_requests_total";
+        Metrics.inc ~by:7 "profile_wait_samples_total";
         (* the fuzz campaign's handler-resolution census *)
-        Metrics.inc ~r ~labels:[ ("class", "mono") ] ~by:4
+        Metrics.inc ~labels:[ ("class", "mono") ] ~by:4
           "perform_site_resolution_total";
-        Metrics.inc ~r ~labels:[ ("class", "poly") ] ~by:2
+        Metrics.inc ~labels:[ ("class", "poly") ] ~by:2
           "perform_site_resolution_total";
-        Metrics.inc ~r ~labels:[ ("class", "mega") ]
+        Metrics.inc ~labels:[ ("class", "mega") ]
           "perform_site_resolution_total";
-        Metrics.set_gauge ~r "queue_depth" 5;
+        Metrics.set_gauge "queue_depth" 5;
         List.iter
           (fun v ->
-            Metrics.observe ~r ~max_value:1_000_000_000
+            Metrics.observe ~max_value:1_000_000_000
               "scheduler_runnable_wait_ns" v)
           [ 120; 450; 90_000; 1_200_000 ];
-        Metrics.to_prometheus ~r ())
+        Metrics.to_prometheus ())
   in
   Alcotest.(check string) "prometheus exposition matches golden" want got
 

@@ -141,6 +141,41 @@ let corpus_outcomes_pinned_per_model () =
       check "fiber" fib)
     C.Corpus.entries
 
+(* A callback pushes a context word and a two-word boundary trap below
+   sp.  Under a red zone of fewer than three words no prologue slack
+   holds them, so the callback must grow the stack by the policy's own
+   step.  Seed-1 programs #24 and #337 make callbacks at the edge of
+   their stack. *)
+let callbacks_make_room_under_every_red_zone () =
+  for i = 0 to 399 do
+    let p = C.Gen.program_of_seed (C.Fuzz.prog_seed ~seed:1 i) in
+    List.iter
+      (fun (pname, policy) ->
+        let run config =
+          let config = F.Config.with_policy policy config in
+          match C.Fiber_backend.run ~config p with
+          | r ->
+              (match r.C.Fiber_backend.audit_violations with
+              | [] -> ()
+              | (inv, msg) :: _ ->
+                  Alcotest.failf "program #%d under %s: audit [%s] %s" i
+                    (F.Config.name config) inv msg);
+              r.C.Fiber_backend.outcome
+          | exception e ->
+              Alcotest.failf "program #%d under %s raised %s" i (F.Config.name config)
+                (Printexc.to_string e)
+        in
+        let want = run F.Config.mc in
+        List.iter
+          (fun rz ->
+            let got = run (F.Config.mc_red_zone rz) in
+            if not (C.Outcome.equal want got) then
+              Alcotest.failf "program #%d under %s, red zone %d: %s, default %s" i pname rz
+                (C.Outcome.to_string got) (C.Outcome.to_string want))
+          [ 0; 32 ])
+      F.Stack_policy.all
+  done
+
 let suite =
   [
     test "corpus replays clean" corpus_replays_clean;
@@ -153,4 +188,5 @@ let suite =
     test "catches disabled fiber one-shot check" catches_fiber_multishot_mutation;
     test "catches multi-shot semantics machine" catches_semantics_multishot_mutation;
     test "shrinker preserves interestingness" shrinker_preserves_interestingness;
+    test "callbacks make room under every red zone" callbacks_make_room_under_every_red_zone;
   ]

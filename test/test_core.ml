@@ -545,7 +545,7 @@ let aio_ctl_edges () =
           cancel ();
           cancel ());
       Alcotest.(check int) "ran once, cancels no-ops" 1 !ran)
-    [ C.Aio.run_sync ?chaos:None; C.Aio.run_async ?chaos:None ]
+    [ C.Aio.run_sync; C.Aio.run_async ]
 
 (* A fiber cancelled while parked on a pending read: the §3.2 cleanup
    unwinds it, the eager purge drops it from the pending list, and the
@@ -649,26 +649,6 @@ let sched_chaos_kills_killable_only () =
       ());
   Alcotest.(check int) "non-killable fiber untouched" 5 !safe_steps;
   Alcotest.(check int) "killable fiber unwound once" 1 !killable_unwound
-
-(* Chaos through the async I/O runner: same seed, same bytes. *)
-let aio_chaos_deterministic () =
-  let run () =
-    let loop = C.Evloop.create () in
-    let ic = C.Chan.make_ic_lazy loop ~latency:10 [ "a"; "b"; "c" ] in
-    let oc = C.Chan.make_oc loop in
-    let chaos =
-      {
-        (C.Sched.Chaos.default ~seed:21) with
-        C.Sched.Chaos.delay_rate = 0.3;
-        spurious_rate = 0.2;
-      }
-    in
-    C.Aio.run_async ~chaos loop (fun () -> C.Aio.copy ic oc);
-    C.Chan.contents oc
-  in
-  let a = run () and b = run () in
-  Alcotest.(check string) "double run byte-identical" a b;
-  Alcotest.(check string) "nothing lost under chaos" "a\nb\nc\n" a
 
 (* Every scheduling decision of a run, pinned across rewrites of the
    scheduler: plain and cancellable forks, yields, [Mvar] hand-offs with
@@ -968,6 +948,5 @@ let suite =
     test "aio cancel races pending resume" aio_cancel_races_pending_resume;
     test "sched chaos deterministic" sched_chaos_deterministic;
     test "sched chaos kills killable only" sched_chaos_kills_killable_only;
-    test "aio chaos deterministic" aio_chaos_deterministic;
     test "sched decisions pinned" sched_decisions_pinned;
   ]

@@ -107,9 +107,9 @@ let cache_passthrough () =
   match F.Machine.run ~cache:c F.Config.mc compiled with
   | F.Machine.Done 0, counters ->
       Alcotest.(check int) "no hits" 0
-        (Retrofit_util.Counter.get counters "stack_cache_hit");
+        (Retrofit_util.Counter.(value counters Stack_cache_hit));
       Alcotest.(check bool) "misses counted" true
-        (Retrofit_util.Counter.get counters "stack_cache_miss" > 0)
+        (Retrofit_util.Counter.(value counters Stack_cache_miss) > 0)
   | _ -> Alcotest.fail "pass-through cache broke the machine"
 
 let cache_total_words_cap () =
@@ -188,11 +188,11 @@ let cache_hit_miss_lookup_identity () =
   let compiled = F.Compile.compile (F.Programs.effect_roundtrip ~iters:200) in
   match F.Machine.run F.Config.mc compiled with
   | F.Machine.Done _, counters ->
-      let get = Retrofit_util.Counter.get counters in
+      let get = Retrofit_util.Counter.value counters in
       Alcotest.(check int) "hit + miss = lookups"
-        (get "stack_cache_lookup")
-        (get "stack_cache_hit" + get "stack_cache_miss");
-      Alcotest.(check bool) "lookups happened" true (get "stack_cache_lookup" > 0)
+        (get Stack_cache_lookup)
+        (get Stack_cache_hit + get Stack_cache_miss);
+      Alcotest.(check bool) "lookups happened" true (get Stack_cache_lookup > 0)
   | _ -> Alcotest.fail "effect roundtrip failed"
 
 let cache_scoped_stats_independent () =
@@ -414,7 +414,7 @@ let mc_grows_instead () =
     | _ -> Alcotest.fail "deep recursion failed"
   in
   Alcotest.(check bool) "grew" true
-    (Retrofit_util.Counter.get counters "stack_grow" > 0)
+    (Retrofit_util.Counter.(value counters Stack_grow) > 0)
 
 (* invariance: results and key event counts independent of initial size *)
 let growth_transparent () =
@@ -424,8 +424,8 @@ let growth_transparent () =
         let cfg = F.Config.with_initial_words words F.Config.mc in
         match run_std cfg (F.Programs.counter_effect ~upto:30) with
         | F.Machine.Done v, c ->
-            (v, Retrofit_util.Counter.get c "perform",
-             Retrofit_util.Counter.get c "resume")
+            (v, Retrofit_util.Counter.(value c Perform),
+             Retrofit_util.Counter.(value c Resume))
         | _ -> Alcotest.fail "failed")
       [ 16; 64; 512 ]
   in
@@ -451,10 +451,10 @@ let cache_transparent () =
       | F.Machine.Done 0, c ->
           if cache then
             Alcotest.(check bool) "hits" true
-              (Retrofit_util.Counter.get c "stack_cache_hit" > 0)
+              (Retrofit_util.Counter.(value c Stack_cache_hit) > 0)
           else
             Alcotest.(check int) "no hits" 0
-              (Retrofit_util.Counter.get c "stack_cache_hit")
+              (Retrofit_util.Counter.(value c Stack_cache_hit))
       | _ -> Alcotest.fail "failed")
     [ true; false ]
 
@@ -464,8 +464,8 @@ let check_elision () =
   let checks rz =
     let cfg = F.Config.mc_red_zone rz in
     let _, c = run_std cfg (F.Programs.callback ~iters:100) in
-    ( Retrofit_util.Counter.get c "overflow_check",
-      Retrofit_util.Counter.get c "check_elided" )
+    ( Retrofit_util.Counter.(value c Overflow_check),
+      Retrofit_util.Counter.(value c Check_elided) )
   in
   let checked0, elided0 = checks 0 in
   let checked64, elided64 = checks 64 in
@@ -547,9 +547,9 @@ let multishot_matches_semantics () =
   let _, c =
     run (F.Config.with_multishot true F.Config.mc) F.Programs.multishot_choice
   in
-  Alcotest.(check int) "two copies" 2 (Retrofit_util.Counter.get c "cont_copy");
+  Alcotest.(check int) "two copies" 2 (Retrofit_util.Counter.(value c Cont_copy));
   Alcotest.(check bool) "words copied" true
-    (Retrofit_util.Counter.get c "words_copied" > 0)
+    (Retrofit_util.Counter.(value c Words_copied) > 0)
 
 (* one-shot programs behave identically whether or not copying is on *)
 let multishot_transparent_for_one_shot () =
@@ -576,13 +576,13 @@ let multishot_transparent_for_one_shot () =
 let fibers_freed () =
   let _, c = run_std F.Config.mc (F.Programs.effect_roundtrip ~iters:50) in
   Alcotest.(check int) "allocs = frees"
-    (Retrofit_util.Counter.get c "fiber_alloc")
-    (Retrofit_util.Counter.get c "fiber_free")
+    (Retrofit_util.Counter.(value c Fiber_alloc))
+    (Retrofit_util.Counter.(value c Fiber_free))
 
 let reperform_cost_linear () =
   let reperforms depth =
     let _, c = run F.Config.mc (F.Programs.effect_depth ~depth ~iters:1) in
-    Retrofit_util.Counter.get c "reperform"
+    Retrofit_util.Counter.(value c Reperform)
   in
   Alcotest.(check int) "depth 3" 3 (reperforms 3);
   Alcotest.(check int) "depth 7" 7 (reperforms 7)
@@ -623,7 +623,7 @@ let addr_index_consistent () =
       | F.Machine.Done v, c ->
           Alcotest.(check int) name expected v;
           Alcotest.(check bool) "probes counted" true
-            (Retrofit_util.Counter.get c "addr_index_probe" > 0)
+            (Retrofit_util.Counter.(value c Addr_index_probe) > 0)
       | _ -> Alcotest.failf "%s failed under address-index probing" name)
     [
       ("grow", F.Config.mc, F.Programs.deep_recursion ~depth:2000, 2000);
@@ -760,8 +760,8 @@ let prop_mc_overhead_nonnegative =
       match (run F.Config.stock p, run F.Config.mc p) with
       | (F.Machine.Done a, c1), (F.Machine.Done b, c2) ->
           a = b
-          && Retrofit_util.Counter.get c2 "instructions"
-             >= Retrofit_util.Counter.get c1 "instructions"
+          && Retrofit_util.Counter.(value c2 Instructions)
+             >= Retrofit_util.Counter.(value c1 Instructions)
       | _ -> false)
 
 (* ---------------- Continuation slots ---------------- *)
@@ -828,7 +828,7 @@ let one_shot_slots_bounded () =
   let iters = 20_000 in
   let outcome, c, m = run_keep F.Config.mc (F.Programs.effect_roundtrip ~iters) in
   Alcotest.(check bool) "result" true (outcome = F.Machine.Done 0);
-  Alcotest.(check int) "performs" iters (Retrofit_util.Counter.get c "perform");
+  Alcotest.(check int) "performs" iters (Retrofit_util.Counter.(value c Perform));
   Alcotest.(check int) "slots" 1 (F.Machine.cont_slots m);
   Alcotest.(check int) "free" 1 (F.Machine.free_cont_slots m)
 
@@ -869,7 +869,7 @@ let multishot_slots_never_reused () =
           let outcome, c, m = run_keep cfg p in
           Alcotest.(check bool) (name ^ " result") true (outcome = F.Machine.Done result);
           Alcotest.(check int) (name ^ " one slot per perform")
-            (Retrofit_util.Counter.get c "perform")
+            (Retrofit_util.Counter.(value c Perform))
             (F.Machine.cont_slots m);
           Alcotest.(check int) (name ^ " free list empty") 0
             (F.Machine.free_cont_slots m))
@@ -896,7 +896,7 @@ let slot_retired_at_generation_cap () =
     run_keep ~audit:a ~on_step F.Config.mc (F.Programs.effect_roundtrip ~iters:10)
   in
   Alcotest.(check bool) "result" true (outcome = F.Machine.Done 0);
-  Alcotest.(check int) "performs" 10 (Retrofit_util.Counter.get c "perform");
+  Alcotest.(check int) "performs" 10 (Retrofit_util.Counter.(value c Perform));
   Alcotest.(check int) "largest value" (cap lsl 32) !top_kid;
   Alcotest.(check bool) "below 2^53" true (!top_kid < 1 lsl 53);
   Alcotest.(check int) "slots" 2 (F.Machine.cont_slots m);
@@ -938,7 +938,7 @@ let fib_allocates_one_frame_per_call () =
     marginal_words F.Config.mc
       (fun n -> F.Programs.fib ~n)
       ~small:17 ~large:20
-      ~per:(fun _ c -> Retrofit_util.Counter.get c "call")
+      ~per:(fun _ c -> Retrofit_util.Counter.(value c Call))
   in
   Alcotest.(check bool) (Printf.sprintf "%.2f words per call <= 7" words) true (words <= 7.)
 

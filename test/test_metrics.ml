@@ -4,44 +4,46 @@ module Counter = Retrofit_util.Counter
 
 let test name f = Alcotest.test_case name `Quick f
 
-(* run a callback against a fresh enabled registry *)
-let with_registry f = Metrics.scoped ~r:(Metrics.create ()) f
+(* run a callback against the emptied, enabled registry *)
+let with_registry f =
+  Metrics.reset ();
+  Metrics.scoped f
 
 let counters_and_gauges () =
-  with_registry (fun r ->
-      Metrics.inc ~r "reqs";
-      Metrics.inc ~r ~by:4 "reqs";
-      Metrics.inc ~r ~labels:[ ("model", "seq") ] "reqs";
-      Metrics.set_gauge ~r "depth" 7;
-      Metrics.set_gauge ~r "depth" 3;
-      Alcotest.(check int) "unlabelled counter" 5 (Metrics.get ~r "reqs");
+  with_registry (fun () ->
+      Metrics.inc "reqs";
+      Metrics.inc ~by:4 "reqs";
+      Metrics.inc ~labels:[ ("model", "seq") ] "reqs";
+      Metrics.set_gauge "depth" 7;
+      Metrics.set_gauge "depth" 3;
+      Alcotest.(check int) "unlabelled counter" 5 (Metrics.get "reqs");
       Alcotest.(check int) "labelled counter distinct" 1
-        (Metrics.get ~r ~labels:[ ("model", "seq") ] "reqs");
-      Alcotest.(check int) "gauge keeps last value" 3 (Metrics.get ~r "depth");
-      Alcotest.(check int) "absent reads as zero" 0 (Metrics.get ~r "nope"))
+        (Metrics.get ~labels:[ ("model", "seq") ] "reqs");
+      Alcotest.(check int) "gauge keeps last value" 3 (Metrics.get "depth");
+      Alcotest.(check int) "absent reads as zero" 0 (Metrics.get "nope"))
 
 let label_order_insensitive () =
-  with_registry (fun r ->
-      Metrics.inc ~r ~labels:[ ("a", "1"); ("b", "2") ] "c";
-      Metrics.inc ~r ~labels:[ ("b", "2"); ("a", "1") ] "c";
+  with_registry (fun () ->
+      Metrics.inc ~labels:[ ("a", "1"); ("b", "2") ] "c";
+      Metrics.inc ~labels:[ ("b", "2"); ("a", "1") ] "c";
       Alcotest.(check int) "both orders hit one instrument" 2
-        (Metrics.get ~r ~labels:[ ("a", "1"); ("b", "2") ] "c"))
+        (Metrics.get ~labels:[ ("a", "1"); ("b", "2") ] "c"))
 
 let kind_collision_rejected () =
-  with_registry (fun r ->
-      Metrics.inc ~r "x";
+  with_registry (fun () ->
+      Metrics.inc "x";
       Alcotest.(check bool) "counter reused as gauge rejected" true
-        (match Metrics.set_gauge ~r "x" 1 with
+        (match Metrics.set_gauge "x" 1 with
         | () -> false
         | exception Invalid_argument _ -> true))
 
 let observe_quantiles () =
-  with_registry (fun r ->
+  with_registry (fun () ->
       for v = 1 to 100 do
-        Metrics.observe ~r "lat" (v * 1000)
+        Metrics.observe "lat" (v * 1000)
       done;
-      Alcotest.(check int) "histogram count via get" 100 (Metrics.get ~r "lat");
-      match Metrics.snapshot ~r () with
+      Alcotest.(check int) "histogram count via get" 100 (Metrics.get "lat");
+      match Metrics.snapshot () with
       | [ { Metrics.name = "lat"; labels = []; value = Hist_v { count; p50; p99; _ } } ] ->
           Alcotest.(check int) "count" 100 count;
           Alcotest.(check bool) "p50 near the middle" true
@@ -51,38 +53,38 @@ let observe_quantiles () =
       | s -> Alcotest.failf "unexpected snapshot shape (%d samples)" (List.length s))
 
 let observe_histogram_copies () =
-  with_registry (fun r ->
+  with_registry (fun () ->
       let h = Histogram.create ~max_value:10_000 () in
       Histogram.record h 10;
       Histogram.record h 20;
-      Metrics.observe_histogram ~r "lat" h;
+      Metrics.observe_histogram "lat" h;
       (* mutating the source afterwards must not leak into the registry *)
       Histogram.record h 30;
-      Alcotest.(check int) "registry kept a copy" 2 (Metrics.get ~r "lat");
-      Metrics.observe_histogram ~r "lat" h;
-      Alcotest.(check int) "second observation merges" 5 (Metrics.get ~r "lat"))
+      Alcotest.(check int) "registry kept a copy" 2 (Metrics.get "lat");
+      Metrics.observe_histogram "lat" h;
+      Alcotest.(check int) "second observation merges" 5 (Metrics.get "lat"))
 
 let merge_counter_table_prefixes () =
-  with_registry (fun r ->
+  with_registry (fun () ->
       let c = Counter.create () in
       Counter.add c Counter.Switch 3;
       Counter.add c Counter.Stack_grow 1;
-      Metrics.merge_counter_table ~r ~prefix:"fiber_" c;
-      Alcotest.(check int) "prefixed" 3 (Metrics.get ~r "fiber_switch");
-      Alcotest.(check int) "prefixed 2" 1 (Metrics.get ~r "fiber_stack_grow");
-      Metrics.merge_counter_table ~r ~prefix:"fiber_" c;
-      Alcotest.(check int) "merging adds" 6 (Metrics.get ~r "fiber_switch"))
+      Metrics.merge_counter_table c;
+      Alcotest.(check int) "prefixed" 3 (Metrics.get "fiber_switch");
+      Alcotest.(check int) "prefixed 2" 1 (Metrics.get "fiber_stack_grow");
+      Metrics.merge_counter_table c;
+      Alcotest.(check int) "merging adds" 6 (Metrics.get "fiber_switch"))
 
 let snapshot_sorted_deterministic () =
-  with_registry (fun r ->
-      Metrics.inc ~r "zeta";
-      Metrics.inc ~r "alpha";
-      Metrics.inc ~r ~labels:[ ("m", "b") ] "alpha";
-      Metrics.inc ~r ~labels:[ ("m", "a") ] "alpha";
+  with_registry (fun () ->
+      Metrics.inc "zeta";
+      Metrics.inc "alpha";
+      Metrics.inc ~labels:[ ("m", "b") ] "alpha";
+      Metrics.inc ~labels:[ ("m", "a") ] "alpha";
       let names =
         List.map
           (fun (s : Metrics.sample) -> (s.name, s.labels))
-          (Metrics.snapshot ~r ())
+          (Metrics.snapshot ())
       in
       Alcotest.(check bool) "sorted by name then labels" true
         (names
@@ -93,14 +95,14 @@ let snapshot_sorted_deterministic () =
             ("zeta", []);
           ]);
       Alcotest.(check string) "exposition is reproducible"
-        (Metrics.to_prometheus ~r ()) (Metrics.to_prometheus ~r ()))
+        (Metrics.to_prometheus ()) (Metrics.to_prometheus ()))
 
 let prometheus_format () =
-  with_registry (fun r ->
-      Metrics.inc ~r ~labels:[ ("model", "seq") ] ~by:2 "httpsim_requests_total";
-      Metrics.set_gauge ~r "depth" 4;
-      Metrics.observe ~r "lat" 1000;
-      let text = Metrics.to_prometheus ~r () in
+  with_registry (fun () ->
+      Metrics.inc ~labels:[ ("model", "seq") ] ~by:2 "httpsim_requests_total";
+      Metrics.set_gauge "depth" 4;
+      Metrics.observe "lat" 1000;
+      let text = Metrics.to_prometheus () in
       let has line =
         List.exists (fun l -> l = line) (String.split_on_char '\n' text)
       in
@@ -114,30 +116,30 @@ let prometheus_format () =
 
 let disabled_mutators_are_noops () =
   Alcotest.(check bool) "off by default" false (Metrics.on ());
-  let r = Metrics.create () in
-  Metrics.inc ~r "x";
-  Metrics.set_gauge ~r "g" 5;
-  Metrics.observe ~r "h" 10;
+  Metrics.reset ();
+  Metrics.inc "x";
+  Metrics.set_gauge "g" 5;
+  Metrics.observe "h" 10;
   Alcotest.(check (list string)) "nothing registered while disabled" []
-    (List.map (fun (s : Metrics.sample) -> s.name) (Metrics.snapshot ~r ()))
+    (List.map (fun (s : Metrics.sample) -> s.name) (Metrics.snapshot ()))
 
 let scoped_restores () =
   let (_ : unit) = with_registry (fun _ -> ()) in
   Alcotest.(check bool) "disabled again after scope" false (Metrics.on ());
-  with_registry (fun r1 ->
+  with_registry (fun () ->
       let (_ : unit) = with_registry (fun _ -> ()) in
       Alcotest.(check bool) "still enabled in outer scope" true (Metrics.on ());
-      Metrics.inc ~r:r1 "x";
+      Metrics.inc "x";
       Alcotest.(check int) "outer registry usable after inner scope" 1
-        (Metrics.get ~r:r1 "x"))
+        (Metrics.get "x"))
 
 let reset_clears () =
-  with_registry (fun r ->
-      Metrics.inc ~r "x";
-      Metrics.reset r;
-      Alcotest.(check int) "cleared" 0 (Metrics.get ~r "x");
+  with_registry (fun () ->
+      Metrics.inc "x";
+      Metrics.reset ();
+      Alcotest.(check int) "cleared" 0 (Metrics.get "x");
       Alcotest.(check (list string)) "no samples" []
-        (List.map (fun (s : Metrics.sample) -> s.name) (Metrics.snapshot ~r ())))
+        (List.map (fun (s : Metrics.sample) -> s.name) (Metrics.snapshot ())))
 
 let suite =
   [

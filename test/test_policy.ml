@@ -283,15 +283,15 @@ let cow_defers_copies () =
   let _, eager = run (ms F.Stack_policy.segmented) (F.Programs.nqueens ~n:5) ~cfuns:[] in
   let _, cow = run (ms F.Stack_policy.segmented_cow) (F.Programs.nqueens ~n:5) ~cfuns:[] in
   Alcotest.(check bool) "eager clone copies words" true
-    (Counter.get eager "words_copied" > 0);
+    (Counter.(value eager Words_copied) > 0);
   Alcotest.(check int) "cow clone copies nothing eagerly" 0
-    (Counter.get cow "words_copied");
+    (Counter.(value cow Words_copied));
   Alcotest.(check bool) "cow pays per privatized chunk" true
-    (Counter.get cow "cow_words" > 0);
+    (Counter.(value cow Cow_words) > 0);
   Alcotest.(check bool) "sharing beats eager copying" true
-    (Counter.get cow "cow_words" < Counter.get eager "words_copied");
-  Alcotest.(check int) "every clone is shared" (Counter.get eager "cont_copy")
-    (Counter.get cow "cont_share")
+    (Counter.(value cow Cow_words) < Counter.(value eager Words_copied));
+  Alcotest.(check int) "every clone is shared" (Counter.(value eager Cont_copy))
+    (Counter.(value cow Cont_share))
 
 (* ------------------------------------------------------------------ *)
 (* DWARF unwinding across segment boundaries. *)

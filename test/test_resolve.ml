@@ -346,8 +346,7 @@ let corpus_policy_matrix () =
                 Alcotest.failf "%s under %s: %s" e.C.Corpus.name pname msg
             | None -> ());
             (match
-               C.Static.bound_contradiction c ~policy ~multishot:false
-                 fr.C.Fiber_backend.counters
+               C.Static.bound_contradiction c ~config fr.C.Fiber_backend.counters
              with
             | Some msg ->
                 Alcotest.failf "%s under %s: %s" e.C.Corpus.name pname msg
@@ -383,8 +382,7 @@ let checker_catches_injected_violations () =
       | C.Outcome.Model_error _ -> ()
       | _ -> (
           match
-            C.Static.bound_contradiction c ~policy:(snd (List.hd F.Stack_policy.all))
-              ~multishot:false fr.C.Fiber_backend.counters
+            C.Static.bound_contradiction c ~config:F.Config.mc fr.C.Fiber_backend.counters
           with
           | Some msg -> Alcotest.failf "%s: honest run flagged: %s" e.C.Corpus.name msg
           | None -> ()));
@@ -409,7 +407,7 @@ let checker_catches_injected_violations () =
       if not !found_bound then begin
         let policy = snd (List.hd F.Stack_policy.all) in
         let bounds =
-          C.Static.bound_contradiction c ~policy ~multishot:false
+          C.Static.bound_contradiction c ~config:(F.Config.with_policy policy F.Config.mc)
         in
         let counters = Counter.create () in
         match
@@ -508,11 +506,11 @@ let campaign_records_resolution_metrics () =
           (1 + Option.value ~default:0 (Hashtbl.find_opt expected k)))
       (A.Resolve.all_sites c.A.Analyze.resolve)
   done;
-  Metrics.scoped (fun r ->
+  Metrics.scoped (fun () ->
       let before =
         List.map
           (fun k ->
-            (k, Metrics.get ~r ~labels:[ ("class", k) ] "perform_site_resolution_total"))
+            (k, Metrics.get ~labels:[ ("class", k) ] "perform_site_resolution_total"))
           [ "mono"; "poly"; "mega" ]
       in
       let stats =
@@ -531,7 +529,7 @@ let campaign_records_resolution_metrics () =
           Alcotest.(check int)
             ("class " ^ k)
             (Option.value ~default:0 (Hashtbl.find_opt expected k))
-            (Metrics.get ~r ~labels:[ ("class", k) ] "perform_site_resolution_total"
+            (Metrics.get ~labels:[ ("class", k) ] "perform_site_resolution_total"
             - List.assoc k before))
         [ "mono"; "poly"; "mega" ])
 

@@ -6,6 +6,8 @@
 module C = Retrofit_core
 module Sup = C.Supervise
 module N = C.Supervise.Nursery
+module Trace = Retrofit_trace.Trace
+module Tev = Retrofit_trace.Event
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -90,98 +92,50 @@ let rest_for_one_restarts () =
       Alcotest.(check int) "w1 restarted" 2 runs.(1);
       Alcotest.(check int) "w2 recycled" 2 runs.(2))
 
-(* -------------- restart policies -------------- *)
+(* -------------- restart budget and escalation -------------- *)
 
-let temporary_never_restarted () =
-  let runs = ref 0 in
-  in_sched (fun () ->
-      let tree =
-        Sup.supervisor "root"
-          [
-            Sup.worker ~restart:Sup.Temporary "t" (fun () ->
-                incr runs;
-                raise Boom);
-          ]
-      in
-      let h = Sup.start tree in
-      Alcotest.(check bool) "completed" true (Sup.wait h = Sup.Completed);
-      Alcotest.(check int) "never restarted" 1 !runs;
-      Alcotest.(check int) "no restarts" 0 (Sup.restarts h))
+(* The supervision events of a traced run, as (kind, path) pairs in
+   order. *)
+let sup_events run =
+  let (), ring = Trace.scoped run in
+  List.filter_map
+    (fun (e : Tev.t) ->
+      match e.ev with
+      | Tev.Sup_restart { path } -> Some ("restart", path)
+      | Tev.Sup_escalate { path } -> Some ("escalate", path)
+      | Tev.Sup_child_exit { path; _ } -> Some ("exit", path)
+      | _ -> None)
+    (Trace.to_list ring)
 
-(* A permanent child is restarted even on normal exit, so it burns the
-   budget and the root gives up. *)
-let permanent_burns_budget () =
-  let runs = ref 0 in
-  in_sched (fun () ->
-      let tree =
-        Sup.supervisor ~max_restarts:3 "root"
-          [ Sup.worker ~restart:Sup.Permanent "p" (fun () -> incr runs) ]
-      in
-      let h = Sup.start tree in
-      Alcotest.(check bool) "gave up at root" true
-        (Sup.wait h = Sup.Gave_up "root");
-      Alcotest.(check int) "budget spent" 4 !runs;
-      Alcotest.(check bool) "not running" true (not (Sup.running h)))
-
-(* -------------- intensity window and escalation -------------- *)
-
-(* With a sliding window shorter than the gap between crashes the
-   restart intensity never trips, even far past max_restarts. *)
-let window_forgives_slow_crashes () =
-  let clock = ref 0 in
-  let runs = ref 0 in
-  in_sched (fun () ->
-      let tree =
-        Sup.supervisor ~max_restarts:1 ~window:50 "root"
-          [
-            Sup.worker "w" (fun () ->
-                incr runs;
-                clock := !clock + 100;
-                if !runs <= 5 then raise Boom);
-          ]
-      in
-      let h = Sup.start ~clock:(fun () -> !clock) tree in
-      Alcotest.(check bool) "completed" true (Sup.wait h = Sup.Completed);
-      Alcotest.(check int) "five restarts forgiven" 5 (Sup.restarts h))
-
-(* Same crash rate, wide window: budget blows, the nested supervisor
-   escalates, the root restarts the whole subtree, then itself gives
-   up.  Every layer's escalation is visible in the counters. *)
+(* A child that always crashes blows its supervisor's budget: the
+   nested supervisor escalates, the root restarts the whole subtree,
+   then itself gives up.  Every layer's escalation is visible in the
+   counters and the eventlog. *)
 let escalation_to_root () =
   let clock = ref 0 in
-  let events = ref [] in
-  in_sched (fun () ->
-      let tree =
-        Sup.supervisor ~max_restarts:1 "root"
-          [
-            Sup.supervisor ~max_restarts:1 ~window:1_000 "sub"
-              [
-                Sup.worker "crasher" (fun () ->
-                    clock := !clock + 10;
-                    raise Boom);
-              ];
-          ]
-      in
-      let h =
-        Sup.start
-          ~clock:(fun () -> !clock)
-          ~on_event:(fun e -> events := e :: !events)
-          tree
-      in
-      Alcotest.(check bool) "gave up at root" true
-        (Sup.wait h = Sup.Gave_up "root");
-      Alcotest.(check bool) "escalations recorded" true (Sup.escalations h >= 2);
-      Alcotest.(check bool) "sub escalated" true
-        (List.exists (function Sup.Escalated "root/sub" -> true | _ -> false)
-           !events);
-      (* the root restarted the whole sub-tree at least once before
-         giving up: the crasher was started under a fresh sub *)
-      Alcotest.(check bool) "subtree restarted" true
-        (List.length
-           (List.filter
-              (function Sup.Started "root/sub/crasher" -> true | _ -> false)
-              !events)
-        >= 2))
+  let events =
+    sup_events (fun () ->
+        in_sched (fun () ->
+            let tree =
+              Sup.supervisor ~max_restarts:1 "root"
+                [
+                  Sup.supervisor ~max_restarts:1 "sub"
+                    [
+                      Sup.worker "crasher" (fun () ->
+                          clock := !clock + 10;
+                          raise Boom);
+                    ];
+                ]
+            in
+            let h = Sup.start ~clock:(fun () -> !clock) tree in
+            Alcotest.(check bool) "gave up at root" true (Sup.wait h = Sup.Gave_up "root");
+            Alcotest.(check int) "sub twice, then root" 3 (Sup.escalations h)))
+  in
+  Alcotest.(check bool) "sub escalated" true (List.mem ("escalate", "root/sub") events);
+  Alcotest.(check bool) "root escalated" true (List.mem ("escalate", "root") events);
+  (* the root restarted the whole sub-tree before giving up: the
+     crasher ran again under a fresh sub *)
+  Alcotest.(check bool) "subtree restarted" true (List.mem ("restart", "root/sub") events)
 
 (* -------------- kill and heartbeats (watchdog API) -------------- *)
 
@@ -237,34 +191,34 @@ let heartbeat_and_self_path () =
 
 let shutdown_bottom_up () =
   let cleanups = ref [] in
-  let stops = ref [] in
-  in_sched (fun () ->
-      let mv : unit C.Mvar.t = C.Mvar.create_empty () in
-      let parked name () =
-        Fun.protect
-          ~finally:(fun () -> cleanups := name :: !cleanups)
-          (fun () -> C.Mvar.take mv)
-      in
-      let tree =
-        Sup.supervisor "root"
-          [
-            Sup.supervisor "sub" [ Sup.worker "inner" (parked "inner") ];
-            Sup.worker "outer" (parked "outer");
-          ]
-      in
-      let h =
-        Sup.start
-          ~on_event:(fun e ->
-            match e with Sup.Stopped p -> stops := p :: !stops | _ -> ())
-          tree
-      in
-      Alcotest.(check bool) "completed" true (Sup.shutdown h = Sup.Completed);
-      (* reverse start order: outer (started last) first, then the
-         sub-tree *)
-      Alcotest.(check (list string)) "cleanups ran, reverse order"
-        [ "outer"; "inner" ] (List.rev !cleanups);
-      Alcotest.(check bool) "sub stopped" true (List.mem "root/sub" !stops);
-      Alcotest.(check bool) "root stopped" true (List.mem "root" !stops))
+  let events =
+    sup_events (fun () ->
+        in_sched (fun () ->
+            let mv : unit C.Mvar.t = C.Mvar.create_empty () in
+            let parked name () =
+              Fun.protect
+                ~finally:(fun () -> cleanups := name :: !cleanups)
+                (fun () -> C.Mvar.take mv)
+            in
+            let tree =
+              Sup.supervisor "root"
+                [
+                  Sup.supervisor "sub" [ Sup.worker "inner" (parked "inner") ];
+                  Sup.worker "outer" (parked "outer");
+                ]
+            in
+            let h = Sup.start tree in
+            Alcotest.(check bool) "completed" true (Sup.shutdown h = Sup.Completed);
+            Alcotest.(check bool) "stopped" false (Sup.running h);
+            Alcotest.(check int) "no escalation" 0 (Sup.escalations h)))
+  in
+  (* reverse start order: outer (started last) first, then the
+     sub-tree, which stops its own children before it exits *)
+  Alcotest.(check (list string)) "cleanups ran, reverse order" [ "outer"; "inner" ]
+    (List.rev !cleanups);
+  Alcotest.(check (list (pair string string))) "children exit bottom-up, nothing restarted"
+    [ ("exit", "root/outer"); ("exit", "root/sub/inner"); ("exit", "root/sub") ]
+    events
 
 (* -------------- mailbox -------------- *)
 
@@ -399,9 +353,6 @@ let suite =
     test "one_for_one restarts crasher only" one_for_one_restarts;
     test "one_for_all recycles siblings" one_for_all_restarts;
     test "rest_for_one recycles later starts" rest_for_one_restarts;
-    test "temporary never restarted" temporary_never_restarted;
-    test "permanent burns budget" permanent_burns_budget;
-    test "window forgives slow crashes" window_forgives_slow_crashes;
     test "escalation reaches root" escalation_to_root;
     test "kill restarts worker" kill_restarts_worker;
     test "heartbeat and self_path" heartbeat_and_self_path;

@@ -44,7 +44,7 @@ let ring_rejects_bad_capacity () =
     | exception Invalid_argument _ -> true)
 
 let overflow_increments_dropped_metric () =
-  Metrics.reset Metrics.default;
+  Metrics.reset ();
   let (), _ring =
     Metrics.scoped (fun _ ->
         Trace.scoped ~capacity:2 (fun () ->

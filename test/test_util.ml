@@ -442,8 +442,8 @@ let counter_basics () =
   let c = Counter.create () in
   Counter.incr c Counter.Ops;
   Counter.add c Counter.Ops 4;
-  Alcotest.(check int) "ops" 5 (Counter.get c "ops");
-  Alcotest.(check int) "untouched" 0 (Counter.get c "call");
+  Alcotest.(check int) "ops" 5 (Counter.(value c Ops));
+  Alcotest.(check int) "untouched" 0 (Counter.(value c Call));
   Alcotest.(check (list (pair string int))) "to_list" [ ("ops", 5) ] (Counter.to_list c);
   let d = Counter.create () in
   Counter.add d Counter.Ops 2;
@@ -452,15 +452,17 @@ let counter_basics () =
     (Counter.diff c d)
 
 let counter_names () =
+  let c = Counter.create () in
+  List.iteri (fun i n -> Counter.add c n (i + 1)) Counter.all;
   List.iter
     (fun n ->
-      Alcotest.(check bool)
+      Alcotest.(check int)
         (Counter.to_string n ^ " round-trips")
-        true
-        (Counter.of_string (Counter.to_string n) = n))
+        (Counter.value c n)
+        (Counter.get c (Counter.to_string n)))
     Counter.all;
   Alcotest.check_raises "unknown name"
-    (Invalid_argument "Counter.of_string: unknown counter grow") (fun () ->
+    (Invalid_argument "Counter.get: unknown counter grow") (fun () ->
       ignore (Counter.get (Counter.create ()) "grow"))
 
 (* Random positive bumps, as the machine makes them. *)
