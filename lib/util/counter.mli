@@ -61,9 +61,9 @@ val index : name -> int
 
 val cells : t -> int array
 (** The counters' own storage: slot [index n] holds [value t n].  For a
-    dispatch loop that bumps a counter without a call (libraries are
-    compiled [-opaque] in the default build, so [add] is never
-    inlined); everything else should use [add]. *)
+    dispatch loop that bumps a counter without a call (the compiler,
+    without flambda, does not inline [add] at its default threshold);
+    everything else should use [add]. *)
 
 val incr : t -> name -> unit
 

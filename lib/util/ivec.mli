@@ -9,8 +9,8 @@
 type t = { mutable data : int array; mutable len : int }
 (** The elements are [data.(0)] to [data.(len - 1)]; the rest of [data]
     is spare capacity.  Exposed so that the machine's dispatch loop can
-    push and pop in place: the library is compiled [-opaque] in the
-    default build, so a call into this module is never inlined. *)
+    push and pop in place: the compiler, without flambda, does not
+    inline [push] or [pop] at its default threshold. *)
 
 val create : unit -> t
 (** [create ()] is an empty vector. *)

@@ -794,11 +794,11 @@ let alloc_yield () =
   in
   check_ceiling "yield" words 6
 
-(* The same yield under the default chaos policy: two [Rng.float]
-   draws a push (delay, spurious wakeup), whose returned floats are all
-   a draw allocates, plus the chaos stash's share.  The main fiber is
-   not killable and alone in the queue, so no kill or reorder draw is
-   made. *)
+(* The same yield under the default chaos policy costs no more: its two
+   [Rng.float] draws a push (delay, spurious wakeup) are inlined into
+   [Sched.hit] and compared unboxed, so a draw allocates nothing.  The
+   main fiber is not killable and alone in the queue, so no kill or
+   reorder draw is made. *)
 let alloc_yield_chaos () =
   let words =
     words_per (fun n ->
@@ -807,7 +807,7 @@ let alloc_yield_chaos () =
               C.Sched.yield ()
             done))
   in
-  check_ceiling "yield under chaos" words 11
+  check_ceiling "yield under chaos" words 6
 
 (* Two fibers passing a value through two [Mvar]s, as chameneos does
    (§6.3.2): a round trip parks each fiber once, with one [Park]
@@ -865,7 +865,7 @@ let alloc_fork_cancellable () =
               ()
             done))
   in
-  check_ceiling "fork_cancellable plus finish" words 27
+  check_ceiling "fork_cancellable plus finish" words 26
 
 (* A [fork_cancellable] plus the child's link in the scope, its body
    closure and its [set_killable] effect. *)
@@ -879,7 +879,7 @@ let alloc_nursery_child () =
                   Nursery.join nu
                 done)))
   in
-  check_ceiling "nursery child" words 43
+  check_ceiling "nursery child" words 41
 
 (* A long-lived nursery keeps no record of a child that has finished. *)
 let nursery_tracks_live_children_only () =
