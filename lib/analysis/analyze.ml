@@ -206,11 +206,11 @@ let analyze ?cfun_model ?(multishot = false) ?compiled
     ?(lints = true) (p : F.Ir.program) : result =
   let cfg = Cfg.build ?cfun_model p in
   let lin = Linearity.analyze cfg in
-  let eff = Effects.analyze ~multishot cfg lin in
+  let resolve = Resolve.analyze cfg lin in
+  let eff = Effects.analyze ~multishot cfg lin resolve in
   let diags = if lints then Effects.diagnostics eff else [] in
   let flow_u = Effects.unhandled_may eff in
   let flow_o = Effects.one_shot_may eff in
-  let resolve = Resolve.analyze cfg lin in
   let compiled =
     match compiled with Some c -> c | None -> F.Compile.compile p
   in

@@ -26,30 +26,43 @@ let fn t name =
   | Some f -> f
   | None -> raise (Unknown_function name)
 
-let rec iter_expr f (e : F.Ir.expr) =
-  f e;
+(* The direct sub-expressions of [e], left to right; [walk f] is applied
+   to each.  Taking the walker as an argument lets both traversals
+   recurse through it without allocating a closure per node. *)
+let iter_children walk f (e : F.Ir.expr) =
   match e with
   | F.Ir.Int _ | F.Ir.Var _ -> ()
   | F.Ir.Binop (_, a, b)
   | F.Ir.Let (_, a, b)
   | F.Ir.Seq (a, b)
   | F.Ir.Repeat (a, b)
-  | F.Ir.Continue (a, b) ->
-      iter_expr f a;
-      iter_expr f b
-  | F.Ir.If (a, b, c) ->
-      iter_expr f a;
-      iter_expr f b;
-      iter_expr f c
-  | F.Ir.Call (_, args) | F.Ir.Extcall (_, args) -> List.iter (iter_expr f) args
-  | F.Ir.Raise (_, a) | F.Ir.Perform (_, a) -> iter_expr f a
+  | F.Ir.Continue (a, b)
   | F.Ir.Discontinue (a, _, b) ->
-      iter_expr f a;
-      iter_expr f b
+      walk f a;
+      walk f b
+  | F.Ir.If (a, b, c) ->
+      walk f a;
+      walk f b;
+      walk f c
+  | F.Ir.Call (_, args) | F.Ir.Extcall (_, args) -> List.iter (walk f) args
+  | F.Ir.Raise (_, a) | F.Ir.Perform (_, a) -> walk f a
   | F.Ir.Trywith (body, cases) ->
-      iter_expr f body;
-      List.iter (fun (_, _, e) -> iter_expr f e) cases
-  | F.Ir.Handle h -> List.iter (iter_expr f) h.F.Ir.body_args
+      walk f body;
+      List.iter (fun (_, _, e) -> walk f e) cases
+  | F.Ir.Handle h -> List.iter (walk f) h.F.Ir.body_args
+
+let rec iter_expr f e =
+  f e;
+  iter_children iter_expr f e
+
+let rec iter_expr_post f e =
+  iter_children iter_expr_post f e;
+  f e
+
+let effc_labels (h : F.Ir.handle_spec) = List.map fst h.F.Ir.effcs
+
+let case_fns (h : F.Ir.handle_spec) =
+  (h.F.Ir.retc :: List.map snd h.F.Ir.exncs) @ List.map snd h.F.Ir.effcs
 
 (* Interprocedural edges out of one function: direct calls, the five
    function positions of a handler installation, and — through the

@@ -55,6 +55,23 @@ val iter_expr : (Retrofit_fiber.Ir.expr -> unit) -> Retrofit_fiber.Ir.expr -> un
     traversal order is part of the contract: the escape analysis and the
     linearity analysis both number resume sites by this order. *)
 
+val iter_expr_post :
+  (Retrofit_fiber.Ir.expr -> unit) -> Retrofit_fiber.Ir.expr -> unit
+(** Compile-order traversal: the same children, left to right, but each
+    node is visited after its whole subtree — the order in which
+    {!Retrofit_fiber.Compile} emits a node's own instruction after the
+    code of its operands.  The [i]-th [Perform] visited is the [i]-th
+    [PerformI] of the function's code, and the [i]-th [Handle] of the
+    program (functions in program order) owns the [i]-th handle
+    descriptor; {!Resolve.runtime_map} relies on both. *)
+
+val effc_labels : Retrofit_fiber.Ir.handle_spec -> string list
+(** The effect labels the installation handles, in clause order. *)
+
+val case_fns : Retrofit_fiber.Ir.handle_spec -> string list
+(** The installation's case functions: [retc], then the exception
+    clauses', then the effect clauses'. *)
+
 val is_reachable : t -> string -> bool
 
 val path_to : t -> string -> string list

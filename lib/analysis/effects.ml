@@ -2,20 +2,13 @@ module F = Retrofit_fiber
 module SS = Set.Make (String)
 module IS = Set.Make (Int)
 
-type ctx_entry = {
-  top : bool;
-      (* some context reaching the function leaves the label unhandled
-         all the way to toplevel *)
-  via_c : string option;  (* ... or up to a callback frame of this C function *)
-}
-
 type esc = { eff : SS.t; exn : SS.t }
 
 type t = {
   cfg : Cfg.t;
   lin : Linearity.t;
+  resolve : Resolve.t;
   multishot : bool;
-  ctx : (string, (string, ctx_entry) Hashtbl.t) Hashtbl.t;
   esc_tbl : (string, esc) Hashtbl.t;
 }
 
@@ -29,194 +22,40 @@ let esc_empty = { eff = SS.empty; exn = SS.empty }
 
 let esc_union a b = { eff = SS.union a.eff b.eff; exn = SS.union a.exn b.exn }
 
-let ctx_of t fname =
-  match Hashtbl.find_opt t.ctx fname with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.replace t.ctx fname tbl;
-      tbl
-
-let ctx_entry t fname label =
-  match Hashtbl.find_opt (ctx_of t fname) label with
-  | Some e -> e
-  | None -> { top = false; via_c = None }
-
 let escape t fname =
   match Hashtbl.find_opt t.esc_tbl fname with Some e -> e | None -> esc_empty
 
-(* ------------------------------------------------------------------ *)
-(* Phase A: per function and effect label, may the dynamic handler
-   stack above an activation of the function lack the label — and if
-   so, is the nearest barrier the toplevel or a §5.3 callback frame?
-   Propagated top-down from [main] over calls (same stack), handler
-   installations (body loses the handled labels, case functions run in
-   the installer's frame), callback entries (the runtime blanks the
-   handler chain: everything is unhandled at the C barrier), and
-   resumptions (the reinstated body — and subsequent case-function
-   invocations — runs above the resumer's context). *)
-
-let join_ctx changed t fname (entries : (string * ctx_entry) list) =
-  let tbl = ctx_of t fname in
-  List.iter
-    (fun (l, e) ->
-      let old =
-        match Hashtbl.find_opt tbl l with
-        | Some o -> o
-        | None -> { top = false; via_c = None }
-      in
-      let merged =
-        {
-          top = old.top || e.top;
-          via_c = (match old.via_c with Some _ -> old.via_c | None -> e.via_c);
-        }
-      in
-      if merged <> old then begin
-        Hashtbl.replace tbl l merged;
-        changed := true
-      end)
-    entries
-
-let ctx_entries t fname =
-  Hashtbl.fold (fun l e acc -> (l, e) :: acc) (ctx_of t fname) []
-
-let minus_labels entries labels =
-  List.filter (fun (l, _) -> not (List.mem l labels)) entries
-
-let effc_labels (sp : F.Ir.handle_spec) = List.map fst sp.F.Ir.effcs
-
 let exnc_labels (sp : F.Ir.handle_spec) = List.map fst sp.F.Ir.exncs
 
-let case_fns (sp : F.Ir.handle_spec) =
-  (sp.F.Ir.retc :: List.map snd sp.F.Ir.exncs) @ List.map snd sp.F.Ir.effcs
-
-(* Functions that may resume a given spec's continuation. *)
-let resumer_fns t (s : Cfg.spec) =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun fname sites ->
-      if
-        Array.exists
-          (fun site -> IS.mem s.Cfg.sp_id (Linearity.site_specs t.lin site))
-          sites
-      then out := fname :: !out)
-    t.lin.Linearity.sites;
-  !out
-
-(* The propagation structure of a function — its calls, installations
-   and external calls — is fixed; only the contexts joined through it
-   change between rounds.  Summarising each reachable function once
-   keeps the fixpoint rounds free of AST walks. *)
-type a_summary = {
-  a_calls : string list;
-  a_handles : (string * string list * string list) list;
-      (** body fn, handled effect labels, case fns *)
-  a_extcalls : (string * Cfg.cfun_model) list;
-}
-
-let summarize_a (cfg : Cfg.t) =
-  List.map
-    (fun (f : F.Ir.fn) ->
-      let calls = ref [] and handles = ref [] and exts = ref [] in
-      Cfg.iter_expr
-        (fun e ->
-          match e with
-          | F.Ir.Call (g, _) -> calls := g :: !calls
-          | F.Ir.Handle h ->
-              handles := (h.F.Ir.body_fn, effc_labels h, case_fns h) :: !handles
-          | F.Ir.Extcall (c, _) -> exts := (c, cfg.Cfg.cfun_model c) :: !exts
-          | _ -> ())
-        f.F.Ir.body;
-      (f.F.Ir.fn_name, { a_calls = !calls; a_handles = !handles; a_extcalls = !exts }))
-    cfg.Cfg.reach_order
-
-let phase_a t =
-  let cfg = t.cfg in
-  join_ctx (ref false) t cfg.Cfg.program.F.Ir.main
-    (List.map (fun l -> (l, { top = true; via_c = None })) cfg.Cfg.eff_labels);
-  let all_via_c c =
-    List.map (fun l -> (l, { top = false; via_c = Some c })) cfg.Cfg.eff_labels
-  in
-  let summaries = summarize_a cfg in
-  (* who can resume which spec depends only on the linearity sites —
-     loop-invariant, so computed once rather than every round, as are
-     each spec's own handled labels and case functions *)
-  let resumers =
-    Array.map
-      (fun (s : Cfg.spec) ->
-        if Cfg.is_reachable cfg s.Cfg.sp_in then resumer_fns t s else [])
-      cfg.Cfg.specs
-  in
-  let spec_labels =
-    Array.map (fun (s : Cfg.spec) -> effc_labels s.Cfg.sp) cfg.Cfg.specs
-  in
-  let spec_cases =
-    Array.map (fun (s : Cfg.spec) -> case_fns s.Cfg.sp) cfg.Cfg.specs
-  in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 1000 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (fname, s) ->
-        let cf = ctx_entries t fname in
-        List.iter (fun g -> join_ctx changed t g cf) s.a_calls;
-        List.iter
-          (fun (body_fn, labels, cases) ->
-            join_ctx changed t body_fn (minus_labels cf labels);
-            List.iter (fun g -> join_ctx changed t g cf) cases)
-          s.a_handles;
-        List.iter
-          (fun (c, model) ->
-            match model with
-            | Cfg.Pure -> ()
-            | Cfg.Calls_back g -> join_ctx changed t g (all_via_c c)
-            | Cfg.Opaque ->
-                List.iter
-                  (fun g -> join_ctx changed t g (all_via_c c))
-                  cfg.Cfg.fn_names)
-          s.a_extcalls)
-      summaries;
-    Array.iteri
-      (fun i (s : Cfg.spec) ->
-        List.iter
-          (fun r ->
-            let cr = ctx_entries t r in
-            join_ctx changed t s.Cfg.sp.F.Ir.body_fn
-              (minus_labels cr spec_labels.(i));
-            List.iter (fun g -> join_ctx changed t g cr) spec_cases.(i))
-          resumers.(i))
-      cfg.Cfg.specs
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Phase B: per function, which effect labels may be performed and
-   escape the function's dynamic extent, and which exception labels may
-   be raised out of it.  "Unhandled" is an ordinary label here — the
-   machine raises it at the perform site when phase A says no handler
-   is above — and so is the "Invalid_argument" of a second resume,
-   injected at sites the linearity analysis flagged.  Everything a
-   resumed body can still do (its remaining performs, its exceptions,
-   the injected label of a discontinue) surfaces at the resume site. *)
+(* The escape fixpoint: per function, which effect labels may be
+   performed and escape the function's dynamic extent, and which
+   exception labels may be raised out of it.  "Unhandled" is an ordinary
+   label here — the machine raises it at the perform site when
+   {!Resolve.boundary} says no handler may be above — and so is the
+   "Invalid_argument" of a second resume, injected at sites the
+   linearity analysis flagged.  Everything a resumed body can still do
+   (its remaining performs, its exceptions, the injected label of a
+   discontinue) surfaces at the resume site. *)
 
-let release t (s : Cfg.spec) =
-  let sp = s.Cfg.sp in
+(* What an installation lets out: its body's escapes minus the labels
+   it handles, plus everything its case functions can do. *)
+let release t (sp : F.Ir.handle_spec) =
   let body = escape t sp.F.Ir.body_fn in
   let cases =
     List.fold_left (fun acc g -> esc_union acc (escape t g)) esc_empty
-      (case_fns sp)
+      (Cfg.case_fns sp)
   in
   {
     eff =
       SS.union cases.eff
-        (SS.filter (fun l -> not (List.mem l (effc_labels sp))) body.eff);
+        (SS.filter (fun l -> not (List.mem l (Cfg.effc_labels sp))) body.eff);
     exn =
       SS.union cases.exn
         (SS.filter (fun l -> not (List.mem l (exnc_labels sp))) body.exn);
   }
 
-let phase_b t =
+let fixpoint t =
   let cfg = t.cfg in
   let exn_universe = SS.of_list cfg.Cfg.exn_labels in
   (* escapes flow callee-to-caller: walking callees first makes deep
@@ -279,38 +118,16 @@ let phase_b t =
                 cases
           | F.Ir.Perform (l, p) ->
               let inner = ev p in
-              let entry = ctx_entry t fname l in
               let exn =
-                if entry.top || entry.via_c <> None then
-                  SS.add unhandled inner.exn
-                else inner.exn
+                match Resolve.boundary t.resolve fname l with
+                | false, None -> inner.exn
+                | _ -> SS.add unhandled inner.exn
               in
               { eff = SS.add l inner.eff; exn }
           | F.Ir.Handle h ->
-              let body = escape t h.F.Ir.body_fn in
-              let cases =
-                List.fold_left
-                  (fun acc g -> esc_union acc (escape t g))
-                  esc_empty (case_fns h)
-              in
-              let inner =
-                List.fold_left
-                  (fun acc a -> esc_union acc (ev a))
-                  esc_empty h.F.Ir.body_args
-              in
-              esc_union inner
-                {
-                  eff =
-                    SS.union cases.eff
-                      (SS.filter
-                         (fun l -> not (List.mem l (effc_labels h)))
-                         body.eff);
-                  exn =
-                    SS.union cases.exn
-                      (SS.filter
-                         (fun l -> not (List.mem l (exnc_labels h)))
-                         body.exn);
-                }
+              List.fold_left
+                (fun acc a -> esc_union acc (ev a))
+                (release t h) h.F.Ir.body_args
           | F.Ir.Continue (k, v) | F.Ir.Discontinue (k, _, v) ->
               let idx = !n in
               incr n;
@@ -321,7 +138,8 @@ let phase_b t =
               let specs = Linearity.site_specs t.lin site in
               let rel =
                 IS.fold
-                  (fun i acc -> esc_union acc (release t cfg.Cfg.specs.(i)))
+                  (fun i acc ->
+                    esc_union acc (release t cfg.Cfg.specs.(i).Cfg.sp))
                   specs esc_empty
               in
               let rel =
@@ -379,12 +197,10 @@ let phase_b t =
       fns_rev
   done
 
-let analyze ?(multishot = false) (cfg : Cfg.t) (lin : Linearity.t) =
-  let t =
-    { cfg; lin; multishot; ctx = Hashtbl.create 16; esc_tbl = Hashtbl.create 16 }
-  in
-  phase_a t;
-  phase_b t;
+let analyze ~multishot (cfg : Cfg.t) (lin : Linearity.t) (resolve : Resolve.t)
+    =
+  let t = { cfg; lin; resolve; multishot; esc_tbl = Hashtbl.create 16 } in
+  fixpoint t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -420,14 +236,14 @@ let diagnostics t =
           (fun e ->
             match e with
             | F.Ir.Perform (l, _) ->
-                let entry = ctx_entry t fname l in
+                let top, via = Resolve.boundary t.resolve fname l in
                 (* rendering the site and call path is the expensive
                    part of this walk: do it only for firing lints *)
                 let site = lazy (F.Ir.expr_to_string e) in
                 let path = lazy (Cfg.path_to cfg fname) in
                 let site = fun () -> Lazy.force site
                 and path = fun () -> Lazy.force path in
-                if entry.top then
+                if top then
                   add
                     {
                       Diag.kind = Diag.Possibly_unhandled { effect_name = l };
@@ -436,7 +252,7 @@ let diagnostics t =
                       path = path ();
                       site = site ();
                     };
-                (match entry.via_c with
+                (match via with
                 | Some c ->
                     add
                       {

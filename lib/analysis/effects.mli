@@ -1,37 +1,30 @@
-(** Whole-program handled-effect dataflow.
+(** Whole-program handled-effect dataflow: the escape fixpoint.
 
-    Two cooperating fixed points over the {!Cfg} index:
+    Bottom-up over the {!Cfg} index, it computes per function the
+    effect labels that may be performed and escape its extent, and the
+    exception labels that may be raised out of it.  The runtime's
+    synthetic exceptions are ordinary labels here: ["Unhandled"] is
+    injected at perform sites that {!Resolve.boundary} marks as possibly
+    bare (no handler up to the toplevel or a §5.3 callback barrier),
+    ["Invalid_argument"] at resume sites the {!Linearity} pass flags as
+    possibly-second, ["Division_by_zero"] at non-literal divisions.  A
+    resume site also releases what the reinstated body can still do.
+    The top-down handler context is not computed here: {!Resolve} is the
+    one handler-context fixpoint, and this pass reads its boundary facts.
 
-    {b Phase A} (top-down) computes, per function and effect label,
-    whether the dynamic handler stack above an activation may lack the
-    label — and whether the nearest barrier is then the toplevel or a
-    §5.3 callback frame.  Contexts flow over calls, into handler bodies
-    (minus the labels the installation handles), into case functions
-    (which run in the installer's — and after a resume, the resumer's —
-    frame), and into callback targets, where the blanked handler chain
-    makes every label C-barred.
-
-    {b Phase B} (bottom-up) computes per function the effect labels
-    that may be performed and escape its extent, and the exception
-    labels that may be raised out of it.  The runtime's synthetic
-    exceptions are ordinary labels here: ["Unhandled"] is injected at
-    perform sites phase A marks as possibly bare, ["Invalid_argument"]
-    at resume sites the {!Linearity} pass flags as possibly-second,
-    ["Division_by_zero"] at non-literal divisions.  A resume site also
-    releases what the reinstated body can still do.
-
-    Both directions over-approximate: a [Safe] derived from these sets
-    claims the behaviour is impossible in every execution, which the
-    conformance fuzzer cross-checks against all backends. *)
+    The sets over-approximate: a [Safe] derived from them claims the
+    behaviour is impossible in every execution, which the conformance
+    fuzzer cross-checks against all backends. *)
 
 type t
 
-val analyze : ?multishot:bool -> Cfg.t -> Linearity.t -> t
-(** [multishot] (default [false]) analyzes for a runtime that clones
-    continuations on resume: resume sites stop injecting
-    ["Invalid_argument"], and {!Diag.May_resume_twice} findings are
-    reported with a [Safe] verdict — the shape is still worth flagging,
-    but a second resume is legal. *)
+val analyze : multishot:bool -> Cfg.t -> Linearity.t -> Resolve.t -> t
+(** [multishot] analyzes for a runtime that clones continuations on
+    resume: resume sites stop injecting ["Invalid_argument"], and
+    {!Diag.May_resume_twice} findings are reported with a [Safe] verdict
+    — the shape is still worth flagging, but a second resume is legal.
+    The {!Resolve.t} must be built from the same [Cfg.t] and
+    [Linearity.t]. *)
 
 val diagnostics : t -> Diag.t list
 (** Possibly-unhandled and effect-across-C-frame per perform site,

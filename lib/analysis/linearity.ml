@@ -113,9 +113,6 @@ let add_param st cfg g i s =
   | Some x -> add_tbl st st.var_t (g, x) s
   | None -> ()
 
-let case_fns (h : F.Ir.handle_spec) =
-  (h.F.Ir.retc :: List.map snd h.F.Ir.exncs) @ List.map snd h.F.Ir.effcs
-
 let taint_fixpoint (cfg : Cfg.t) sites =
   let st =
     {
@@ -133,7 +130,7 @@ let taint_fixpoint (cfg : Cfg.t) sites =
         List.fold_left
           (fun acc g -> IS.union acc (get_tbl st.ret_t g))
           acc
-          (case_fns cfg.Cfg.specs.(i).Cfg.sp))
+          (Cfg.case_fns cfg.Cfg.specs.(i).Cfg.sp))
       kk IS.empty
   in
   let rounds = ref 0 in
@@ -196,7 +193,7 @@ let taint_fixpoint (cfg : Cfg.t) sites =
                 h.F.Ir.body_args;
               List.fold_left
                 (fun acc g -> IS.union acc (get_tbl st.ret_t g))
-                IS.empty (case_fns h)
+                IS.empty (Cfg.case_fns h)
           | F.Ir.Continue (k, v) ->
               let idx = !n in
               incr n;
@@ -244,7 +241,7 @@ let rec taints_of st (cfg : Cfg.t) fname (e : F.Ir.expr) : IS.t =
   | F.Ir.Handle h ->
       List.fold_left
         (fun acc g -> IS.union acc (get_tbl st.ret_t g))
-        IS.empty (case_fns h)
+        IS.empty (Cfg.case_fns h)
   | F.Ir.Continue (k, _) | F.Ir.Discontinue (k, _, _) ->
       let kk = taints_of st cfg fname k in
       IS.fold
@@ -252,7 +249,7 @@ let rec taints_of st (cfg : Cfg.t) fname (e : F.Ir.expr) : IS.t =
           List.fold_left
             (fun acc g -> IS.union acc (get_tbl st.ret_t g))
             acc
-            (case_fns cfg.Cfg.specs.(i).Cfg.sp))
+            (Cfg.case_fns cfg.Cfg.specs.(i).Cfg.sp))
         kk IS.empty
 
 (* ------------------------------------------------------------------ *)

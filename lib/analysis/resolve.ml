@@ -16,21 +16,18 @@ type site = {
 
 (* Per function and effect label: the handle specs that may be the
    {e nearest} handler above an activation, plus whether the nearest
-   barrier may instead be the toplevel or a §5.3 callback frame.  This
-   is {!Effects} phase A refined from "may the label be missing" to
-   "which installation receives it": the same top-down joins over
-   calls, installations, callbacks and resumptions, with one new rule —
-   inside a spec's body (and on re-entry after a resume) the labels the
-   spec handles resolve to exactly that spec, shadowing every outer
-   candidate. *)
-type rctx = { cands : IS.t; r_top : bool; r_via_c : bool }
+   barrier may instead be the toplevel or a §5.3 callback frame — and
+   then which C function's.  [via] keeps the first C function found:
+   the diagnostics name one witness, not the set. *)
+type rctx = { cands : IS.t; r_top : bool; via : string option }
 
 type t = {
   cfg : Cfg.t;
+  ctx : (string, (string, rctx) Hashtbl.t) Hashtbl.t;
   sites : (string, site array) Hashtbl.t;
 }
 
-let bottom = { cands = IS.empty; r_top = false; r_via_c = false }
+let bottom = { cands = IS.empty; r_top = false; via = None }
 
 let klass_to_string = function
   | Mono -> "mono"
@@ -47,7 +44,13 @@ let classify s =
   | _ -> Mega
 
 (* ------------------------------------------------------------------ *)
-(* Context propagation. *)
+(* Context propagation, top-down from [main] over calls (same handler
+   stack), installations, callback entries (the runtime blanks the
+   handler chain: every label is unhandled at the C barrier) and
+   resumptions (the reinstated body — and later case-function
+   invocations — runs above the resumer's context).  Inside a spec's
+   body the labels the spec handles resolve to exactly that spec,
+   shadowing every outer candidate. *)
 
 let ctx_of ctx fname =
   match Hashtbl.find_opt ctx fname with
@@ -58,8 +61,9 @@ let ctx_of ctx fname =
       tbl
 
 let entry_of ctx fname label =
-  match Hashtbl.find_opt (ctx_of ctx fname) label with
-  | Some e -> e
+  match Hashtbl.find_opt ctx fname with
+  | Some tbl -> (
+      match Hashtbl.find_opt tbl label with Some e -> e | None -> bottom)
   | None -> bottom
 
 let join changed ctx fname entries =
@@ -73,14 +77,14 @@ let join changed ctx fname entries =
         {
           cands = IS.union old.cands e.cands;
           r_top = old.r_top || e.r_top;
-          r_via_c = old.r_via_c || e.r_via_c;
+          via = (match old.via with Some _ -> old.via | None -> e.via);
         }
       in
       if
         not
           (IS.equal merged.cands old.cands
           && merged.r_top = old.r_top
-          && merged.r_via_c = old.r_via_c)
+          && merged.via == old.via)
       then begin
         Hashtbl.replace tbl l merged;
         changed := true
@@ -90,11 +94,6 @@ let join changed ctx fname entries =
 let entries_of ctx fname =
   Hashtbl.fold (fun l e acc -> (l, e) :: acc) (ctx_of ctx fname) []
 
-let effc_labels (sp : F.Ir.handle_spec) = List.map fst sp.F.Ir.effcs
-
-let case_fns (sp : F.Ir.handle_spec) =
-  (sp.F.Ir.retc :: List.map snd sp.F.Ir.exncs) @ List.map snd sp.F.Ir.effcs
-
 let spec_of cfg fname (h : F.Ir.handle_spec) =
   List.find (fun (s : Cfg.spec) -> s.Cfg.sp == h) (Cfg.specs_inside cfg fname)
 
@@ -102,7 +101,7 @@ let spec_of cfg fname (h : F.Ir.handle_spec) =
    on resumption, the resumer's) entries: the spec's own labels resolve
    to the spec alone; everything else flows through. *)
 let body_entries (s : Cfg.spec) outer =
-  let own = effc_labels s.Cfg.sp in
+  let own = Cfg.effc_labels s.Cfg.sp in
   List.map (fun l -> (l, { bottom with cands = IS.singleton s.Cfg.sp_id })) own
   @ List.filter (fun (l, _) -> not (List.mem l own)) outer
 
@@ -126,7 +125,7 @@ let resumer_fns (lin : Linearity.t) (s : Cfg.spec) =
 type fn_summary = {
   s_calls : string list;
   s_handles : (Cfg.spec * string list) list;  (** spec, its case fns *)
-  s_extcalls : Cfg.cfun_model list;
+  s_extcalls : (string * Cfg.cfun_model) list;
 }
 
 let summarize_fns (cfg : Cfg.t) =
@@ -138,8 +137,9 @@ let summarize_fns (cfg : Cfg.t) =
         (fun e ->
           match e with
           | F.Ir.Call (g, _) -> calls := g :: !calls
-          | F.Ir.Handle h -> handles := (spec_of cfg fname h, case_fns h) :: !handles
-          | F.Ir.Extcall (c, _) -> exts := cfg.Cfg.cfun_model c :: !exts
+          | F.Ir.Handle h ->
+              handles := (spec_of cfg fname h, Cfg.case_fns h) :: !handles
+          | F.Ir.Extcall (c, _) -> exts := (c, cfg.Cfg.cfun_model c) :: !exts
           | _ -> ())
         f.F.Ir.body;
       (fname, { s_calls = !calls; s_handles = !handles; s_extcalls = !exts }))
@@ -149,8 +149,8 @@ let propagate (cfg : Cfg.t) (lin : Linearity.t) =
   let ctx : (string, (string, rctx) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   join (ref false) ctx cfg.Cfg.program.F.Ir.main
     (List.map (fun l -> (l, { bottom with r_top = true })) cfg.Cfg.eff_labels);
-  let all_via_c =
-    List.map (fun l -> (l, { bottom with r_via_c = true })) cfg.Cfg.eff_labels
+  let all_via_c c =
+    List.map (fun l -> (l, { bottom with via = Some c })) cfg.Cfg.eff_labels
   in
   let summaries = summarize_fns cfg in
   (* who can resume which spec depends only on the linearity sites —
@@ -161,7 +161,9 @@ let propagate (cfg : Cfg.t) (lin : Linearity.t) =
         if Cfg.is_reachable cfg s.Cfg.sp_in then resumer_fns lin s else [])
       cfg.Cfg.specs
   in
-  let spec_cases = Array.map (fun (s : Cfg.spec) -> case_fns s.Cfg.sp) cfg.Cfg.specs in
+  let spec_cases =
+    Array.map (fun (s : Cfg.spec) -> Cfg.case_fns s.Cfg.sp) cfg.Cfg.specs
+  in
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 1000 do
@@ -177,11 +179,14 @@ let propagate (cfg : Cfg.t) (lin : Linearity.t) =
             List.iter (fun g -> join changed ctx g cf) cases)
           s.s_handles;
         List.iter
-          (function
+          (fun (c, model) ->
+            match model with
             | Cfg.Pure -> ()
-            | Cfg.Calls_back g -> join changed ctx g all_via_c
+            | Cfg.Calls_back g -> join changed ctx g (all_via_c c)
             | Cfg.Opaque ->
-                List.iter (fun g -> join changed ctx g all_via_c) cfg.Cfg.fn_names)
+                List.iter
+                  (fun g -> join changed ctx g (all_via_c c))
+                  cfg.Cfg.fn_names)
           s.s_extcalls)
       summaries;
     Array.iteri
@@ -197,40 +202,9 @@ let propagate (cfg : Cfg.t) (lin : Linearity.t) =
   ctx
 
 (* ------------------------------------------------------------------ *)
-(* Site enumeration, in {e compile} order: the compiler emits a
-   [PerformI] after compiling its payload, so a site is claimed after
-   walking the payload subtree (post-order on performs, left-to-right
-   everywhere else).  Index [i] here is the [i]-th [PerformI] of the
-   function's compiled code — the contract {!runtime_map} relies on. *)
-
-let enumerate_sites claim (body : F.Ir.expr) =
-  let rec walk e =
-    (match e with
-    | F.Ir.Int _ | F.Ir.Var _ -> ()
-    | F.Ir.Binop (_, a, b)
-    | F.Ir.Let (_, a, b)
-    | F.Ir.Seq (a, b)
-    | F.Ir.Repeat (a, b)
-    | F.Ir.Continue (a, b) ->
-        walk a;
-        walk b
-    | F.Ir.If (a, b, c) ->
-        walk a;
-        walk b;
-        walk c
-    | F.Ir.Call (_, args) | F.Ir.Extcall (_, args) -> List.iter walk args
-    | F.Ir.Raise (_, a) -> walk a
-    | F.Ir.Discontinue (a, _, b) ->
-        walk a;
-        walk b
-    | F.Ir.Trywith (b, cases) ->
-        walk b;
-        List.iter (fun (_, _, ce) -> walk ce) cases
-    | F.Ir.Perform (_, p) -> walk p
-    | F.Ir.Handle h -> List.iter walk h.F.Ir.body_args);
-    match e with F.Ir.Perform (l, _) -> claim l e | _ -> ()
-  in
-  walk body
+(* Sites are enumerated in {e compile} order ({!Cfg.iter_expr_post}):
+   index [i] is the [i]-th [PerformI] of the function's compiled code —
+   the contract {!runtime_map} relies on. *)
 
 let analyze (cfg : Cfg.t) (lin : Linearity.t) =
   let ctx = propagate cfg lin in
@@ -240,27 +214,33 @@ let analyze (cfg : Cfg.t) (lin : Linearity.t) =
       let fname = f.F.Ir.fn_name in
       let acc = ref [] in
       let n = ref 0 in
-      enumerate_sites
-        (fun l e ->
-          let entry = entry_of ctx fname l in
-          let partial =
-            {
-              r_fn = fname;
-              r_idx = !n;
-              r_label = l;
-              r_site = F.Ir.expr_to_string e;
-              r_cands = entry.cands;
-              r_top = entry.r_top;
-              r_via_c = entry.r_via_c;
-              r_class = Mono;
-            }
-          in
-          acc := { partial with r_class = classify partial } :: !acc;
-          incr n)
+      Cfg.iter_expr_post
+        (function
+          | F.Ir.Perform (l, _) as e ->
+              let entry = entry_of ctx fname l in
+              let partial =
+                {
+                  r_fn = fname;
+                  r_idx = !n;
+                  r_label = l;
+                  r_site = F.Ir.expr_to_string e;
+                  r_cands = entry.cands;
+                  r_top = entry.r_top;
+                  r_via_c = entry.via <> None;
+                  r_class = Mono;
+                }
+              in
+              acc := { partial with r_class = classify partial } :: !acc;
+              incr n
+          | _ -> ())
         f.F.Ir.body;
       Hashtbl.replace sites fname (Array.of_list (List.rev !acc)))
     cfg.Cfg.reach_order;
-  { cfg; sites }
+  { cfg; ctx; sites }
+
+let boundary t fname label =
+  let e = entry_of t.ctx fname label in
+  (e.r_top, e.via)
 
 let sites_of t fname =
   match Hashtbl.find_opt t.sites fname with Some a -> a | None -> [||]
@@ -370,33 +350,9 @@ let runtime_map t (c : F.Compile.compiled) =
   in
   List.iter
     (fun (f : F.Ir.fn) ->
-      let rec walk e =
-        (match e with
-        | F.Ir.Int _ | F.Ir.Var _ -> ()
-        | F.Ir.Binop (_, a, b)
-        | F.Ir.Let (_, a, b)
-        | F.Ir.Seq (a, b)
-        | F.Ir.Repeat (a, b)
-        | F.Ir.Continue (a, b) ->
-            walk a;
-            walk b
-        | F.Ir.If (a, b, c) ->
-            walk a;
-            walk b;
-            walk c
-        | F.Ir.Call (_, args) | F.Ir.Extcall (_, args) -> List.iter walk args
-        | F.Ir.Raise (_, a) -> walk a
-        | F.Ir.Discontinue (a, _, b) ->
-            walk a;
-            walk b
-        | F.Ir.Trywith (b, cases) ->
-            walk b;
-            List.iter (fun (_, _, ce) -> walk ce) cases
-        | F.Ir.Perform (_, q) -> walk q
-        | F.Ir.Handle h -> List.iter walk h.F.Ir.body_args);
-        match e with F.Ir.Handle h -> claim f.F.Ir.fn_name h | _ -> ()
-      in
-      walk f.F.Ir.body)
+      Cfg.iter_expr_post
+        (function F.Ir.Handle h -> claim f.F.Ir.fn_name h | _ -> ())
+        f.F.Ir.body)
     p.F.Ir.fns;
   let site_of_pc = Hashtbl.create 64 in
   Array.iter

@@ -1,15 +1,20 @@
 (** Interprocedural handler resolution: which handler clauses can
     dynamically receive each [perform]?
 
-    A context-sensitive refinement of the {!Effects} phase-A dataflow:
-    instead of tracking only whether a label may be unhandled, each
-    function carries, per effect label, the set of handle-spec
+    The analyzer's one handler-context fixpoint.  Top-down from [main],
+    each function carries, per effect label, the set of handle-spec
     installations that may be the {e nearest} handler above one of its
-    activations.  Inside a spec's body — and on re-entry after a resume
-    — the labels the spec handles resolve to exactly that spec,
-    shadowing every outer candidate; [Calls_back]/[Opaque] external
-    calls blank the chain (the §5.3 barrier), and [Opaque] re-entries
-    flow into every function.
+    activations, and whether that nearest barrier may instead be the
+    toplevel or a §5.3 callback frame (and which C function's).
+    Contexts flow over calls, into handler bodies and case functions
+    (which run in the installer's — and after a resume, the resumer's —
+    frame), and into callback targets.  Inside a spec's body — and on
+    re-entry after a resume — the labels the spec handles resolve to
+    exactly that spec, shadowing every outer candidate;
+    [Calls_back]/[Opaque] external calls blank the chain (the §5.3
+    barrier), and [Opaque] re-entries flow into every function.
+    {!Effects} reads its unhandled and callback-barrier facts from here
+    ({!boundary}).
 
     Sites are classified by their number of distinct dynamic dispatch
     outcomes (candidate specs, plus one for a possible handler-less
@@ -38,6 +43,15 @@ type site = {
 type t
 
 val analyze : Cfg.t -> Linearity.t -> t
+
+val boundary : t -> string -> string -> bool * string option
+(** [boundary t fn label] is [(top, via)] for a [perform label] in
+    [fn]: [top] when some activation of [fn] may have no handler for
+    [label] up to the toplevel, and [via = Some c] when some activation
+    may instead reach the callback barrier of C function [c] first —
+    the first such function the fixpoint found, one witness rather than
+    the set.  A site's [r_top] and [r_via_c] are these two facts.
+    [(false, None)] for an unreachable function. *)
 
 val sites_of : t -> string -> site array
 (** Compile order; [[||]] for an unreachable function. *)

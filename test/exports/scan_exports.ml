@@ -3,8 +3,11 @@
 
    A value counts as used when its name appears as a word in some .ml
    file under lib/, bin/, bench/, perfbench/ or examples/ other than the
-   module's own implementation.  Comments and string literals are not
-   read, so a mention in prose is no use.  Every unused value must be
+   module's own implementation.  A value of a submodule ([arm] in
+   [module Ctl : sig ... end] of sched.mli) counts only where it appears
+   qualified: [Ctl.arm], [Sched.Ctl.arm], or [X.arm] after
+   [module X = Sched.Ctl].  Comments and string literals are not read,
+   so a mention in prose is no use.  Every unused value must be
    listed in test/exports/allowlist as [Module.value  client], where
    the client is the test file that names it or, for the few values
    kept without one, the reason they stay.  The check fails, naming the
@@ -20,8 +23,10 @@
    [Module.f ?lab  client], with the same rules for its client, which
    must name [lab].
 
-   The export check is a word match, not name resolution: a value whose
-   name is also used for something else elsewhere passes unseen.  A record field
+   For a top-level value (and a [val] of a [module type], which its
+   implementations answer to under any name) the export check is a
+   word match, not name resolution: a value whose name is also used for
+   something else elsewhere passes unseen.  A record field
    after a dot ([t.free_slots]) and a record label ([free_slots : ...],
    [{ free_slots = ... }]) are not read as words.  Operators
    ([val ( >>= )]) are skipped.  Run it from the root of the tree, with
@@ -133,19 +138,23 @@ let rec optional_labels depth acc = function
   | [] -> List.rev acc
 
 (* The exported values of an interface, each as its path of enclosing
-   signatures ([["Ctl"; "arm"]] inside [module Ctl : sig ... end]) and
-   its optional labels. *)
+   signatures ([["Ctl"; "arm"]] inside [module Ctl : sig ... end]),
+   whether it lies inside a [module type], and its optional labels.
+   A frame of the stack is a signature's name and whether it is a
+   module type's. *)
 let exported_values text =
   let rec go stack pending acc = function
     | "val" :: name :: rest when is_ident_start name.[0] ->
-        let path = List.filter (fun s -> s <> "") (List.rev (name :: stack)) in
-        go stack pending ((path, optional_labels 0 [] rest) :: acc) rest
-    | "module" :: ("type" | "rec") :: name :: rest | "module" :: name :: rest ->
-        go stack (Some name) acc rest
+        let path = List.filter (fun s -> s <> "") (List.rev (name :: List.map fst stack)) in
+        let in_type = List.exists snd stack in
+        go stack pending ((path, in_type, optional_labels 0 [] rest) :: acc) rest
+    | "module" :: "type" :: name :: rest -> go stack (Some (name, true)) acc rest
+    | "module" :: "rec" :: name :: rest | "module" :: name :: rest ->
+        go stack (Some (name, false)) acc rest
     | "sig" :: rest ->
-        let frame = Option.value pending ~default:"" in
+        let frame = Option.value pending ~default:("", false) in
         go (frame :: stack) None acc rest
-    | ("struct" | "object" | "begin") :: rest -> go ("" :: stack) pending acc rest
+    | ("struct" | "object" | "begin") :: rest -> go (("", false) :: stack) pending acc rest
     | "end" :: rest -> go (match stack with [] -> [] | _ :: s -> s) pending acc rest
     | _ :: rest -> go stack pending acc rest
     | [] -> List.rev acc
@@ -309,7 +318,7 @@ let () =
            let own = base ^ ".ml" in
            let modname = String.capitalize_ascii (Filename.basename base) in
            exported_values (read_file mli)
-           |> List.concat_map (fun (path, optional) ->
+           |> List.concat_map (fun (path, in_type, optional) ->
                   let value = List.nth path (List.length path - 1) in
                   let name = String.concat "." (modname :: path) in
                   let m = List.nth (modname :: path) (List.length path - 1) in
@@ -327,8 +336,12 @@ let () =
                           if List.mem lab set then None else Some (name ^ " ?" ^ lab, lab))
                         optional
                   in
-                  if List.exists (fun ((p, _) as f) -> p <> own && names f value) production
-                  then unset
+                  let qualified = List.length path > 1 && not in_type in
+                  let uses ((p, _) as f) (_, apps) =
+                    p <> own
+                    && if qualified then Hashtbl.mem apps (m, value) else names f value
+                  in
+                  if List.exists2 uses production production_apps then unset
                   else (name, value) :: unset))
     |> List.sort_uniq compare
   in

@@ -179,6 +179,135 @@ let runtime_map_is_total_and_inverse () =
     rt_suite
 
 (* ------------------------------------------------------------------ *)
+(* One handler-context fixpoint, two readers: the escape analysis's
+   perform lints read their boundary facts from [Resolve.boundary], so
+   they must fire exactly at the sites whose resolution carries the
+   matching flag, and name a C function that can call back. *)
+
+let reentrant_cfuns model (p : F.Ir.program) =
+  let out = ref [] in
+  List.iter
+    (fun (f : F.Ir.fn) ->
+      A.Cfg.iter_expr
+        (function
+          | F.Ir.Extcall (c, _) when model c <> A.Cfg.Pure -> out := c :: !out
+          | _ -> ())
+        f.F.Ir.body)
+    p.F.Ir.fns;
+  !out
+
+(* The number of [Possibly_unhandled] and [Effect_across_c_frame]
+   findings per reachable perform site, keyed like the diagnostics (a
+   site's function and printed expression), after checking that the two
+   readers agree on every site. *)
+let check_boundary_readers model name (p : F.Ir.program) =
+  let r = A.Analyze.analyze ~cfun_model:model p in
+  let cfuns = reentrant_cfuns model p in
+  let diags = r.A.Analyze.report.A.Diag.diags in
+  let at (s : A.Resolve.site) (d : A.Diag.t) =
+    d.A.Diag.fn = s.A.Resolve.r_fn && d.A.Diag.site = s.A.Resolve.r_site
+  in
+  let sites = A.Resolve.all_sites r.A.Analyze.resolve in
+  List.map
+    (fun (s : A.Resolve.site) ->
+      let where =
+        Printf.sprintf "%s: %s#%d" name s.A.Resolve.r_fn s.A.Resolve.r_idx
+      in
+      let unhandled =
+        List.filter
+          (fun d ->
+            at s d
+            &&
+            match d.A.Diag.kind with
+            | A.Diag.Possibly_unhandled _ -> true
+            | _ -> false)
+          diags
+      in
+      let across =
+        List.filter_map
+          (fun d ->
+            match d.A.Diag.kind with
+            | A.Diag.Effect_across_c_frame { cfun; _ } when at s d -> Some cfun
+            | _ -> None)
+          diags
+      in
+      Alcotest.(check bool)
+        (where ^ " possibly-unhandled iff +toplevel")
+        s.A.Resolve.r_top (unhandled <> []);
+      Alcotest.(check bool)
+        (where ^ " effect-across-C-frame iff +via-c")
+        s.A.Resolve.r_via_c (across <> []);
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s can call back" where c)
+            true (List.mem c cfuns))
+        across;
+      (s, List.length unhandled, List.length across))
+    sites
+
+let builtins =
+  rt_suite
+  @ [
+      ("extcall", F.Programs.extcall ~iters:3);
+      ("callback", F.Programs.callback ~iters:3);
+      ("meander", F.Programs.meander);
+      ("effect_in_callback", F.Programs.effect_in_callback);
+      ("multishot_choice", F.Programs.multishot_choice);
+      ("suspended_requests", F.Programs.suspended_requests ~n:3);
+    ]
+
+let boundary_readers_agree () =
+  let flagged = ref 0 in
+  let count l =
+    List.iter
+      (fun ((s : A.Resolve.site), _, _) ->
+        if s.A.Resolve.r_top || s.A.Resolve.r_via_c then incr flagged)
+      l
+  in
+  List.iter
+    (fun (name, p) -> count (check_boundary_readers builtin_cfun_model name p))
+    builtins;
+  List.iter
+    (fun (e : C.Corpus.entry) ->
+      count
+        (check_boundary_readers C.Static.cfun_model e.C.Corpus.name
+           e.C.Corpus.program))
+    C.Corpus.entries;
+  for i = 0 to 299 do
+    let p = C.Gen.program_of_seed (C.Fuzz.prog_seed ~seed:1 i) in
+    count (check_boundary_readers C.Static.cfun_model (Printf.sprintf "gen#%d" i) p)
+  done;
+  (* the programs do reach boundaries, so the agreement is not vacuous *)
+  Alcotest.(check bool) "flagged sites checked" true (!flagged > 10)
+
+let two_callbacks_one_barrier_finding () =
+  (* two different C functions call back into the same performing
+     function: the site is +via-c, and the lint names one of them once *)
+  let model = function
+    | "cb_a" | "cb_b" -> A.Cfg.Calls_back "p"
+    | _ -> A.Cfg.Pure
+  in
+  let p =
+    prog
+      [
+        fn "p" [ "x" ] (F.Ir.Perform ("E", F.Ir.Var "x"));
+        fn "main" []
+          (F.Ir.Seq
+             ( F.Ir.Extcall ("cb_a", [ F.Ir.Int 1 ]),
+               F.Ir.Extcall ("cb_b", [ F.Ir.Int 2 ]) ));
+      ]
+  in
+  match check_boundary_readers model "two callbacks" p with
+  | [ (s, unhandled, across) ] ->
+      Alcotest.(check string) "the site is in p" "p" s.A.Resolve.r_fn;
+      Alcotest.(check bool) "+via-c" true s.A.Resolve.r_via_c;
+      Alcotest.(check bool) "not +toplevel" false s.A.Resolve.r_top;
+      Alcotest.(check int) "no possibly-unhandled finding" 0 unhandled;
+      Alcotest.(check int) "one effect-across-C-frame finding" 1 across
+  | l -> Alcotest.failf "expected one perform site, got %d" (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Dynamic agreement: every observed dispatch lands in the candidate
    set; handler-less boundaries only at flagged sites. *)
 
@@ -539,6 +668,8 @@ let suite =
     test "nearest handler shadows outer" nearest_handler_shadows;
     test "boundary flags on built-ins" boundary_flags_on_builtins;
     test "runtime map is total and inverse" runtime_map_is_total_and_inverse;
+    test "boundary lints agree with resolution" boundary_readers_agree;
+    test "two callbacks, one barrier finding" two_callbacks_one_barrier_finding;
     test "dispatch agreement on built-ins" dispatch_agreement_on_builtins;
     test "dispatch agreement under multishot" dispatch_agreement_multishot;
     test "measured counters within bounds (all policies)" bounds_hold_on_builtins;
