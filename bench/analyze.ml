@@ -10,7 +10,13 @@
    differential-oracle run (three backends plus the per-step auditor)
    the campaign already pays per program, which is what the analyzer
    actually rides along with; the bound is enforced against the
-   latter. *)
+   latter.
+
+   Every run also prints the analysis split by phase, in us a program:
+   the index ([Cfg.build]), [Linearity], [Resolve], [Effects],
+   [Costbound], the must pass (the rest of [Static.analyze]) and the
+   red-zone audit.  Each phase is timed alone, over inputs built once,
+   in a second pass that the bound does not read. *)
 
 module C = Retrofit_conformance
 module A = Retrofit_analysis
@@ -68,6 +74,36 @@ let () =
       fiber_ns := Int64.add !fiber_ns te;
       oracle_ns := Int64.add !oracle_ns tor)
     programs;
+  let phases =
+    [|
+      "index"; "Linearity"; "Resolve"; "Effects"; "Costbound"; "must pass";
+      "Redzone";
+    |]
+  in
+  let phase_ns = Array.make (Array.length phases) 0L in
+  let charge i t = phase_ns.(i) <- Int64.add phase_ns.(i) t in
+  let cfun_model = C.Static.cfun_model in
+  List.iter
+    (fun p ->
+      let compiled = Retrofit_fiber.Compile.compile p in
+      let cfg = A.Cfg.build ~cfun_model compiled p in
+      let lin = A.Linearity.analyze cfg in
+      let res = A.Resolve.analyze cfg lin in
+      let times =
+        [|
+          best (fun () -> A.Cfg.build ~cfun_model compiled p);
+          best (fun () -> A.Linearity.analyze cfg);
+          best (fun () -> A.Resolve.analyze cfg lin);
+          best (fun () -> A.Effects.analyze ~multishot:false cfg lin res);
+          best (fun () ->
+              A.Costbound.analyze ~cfun_model:cfg.A.Cfg.cfuns compiled);
+        |]
+      in
+      Array.iteri charge times;
+      let whole = best (fun () -> C.Static.analyze ~compiled p) in
+      charge 5 (Array.fold_left Int64.sub whole times);
+      charge 6 (best (fun () -> A.Redzone.audit ~red_zone:16 compiled)))
+    programs;
   let a = Int64.to_float !analysis_ns
   and e = Int64.to_float !fiber_ns
   and o = Int64.to_float !oracle_ns in
@@ -85,6 +121,12 @@ let () =
     (100.0 *. a /. e)
     (o /. 1e6) (per o)
     (100.0 *. ratio);
+  print_string "phase us/program:";
+  Array.iteri
+    (fun i name ->
+      Printf.printf " %s %.2f;" name (per (Int64.to_float phase_ns.(i))))
+    phases;
+  print_newline ();
   if !check then
     if ratio < 0.20 then
       print_endline "check: ok (analysis < 20% of oracle execution)"

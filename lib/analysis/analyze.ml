@@ -42,9 +42,7 @@ exception M_abort
 
 exception M_fuel
 
-let must_run (cfun_model : string -> Cfg.cfun_model) (p : F.Ir.program) : must * bool =
-  let fns = Hashtbl.create 16 in
-  List.iter (fun (f : F.Ir.fn) -> Hashtbl.replace fns f.F.Ir.fn_name f) p.F.Ir.fns;
+let must_run (cfg : Cfg.t) : must * bool =
   let fuel = ref 200_000 in
   let violated = ref false in
   let tick () =
@@ -159,7 +157,7 @@ let must_run (cfun_model : string -> Cfg.cfun_model) (p : F.Ir.program) : must *
         | _ -> raise M_abort)
     | F.Ir.Extcall (c, args) -> (
         List.iter (fun a -> ignore (eval env a)) args;
-        match cfun_model c with
+        match cfg.Cfg.cfuns.(Cfg.cfun_id cfg c) with
         | Cfg.Pure -> M_unk
         | Cfg.Calls_back _ | Cfg.Opaque -> raise M_abort)
     | F.Ir.Repeat (c, b) -> (
@@ -170,15 +168,14 @@ let must_run (cfun_model : string -> Cfg.cfun_model) (p : F.Ir.program) : must *
               ignore (eval env b)
             done;
             M_int 0)
+  (* the program compiled, so every callee exists and arities match *)
   and call f vs =
-    match Hashtbl.find_opt fns f with
-    | None -> raise M_abort
-    | Some fn ->
-        if List.length fn.F.Ir.params <> List.length vs then raise M_abort
-        else eval (List.combine fn.F.Ir.params vs) fn.F.Ir.body
+    let fn = cfg.Cfg.fns.(Cfg.fn_id cfg f) in
+    eval (List.combine fn.F.Ir.params vs) fn.F.Ir.body
   in
+  let main = cfg.Cfg.fns.(cfg.Cfg.compiled.F.Compile.main_index) in
   let res =
-    match call p.F.Ir.main [] with
+    match call main.F.Ir.fn_name [] with
     | M_int _ | M_unk | M_cont _ -> M_value
     | exception M_raise (l, _) -> M_raises l
     | exception (M_abort | M_fuel | Stack_overflow) -> M_unknown
@@ -202,20 +199,20 @@ let refine ~flow_may ~(must : must) label =
   | M_raises _ -> Diag.Safe
   | M_unknown -> Diag.May
 
-let analyze ?cfun_model ?(multishot = false) ?compiled
-    ?(lints = true) (p : F.Ir.program) : result =
-  let cfg = Cfg.build ?cfun_model p in
+let analyze ~cfun_model ?(multishot = false) ?compiled ?(lints = true)
+    (p : F.Ir.program) : result =
+  let compiled =
+    match compiled with Some c -> c | None -> F.Compile.compile p
+  in
+  let cfg = Cfg.build ~cfun_model compiled p in
   let lin = Linearity.analyze cfg in
   let resolve = Resolve.analyze cfg lin in
   let eff = Effects.analyze ~multishot cfg lin resolve in
   let diags = if lints then Effects.diagnostics eff else [] in
   let flow_u = Effects.unhandled_may eff in
   let flow_o = Effects.one_shot_may eff in
-  let compiled =
-    match compiled with Some c -> c | None -> F.Compile.compile p
-  in
-  let cost = Costbound.analyze ~cfun_model:cfg.Cfg.cfun_model compiled in
-  let must, hit_violation = must_run cfg.Cfg.cfun_model p in
+  let cost = Costbound.analyze ~cfun_model:cfg.Cfg.cfuns compiled in
+  let must, hit_violation = must_run cfg in
   (* The interpreter's continuations are the host's, hence one-shot:
      past a violation its execution diverges from the cloning runtime,
      so its outcome cannot sharpen multishot verdicts. *)
@@ -235,7 +232,7 @@ let analyze ?cfun_model ?(multishot = false) ?compiled
     compiled;
   }
 
-let lint ?cfun_model (p : F.Ir.program) : Diag.report =
-  let r = analyze ?cfun_model p in
+let lint ~cfun_model (p : F.Ir.program) : Diag.report =
+  let r = analyze ~cfun_model p in
   let rz = Redzone.audit ~red_zone:16 r.compiled in
   { r.report with Diag.diags = Diag.dedup (rz @ r.report.Diag.diags) }

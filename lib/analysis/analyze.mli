@@ -26,20 +26,20 @@ type result = {
   resolve : Resolve.t;  (** per-perform-site handler resolution *)
   cost : Costbound.t;  (** whole-program cost bounds *)
   compiled : Retrofit_fiber.Compile.compiled;
-      (** the compiled form the cost pass (and any red-zone audit or
-          runtime map) ran against *)
+      (** the compiled form the index and every pass (and any
+          red-zone audit or runtime map) ran against *)
 }
 
 val analyze :
-  ?cfun_model:(string -> Cfg.cfun_model) ->
+  cfun_model:(string -> Cfg.cfun_model) ->
   ?multishot:bool ->
   ?compiled:Retrofit_fiber.Compile.compiled ->
   ?lints:bool ->
   Retrofit_fiber.Ir.program ->
   result
 (** [compiled], when given, must be the compiled form of the program
-    being analyzed; it is used for the cost pass and stored in the
-    result instead of compiling afresh.  Callers that compile the
+    being analyzed; the {!Cfg} index is built on it, and it is stored
+    in the result instead of compiling afresh.  Callers that compile the
     program anyway to execute it (the conformance campaign, benches)
     pass it here so the compile is not paid twice.
 
@@ -59,6 +59,6 @@ val analyze :
     point it diverges from the cloning runtime). *)
 
 val lint :
-  ?cfun_model:(string -> Cfg.cfun_model) -> Retrofit_fiber.Ir.program -> Diag.report
+  cfun_model:(string -> Cfg.cfun_model) -> Retrofit_fiber.Ir.program -> Diag.report
 (** [analyze] plus the §5.2 red-zone audit over the compiled form, at
     the paper's 16-word red zone. *)

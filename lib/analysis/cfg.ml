@@ -2,32 +2,64 @@ module F = Retrofit_fiber
 
 type cfun_model = Pure | Calls_back of string | Opaque
 
-type spec = { sp_id : int; sp_in : string; sp : F.Ir.handle_spec }
-
-type t = {
-  program : F.Ir.program;
-  fn_tbl : (string, F.Ir.fn) Hashtbl.t;
-  fn_names : string list;
-  specs : spec array;
-  specs_in : (string, spec list) Hashtbl.t;
-  cfun_model : string -> cfun_model;
-  reachable : (string, unit) Hashtbl.t;
-  parent : (string, string) Hashtbl.t;
-  mutable reach_order : F.Ir.fn list;
-  eff_labels : string list;
-  exn_labels : string list;
-  has_opaque_cfun : bool;
+type spec = {
+  sp_id : int;
+  sp_pre : int;
+  sp_in : int;
+  sp : F.Ir.handle_spec;
+  sp_body : int;
+  sp_cases : int list;
+  sp_effs : Bits.t;
+  sp_exns : Bits.t;
 }
 
-exception Unknown_function of string
+type t = {
+  compiled : F.Compile.compiled;
+  fns : F.Ir.fn array;
+  specs : spec array;
+  cfuns : cfun_model array;
+  calls : int list array;
+  installs : int list array;
+  extcalls : int list array;
+  reachable : bool array;
+  parent : int array;
+  reach_order : int array;
+}
 
-let fn t name =
-  match Hashtbl.find_opt t.fn_tbl name with
-  | Some f -> f
-  | None -> raise (Unknown_function name)
+exception No_fixpoint
+
+let fixpoint step =
+  let rounds = ref 1 in
+  while step () do
+    if !rounds >= 1000 then raise No_fixpoint;
+    incr rounds
+  done
+
+let fn_id t name = Hashtbl.find t.compiled.F.Compile.fn_ids name
+
+let eff_id t l = F.Compile.eff_id t.compiled l
+
+let exn_id t l = F.Compile.exn_id t.compiled l
+
+let index_of names name =
+  let rec go i = if String.equal names.(i) name then i else go (i + 1) in
+  go 0
+
+let cfun_id t name = index_of t.compiled.F.Compile.cfun_names name
+
+let callback t cid =
+  match t.cfuns.(cid) with
+  | Calls_back g -> (
+      match Hashtbl.find_opt t.compiled.F.Compile.fn_ids g with
+      | Some i -> i
+      | None -> -1)
+  | Pure | Opaque -> -1
+
+let spec_of t f (h : F.Ir.handle_spec) =
+  t.specs.(List.find (fun i -> t.specs.(i).sp == h) t.installs.(f))
 
 (* The direct sub-expressions of [e], left to right; [walk f] is applied
-   to each.  Taking the walker as an argument lets both traversals
+   to each.  Taking the walker as an argument lets every traversal
    recurse through it without allocating a closure per node. *)
 let iter_children walk f (e : F.Ir.expr) =
   match e with
@@ -59,130 +91,112 @@ let rec iter_expr_post f e =
   iter_children iter_expr_post f e;
   f e
 
-let effc_labels (h : F.Ir.handle_spec) = List.map fst h.F.Ir.effcs
-
-let case_fns (h : F.Ir.handle_spec) =
-  (h.F.Ir.retc :: List.map snd h.F.Ir.exncs) @ List.map snd h.F.Ir.effcs
-
-(* Interprocedural edges out of one function: direct calls, the five
-   function positions of a handler installation, and — through the
-   C-function model — callback re-entries from external calls.  An
-   [Opaque] C function is assumed able to call back into any function of
-   the program. *)
-type edge_kind =
-  | Ecall
-  | Ehandle_body
-  | Ehandle_case
-  | Ecallback of string  (** via the named C function *)
-
-let iter_edges t name k =
-  let f = fn t name in
-  iter_expr
-    (fun e ->
-      match e with
-      | F.Ir.Call (g, _) -> k Ecall g
-      | F.Ir.Handle h ->
-          k Ehandle_body h.F.Ir.body_fn;
-          k Ehandle_case h.F.Ir.retc;
-          List.iter (fun (_, g) -> k Ehandle_case g) h.F.Ir.exncs;
-          List.iter (fun (_, g) -> k Ehandle_case g) h.F.Ir.effcs
-      | F.Ir.Extcall (c, _) -> (
-          match t.cfun_model c with
-          | Pure -> ()
-          | Calls_back g -> k (Ecallback c) g
-          | Opaque -> List.iter (fun g -> k (Ecallback c) g) t.fn_names)
-      | _ -> ())
-    f.F.Ir.body
-
-let builtin_exns =
-  [ "Unhandled"; "Invalid_argument"; "Division_by_zero"; "Stack_overflow" ]
-
-let build ?(cfun_model = fun _ -> Opaque) (program : F.Ir.program) =
-  let fn_tbl = Hashtbl.create 16 in
-  List.iter (fun (f : F.Ir.fn) -> Hashtbl.replace fn_tbl f.F.Ir.fn_name f)
-    program.F.Ir.fns;
-  let fn_names = List.map (fun (f : F.Ir.fn) -> f.F.Ir.fn_name) program.F.Ir.fns in
-  let specs = ref [] and nspecs = ref 0 in
-  let specs_in = Hashtbl.create 16 in
-  let effs = ref [] and exns = ref (List.rev builtin_exns) in
-  let add_label set l = if not (List.mem l !set) then set := l :: !set in
-  let has_opaque = ref false in
-  List.iter
-    (fun (f : F.Ir.fn) ->
-      iter_expr
-        (fun e ->
-          match e with
-          | F.Ir.Handle h ->
-              let sp = { sp_id = !nspecs; sp_in = f.F.Ir.fn_name; sp = h } in
-              incr nspecs;
-              specs := sp :: !specs;
-              Hashtbl.replace specs_in f.F.Ir.fn_name
-                (sp
-                 ::
-                 (match Hashtbl.find_opt specs_in f.F.Ir.fn_name with
-                 | Some l -> l
-                 | None -> []));
-              List.iter (fun (l, _) -> add_label effs l) h.F.Ir.effcs;
-              List.iter (fun (l, _) -> add_label exns l) h.F.Ir.exncs
-          | F.Ir.Perform (l, _) -> add_label effs l
-          | F.Ir.Raise (l, _) | F.Ir.Discontinue (_, l, _) -> add_label exns l
-          | F.Ir.Trywith (_, cases) ->
-              List.iter (fun (l, _, _) -> add_label exns l) cases
-          | F.Ir.Extcall (c, _) ->
-              if cfun_model c = Opaque then has_opaque := true
-          | _ -> ())
-        f.F.Ir.body)
-    program.F.Ir.fns;
-  let t =
-    {
-      program;
-      fn_tbl;
-      fn_names;
-      specs = Array.of_list (List.rev !specs);
-      specs_in;
-      cfun_model;
-      reachable = Hashtbl.create 16;
-      parent = Hashtbl.create 16;
-      reach_order = [];
-      eff_labels = List.rev !effs;
-      exn_labels = List.rev !exns;
-      has_opaque_cfun = !has_opaque;
-    }
+let build ~cfun_model (c : F.Compile.compiled) (program : F.Ir.program) =
+  let fns = Array.of_list program.F.Ir.fns in
+  let nf = Array.length fns in
+  let id name = Hashtbl.find c.F.Compile.fn_ids name in
+  let cfuns = Array.map cfun_model c.F.Compile.cfun_names in
+  let calls = Array.make nf [] and installs = Array.make nf [] in
+  let extcalls = Array.make nf [] in
+  (* interprocedural edges out of each function in pre-order, for the
+     BFS below; -1 stands for every function (an [Opaque] re-entry) *)
+  let succ = Array.make nf [] in
+  let specs = ref [] and npre = ref 0 and npost = ref 0 in
+  (* One walk per function, in program order: a [Handle] is numbered
+     in pre-order on entry (the printed [spec#N]) and in compile order
+     on exit — the compiler appends its descriptor after the body-args
+     code, so the [i]-th [Handle] exited owns descriptor [i]. *)
+  let rec walk f (e : F.Ir.expr) =
+    let edge g = succ.(f) <- g :: succ.(f) in
+    let pre = !npre in
+    (match e with
+    | F.Ir.Call (g, _) ->
+        edge (id g);
+        calls.(f) <- id g :: calls.(f)
+    | F.Ir.Handle h ->
+        incr npre;
+        List.iter
+          (fun g -> edge (id g))
+          ((h.F.Ir.body_fn :: h.F.Ir.retc :: List.map snd h.F.Ir.exncs)
+          @ List.map snd h.F.Ir.effcs)
+    | F.Ir.Extcall (name, _) -> (
+        let cid = index_of c.F.Compile.cfun_names name in
+        extcalls.(f) <- cid :: extcalls.(f);
+        match cfuns.(cid) with
+        | Pure -> ()
+        | Calls_back g ->
+            Option.iter edge (Hashtbl.find_opt c.F.Compile.fn_ids g)
+        | Opaque -> edge (-1))
+    | _ -> ());
+    iter_children walk f e;
+    match e with
+    | F.Ir.Handle h ->
+        let d = c.F.Compile.handles.(!npost) in
+        specs :=
+          {
+            sp_id = !npost;
+            sp_pre = pre;
+            sp_in = f;
+            sp = h;
+            sp_body = d.F.Compile.h_body;
+            sp_cases =
+              (d.F.Compile.h_retc :: List.map snd d.F.Compile.h_exncs)
+              @ List.map snd d.F.Compile.h_effcs;
+            sp_effs = Bits.of_list (List.map fst d.F.Compile.h_effcs);
+            sp_exns = Bits.of_list (List.map fst d.F.Compile.h_exncs);
+          }
+          :: !specs;
+        installs.(f) <- !npost :: installs.(f);
+        incr npost
+    | _ -> ()
   in
+  Array.iteri (fun f (fn : F.Ir.fn) -> walk f fn.F.Ir.body) fns;
   (* Reachability from main over all edge kinds; the BFS tree doubles as
-     the witness-path provenance for diagnostics. *)
-  let q = Queue.create () in
-  let visit ~from name =
-    if Hashtbl.mem t.fn_tbl name && not (Hashtbl.mem t.reachable name) then begin
-      Hashtbl.replace t.reachable name ();
-      (match from with
-      | Some p -> Hashtbl.replace t.parent name p
-      | None -> ());
-      Queue.push name q
+     the witness-path provenance for diagnostics, and [order] as the
+     queue. *)
+  let reachable = Array.make nf false and parent = Array.make nf (-1) in
+  let order = Array.make nf 0 and n = ref 0 in
+  let visit p g =
+    if not reachable.(g) then begin
+      reachable.(g) <- true;
+      parent.(g) <- p;
+      order.(!n) <- g;
+      incr n
     end
   in
-  visit ~from:None program.F.Ir.main;
-  let order = ref [] in
-  while not (Queue.is_empty q) do
-    let name = Queue.pop q in
-    order := fn t name :: !order;
-    iter_edges t name (fun _ g -> visit ~from:(Some name) g)
+  visit (-1) c.F.Compile.main_index;
+  let i = ref 0 in
+  while !i < !n do
+    let f = order.(!i) in
+    incr i;
+    List.iter
+      (fun g ->
+        if g < 0 then
+          for g = 0 to nf - 1 do
+            visit f g
+          done
+        else visit f g)
+      (List.rev succ.(f))
   done;
-  t.reach_order <- List.rev !order;
-  t
+  {
+    compiled = c;
+    fns;
+    specs = Array.of_list (List.rev !specs);
+    cfuns;
+    calls;
+    installs = Array.map List.rev installs;
+    extcalls;
+    reachable;
+    parent;
+    reach_order = Array.sub order 0 !n;
+  }
 
-let is_reachable t name = Hashtbl.mem t.reachable name
-
-let path_to t name =
-  let rec up acc name =
-    match Hashtbl.find_opt t.parent name with
-    | Some p -> up (name :: acc) p
-    | None -> name :: acc
+let path_to t f =
+  let rec up acc g =
+    let acc = t.fns.(g).F.Ir.fn_name :: acc in
+    if t.parent.(g) < 0 then acc else up acc t.parent.(g)
   in
-  if is_reachable t name then up [] name else [ name ]
-
-let specs_inside t name =
-  match Hashtbl.find_opt t.specs_in name with Some l -> List.rev l | None -> []
+  if t.reachable.(f) then up [] f else [ t.fns.(f).F.Ir.fn_name ]
 
 (* ------------------------------------------------------------------ *)
 (* Instruction-level CFG over compiled code, for the red-zone audit. *)

@@ -118,7 +118,7 @@ let summarize (c : F.Compile.compiled) cfun_model (cf : F.Compile.cfn) =
     | F.Ir.ContinueI | F.Ir.DiscontinueI _ -> resume := badd !resume m
     | F.Ir.CallI fid -> calls := (fid, m) :: !calls
     | F.Ir.ExtcallI (cid, _) -> (
-        match cfun_model c.F.Compile.cfun_names.(cid) with
+        match cfun_model.(cid) with
         | Cfg.Pure -> ()
         | Cfg.Calls_back g -> (
             match Hashtbl.find_opt c.F.Compile.fn_ids g with
@@ -167,7 +167,7 @@ let perform_total sums inv =
   Array.iteri (fun i s -> p := badd !p (bmul inv.(i) s.fs_perform)) sums;
   !p
 
-let analyze ?(cfun_model = fun _ -> Cfg.Opaque) (c : F.Compile.compiled) =
+let analyze ~cfun_model (c : F.Compile.compiled) =
   let nf = Array.length c.F.Compile.fns in
   let sums = Array.map (summarize c cfun_model) c.F.Compile.fns in
   let inv = Array.make nf (Fin 0) in

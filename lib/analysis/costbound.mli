@@ -25,13 +25,12 @@ val finite : bound -> int option
 type t
 
 val analyze :
-  ?cfun_model:(string -> Cfg.cfun_model) ->
-  Retrofit_fiber.Compile.compiled ->
-  t
-(** [cfun_model] defaults to all-[Opaque].  An executable [Opaque]
-    external call collapses every invocation bound to ∞; [Calls_back]
-    is modeled as at most one callback per external-call execution —
-    the contract the conformance harness's [cb_*] stubs implement. *)
+  cfun_model:Cfg.cfun_model array -> Retrofit_fiber.Compile.compiled -> t
+(** [cfun_model] holds each external function's model, indexed like
+    the compiled form's [cfun_names].  An executable [Opaque] external
+    call collapses every invocation bound to ∞; [Calls_back] is modeled
+    as at most one callback per external-call execution — the contract
+    the conformance harness's [cb_*] stubs implement. *)
 
 val inv : t -> string -> bound
 (** Invocations of the named function per run. *)

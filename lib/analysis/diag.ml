@@ -96,20 +96,14 @@ let to_string ?loc d =
        " [" ^ String.concat " -> " (List.map (step_to_string ?loc) d.path) ^ "]")
     (if d.site = "" then "" else "\n    at " ^ d.site)
 
-let locator ~file (p : Retrofit_fiber.Ir.program) =
-  let tbl = Hashtbl.create 16 in
-  List.iteri
-    (fun i (f : Retrofit_fiber.Ir.fn) ->
-      (* [Ir.program_to_string] prints one function per line, in program
-         order, so the definition of the [i]-th function sits on line
-         [i + 1] of the listing. *)
-      if not (Hashtbl.mem tbl f.Retrofit_fiber.Ir.fn_name) then
-        Hashtbl.replace tbl f.Retrofit_fiber.Ir.fn_name (i + 1))
-    p.Retrofit_fiber.Ir.fns;
-  fun name ->
-    match Hashtbl.find_opt tbl name with
-    | Some line -> Some (Printf.sprintf "%s:%d" file line)
-    | None -> None
+(* [Ir.program_to_string] prints one function per line, in program
+   order, so the definition of the [i]-th function sits on line [i + 1]
+   of the listing. *)
+let locator ~file (p : Retrofit_fiber.Ir.program) name =
+  List.find_index
+    (fun (f : Retrofit_fiber.Ir.fn) -> f.Retrofit_fiber.Ir.fn_name = name)
+    p.Retrofit_fiber.Ir.fns
+  |> Option.map (fun i -> Printf.sprintf "%s:%d" file (i + 1))
 
 (* Deterministic report order: by kind label, function, then detail. *)
 let sort_key d = (kind_label d.kind, d.fn, kind_detail d.kind, d.site)

@@ -2,7 +2,8 @@
 
     Bottom-up over the {!Cfg} index, it computes per function the
     effect labels that may be performed and escape its extent, and the
-    exception labels that may be raised out of it.  The runtime's
+    exception labels that may be raised out of it — {!Bits} over the
+    compiler's label ids, in an array indexed by function id.  The runtime's
     synthetic exceptions are ordinary labels here: ["Unhandled"] is
     injected at perform sites that {!Resolve.boundary} marks as possibly
     bare (no handler up to the toplevel or a §5.3 callback barrier),

@@ -17,43 +17,46 @@
     worst case and every resume site is treated as possibly touching
     it.  Raises are counted as falling through, so minimum counts can
     be overstated on exceptional paths — {!Effects} compensates by
-    zeroing the minimum when the case function can raise. *)
+    zeroing the minimum when the case function can raise.
+
+    Functions, specs and labels are {!Cfg} ids: per-function facts
+    live in arrays indexed by function id, spec sets are {!Bits} over
+    spec ids, and a variable is keyed by its name within its
+    function. *)
 
 type range = { lo : int; hi : int }
 
-type resume_kind = Rcontinue | Rdiscontinue of string
+type resume_kind = Rcontinue | Rdiscontinue of int  (** exception id *)
 
 type site = {
-  s_fn : string;
+  s_fn : int;
   s_idx : int;  (** pre-order position among the function's resume sites *)
   s_kind : resume_kind;
-  mutable s_specs : Set.Make(Int).t;  (** spec ids possibly resumed here *)
+  mutable s_specs : Bits.t;  (** spec ids possibly resumed here *)
   mutable s_may_second : bool;
       (** some path reaches this site with the continuation already
           resumed — the machine raises [Invalid_argument] here *)
 }
 
 type t = {
-  cfg : Cfg.t;
-  sites : (string, site array) Hashtbl.t;
-  escaped : Set.Make(Int).t;
-  resumes : (int, (string, range) Hashtbl.t) Hashtbl.t;
+  sites : site array array;
+      (** by function id, in traversal order: index [i] is the site
+          claimed [i]-th by the shared pre-order walk; [[||]] for an
+          unreachable function *)
+  escaped : Bits.t;
+  resumes : range array array;
 }
 
 val analyze : Cfg.t -> t
 
-val sites_of : t -> string -> site array
-(** In traversal order; index [i] is the site claimed [i]-th by the
-    shared pre-order walk. *)
-
 val is_escaped : t -> int -> bool
 
-val resumes_in : t -> spec:int -> fn:string -> range
+val resumes_in : t -> spec:int -> fn:int -> range
 (** Resume count one captured continuation of [spec] experiences during
     one invocation of [fn]; the spec-level verdict is [resumes_in]
     applied to its effect-case functions. *)
 
-val site_specs : t -> site -> Set.Make(Int).t
+val site_specs : t -> site -> Bits.t
 (** Tracked specs plus every escaped spec. *)
 
 val site_may_second : t -> site -> bool

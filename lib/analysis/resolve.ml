@@ -1,5 +1,4 @@
 module F = Retrofit_fiber
-module IS = Set.Make (Int)
 
 type klass = Mono | Poly | Mega
 
@@ -8,7 +7,7 @@ type site = {
   r_idx : int;
   r_label : string;
   r_site : string;
-  r_cands : IS.t;
+  r_cands : Bits.t;
   r_top : bool;
   r_via_c : bool;
   r_class : klass;
@@ -17,17 +16,17 @@ type site = {
 (* Per function and effect label: the handle specs that may be the
    {e nearest} handler above an activation, plus whether the nearest
    barrier may instead be the toplevel or a §5.3 callback frame — and
-   then which C function's.  [via] keeps the first C function found:
-   the diagnostics name one witness, not the set. *)
-type rctx = { cands : IS.t; r_top : bool; via : string option }
+   then which C function's (-1: none).  [via] keeps the first C function
+   found: the diagnostics name one witness, not the set. *)
+type rctx = { cands : Bits.t; r_top : bool; via : int }
 
 type t = {
   cfg : Cfg.t;
-  ctx : (string, (string, rctx) Hashtbl.t) Hashtbl.t;
-  sites : (string, site array) Hashtbl.t;
+  ctx : rctx array array;  (* function → effect label *)
+  sites : site array array;
 }
 
-let bottom = { cands = IS.empty; r_top = false; via = None }
+let bottom = { cands = Bits.empty; r_top = false; via = -1 }
 
 let klass_to_string = function
   | Mono -> "mono"
@@ -35,7 +34,7 @@ let klass_to_string = function
   | Mega -> "mega"
 
 let outcomes s =
-  IS.cardinal s.r_cands + if s.r_top || s.r_via_c then 1 else 0
+  Bits.cardinal s.r_cands + if s.r_top || s.r_via_c then 1 else 0
 
 let classify s =
   match outcomes s with
@@ -50,155 +49,103 @@ let classify s =
    resumptions (the reinstated body — and later case-function
    invocations — runs above the resumer's context).  Inside a spec's
    body the labels the spec handles resolve to exactly that spec,
-   shadowing every outer candidate. *)
+   shadowing every outer candidate.  [entry l] is what flows in for
+   label [l]. *)
 
-let ctx_of ctx fname =
-  match Hashtbl.find_opt ctx fname with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.replace ctx fname tbl;
-      tbl
-
-let entry_of ctx fname label =
-  match Hashtbl.find_opt ctx fname with
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl label with Some e -> e | None -> bottom)
-  | None -> bottom
-
-let join changed ctx fname entries =
-  let tbl = ctx_of ctx fname in
-  List.iter
-    (fun (l, e) ->
-      let old =
-        match Hashtbl.find_opt tbl l with Some o -> o | None -> bottom
-      in
-      let merged =
+let join changed ctx g entry =
+  let tbl = ctx.(g) in
+  for l = 0 to Array.length tbl - 1 do
+    let old = tbl.(l) and e = entry l in
+    if
+      (not (Bits.subset e.cands old.cands))
+      || (e.r_top && not old.r_top)
+      || (old.via < 0 && e.via >= 0)
+    then begin
+      tbl.(l) <-
         {
-          cands = IS.union old.cands e.cands;
+          cands = Bits.union old.cands e.cands;
           r_top = old.r_top || e.r_top;
-          via = (match old.via with Some _ -> old.via | None -> e.via);
-        }
-      in
-      if
-        not
-          (IS.equal merged.cands old.cands
-          && merged.r_top = old.r_top
-          && merged.via == old.via)
-      then begin
-        Hashtbl.replace tbl l merged;
-        changed := true
-      end)
-    entries
-
-let entries_of ctx fname =
-  Hashtbl.fold (fun l e acc -> (l, e) :: acc) (ctx_of ctx fname) []
-
-let spec_of cfg fname (h : F.Ir.handle_spec) =
-  List.find (fun (s : Cfg.spec) -> s.Cfg.sp == h) (Cfg.specs_inside cfg fname)
-
-(* Context entering a spec's body function, from the installer's (or,
-   on resumption, the resumer's) entries: the spec's own labels resolve
-   to the spec alone; everything else flows through. *)
-let body_entries (s : Cfg.spec) outer =
-  let own = Cfg.effc_labels s.Cfg.sp in
-  List.map (fun l -> (l, { bottom with cands = IS.singleton s.Cfg.sp_id })) own
-  @ List.filter (fun (l, _) -> not (List.mem l own)) outer
-
-let resumer_fns (lin : Linearity.t) (s : Cfg.spec) =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun fname sites ->
-      if
-        Array.exists
-          (fun site -> IS.mem s.Cfg.sp_id (Linearity.site_specs lin site))
-          sites
-      then out := fname :: !out)
-    lin.Linearity.sites;
-  !out
-
-(* The propagation structure of a function — its calls, installations
-   and external calls — is fixed; only the contexts joined through it
-   change between rounds.  Summarising each reachable function (and
-   resolving every [Handle] node to its spec) once keeps the fixpoint
-   rounds free of AST walks and spec lookups. *)
-type fn_summary = {
-  s_calls : string list;
-  s_handles : (Cfg.spec * string list) list;  (** spec, its case fns *)
-  s_extcalls : (string * Cfg.cfun_model) list;
-}
-
-let summarize_fns (cfg : Cfg.t) =
-  List.map
-    (fun (f : F.Ir.fn) ->
-      let fname = f.F.Ir.fn_name in
-      let calls = ref [] and handles = ref [] and exts = ref [] in
-      Cfg.iter_expr
-        (fun e ->
-          match e with
-          | F.Ir.Call (g, _) -> calls := g :: !calls
-          | F.Ir.Handle h ->
-              handles := (spec_of cfg fname h, Cfg.case_fns h) :: !handles
-          | F.Ir.Extcall (c, _) -> exts := (c, cfg.Cfg.cfun_model c) :: !exts
-          | _ -> ())
-        f.F.Ir.body;
-      (fname, { s_calls = !calls; s_handles = !handles; s_extcalls = !exts }))
-    cfg.Cfg.reach_order
+          via = (if old.via >= 0 then old.via else e.via);
+        };
+      changed := true
+    end
+  done
 
 let propagate (cfg : Cfg.t) (lin : Linearity.t) =
-  let ctx : (string, (string, rctx) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  join (ref false) ctx cfg.Cfg.program.F.Ir.main
-    (List.map (fun l -> (l, { bottom with r_top = true })) cfg.Cfg.eff_labels);
-  let all_via_c c =
-    List.map (fun l -> (l, { bottom with via = Some c })) cfg.Cfg.eff_labels
+  let nf = Array.length cfg.Cfg.fns in
+  let ctx =
+    Array.init nf (fun _ ->
+        Array.make (Array.length cfg.Cfg.compiled.F.Compile.eff_names) bottom)
   in
-  let summaries = summarize_fns cfg in
+  let top = { bottom with r_top = true } in
+  join (ref false) ctx cfg.Cfg.compiled.F.Compile.main_index (fun _ -> top);
+  let via_c = Array.mapi (fun c _ -> { bottom with via = c }) cfg.Cfg.cfuns in
+  let own =
+    Array.map
+      (fun (s : Cfg.spec) -> { bottom with cands = Bits.singleton s.Cfg.sp_id })
+      cfg.Cfg.specs
+  in
+  (* Context entering a spec's body function, from the installer's (or,
+     on resumption, the resumer's) context: the spec's own labels
+     resolve to the spec alone; everything else flows through. *)
+  let enter changed (s : Cfg.spec) outer =
+    join changed ctx s.Cfg.sp_body (fun l ->
+        if Bits.mem l s.Cfg.sp_effs then own.(s.Cfg.sp_id) else outer.(l))
+  in
   (* who can resume which spec depends only on the linearity sites —
-     loop-invariant, as are each spec's own case functions *)
+     loop-invariant *)
   let resumers =
     Array.map
       (fun (s : Cfg.spec) ->
-        if Cfg.is_reachable cfg s.Cfg.sp_in then resumer_fns lin s else [])
+        if not cfg.Cfg.reachable.(s.Cfg.sp_in) then []
+        else
+          List.filter
+            (fun f ->
+              Array.exists
+                (fun site -> Bits.mem s.Cfg.sp_id (Linearity.site_specs lin site))
+                lin.Linearity.sites.(f))
+            (Array.to_list cfg.Cfg.reach_order))
       cfg.Cfg.specs
   in
-  let spec_cases =
-    Array.map (fun (s : Cfg.spec) -> Cfg.case_fns s.Cfg.sp) cfg.Cfg.specs
-  in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 1000 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (fname, s) ->
-        let cf = entries_of ctx fname in
-        List.iter (fun g -> join changed ctx g cf) s.s_calls;
+  Cfg.fixpoint (fun () ->
+    let changed = ref false in
+    Array.iter
+      (fun f ->
+        let cf = ctx.(f) in
+        let flow l = cf.(l) in
+        List.iter (fun g -> join changed ctx g flow) cfg.Cfg.calls.(f);
         List.iter
-          (fun (sp, cases) ->
-            join changed ctx sp.Cfg.sp.F.Ir.body_fn (body_entries sp cf);
-            List.iter (fun g -> join changed ctx g cf) cases)
-          s.s_handles;
+          (fun i ->
+            let s = cfg.Cfg.specs.(i) in
+            enter changed s cf;
+            List.iter (fun g -> join changed ctx g flow) s.Cfg.sp_cases)
+          cfg.Cfg.installs.(f);
         List.iter
-          (fun (c, model) ->
-            match model with
+          (fun c ->
+            let via _ = via_c.(c) in
+            match cfg.Cfg.cfuns.(c) with
             | Cfg.Pure -> ()
-            | Cfg.Calls_back g -> join changed ctx g (all_via_c c)
+            | Cfg.Calls_back _ ->
+                let g = Cfg.callback cfg c in
+                if g >= 0 then join changed ctx g via
             | Cfg.Opaque ->
-                List.iter
-                  (fun g -> join changed ctx g (all_via_c c))
-                  cfg.Cfg.fn_names)
-          s.s_extcalls)
-      summaries;
+                for g = 0 to nf - 1 do
+                  join changed ctx g via
+                done)
+          cfg.Cfg.extcalls.(f))
+      cfg.Cfg.reach_order;
     Array.iteri
       (fun i (s : Cfg.spec) ->
         List.iter
           (fun r ->
-            let cr = entries_of ctx r in
-            join changed ctx s.Cfg.sp.F.Ir.body_fn (body_entries s cr);
-            List.iter (fun g -> join changed ctx g cr) spec_cases.(i))
+            let cr = ctx.(r) in
+            enter changed s cr;
+            List.iter
+              (fun g -> join changed ctx g (fun l -> cr.(l)))
+              s.Cfg.sp_cases)
           resumers.(i))
-      cfg.Cfg.specs
-  done;
+      cfg.Cfg.specs;
+    !changed);
   ctx
 
 (* ------------------------------------------------------------------ *)
@@ -208,49 +155,42 @@ let propagate (cfg : Cfg.t) (lin : Linearity.t) =
 
 let analyze (cfg : Cfg.t) (lin : Linearity.t) =
   let ctx = propagate cfg lin in
-  let sites = Hashtbl.create 16 in
-  List.iter
-    (fun (f : F.Ir.fn) ->
-      let fname = f.F.Ir.fn_name in
+  let sites = Array.make (Array.length cfg.Cfg.fns) [||] in
+  Array.iter
+    (fun f ->
       let acc = ref [] in
       let n = ref 0 in
       Cfg.iter_expr_post
         (function
           | F.Ir.Perform (l, _) as e ->
-              let entry = entry_of ctx fname l in
+              let entry = ctx.(f).(Cfg.eff_id cfg l) in
               let partial =
                 {
-                  r_fn = fname;
+                  r_fn = cfg.Cfg.fns.(f).F.Ir.fn_name;
                   r_idx = !n;
                   r_label = l;
                   r_site = F.Ir.expr_to_string e;
                   r_cands = entry.cands;
                   r_top = entry.r_top;
-                  r_via_c = entry.via <> None;
+                  r_via_c = entry.via >= 0;
                   r_class = Mono;
                 }
               in
               acc := { partial with r_class = classify partial } :: !acc;
               incr n
           | _ -> ())
-        f.F.Ir.body;
-      Hashtbl.replace sites fname (Array.of_list (List.rev !acc)))
+        cfg.Cfg.fns.(f).F.Ir.body;
+      sites.(f) <- Array.of_list (List.rev !acc))
     cfg.Cfg.reach_order;
   { cfg; ctx; sites }
 
-let boundary t fname label =
-  let e = entry_of t.ctx fname label in
+let boundary t f l =
+  let e = t.ctx.(f).(l) in
   (e.r_top, e.via)
-
-let sites_of t fname =
-  match Hashtbl.find_opt t.sites fname with Some a -> a | None -> [||]
 
 (* Program order, compile order within a function: the deterministic
    iteration every report and check uses. *)
-let all_sites t =
-  List.concat_map
-    (fun fname -> Array.to_list (sites_of t fname))
-    t.cfg.Cfg.fn_names
+let all_sites t = List.concat_map Array.to_list (Array.to_list t.sites)
 
 let census t =
   List.fold_left
@@ -261,19 +201,27 @@ let census t =
       | Mega -> (m, p, g + 1))
     (0, 0, 0) (all_sites t)
 
+(* Candidates print by their pre-order [spec#N], in that order. *)
 let site_to_string t s =
+  let specs =
+    Bits.fold (fun i acc -> t.cfg.Cfg.specs.(i) :: acc) s.r_cands []
+  in
   let cands =
-    IS.fold
-      (fun i acc ->
-        let sp = t.cfg.Cfg.specs.(i) in
-        Printf.sprintf "spec#%d in %s" i sp.Cfg.sp_in :: acc)
-      s.r_cands []
+    List.map
+      (fun (sp : Cfg.spec) ->
+        Printf.sprintf "spec#%d in %s" sp.Cfg.sp_pre
+          t.cfg.Cfg.fns.(sp.Cfg.sp_in).F.Ir.fn_name)
+      (List.sort
+         (fun (a : Cfg.spec) b -> compare a.Cfg.sp_pre b.Cfg.sp_pre)
+         specs)
   in
   Printf.sprintf "%s#%d perform %s: %s {%s}%s%s" s.r_fn s.r_idx s.r_label
     (klass_to_string s.r_class)
-    (String.concat ", " (List.rev cands))
+    (String.concat ", " cands)
     (if s.r_top then " +toplevel" else "")
     (if s.r_via_c then " +via-c" else "")
+
+let path_of t s = Cfg.path_to t.cfg (Cfg.fn_id t.cfg s.r_fn)
 
 let report t =
   let b = Buffer.create 256 in
@@ -284,7 +232,7 @@ let report t =
   List.iter
     (fun s ->
       Buffer.add_string b ("  " ^ site_to_string t s);
-      let path = Cfg.path_to t.cfg s.r_fn in
+      let path = path_of t s in
       if path <> [] then
         Buffer.add_string b (" [" ^ String.concat " -> " path ^ "]");
       Buffer.add_char b '\n')
@@ -303,7 +251,7 @@ let diagnostics t =
                 { effect_name = s.r_label; outcomes = outcomes s };
             verdict = Diag.May;
             fn = s.r_fn;
-            path = Cfg.path_to t.cfg s.r_fn;
+            path = path_of t s;
             site = s.r_site;
           }
           :: !out)
@@ -311,70 +259,28 @@ let diagnostics t =
   Diag.sorted !out
 
 (* ------------------------------------------------------------------ *)
-(* Static-to-runtime identity maps.
+(* Perform pcs to static sites: the [i]-th site of a function is its
+   [i]-th [PerformI] in [entry, code_end) — both sides enumerate in
+   compile order.  A spec id already is the handle index [on_perform]
+   reports, so sites are the only thing to map. *)
 
-   Perform sites: the [i]-th site of a function is its [i]-th
-   [PerformI] in [entry, code_end) — both sides enumerate in compile
-   order.  Handle specs: [HandleI] descriptors are appended to the
-   global table after the body-args subtree, functions in program
-   order, so an emission-order walk of the IR pairs each [handle_spec]
-   record (matched physically against {!Cfg.specs}) with its
-   descriptor index. *)
-
-type rt = {
-  rt_site_of_pc : (int, site) Hashtbl.t;
-  rt_spec_of_handle : int array;  (** handle index -> [sp_id], -1 unknown *)
-  rt_handle_of_spec : int array;  (** [sp_id] -> handle index, -1 unknown *)
-}
-
-let runtime_map t (c : F.Compile.compiled) =
-  let p = t.cfg.Cfg.program in
-  let nhandles = Array.length c.F.Compile.handles in
-  let spec_of_handle = Array.make nhandles (-1) in
-  let handle_of_spec = Array.make (Array.length t.cfg.Cfg.specs) (-1) in
-  let next = ref 0 in
-  let claim fname (h : F.Ir.handle_spec) =
-    let idx = !next in
-    incr next;
-    match
-      List.find_opt
-        (fun (s : Cfg.spec) -> s.Cfg.sp == h)
-        (Cfg.specs_inside t.cfg fname)
-    with
-    | Some s ->
-        if idx < nhandles then begin
-          spec_of_handle.(idx) <- s.Cfg.sp_id;
-          handle_of_spec.(s.Cfg.sp_id) <- idx
-        end
-    | None -> ()
-  in
-  List.iter
-    (fun (f : F.Ir.fn) ->
-      Cfg.iter_expr_post
-        (function F.Ir.Handle h -> claim f.F.Ir.fn_name h | _ -> ())
-        f.F.Ir.body)
-    p.F.Ir.fns;
+let runtime_map t =
+  let c = t.cfg.Cfg.compiled in
   let site_of_pc = Hashtbl.create 64 in
   Array.iter
     (fun (cf : F.Compile.cfn) ->
-      let fsites = sites_of t cf.F.Compile.fn_name in
+      let fsites = t.sites.(cf.F.Compile.fn_index) in
       let k = ref 0 in
       for pc = cf.F.Compile.entry to cf.F.Compile.code_end - 1 do
         match c.F.Compile.code.(pc) with
         | F.Ir.PerformI eid ->
-            if !k < Array.length fsites then begin
-              let s = fsites.(!k) in
-              (* the mapping is only trusted when the labels agree *)
-              if
-                Hashtbl.find_opt c.F.Compile.eff_ids s.r_label = Some eid
-              then Hashtbl.replace site_of_pc pc s
-            end;
+            (* the mapping is only trusted when the labels agree *)
+            if
+              !k < Array.length fsites
+              && Cfg.eff_id t.cfg fsites.(!k).r_label = eid
+            then Hashtbl.replace site_of_pc pc fsites.(!k);
             incr k
         | _ -> ()
       done)
     c.F.Compile.fns;
-  {
-    rt_site_of_pc = site_of_pc;
-    rt_spec_of_handle = spec_of_handle;
-    rt_handle_of_spec = handle_of_spec;
-  }
+  site_of_pc

@@ -14,7 +14,11 @@
     [Calls_back]/[Opaque] external calls blank the chain (the §5.3
     barrier), and [Opaque] re-entries flow into every function.
     {!Effects} reads its unhandled and callback-barrier facts from here
-    ({!boundary}).
+    ({!boundary}).  Contexts live in an array indexed by function and
+    effect-label id, and candidate sets are {!Bits} over spec ids —
+    compile-order ids, the handle-descriptor indices the machine
+    reports, so no walk maps them to the runtime; reports print the
+    pre-order [spec#N] ({!Cfg.spec.sp_pre}).
 
     Sites are classified by their number of distinct dynamic dispatch
     outcomes (candidate specs, plus one for a possible handler-less
@@ -34,7 +38,9 @@ type site = {
           the [r_idx]-th [PerformI] of its compiled code *)
   r_label : string;
   r_site : string;  (** printed [Perform] expression *)
-  r_cands : Set.Make(Int).t;  (** candidate handle specs, by [sp_id] *)
+  r_cands : Bits.t;
+      (** candidate handle specs, by [sp_id] — the handle index
+          {!Retrofit_fiber.Machine.run}'s [on_perform] reports *)
   r_top : bool;  (** may reach toplevel with no handler *)
   r_via_c : bool;  (** may reach a §5.3 callback barrier *)
   r_class : klass;
@@ -44,17 +50,14 @@ type t
 
 val analyze : Cfg.t -> Linearity.t -> t
 
-val boundary : t -> string -> string -> bool * string option
+val boundary : t -> int -> int -> bool * int
 (** [boundary t fn label] is [(top, via)] for a [perform label] in
-    [fn]: [top] when some activation of [fn] may have no handler for
-    [label] up to the toplevel, and [via = Some c] when some activation
-    may instead reach the callback barrier of C function [c] first —
-    the first such function the fixpoint found, one witness rather than
-    the set.  A site's [r_top] and [r_via_c] are these two facts.
-    [(false, None)] for an unreachable function. *)
-
-val sites_of : t -> string -> site array
-(** Compile order; [[||]] for an unreachable function. *)
+    function [fn]: [top] when some activation of [fn] may have no
+    handler for [label] up to the toplevel, and [via >= 0] when some
+    activation may instead reach the callback barrier of C function
+    [via] first — the first such function the fixpoint found, one
+    witness rather than the set.  A site's [r_top] and [r_via_c] are
+    these two facts.  [(false, -1)] for an unreachable function. *)
 
 val all_sites : t -> site list
 (** Program order, compile order within each function. *)
@@ -73,20 +76,8 @@ val diagnostics : t -> Diag.t list
 (** One [May]-verdict {!Diag.Megamorphic_dispatch} per megamorphic
     site. *)
 
-(** {1 Static-to-runtime identity maps}
-
-    Built against the compiled form of the {e same} program the
-    analysis ran on; the deterministic compiler makes the pairing
-    stable across independent compiles. *)
-
-type rt = {
-  rt_site_of_pc : (int, site) Hashtbl.t;
-      (** [PerformI] pc — what {!Retrofit_fiber.Machine.run}'s
-          [on_perform] reports as [site] — to the static site *)
-  rt_spec_of_handle : int array;
-      (** handle-descriptor index (what [on_perform] reports as
-          [handler]) to [sp_id]; -1 when unmatched *)
-  rt_handle_of_spec : int array;  (** inverse; -1 when unmatched *)
-}
-
-val runtime_map : t -> Retrofit_fiber.Compile.compiled -> rt
+val runtime_map : t -> (int, site) Hashtbl.t
+(** [PerformI] pc — what {!Retrofit_fiber.Machine.run}'s [on_perform]
+    reports as [site] — to the static site, over the compiled form the
+    analysis ran on; the deterministic compiler makes the pcs valid for
+    any independent compile of the same program. *)

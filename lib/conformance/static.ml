@@ -95,20 +95,17 @@ let check ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
    per-counter upper bound per stack policy; both are held against an
    instrumented fiber run.  The runtime map is built from the compiled
    form inside [claims]; the deterministic compiler makes the same pcs
-   and handle indices valid for the independent compile inside
-   {!Fiber_backend.run}. *)
+   valid for the independent compile inside {!Fiber_backend.run}, and a
+   spec id is the handle index [on_perform] reports. *)
 
-module IS = Set.Make (Int)
+let runtime_map (c : claims) = A.Resolve.runtime_map c.A.Analyze.resolve
 
-let runtime_map (c : claims) : A.Resolve.rt =
-  A.Resolve.runtime_map c.A.Analyze.resolve c.A.Analyze.compiled
-
-let dispatch_contradiction (c : claims) (rt : A.Resolve.rt)
-    (observed : (int * int) list) : string option =
+let dispatch_contradiction (c : claims) rt (observed : (int * int) list) :
+    string option =
   let resolve = c.A.Analyze.resolve in
   List.find_map
     (fun (pc, handler) ->
-      match Hashtbl.find_opt rt.A.Resolve.rt_site_of_pc pc with
+      match Hashtbl.find_opt rt pc with
       | None ->
           Some
             (Printf.sprintf
@@ -124,21 +121,16 @@ let dispatch_contradiction (c : claims) (rt : A.Resolve.rt)
                    "site resolved to handlers only, yet it reached a \
                     handler-less boundary: %s"
                    (A.Resolve.site_to_string resolve s))
+          else if handler >= 0 && A.Bits.mem handler s.A.Resolve.r_cands then
+            None
           else
-            let sp =
-              if handler >= 0 && handler < Array.length rt.A.Resolve.rt_spec_of_handle
-              then rt.A.Resolve.rt_spec_of_handle.(handler)
-              else -1
-            in
-            if sp >= 0 && IS.mem sp s.A.Resolve.r_cands then None
-            else
-              Some
-                (Printf.sprintf
-                   "%s site dispatched to handle spec#%d outside its \
-                    candidate set: %s"
-                   (A.Resolve.klass_to_string s.A.Resolve.r_class)
-                   sp
-                   (A.Resolve.site_to_string resolve s)))
+            Some
+              (Printf.sprintf
+                 "%s site dispatched to handle descriptor %d outside its \
+                  candidate set: %s"
+                 (A.Resolve.klass_to_string s.A.Resolve.r_class)
+                 handler
+                 (A.Resolve.site_to_string resolve s)))
     observed
 
 let bound_contradiction (c : claims) ~(config : Retrofit_fiber.Config.t)

@@ -52,14 +52,18 @@ val check :
     an instrumented {!Fiber_backend.run} — the [on_perform] observation
     stream and the returned counter table. *)
 
-val runtime_map : claims -> Retrofit_analysis.Resolve.rt
-(** Static-to-runtime identity maps over the compiled form inside the
-    claims; valid for any independent compile of the same program (the
-    compiler is deterministic). *)
+val runtime_map : claims -> (int, Retrofit_analysis.Resolve.site) Hashtbl.t
+(** Perform pc to static site over the compiled form inside the claims;
+    valid for any independent compile of the same program (the compiler
+    is deterministic). *)
 
 val dispatch_contradiction :
-  claims -> Retrofit_analysis.Resolve.rt -> (int * int) list -> string option
-(** [(site_pc, handler_index)] observations from [on_perform].  A
+  claims ->
+  (int, Retrofit_analysis.Resolve.site) Hashtbl.t ->
+  (int * int) list ->
+  string option
+(** [(site_pc, handler_index)] observations from [on_perform]; a
+    handler index is the spec id the candidate sets hold.  A
     contradiction is a dispatch to a spec outside the site's candidate
     set, a handler-less boundary at a site not flagged
     [+toplevel]/[+via-c], or a perform at an unmapped pc. *)

@@ -11,8 +11,6 @@ module A = Retrofit_analysis
 module F = Retrofit_fiber
 module Counter = Retrofit_util.Counter
 module Metrics = Retrofit_metrics.Metrics
-module IS = Set.Make (Int)
-
 let test name f = Alcotest.test_case name `Quick f
 
 (* Same table as `retrofit lint`. *)
@@ -61,9 +59,13 @@ let fanout_prog n =
   prog (perform_helpers @ wrappers @ [ fn "main" [] body ])
 
 let site_of_fn r name =
-  match A.Resolve.sites_of r.A.Analyze.resolve name with
-  | [| s |] -> s
-  | a -> Alcotest.failf "%s: expected one perform site, got %d" name (Array.length a)
+  match
+    List.filter
+      (fun (s : A.Resolve.site) -> s.A.Resolve.r_fn = name)
+      (A.Resolve.all_sites r.A.Analyze.resolve)
+  with
+  | [ s ] -> s
+  | a -> Alcotest.failf "%s: expected one perform site, got %d" name (List.length a)
 
 (* ------------------------------------------------------------------ *)
 (* Classification and shadowing. *)
@@ -73,7 +75,7 @@ let classification_by_fanout () =
     let r = analyze (fanout_prog n) in
     let s = site_of_fn r "p" in
     Alcotest.(check bool) "no boundary" false (s.A.Resolve.r_top || s.A.Resolve.r_via_c);
-    Alcotest.(check int) "candidate count" n (IS.cardinal s.A.Resolve.r_cands);
+    Alcotest.(check int) "candidate count" n (A.Bits.cardinal s.A.Resolve.r_cands);
     A.Resolve.klass_to_string s.A.Resolve.r_class
   in
   Alcotest.(check string) "1 outcome is mono" "mono" (klass 1);
@@ -135,6 +137,27 @@ let boundary_flags_on_builtins () =
 (* ------------------------------------------------------------------ *)
 (* Static-to-runtime identity maps. *)
 
+(* A [Handle] in another [Handle]'s body args: the inner one is second
+   in pre-order (the printed [spec#N]) but first in compile order (its
+   spec id and handle-descriptor index). *)
+let nested_handles =
+  let handle body_fn body_args effcs =
+    F.Ir.Handle
+      { F.Ir.body_fn; F.Ir.body_args; F.Ir.retc = "hret"; F.Ir.exncs = []; F.Ir.effcs }
+  in
+  prog
+    (perform_helpers
+    @ [
+        fn "nb_inner" [] (F.Ir.Perform ("E", F.Ir.Int 1));
+        fn "nb_outer" [ "x" ]
+          (F.Ir.Binop
+             (F.Ir.Add, F.Ir.Perform ("E", F.Ir.Var "x"), F.Ir.Perform ("F", F.Ir.Int 2)));
+        fn "main" []
+          (handle "nb_outer"
+             [ handle "nb_inner" [] [ ("E", "heff") ] ]
+             [ ("E", "heff"); ("F", "heff") ]);
+      ])
+
 let rt_suite =
   [
     ("effect_roundtrip", F.Programs.effect_roundtrip ~iters:3);
@@ -146,13 +169,14 @@ let rt_suite =
     ("unhandled_effect", F.Programs.unhandled_effect);
     ("poly2", fanout_prog 2);
     ("mega5", fanout_prog 5);
+    ("nested_handles", nested_handles);
   ]
 
 let runtime_map_is_total_and_inverse () =
   List.iter
     (fun (name, p) ->
       let r = analyze p in
-      let rt = A.Resolve.runtime_map r.A.Analyze.resolve r.A.Analyze.compiled in
+      let rt = A.Resolve.runtime_map r.A.Analyze.resolve in
       let sites = A.Resolve.all_sites r.A.Analyze.resolve in
       (* every statically enumerated site owns exactly one PerformI pc *)
       List.iter
@@ -160,23 +184,89 @@ let runtime_map_is_total_and_inverse () =
           let owners =
             Hashtbl.fold
               (fun _ s' n -> if s' == s then n + 1 else n)
-              rt.A.Resolve.rt_site_of_pc 0
+              rt 0
           in
           Alcotest.(check int)
             (Printf.sprintf "%s: %s#%d mapped once" name s.A.Resolve.r_fn
                s.A.Resolve.r_idx)
             1 owners)
         sites;
-      (* spec<->handle maps are mutually inverse where defined *)
+      (* spec ids are handle indices: spec [i] and descriptor [i]
+         describe the same installation, and every descriptor has one *)
+      let c = r.A.Analyze.compiled in
+      let cfg = A.Cfg.build ~cfun_model:builtin_cfun_model c p in
+      Alcotest.(check int)
+        (name ^ ": one spec per handle descriptor")
+        (Array.length c.F.Compile.handles)
+        (Array.length cfg.A.Cfg.specs);
       Array.iteri
-        (fun h sp ->
-          if sp >= 0 then
-            Alcotest.(check int)
-              (Printf.sprintf "%s: handle %d round-trips" name h)
-              h
-              rt.A.Resolve.rt_handle_of_spec.(sp))
-        rt.A.Resolve.rt_spec_of_handle)
+        (fun i (s : A.Cfg.spec) ->
+          let h = s.A.Cfg.sp_id in
+          let d = c.F.Compile.handles.(h) in
+          let fid g = Hashtbl.find c.F.Compile.fn_ids g in
+          Alcotest.(check int) (Printf.sprintf "%s: spec %d is at its id" name i) i h;
+          Alcotest.(check (pair int (list (pair int int))))
+            (Printf.sprintf "%s: handle %d round-trips" name h)
+            (d.F.Compile.h_body, d.F.Compile.h_effcs)
+            ( fid s.A.Cfg.sp.F.Ir.body_fn,
+              List.map
+                (fun (l, g) -> (F.Compile.eff_id c l, fid g))
+                s.A.Cfg.sp.F.Ir.effcs ))
+        cfg.A.Cfg.specs)
     rt_suite
+
+(* Reports keep the pre-order [spec#N] where compile order differs. *)
+let nested_handles_print_preorder_ids () =
+  Alcotest.(check string)
+    "resolution report"
+    "handler resolution: mono=3 poly=0 mega=0\n\
+    \  nb_inner#0 perform E: mono {spec#1 in main} [main -> nb_inner]\n\
+    \  nb_outer#0 perform E: mono {spec#0 in main} [main -> nb_outer]\n\
+    \  nb_outer#1 perform F: mono {spec#0 in main} [main -> nb_outer]\n"
+    (A.Resolve.report (analyze nested_handles).A.Analyze.resolve)
+
+(* Label and spec sets past one machine word agree with [Set]. *)
+let bitsets_agree_with_set () =
+  let module IS = Set.Make (Int) in
+  let sets =
+    List.map IS.of_list
+      [
+        []; [ 0 ]; [ 3; 62 ]; [ 62; 63 ]; [ 1; 64; 130 ]; [ 1; 70; 130 ];
+        List.init 140 Fun.id; [ 200 ];
+      ]
+  in
+  let bits s = A.Bits.of_list (IS.elements s) in
+  let elements b = List.rev (A.Bits.fold List.cons b []) in
+  List.iter
+    (fun a ->
+      Alcotest.(check (list int)) "fold" (IS.elements a) (elements (bits a));
+      Alcotest.(check int) "cardinal" (IS.cardinal a) (A.Bits.cardinal (bits a));
+      List.iter
+        (fun b ->
+          Alcotest.(check (list int)) "union" (IS.elements (IS.union a b))
+            (elements (A.Bits.union (bits a) (bits b)));
+          Alcotest.(check bool) "diff is normalised" true
+            (A.Bits.diff (bits a) (bits b) = bits (IS.diff a b));
+          Alcotest.(check bool) "subset" (IS.subset a b) (A.Bits.subset (bits a) (bits b)))
+        sets;
+      List.iter
+        (fun i -> Alcotest.(check bool) "mem" (IS.mem i a) (A.Bits.mem i (bits a)))
+        [ 0; 1; 62; 63; 64; 139; 140; 200; 500 ])
+    sets
+
+(* The one fixpoint driver refuses to hand back a non-fixpoint. *)
+let fixpoint_cap_raises () =
+  let rounds = ref 0 in
+  Alcotest.check_raises "a step that always changes" A.Cfg.No_fixpoint (fun () ->
+      A.Cfg.fixpoint (fun () ->
+          incr rounds;
+          true));
+  Alcotest.(check int) "rounds run" 1000 !rounds;
+  rounds := 0;
+  A.Cfg.fixpoint (fun () ->
+      incr rounds;
+      !rounds < 3);
+  Alcotest.(check int) "a converging step stops at its first quiet round" 3 !rounds
 
 (* ------------------------------------------------------------------ *)
 (* One handler-context fixpoint, two readers: the escape analysis's
@@ -312,7 +402,7 @@ let two_callbacks_one_barrier_finding () =
    set; handler-less boundaries only at flagged sites. *)
 
 let observe ?(config = F.Config.mc) (r : A.Analyze.result) =
-  let rt = A.Resolve.runtime_map r.A.Analyze.resolve r.A.Analyze.compiled in
+  let rt = A.Resolve.runtime_map r.A.Analyze.resolve in
   let obs = ref [] in
   let on_perform ~site ~eff:_ ~handler = obs := (site, handler) :: !obs in
   let _outcome, counters = F.Machine.run ~on_perform config r.A.Analyze.compiled in
@@ -321,7 +411,7 @@ let observe ?(config = F.Config.mc) (r : A.Analyze.result) =
 let check_obs name rt obs =
   List.iter
     (fun (pc, handler) ->
-      match Hashtbl.find_opt rt.A.Resolve.rt_site_of_pc pc with
+      match Hashtbl.find_opt rt pc with
       | None -> Alcotest.failf "%s: perform at unmapped pc %d" name pc
       | Some s ->
           if handler = -1 then
@@ -330,12 +420,12 @@ let check_obs name rt obs =
               true
               (s.A.Resolve.r_top || s.A.Resolve.r_via_c)
           else
-            let sp = rt.A.Resolve.rt_spec_of_handle.(handler) in
+            let sp = handler in
             Alcotest.(check bool)
               (Printf.sprintf "%s: spec#%d in candidates of %s#%d" name sp
                  s.A.Resolve.r_fn s.A.Resolve.r_idx)
               true
-              (sp >= 0 && IS.mem sp s.A.Resolve.r_cands))
+              (sp >= 0 && A.Bits.mem sp s.A.Resolve.r_cands))
     obs
 
 let dispatch_agreement_on_builtins () =
@@ -531,7 +621,7 @@ let checker_catches_injected_violations () =
             | Some _ -> ()
             | None -> Alcotest.fail "unmapped pc not caught"
           end)
-        rt.A.Resolve.rt_site_of_pc;
+        rt;
       (* an inflated counter above a finite bound must be caught *)
       if not !found_bound then begin
         let policy = snd (List.hd F.Stack_policy.all) in
@@ -668,6 +758,9 @@ let suite =
     test "nearest handler shadows outer" nearest_handler_shadows;
     test "boundary flags on built-ins" boundary_flags_on_builtins;
     test "runtime map is total and inverse" runtime_map_is_total_and_inverse;
+    test "nested handles print pre-order spec ids" nested_handles_print_preorder_ids;
+    test "fixpoint driver raises at its cap" fixpoint_cap_raises;
+    test "bitsets agree with Set past one word" bitsets_agree_with_set;
     test "boundary lints agree with resolution" boundary_readers_agree;
     test "two callbacks, one barrier finding" two_callbacks_one_barrier_finding;
     test "dispatch agreement on built-ins" dispatch_agreement_on_builtins;
