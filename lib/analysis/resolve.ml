@@ -6,7 +6,7 @@ type site = {
   r_fn : string;
   r_idx : int;
   r_label : string;
-  r_site : string;
+  r_site : F.Ir.expr;
   r_cands : Bits.t;
   r_top : bool;
   r_via_c : bool;
@@ -169,7 +169,7 @@ let analyze (cfg : Cfg.t) (lin : Linearity.t) =
                   r_fn = cfg.Cfg.fns.(f).F.Ir.fn_name;
                   r_idx = !n;
                   r_label = l;
-                  r_site = F.Ir.expr_to_string e;
+                  r_site = e;
                   r_cands = entry.cands;
                   r_top = entry.r_top;
                   r_via_c = entry.via >= 0;
@@ -252,7 +252,7 @@ let diagnostics t =
             verdict = Diag.May;
             fn = s.r_fn;
             path = path_of t s;
-            site = s.r_site;
+            site = F.Ir.expr_to_string s.r_site;
           }
           :: !out)
     (all_sites t);

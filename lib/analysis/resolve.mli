@@ -37,7 +37,8 @@ type site = {
       (** compile-order position among the function's perform sites:
           the [r_idx]-th [PerformI] of its compiled code *)
   r_label : string;
-  r_site : string;  (** printed [Perform] expression *)
+  r_site : Retrofit_fiber.Ir.expr;
+      (** the [Perform] expression, printed only by {!diagnostics} *)
   r_cands : Bits.t;
       (** candidate handle specs, by [sp_id] — the handle index
           {!Retrofit_fiber.Machine.run}'s [on_perform] reports *)

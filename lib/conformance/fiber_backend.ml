@@ -23,10 +23,28 @@ let cfuns (prog : F.Compile.compiled) =
              Some (c, fun (ctx : F.Machine.ctx) args -> ctx.callback f args)
          | Fragment.Foreign -> None)
 
-let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.Ir.program)
-    : result =
+(* Everything a run reads of the program and nothing it writes: the
+   machine neither patches the code nor touches the stubs or the unwind
+   table, so one value serves every leg. *)
+type compiled =
+  | Compiled of {
+      prog : F.Compile.compiled;
+      stubs : (string * F.Machine.cfun) list;
+      table : D.Table.t Lazy.t;
+    }
+  | Failed of string
+
+let compile (p : F.Ir.program) =
   match F.Compile.compile p with
-  | exception F.Compile.Error msg ->
+  | exception F.Compile.Error msg -> Failed msg
+  | prog -> Compiled { prog; stubs = cfuns prog; table = lazy (D.Table.build prog) }
+
+let program = function Compiled c -> Some c.prog | Failed _ -> None
+
+let exec ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform compiled
+    : result =
+  match compiled with
+  | Failed msg ->
       {
         outcome = Outcome.Model_error ("fiber compile: " ^ msg);
         audit_checks = 0;
@@ -36,7 +54,7 @@ let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.I
         dwarf_failures = [];
         counters = Retrofit_util.Counter.create ();
       }
-  | prog ->
+  | Compiled { prog; stubs; table } ->
       let auditor = if audit then Some (F.Audit.audit ()) else None in
       let probes = ref 0 in
       let dwarf_failures = ref [] in
@@ -44,7 +62,7 @@ let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.I
         match dwarf_seed with
         | None -> None
         | Some seed ->
-            let check = D.Validate.checker (D.Table.build prog) in
+            let check = D.Validate.checker (Lazy.force table) in
             let rng = Rng.create seed in
             Some
               (fun m ->
@@ -61,7 +79,7 @@ let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.I
                 end)
       in
       let outcome, counters =
-        F.Machine.run ~cfuns:(cfuns prog) ?on_call ?on_perform ?audit:auditor
+        F.Machine.run ~cfuns:stubs ?on_call ?on_perform ?audit:auditor
           ~fuel:20_000_000 config prog
       in
       let outcome =
@@ -81,3 +99,6 @@ let run ?(config = F.Config.mc) ?(audit = true) ?dwarf_seed ?on_perform (p : F.I
         dwarf_failures = List.rev !dwarf_failures;
         counters;
       }
+
+let run ?config ?audit ?dwarf_seed ?on_perform p =
+  exec ?config ?audit ?dwarf_seed ?on_perform (compile p)

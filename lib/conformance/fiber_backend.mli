@@ -25,12 +25,29 @@ val cfuns :
 (** The C-function stubs for every fragment C function the compiled
     program calls, as {!Retrofit_fiber.Machine.run} takes them. *)
 
-val run :
+type compiled
+(** A program compiled once for any number of runs: the
+    {!Retrofit_fiber.Compile} result (or its error text), the
+    C-function stubs ({!cfuns}) and the DWARF unwind table
+    ({!Retrofit_dwarf.Table}), built the first time a run samples
+    unwinds and shared by every later one.  No run writes into it, so
+    one value stands for a fresh compile in each leg of a campaign
+    program: the oracle's fiber leg, the policy legs and the soundness
+    probes. *)
+
+val compile : Retrofit_fiber.Ir.program -> compiled
+(** Never raises: a {!Retrofit_fiber.Compile.Error} is kept, and every
+    {!exec} of the value reports it as [Model_error "fiber compile: ..."]. *)
+
+val program : compiled -> Retrofit_fiber.Compile.compiled option
+(** The compiled program, [None] when it did not compile. *)
+
+val exec :
   ?config:Retrofit_fiber.Config.t ->
   ?audit:bool ->
   ?dwarf_seed:int ->
   ?on_perform:(site:int -> eff:int -> handler:int -> unit) ->
-  Retrofit_fiber.Ir.program ->
+  compiled ->
   result
 (** Runs on 20 million ops of fuel.  Defaults:
     {!Retrofit_fiber.Config.mc}, the auditor on its fixed schedule
@@ -46,3 +63,12 @@ val run :
     the handle-descriptor index of the matching handler fiber (-1 at a
     handler-less boundary) — the observation stream the handler
     resolution soundness check consumes. *)
+
+val run :
+  ?config:Retrofit_fiber.Config.t ->
+  ?audit:bool ->
+  ?dwarf_seed:int ->
+  ?on_perform:(site:int -> eff:int -> handler:int -> unit) ->
+  Retrofit_fiber.Ir.program ->
+  result
+(** [exec] of a fresh [compile]. *)

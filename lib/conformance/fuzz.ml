@@ -68,18 +68,20 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
   let audit_checks = ref 0 and audit_visits = ref 0 and dwarf_probes = ref 0 in
   let failures = ref [] in
   let analyzed = ref 0 in
-  let run_oracle p s =
+  (* Every leg of one program runs its one compiled value: the
+     program [p] and its compile [c] travel together. *)
+  let run_oracle p c s =
     Oracle.run ~fiber_config ?sem_one_shot ~audit ~with_native
       ?dwarf_seed:(if dwarf then Some s else None)
-      p
+      ~compiled:c p
   in
-  let run_policies p s =
+  let run_policies c s =
     List.map
       (fun (name, cfgp) ->
         ( name,
-          Fiber_backend.run ~config:cfgp ~audit
+          Fiber_backend.exec ~config:cfgp ~audit
             ?dwarf_seed:(if dwarf then Some s else None)
-            p ))
+            c ))
       policy_cfgs
   in
   (* A policy run disagrees when its outcome differs from the default
@@ -114,14 +116,14 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
      it through the same predicate. *)
   let probe_cfgs = ("default", fiber_config) :: policy_cfgs in
   let dispatch_checks = ref 0 and bound_checks = ref 0 in
-  let soundness_probe (c : Static.claims) p =
+  let soundness_probe (c : Static.claims) compiled =
     let rt = Static.runtime_map c in
     List.find_map
       (fun (name, cfgp) ->
         let obs = ref [] in
         let on_perform ~site ~eff:_ ~handler = obs := (site, handler) :: !obs in
         let fr =
-          Fiber_backend.run ~config:cfgp ~audit:false ~on_perform p
+          Fiber_backend.exec ~config:cfgp ~audit:false ~on_perform compiled
         in
         match fr.Fiber_backend.outcome with
         | Outcome.Model_error _ -> None
@@ -153,16 +155,16 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
   in
   (* The analyzer-vs-oracle soundness check: a crash in the analyzer is
      as much a campaign failure as an unsound claim. *)
-  let static_check ?(record = false) p r =
+  let static_check ?(record = false) p compiled r =
     if not analyze then None
     else begin
       incr analyzed;
-      match Static.analyze p with
+      match Static.analyze ?compiled:(Fiber_backend.program compiled) p with
       | c -> (
           if record then record_resolution c;
           match Static.check ~fiber_config ?sem_one_shot c r with
           | Some _ as s -> s
-          | None -> soundness_probe c p)
+          | None -> soundness_probe c compiled)
       | exception e ->
           Some (Printf.sprintf "analyzer raised %s" (Printexc.to_string e))
     end
@@ -171,7 +173,8 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
   while !i < count && List.length !failures < max_failures do
     let s = prog_seed ~seed !i in
     let p = Gen.program_of_seed s in
-    let r = run_oracle p s in
+    let c = Fiber_backend.compile p in
+    let r = run_oracle p c s in
     audit_checks := !audit_checks + r.Oracle.audit_checks;
     audit_visits := !audit_visits + r.Oracle.audit_visits;
     dwarf_probes := !dwarf_probes + r.Oracle.dwarf_probes;
@@ -182,7 +185,7 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
         | Oracle.Skip -> bump skip name
         | Oracle.Diff -> ())
       r.Oracle.pairs;
-    let pol_runs = run_policies p s in
+    let pol_runs = run_policies c s in
     List.iter
       (fun (name, fr) ->
         audit_checks := !audit_checks + fr.Fiber_backend.audit_checks;
@@ -194,36 +197,41 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
         | Oracle.Diff -> ())
       pol_runs;
     let offending = policy_diffs r.Oracle.fib pol_runs in
-    let analysis = static_check ~record:true p r in
+    let analysis = static_check ~record:true p c r in
     if (not (Oracle.ok r)) || analysis <> None || offending <> [] then begin
-      let failing q rq =
+      let failing q cq rq =
         (not (Oracle.ok rq))
-        || static_check q rq <> None
-        || policy_diffs rq.Oracle.fib (run_policies q s) <> []
+        || static_check q cq rq <> None
+        || policy_diffs rq.Oracle.fib (run_policies cq s) <> []
       in
-      let shrunk, shrunk_report =
+      (* the minimized program with its compile and oracle report *)
+      let shrunk =
         if shrink then begin
-          let interesting q = failing q (run_oracle q s) in
+          let interesting q =
+            let cq = Fiber_backend.compile q in
+            failing q cq (run_oracle q cq s)
+          in
           let q = Shrink.minimize ~interesting p in
-          (Some q, Some (run_oracle q s))
+          let cq = Fiber_backend.compile q in
+          Some (q, cq, run_oracle q cq s)
         end
-        else (None, None)
+        else None
       in
       let analysis =
-        match (analysis, shrunk, shrunk_report) with
-        | None, _, _ | _, None, _ | _, _, None -> analysis
-        | Some _, Some q, Some rq -> (
+        match (analysis, shrunk) with
+        | None, _ | _, None -> analysis
+        | Some _, Some (q, cq, rq) -> (
             (* re-derive the message for the minimized program, keeping
                the original if shrinking converged on an oracle diff *)
-            match static_check q rq with None -> analysis | some -> some)
+            match static_check q cq rq with None -> analysis | some -> some)
       in
       let policy, policy_outcome =
         (* name the policy the shrunk program still disagrees on when
            there is one, else the original offender *)
         let shrunk_offender =
-          match (shrunk, shrunk_report) with
-          | Some q, Some rq -> policy_diffs rq.Oracle.fib (run_policies q s)
-          | _ -> []
+          match shrunk with
+          | Some (_, cq, rq) -> policy_diffs rq.Oracle.fib (run_policies cq s)
+          | None -> []
         in
         match (shrunk_offender, offending) with
         | (n, o) :: _, _ | [], (n, o) :: _ -> (Some n, Some o)
@@ -237,8 +245,8 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
           analysis;
           policy;
           policy_outcome;
-          shrunk;
-          shrunk_report;
+          shrunk = Option.map (fun (q, _, _) -> q) shrunk;
+          shrunk_report = Option.map (fun (_, _, rq) -> rq) shrunk;
         }
         :: !failures
     end;

@@ -100,7 +100,15 @@ val campaign :
     semantics<->fiber — and across [policies], exercising clone
     strategies.  Raises [Invalid_argument] — loudly, rather than
     generating programs the backend then rejects — when [fiber_config]
-    does not have multishot cloning enabled. *)
+    does not have multishot cloning enabled.
+
+    Each program is compiled once ({!Fiber_backend.compile}), and each
+    shrink candidate once more: the oracle's fiber leg, every policy
+    leg, every soundness probe and the analyzer share that one value,
+    and its DWARF unwind table is built at most once, by the first
+    sampled leg.  A program that does not compile is a
+    [Model_error "fiber compile: ..."] on every fiber leg and makes the
+    analyzer raise, as a separate compile in each would. *)
 
 val replay_corpus : unit -> (string * string) list
 (** Runs every {!Corpus} entry through the oracle and pins its native

@@ -22,9 +22,12 @@ let is_model_error = function Outcome.Model_error _ -> true | _ -> false
 
 let run ?(audit = true) ?dwarf_seed
     ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
-    ?(with_native = true) (p : Retrofit_fiber.Ir.program) : report =
+    ?(with_native = true) ?compiled (p : Retrofit_fiber.Ir.program) : report =
   let sem = Sem_backend.run ~one_shot:sem_one_shot p in
-  let fr = Fiber_backend.run ~config:fiber_config ~audit ?dwarf_seed p in
+  let compiled =
+    match compiled with Some c -> c | None -> Fiber_backend.compile p
+  in
+  let fr = Fiber_backend.exec ~config:fiber_config ~audit ?dwarf_seed compiled in
   (* Host effects are one-shot; multishot campaigns drop the native leg
      by reporting it as inconclusive, which [compare_pair] skips. *)
   let nat =

@@ -40,6 +40,7 @@ val run :
   ?fiber_config:Retrofit_fiber.Config.t ->
   ?sem_one_shot:bool ->
   ?with_native:bool ->
+  ?compiled:Fiber_backend.compiled ->
   Retrofit_fiber.Ir.program ->
   report
 (** [sem_one_shot] defaults to [true] so the §4 machine enforces the
@@ -51,7 +52,12 @@ val run :
     leg — its outcome is recorded as [Fuel_out] so every pair involving
     it is skipped.  Multishot campaigns need this: host continuations
     are genuinely one-shot, so the native backend cannot execute
-    programs that resume twice. *)
+    programs that resume twice.
+
+    [compiled], when given, must be {!Fiber_backend.compile} of the
+    program; a caller that runs the program on other legs too passes
+    its one compiled value here.  Without it the fiber leg compiles the
+    program itself. *)
 
 val ok : report -> bool
 

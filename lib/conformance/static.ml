@@ -94,9 +94,9 @@ let check ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
    claims a candidate-handler set per perform site and the cost pass a
    per-counter upper bound per stack policy; both are held against an
    instrumented fiber run.  The runtime map is built from the compiled
-   form inside [claims]; the deterministic compiler makes the same pcs
-   valid for the independent compile inside {!Fiber_backend.run}, and a
-   spec id is the handle index [on_perform] reports. *)
+   form inside [claims]; the campaign analyzes the very value its
+   probes execute ({!Fiber_backend.program}), so the pcs are the ones
+   [on_perform] reports, and a spec id is the handle index it reports. *)
 
 let runtime_map (c : claims) = A.Resolve.runtime_map c.A.Analyze.resolve
 

@@ -20,10 +20,14 @@ val analyze :
   ?compiled:Retrofit_fiber.Compile.compiled ->
   Retrofit_fiber.Ir.program ->
   claims
-(** [compiled], when given, must be the compiled form of the program
-    (what {!Fiber_backend.run} compiles internally); callers that
-    execute the program anyway pass it here so the analyzer is not
-    charged for a second compile. *)
+(** [compiled], when given, must be the compiled form of the program.
+    The campaign passes the one {!Fiber_backend.compile} value every
+    leg of the program runs ({!Fiber_backend.program}), so the analyzer
+    is not charged for a second compile and its claims are about the
+    code the soundness probes execute.  Without it the analyzer
+    compiles the program itself, raising
+    {!Retrofit_fiber.Compile.Error} on a program that does not
+    compile. *)
 
 val verdicts :
   one_shot:bool ->
@@ -49,13 +53,14 @@ val check :
     The resolution pass claims, per perform site, the set of handle
     specs that can dynamically receive it; the cost pass claims a
     per-counter upper bound per stack policy.  Both are checked against
-    an instrumented {!Fiber_backend.run} — the [on_perform] observation
+    an instrumented {!Fiber_backend.exec} — the [on_perform] observation
     stream and the returned counter table. *)
 
 val runtime_map : claims -> (int, Retrofit_analysis.Resolve.site) Hashtbl.t
-(** Perform pc to static site over the compiled form inside the claims;
-    valid for any independent compile of the same program (the compiler
-    is deterministic). *)
+(** Perform pc to static site over the compiled form inside the claims:
+    the pcs an {!Fiber_backend.exec} of that compiled value reports
+    (and of any other compile of the same program: the compiler is
+    deterministic). *)
 
 val dispatch_contradiction :
   claims ->

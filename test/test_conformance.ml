@@ -176,6 +176,72 @@ let callbacks_make_room_under_every_red_zone () =
       F.Stack_policy.all
   done
 
+(* A campaign compiles each program once and runs that one value on
+   every leg.  The value is run here under mc, each campaign policy,
+   multishot and mc again, audited and DWARF-sampled, and each run must
+   equal a fresh compile's in everything it reports: outcome, audit
+   passes, visits and violations, DWARF probes and failures, and every
+   counter.  A run that wrote into the compiled program, its C stubs or
+   its unwind table would show in a later run. *)
+let shared_compile_runs_like_fresh () =
+  let module B = C.Fiber_backend in
+  let module Counter = Retrofit_util.Counter in
+  let configs =
+    let mc = F.Config.mc in
+    (mc :: List.map (fun p -> F.Config.with_policy p mc) C.Fuzz.default_policies)
+    @ [ F.Config.with_multishot true mc; mc ]
+  in
+  let summary (r : B.result) =
+    ( C.Outcome.to_string r.B.outcome,
+      (r.B.audit_checks, r.B.audit_visits, r.B.audit_violations),
+      (r.B.dwarf_probes, r.B.dwarf_failures),
+      List.map (Counter.value r.B.counters) Counter.all )
+  in
+  let check_program name seed p =
+    let compiled = B.compile p in
+    List.iteri
+      (fun k config ->
+        let shared = B.exec ~config ~dwarf_seed:seed compiled in
+        let fresh = B.run ~config ~dwarf_seed:seed p in
+        if summary shared <> summary fresh then
+          Alcotest.failf "%s, run %d (%s): shared compile gave %s, fresh compile %s" name k
+            (F.Config.name config)
+            (C.Outcome.to_string shared.B.outcome)
+            (C.Outcome.to_string fresh.B.outcome))
+      configs
+  in
+  List.iter (fun (e : C.Corpus.entry) -> check_program e.name 1 e.program) C.Corpus.entries;
+  for i = 0 to 199 do
+    let s = C.Fuzz.prog_seed ~seed:1 i in
+    check_program (Printf.sprintf "seed-1 program #%d" i) s (C.Gen.program_of_seed s)
+  done;
+  (* a program that does not compile reports the compiler's message
+     through both paths, and through the oracle with and without its
+     compiled value *)
+  let bad =
+    { F.Ir.fns = [ { F.Ir.fn_name = "main"; params = []; body = F.Ir.Call ("nope", []) } ];
+      main = "main" }
+  in
+  let msg =
+    match F.Compile.compile bad with
+    | _ -> Alcotest.fail "a call to an unknown function compiled"
+    | exception F.Compile.Error m -> "fiber compile: " ^ m
+  in
+  let text = function
+    | C.Outcome.Model_error m -> m
+    | o -> Alcotest.failf "expected a model error, got %s" (C.Outcome.to_string o)
+  in
+  let compiled = B.compile bad in
+  Alcotest.(check bool) "no compiled program" true (Option.is_none (B.program compiled));
+  List.iter
+    (fun (path, o) -> Alcotest.(check string) path msg (text o))
+    [
+      ("exec", (B.exec compiled).B.outcome);
+      ("run", (B.run bad).B.outcome);
+      ("oracle, shared", (C.Oracle.run ~compiled bad).C.Oracle.fib);
+      ("oracle, own compile", (C.Oracle.run bad).C.Oracle.fib);
+    ]
+
 let suite =
   [
     test "corpus replays clean" corpus_replays_clean;
@@ -189,4 +255,5 @@ let suite =
     test "catches multi-shot semantics machine" catches_semantics_multishot_mutation;
     test "shrinker preserves interestingness" shrinker_preserves_interestingness;
     test "callbacks make room under every red zone" callbacks_make_room_under_every_red_zone;
+    test "one compiled value runs like fresh compiles" shared_compile_runs_like_fresh;
   ]

@@ -295,7 +295,8 @@ let check_boundary_readers model name (p : F.Ir.program) =
   let cfuns = reentrant_cfuns model p in
   let diags = r.A.Analyze.report.A.Diag.diags in
   let at (s : A.Resolve.site) (d : A.Diag.t) =
-    d.A.Diag.fn = s.A.Resolve.r_fn && d.A.Diag.site = s.A.Resolve.r_site
+    d.A.Diag.fn = s.A.Resolve.r_fn
+    && d.A.Diag.site = F.Ir.expr_to_string s.A.Resolve.r_site
   in
   let sites = A.Resolve.all_sites r.A.Analyze.resolve in
   List.map
