@@ -24,6 +24,7 @@ type handle_desc = {
 
 type compiled = {
   code : Ir.instr array;
+  runs : int array;
   fns : cfn array;
   handles : handle_desc array;
   exn_names : string array;
@@ -148,6 +149,30 @@ let max_operand_depth ~(code : int -> Ir.instr) ~entry ~code_end ~arity
     | Ir.RaiseI _ | Ir.ReraiseI | Ir.Ret | Ir.Stop -> ()
   done;
   !maxd
+
+(* ------------------------------------------------------------------ *)
+(* Straight-line runs: for each pc, how many instructions from it on the
+   machine may charge at once.  A run is simple instructions, none of
+   which emits an event, calls a hook or switches fiber; it ends with
+   and includes the first jump or trapping [Bin] (the one simple
+   instruction that can raise), so a raise is always a run's last op.
+   Every other instruction starts no run (0). *)
+
+let straight_runs code =
+  let n = Array.length code in
+  let runs = Array.make n 0 in
+  for pc = n - 1 downto 0 do
+    runs.(pc) <-
+      (match (code.(pc) : Ir.instr) with
+      | Ir.Jump _ | Ir.JumpIfNot _ | Ir.Bin (Ir.Div | Ir.Mod) -> 1
+      | Ir.Const _ | Ir.Load _ | Ir.Store _ | Ir.Dup | Ir.Pop | Ir.Bin _ ->
+          if pc + 1 < n then 1 + runs.(pc + 1) else 1
+      | Ir.CallI _ | Ir.Ret | Ir.PushtrapI _ | Ir.PoptrapI | Ir.RaiseI _ | Ir.ReraiseI
+      | Ir.PerformI _ | Ir.HandleI _ | Ir.ContinueI | Ir.DiscontinueI _
+      | Ir.ExtcallI _ | Ir.Stop ->
+          0)
+  done;
+  runs
 
 let compile (program : Ir.program) =
   let code = Retrofit_util.Vec.create ~capacity:256 () in
@@ -373,8 +398,10 @@ let compile (program : Ir.program) =
         i
     | None -> error "missing main function %s" program.Ir.main
   in
+  let code = Retrofit_util.Vec.to_array code in
   {
-    code = Retrofit_util.Vec.to_array code;
+    code;
+    runs = straight_runs code;
     fns = compiled_fns;
     handles = Retrofit_util.Vec.to_array handles;
     exn_names = interned exns;

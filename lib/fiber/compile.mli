@@ -53,6 +53,17 @@ type handle_desc = {
 
 type compiled = {
   code : Ir.instr array;
+  runs : int array;
+      (** [runs.(pc)] is the length of the straight-line run starting at
+          [pc], [0] if none does.  A run is [Const], [Load], [Store],
+          [Dup], [Pop] and non-trapping [Bin] instructions, ending with
+          and including the first [Jump], [JumpIfNot] or [Bin Div]/[Bin
+          Mod]; it never crosses a function's end.  None of its
+          instructions emits an event, calls a hook or switches fiber,
+          and only its last can raise, so {!Machine.run} charges a whole
+          run at its entry.  It describes [code] as compiled: code
+          patched afterwards must keep each run's instructions simple
+          and any jump last. *)
   fns : cfn array;
   handles : handle_desc array;
   exn_names : string array;

@@ -863,7 +863,7 @@ let make_callback_room t (f : Fiber.t) =
 
 (* Pushes the result onto [f]'s operand stack, or raises
    Division_by_zero in the machine. *)
-let binop t f op a b =
+let[@inline] binop t f op a b =
   match (op : Ir.binop) with
   | Ir.Add -> push_op f (a + b)
   | Ir.Sub -> push_op f (a - b)
@@ -881,6 +881,29 @@ let require_mc t what =
   | Config.Stock ->
       fatal (what ^ " is not supported by the stock runtime configuration")
 
+(* A simple instruction: one of those a straight-line run holds
+   ([Compile.straight_runs]), with [f]'s pc already past it.  Both loops
+   execute them here.  None emits an event, calls a hook or switches
+   fiber, and only [Bin Div]/[Bin Mod] can raise. *)
+let[@inline] exec_simple t (f : Fiber.t) (instr : Ir.instr) =
+  match instr with
+  | Ir.Const n -> push_op f n
+  | Ir.Load i -> push_op f (rd f (f.regs.cfa - 2 - i))
+  | Ir.Store i -> wr f (f.regs.cfa - 2 - i) (pop_op f)
+  | Ir.Dup -> push_op f (Ivec.top f.ops)
+  | Ir.Pop -> ignore (pop_op f)
+  | Ir.Bin op ->
+      let b = pop_op f in
+      let a = pop_op f in
+      binop t f op a b
+  | Ir.Jump a -> f.regs.pc <- a
+  | Ir.JumpIfNot a -> if pop_op f = 0 then f.regs.pc <- a
+  | Ir.CallI _ | Ir.Ret | Ir.PushtrapI _ | Ir.PoptrapI | Ir.RaiseI _ | Ir.ReraiseI
+  | Ir.PerformI _ | Ir.HandleI _ | Ir.ContinueI | Ir.DiscontinueI _ | Ir.ExtcallI _
+  | Ir.Stop ->
+      fatal
+        (Printf.sprintf "%s inside a straight-line run" (Ir.instr_to_string instr))
+
 let rec exec_instr t =
   if t.fuel <= 0 then fatal "out of fuel";
   t.fuel <- t.fuel - 1;
@@ -892,32 +915,10 @@ let rec exec_instr t =
   let instr = t.prog.code.(pc) in
   f.regs.pc <- pc + 1;
   match instr with
-  | Ir.Const n ->
+  | Ir.Const _ | Ir.Load _ | Ir.Store _ | Ir.Dup | Ir.Pop | Ir.Bin _ | Ir.Jump _
+  | Ir.JumpIfNot _ ->
       charge t Costs.basic;
-      push_op f n
-  | Ir.Load i ->
-      charge t Costs.basic;
-      push_op f (rd f (f.regs.cfa - 2 - i))
-  | Ir.Store i ->
-      charge t Costs.basic;
-      wr f (f.regs.cfa - 2 - i) (pop_op f)
-  | Ir.Dup ->
-      charge t Costs.basic;
-      push_op f (Ivec.top f.ops)
-  | Ir.Pop ->
-      charge t Costs.basic;
-      ignore (pop_op f)
-  | Ir.Bin op ->
-      charge t Costs.basic;
-      let b = pop_op f in
-      let a = pop_op f in
-      binop t f op a b
-  | Ir.Jump a ->
-      charge t Costs.basic;
-      f.regs.pc <- a
-  | Ir.JumpIfNot a ->
-      charge t Costs.basic;
-      if pop_op f = 0 then f.regs.pc <- a
+      exec_simple t f instr
   | Ir.CallI fid -> emulate_call t f fid ~ra:f.regs.pc
   | Ir.Ret -> (
       bump t slot_ret 1;
@@ -975,7 +976,14 @@ let rec exec_instr t =
           fatal
             (Printf.sprintf "unregistered C function %s" t.prog.cfun_names.(cid))
       | Some impl -> (
-          let ctx = { machine = t; callback = run_callback t } in
+          let ctx =
+            match t.cfun_ctx with
+            | Some ctx -> ctx
+            | None ->
+                let ctx = { machine = t; callback = run_callback t } in
+                t.cfun_ctx <- Some ctx;
+                ctx
+          in
           match impl ctx args with
           | v ->
               if Trace.on () then
@@ -1023,15 +1031,8 @@ and run_callback t name args =
      drops them with the callee's frame. *)
   Array.iter (push_op f) args;
   emulate_call t f fid ~ra:Layout.cb_done;
-  let rec loop () =
-    match t.result with
-    | Some _ -> fatal "program terminated inside a callback"
-    | None ->
-        step t;
-        loop ()
-  in
-  match loop () with
-  | () -> assert false
+  match execute t with
+  | () -> fatal "program terminated inside a callback"
   | exception Cb_return v ->
       (* Ret restored sp to the trap address; pop the boundary trap and
          the context word, resuming at the saved pre-callback pc. *)
@@ -1053,6 +1054,42 @@ and step t =
   exec_instr t;
   (match t.on_step with Some hook -> hook t | None -> ());
   match t.auditor with Some a -> Audit.tick t a | None -> ()
+
+(* One straight-line run charged at its entry, when the fuel covers it
+   all: its fuel, [ops] and [instructions] are what its ops would pay
+   one by one, and nothing inside it reads them.  Otherwise one op. *)
+and exec_block t =
+  let f = t.current in
+  let pc = f.Fiber.regs.pc in
+  let runs = t.prog.runs in
+  let n = if pc >= 0 && pc < Array.length runs then Array.unsafe_get runs pc else 0 in
+  if n > 0 && n <= t.fuel then begin
+    t.fuel <- t.fuel - n;
+    bump t slot_ops n;
+    charge t (n * Costs.basic);
+    (* Only the run's last op can jump, so pc is set once, before them. *)
+    f.regs.pc <- pc + n;
+    let code = t.prog.code in
+    for i = pc to pc + n - 1 do
+      exec_simple t f (Array.unsafe_get code i)
+    done
+  end
+  else exec_instr t
+
+(* Step until the program sets its result; a callback's loop leaves by
+   [Cb_return].  The loop is chosen once: without a hook or an auditor
+   there is nothing to see between the ops of a run, so it runs by
+   blocks; with either, every op is a [step]. *)
+and execute t =
+  match (t.on_step, t.auditor) with
+  | None, None ->
+      while t.result = None do
+        exec_block t
+      done
+  | _ ->
+      while t.result = None do
+        step t
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Backtraces (ground truth) *)
@@ -1149,11 +1186,13 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
     ?(fuel = 200_000_000) cfg prog =
   let counters = Counter.create () in
   let cache = match cache with Some c -> c | None -> Stack_cache.create () in
-  let cfun_impls =
-    Array.map
-      (fun name -> List.assoc_opt name cfuns)
-      prog.Compile.cfun_names
-  in
+  (* A loop, not [Array.map]: its closure would be allocated on every
+     run, C functions or none. *)
+  let names = prog.Compile.cfun_names in
+  let cfun_impls = Array.make (Array.length names) None in
+  for i = 0 to Array.length names - 1 do
+    cfun_impls.(i) <- List.assoc_opt names.(i) cfuns
+  done;
   let dummy_seg = Segment.create ~base:0 ~size:1 in
   let dummy = Fiber.create ~id:(-1) ~seg:dummy_seg ~parent:None ~handler:None in
   let t =
@@ -1171,6 +1210,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
       next_base = 16;
       next_id = 0;
       cfun_impls;
+      cfun_ctx = None;
       chunk_pool = [];
       chunk_pool_len = 0;
       result = None;
@@ -1199,9 +1239,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
   let outcome =
     match
       emulate_call t main prog.main_index ~ra:Layout.main_done;
-      while t.result = None do
-        step t
-      done
+      execute t
     with
     | () -> ( match t.result with Some r -> r | None -> Fatal "no result")
     | exception Fatal_error msg -> Fatal msg

@@ -66,6 +66,17 @@ val run :
     [audit] enables per-step invariant checking.  [fuel] bounds the
     executed operation count (default 200 million).
 
+    With neither [on_step] nor [audit], the machine charges each
+    straight-line run ({!Compile.compiled}'s [runs]) at its entry: its
+    fuel, [ops] and [instructions] at once, when the fuel left covers the
+    whole run, and op by op when it does not.  So the counters are exact
+    at every instruction outside a run, which is every instruction a
+    hook, a C function or an event can see, and "out of fuel" stops the
+    machine at the same op, with the same counters, as a run with
+    [on_step] does.  A fatal error inside a run (only an operand-stack
+    underflow in code patched after compiling can stop one) leaves the
+    whole run counted.
+
     When the eventlog is enabled ({!Retrofit_trace.Trace.on}), the
     machine emits fiber lifecycle, switch, effect, handler and FFI
     boundary events stamped with the cumulative "instructions" cost.

@@ -95,6 +95,7 @@ type t = {
   mutable next_base : int;
   mutable next_id : int;
   cfun_impls : (ctx -> int array -> int) option array;
+  mutable cfun_ctx : ctx option; (* what every C call gets; built at the first *)
   (* Chunk free-list for the segmented and large-reserve policies: the
      backing arrays of stripped extension chunks, all of the policy's
      uniform size, recycled across fibers. *)

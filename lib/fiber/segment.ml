@@ -91,18 +91,23 @@ let ext_index t addr = (t.head_lo - 1 - addr) / t.sg_ext_words
 (* A dropped segment raises what an access to its empty array did. *)
 let dropped () = invalid_arg "index out of bounds"
 
-let read t addr =
+(* Below the head's backed words: an unbacked word, an extension
+   chunk's, or outside the segment. *)
+let read_below t addr =
+  check t addr;
+  if addr >= t.head_lo then if t.head.data == no_words then dropped () else 0
+  else
+    let i = ext_index t addr in
+    let c = Vec.get t.exts i in
+    c.data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
+
+(* Inlined at each caller: the backed head words are where the machine's
+   frames are. *)
+let[@inline] read t addr =
   let d = t.head.data in
   let lo = t.seg_top - Array.length d in
   if addr >= lo && addr < t.seg_top then Array.unsafe_get d (addr - lo)
-  else begin
-    check t addr;
-    if addr >= t.head_lo then if d == no_words then dropped () else 0
-    else
-      let i = ext_index t addr in
-      let c = Vec.get t.exts i in
-      c.data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
-  end
+  else read_below t addr
 
 let privatize_head t =
   let c = t.head in
@@ -132,7 +137,7 @@ let back t addr =
   Array.blit d 0 grown (want - n) n;
   t.head <- { rc = 1; data = grown }
 
-let rec write t addr v =
+let rec write_slow t addr v =
   let lo = t.seg_top - Array.length t.head.data in
   if addr >= lo && addr < t.seg_top then begin
     if t.head.rc > 1 then privatize_head t;
@@ -142,7 +147,7 @@ let rec write t addr v =
     check t addr;
     if addr >= t.head_lo then begin
       back t addr;
-      write t addr v
+      write_slow t addr v
     end
     else
       let i = ext_index t addr in
@@ -150,6 +155,14 @@ let rec write t addr v =
       (Vec.get t.exts i).data.(addr - (t.head_lo - ((i + 1) * t.sg_ext_words)))
       <- v
   end
+
+(* Inlined at each caller, as [read] is: a private, backed head word is
+   written in place, and anything else takes [write_slow]. *)
+let[@inline] write t addr v =
+  let c = t.head in
+  let lo = t.seg_top - Array.length c.data in
+  if addr >= lo && addr < t.seg_top && c.rc = 1 then Array.unsafe_set c.data (addr - lo) v
+  else write_slow t addr v
 
 let can_extend t =
   t.sg_ext_words > 0 && limit t - t.sg_ext_words >= t.seg_base

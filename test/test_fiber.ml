@@ -984,6 +984,19 @@ let effect_roundtrip_ceiling () =
   Alcotest.(check bool) (Printf.sprintf "%.2f words per iteration <= 110" words) true
     (words <= 110.)
 
+(* A C call allocates its argument array (one word here, and a header)
+   and nothing else: the context it hands the C function, with its
+   callback closure, is built once per run. *)
+let extcall_ceiling () =
+  let words =
+    marginal_words F.Config.mc
+      (fun iters -> F.Programs.extcall ~iters)
+      ~small:1_000 ~large:5_000
+      ~per:(fun iters _ -> iters)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per iteration <= 2" words) true
+    (words <= 2.)
+
 (* One stock run backs only the stack words it writes: it allocates
    nothing directly on the major heap (backing the whole 2^20-word
    reservation at creation put 1,048,580 words there) and a bounded
@@ -1010,6 +1023,7 @@ let alloc_suite =
   [
     test "fib allocates one shadow frame per call" fib_allocates_one_frame_per_call;
     test "effect_roundtrip allocation per iteration" effect_roundtrip_ceiling;
+    test "extcall allocation per iteration" extcall_ceiling;
     test "stock run backs only the words it writes" stock_run_allocation_ceiling;
   ]
 

@@ -14,6 +14,7 @@ let () =
       ("fiber.frozen", Test_frozen.suite);
       ("fiber.policy", Test_policy.suite);
       ("fiber.audit", Test_audit.suite);
+      ("fiber.runs", Test_runs.suite);
       ("dwarf", Test_dwarf.suite);
       ("trace", Test_trace.suite);
       ("metrics", Test_metrics.suite);
