@@ -30,6 +30,14 @@ type result = {
           red-zone audit or runtime map) ran against *)
 }
 
+val refine : flow_may:bool -> must:must -> string -> Diag.verdict
+(** The program-level verdict for one outcome label: [Must] when the
+    must pass raised [label], else [Safe] when the flow analysis rules
+    the label out or the must pass settled on another outcome, else
+    [May].  A caller whose runtime the must pass's execution does not
+    predict (a multishot one, past a one-shot violation) passes
+    [M_unknown], leaving the flow fact alone. *)
+
 val analyze :
   cfun_model:(string -> Cfg.cfun_model) ->
   ?multishot:bool ->

@@ -176,11 +176,9 @@ let analyze ~cfun_model (c : F.Compile.compiled) =
     if ble nw old then old
     else match old with Fin 0 -> nw | Fin _ | Inf -> Inf
   in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < (2 * nf) + 8 do
-    changed := false;
-    incr rounds;
+  (* Widening moves each bound at most twice, so this converges within
+     [2 * nf + 1] rounds. *)
+  Cfg.fixpoint (fun () ->
     let p = perform_total sums inv in
     let acc =
       Array.init nf (fun i ->
@@ -207,6 +205,7 @@ let analyze ~cfun_model (c : F.Compile.compiled) =
         end)
       sums;
     if !opaque_in <> None then Array.fill acc 0 nf Inf;
+    let changed = ref false in
     Array.iteri
       (fun g old ->
         let nw = widen old acc.(g) in
@@ -214,8 +213,8 @@ let analyze ~cfun_model (c : F.Compile.compiled) =
           inv.(g) <- nw;
           changed := true
         end)
-      inv
-  done;
+      inv;
+    !changed);
   { compiled = c; sums; inv; opaque_in = !opaque_in }
 
 let inv t name =

@@ -32,8 +32,7 @@ type compiled
     ({!Retrofit_dwarf.Table}), built the first time a run samples
     unwinds and shared by every later one.  No run writes into it, so
     one value stands for a fresh compile in each leg of a campaign
-    program: the oracle's fiber leg, the policy legs and the soundness
-    probes. *)
+    program: the oracle's fiber leg and the policy legs. *)
 
 val compile : Retrofit_fiber.Ir.program -> compiled
 (** Never raises: a {!Retrofit_fiber.Compile.Error} is kept, and every

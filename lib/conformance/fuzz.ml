@@ -35,7 +35,29 @@ let pair_names = [ "semantics<->fiber"; "fiber<->native"; "semantics<->native" ]
 
 let default_policies = F.Stack_policy.[ segmented; segmented_cow; large_reserve ]
 
-let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
+(* One fiber leg of a program: its run under one configuration and,
+   when the program was analyzed, what holding the run against the
+   claims found as it ended: how many perform dispatches it made, the
+   first that contradicts the handler resolution, and the first counter
+   above its static bound.  The dispatches themselves are dropped. *)
+type leg = {
+  name : string;
+  run : Fiber_backend.result;
+  dispatches : int;
+  misdispatch : string option;
+  overbound : string option;
+}
+
+(* One evaluation of a program: the analyzer's claims (when analyzing),
+   the oracle report and every fiber leg, each run once: the oracle's
+   leg under the campaign's configuration, then one per policy. *)
+type eval = {
+  claims : (Static.claims, exn) result option;
+  report : Oracle.report;
+  legs : leg list;
+}
+
+let campaign ?(fiber_config = F.Config.mc) ?(sem_one_shot = true)
     ?(audit = true) ?(dwarf = true) ?(analyze = false) ?(max_failures = 5)
     ?(shrink = true) ?(policies = []) ?(multishot = false) ~seed ~count () :
     stats =
@@ -45,8 +67,7 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
        multishot continuation cloning enabled (Config.with_multishot true); \
        the default one-shot runtime cannot execute programs that resume a \
        continuation twice";
-  let sem_one_shot = if multishot then Some false else sem_one_shot in
-  let with_native = not multishot in
+  let sem_one_shot = sem_one_shot && not multishot in
   let agree = Hashtbl.create 4 and skip = Hashtbl.create 4 in
   List.iter
     (fun p ->
@@ -64,25 +85,58 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
       Hashtbl.replace pagree n 0;
       Hashtbl.replace pskip n 0)
     policy_cfgs;
-  let bump tbl p = Hashtbl.replace tbl p (Hashtbl.find tbl p + 1) in
+  let tally agree skip name = function
+    | Oracle.Agree -> Hashtbl.replace agree name (Hashtbl.find agree name + 1)
+    | Oracle.Skip -> Hashtbl.replace skip name (Hashtbl.find skip name + 1)
+    | Oracle.Diff -> ()
+  in
   let audit_checks = ref 0 and audit_visits = ref 0 and dwarf_probes = ref 0 in
   let failures = ref [] in
-  let analyzed = ref 0 in
-  (* Every leg of one program runs its one compiled value: the
-     program [p] and its compile [c] travel together. *)
-  let run_oracle p c s =
-    Oracle.run ~fiber_config ?sem_one_shot ~audit ~with_native
-      ?dwarf_seed:(if dwarf then Some s else None)
-      ~compiled:c p
-  in
-  let run_policies c s =
-    List.map
-      (fun (name, cfgp) ->
-        ( name,
-          Fiber_backend.exec ~config:cfgp ~audit
-            ?dwarf_seed:(if dwarf then Some s else None)
-            c ))
-      policy_cfgs
+  let analyzed = ref 0 and dispatch_checks = ref 0 and bound_checks = ref 0 in
+  (* The program is compiled once and analyzed before its legs run, so
+     a leg records its dispatches as it runs and they are checked as it
+     ends.  Host effects are one-shot, so a multishot campaign reports
+     its native leg as inconclusive, which every pair skips. *)
+  let evaluate p s =
+    let c = Fiber_backend.compile p in
+    let claims =
+      if not analyze then None
+      else
+        Some
+          (try Ok (Static.analyze ?compiled:(Fiber_backend.program c) p)
+           with e -> Error e)
+    in
+    let resolution =
+      match claims with
+      | Some (Ok cl) -> Some (cl, Static.runtime_map cl)
+      | None | Some (Error _) -> None
+    in
+    let leg (name, config) =
+      let obs = ref [] in
+      let record ~site ~eff:_ ~handler = obs := (site, handler) :: !obs in
+      let run =
+        Fiber_backend.exec ~config ~audit
+          ?dwarf_seed:(if dwarf then Some s else None)
+          ?on_perform:(Option.map (fun _ -> record) resolution) c
+      in
+      let observed = List.rev !obs in
+      let check f = Option.bind resolution f in
+      {
+        name;
+        run;
+        dispatches = List.length observed;
+        misdispatch =
+          check (fun (cl, rt) -> Static.dispatch_contradiction cl rt observed);
+        overbound =
+          check (fun (cl, _) ->
+              Static.bound_contradiction cl ~config run.Fiber_backend.counters);
+      }
+    in
+    let sem = Sem_backend.run ~one_shot:sem_one_shot p in
+    let fib = leg ("default", fiber_config) in
+    let nat = if multishot then Outcome.Fuel_out else Native_backend.run p in
+    let legs = fib :: List.map leg policy_cfgs in
+    { claims; report = Oracle.judge p ~sem ~fib:fib.run ~nat; legs }
   in
   (* A policy run disagrees when its outcome differs from the default
      policy's, or its auditor/unwinder tripped.  Running out of the
@@ -98,140 +152,101 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
           Oracle.Skip
       | o -> Oracle.compare_pair base o
   in
-  let policy_diffs base runs =
-    List.filter_map
-      (fun (name, fr) ->
-        match policy_verdict base fr with
-        | Oracle.Diff -> Some (name, fr.Fiber_backend.outcome)
-        | Oracle.Agree | Oracle.Skip -> None)
-      runs
+  let policy_verdicts ev =
+    let base = ev.report.Oracle.fib.Fiber_backend.outcome in
+    List.map (fun l -> (l, policy_verdict base l.run)) (List.tl ev.legs)
   in
-  (* Handler-resolution and cost-bound soundness: re-run the fiber
-     backend instrumented (default config plus every campaign policy),
-     recording the actual handler identity at each dynamic perform and
-     the final counter table, and hold both against the static claims.
-     A mono-resolved site dispatching elsewhere, an Unhandled at a site
-     not flagged +toplevel/+via-c, or a measured counter above its
-     finite bound is a campaign failure like any other — shrinking sees
-     it through the same predicate. *)
-  let probe_cfgs = ("default", fiber_config) :: policy_cfgs in
-  let dispatch_checks = ref 0 and bound_checks = ref 0 in
-  let soundness_probe (c : Static.claims) compiled =
-    let rt = Static.runtime_map c in
-    List.find_map
-      (fun (name, cfgp) ->
-        let obs = ref [] in
-        let on_perform ~site ~eff:_ ~handler = obs := (site, handler) :: !obs in
-        let fr =
-          Fiber_backend.exec ~config:cfgp ~audit:false ~on_perform compiled
-        in
-        match fr.Fiber_backend.outcome with
-        | Outcome.Model_error _ -> None
-        | _ -> (
-            let observed = List.rev !obs in
-            dispatch_checks := !dispatch_checks + List.length observed;
-            match Static.dispatch_contradiction c rt observed with
-            | Some msg -> Some (Printf.sprintf "[%s] %s" name msg)
-            | None -> (
-                incr bound_checks;
-                match
-                  Static.bound_contradiction c ~config:cfgp fr.Fiber_backend.counters
-                with
-                | Some msg -> Some (Printf.sprintf "[%s] %s" name msg)
-                | None -> None)))
-      probe_cfgs
+  let policy_diffs ev =
+    List.filter_map
+      (fun (l, v) ->
+        if v = Oracle.Diff then Some (l.name, l.run.Fiber_backend.outcome) else None)
+      (policy_verdicts ev)
+  in
+  (* The analyzer-vs-backends soundness verdict: a crash in the
+     analyzer, a Safe/Must claim an outcome contradicts, or, leg by leg
+     (model errors aside), a dispatch outside its site's resolved
+     candidates, a handler-less Unhandled at a site not flagged
+     +toplevel/+via-c, or a counter above its finite static bound.  It
+     stops at the first contradiction and counts the checks it made. *)
+  let soundness ev =
+    Option.iter (fun _ -> incr analyzed) ev.claims;
+    match ev.claims with
+    | None -> None
+    | Some (Error e) -> Some (Printf.sprintf "analyzer raised %s" (Printexc.to_string e))
+    | Some (Ok claims) -> (
+        match Static.check ~fiber_config ~sem_one_shot claims ev.report with
+        | Some _ as s -> s
+        | None ->
+            List.find_map
+              (fun l ->
+                let tag msg = Printf.sprintf "[%s] %s" l.name msg in
+                match l.run.Fiber_backend.outcome with
+                | Outcome.Model_error _ -> None
+                | _ ->
+                    dispatch_checks := !dispatch_checks + l.dispatches;
+                    Option.map tag
+                      (match l.misdispatch with
+                      | Some _ as m -> m
+                      | None ->
+                          incr bound_checks;
+                          l.overbound))
+              ev.legs)
   in
   (* The per-site resolution census feeds the metrics registry (when
      enabled); recorded once per campaign program, not per shrink
      step. *)
-  let record_resolution (c : Static.claims) =
-    if Retrofit_metrics.Metrics.on () then
-      List.iter
-        (fun (s : A.Resolve.site) ->
-          Retrofit_metrics.Metrics.inc
-            ~labels:[ ("class", A.Resolve.klass_to_string s.A.Resolve.r_class) ]
-            "perform_site_resolution_total")
-        (A.Resolve.all_sites c.A.Analyze.resolve)
-  in
-  (* The analyzer-vs-oracle soundness check: a crash in the analyzer is
-     as much a campaign failure as an unsound claim. *)
-  let static_check ?(record = false) p compiled r =
-    if not analyze then None
-    else begin
-      incr analyzed;
-      match Static.analyze ?compiled:(Fiber_backend.program compiled) p with
-      | c -> (
-          if record then record_resolution c;
-          match Static.check ~fiber_config ?sem_one_shot c r with
-          | Some _ as s -> s
-          | None -> soundness_probe c compiled)
-      | exception e ->
-          Some (Printf.sprintf "analyzer raised %s" (Printexc.to_string e))
-    end
+  let record_resolution ev =
+    match ev.claims with
+    | Some (Ok c) when Retrofit_metrics.Metrics.on () ->
+        List.iter
+          (fun (s : A.Resolve.site) ->
+            Retrofit_metrics.Metrics.inc
+              ~labels:[ ("class", A.Resolve.klass_to_string s.A.Resolve.r_class) ]
+              "perform_site_resolution_total")
+          (A.Resolve.all_sites c.A.Analyze.resolve)
+    | _ -> ()
   in
   let i = ref 0 in
   while !i < count && List.length !failures < max_failures do
     let s = prog_seed ~seed !i in
     let p = Gen.program_of_seed s in
-    let c = Fiber_backend.compile p in
-    let r = run_oracle p c s in
-    audit_checks := !audit_checks + r.Oracle.audit_checks;
-    audit_visits := !audit_visits + r.Oracle.audit_visits;
-    dwarf_probes := !dwarf_probes + r.Oracle.dwarf_probes;
+    let ev = evaluate p s in
+    let r = ev.report in
+    List.iter (fun (name, v) -> tally agree skip name v) r.Oracle.pairs;
     List.iter
-      (fun (name, v) ->
-        match v with
-        | Oracle.Agree -> bump agree name
-        | Oracle.Skip -> bump skip name
-        | Oracle.Diff -> ())
-      r.Oracle.pairs;
-    let pol_runs = run_policies c s in
-    List.iter
-      (fun (name, fr) ->
-        audit_checks := !audit_checks + fr.Fiber_backend.audit_checks;
-        audit_visits := !audit_visits + fr.Fiber_backend.audit_visits;
-        dwarf_probes := !dwarf_probes + fr.Fiber_backend.dwarf_probes;
-        match policy_verdict r.Oracle.fib fr with
-        | Oracle.Agree -> bump pagree name
-        | Oracle.Skip -> bump pskip name
-        | Oracle.Diff -> ())
-      pol_runs;
-    let offending = policy_diffs r.Oracle.fib pol_runs in
-    let analysis = static_check ~record:true p c r in
+      (fun l ->
+        audit_checks := !audit_checks + l.run.Fiber_backend.audit_checks;
+        audit_visits := !audit_visits + l.run.Fiber_backend.audit_visits;
+        dwarf_probes := !dwarf_probes + l.run.Fiber_backend.dwarf_probes)
+      ev.legs;
+    List.iter (fun (l, v) -> tally pagree pskip l.name v) (policy_verdicts ev);
+    record_resolution ev;
+    let analysis = soundness ev in
+    let offending = policy_diffs ev in
     if (not (Oracle.ok r)) || analysis <> None || offending <> [] then begin
-      let failing q cq rq =
-        (not (Oracle.ok rq))
-        || static_check q cq rq <> None
-        || policy_diffs rq.Oracle.fib (run_policies cq s) <> []
+      let failing ev =
+        (not (Oracle.ok ev.report)) || soundness ev <> None || policy_diffs ev <> []
       in
-      (* the minimized program with its compile and oracle report *)
+      (* the minimized program with its evaluation *)
       let shrunk =
-        if shrink then begin
-          let interesting q =
-            let cq = Fiber_backend.compile q in
-            failing q cq (run_oracle q cq s)
-          in
-          let q = Shrink.minimize ~interesting p in
-          let cq = Fiber_backend.compile q in
-          Some (q, cq, run_oracle q cq s)
-        end
-        else None
+        if not shrink then None
+        else
+          let q = Shrink.minimize ~interesting:(fun q -> failing (evaluate q s)) p in
+          Some (q, evaluate q s)
       in
       let analysis =
         match (analysis, shrunk) with
         | None, _ | _, None -> analysis
-        | Some _, Some (q, cq, rq) -> (
+        | Some _, Some (_, eq) -> (
             (* re-derive the message for the minimized program, keeping
                the original if shrinking converged on an oracle diff *)
-            match static_check q cq rq with None -> analysis | some -> some)
+            match soundness eq with None -> analysis | some -> some)
       in
       let policy, policy_outcome =
         (* name the policy the shrunk program still disagrees on when
            there is one, else the original offender *)
         let shrunk_offender =
-          match shrunk with
-          | Some (_, cq, rq) -> policy_diffs rq.Oracle.fib (run_policies cq s)
-          | None -> []
+          match shrunk with Some (_, eq) -> policy_diffs eq | None -> []
         in
         match (shrunk_offender, offending) with
         | (n, o) :: _, _ | [], (n, o) :: _ -> (Some n, Some o)
@@ -245,8 +260,8 @@ let campaign ?(fiber_config = F.Config.mc) ?sem_one_shot
           analysis;
           policy;
           policy_outcome;
-          shrunk = Option.map (fun (q, _, _) -> q) shrunk;
-          shrunk_report = Option.map (fun (_, _, rq) -> rq) shrunk;
+          shrunk = Option.map fst shrunk;
+          shrunk_report = Option.map (fun (_, eq) -> eq.report) shrunk;
         }
         :: !failures
     end;
@@ -298,7 +313,7 @@ let failure_to_string f =
       Buffer.add_string b
         (Printf.sprintf "offending stack policy %s: %s (default policy: %s)\n"
            name (Outcome.to_string o)
-           (Outcome.to_string f.report.Oracle.fib))
+           (Outcome.to_string f.report.Oracle.fib.Fiber_backend.outcome))
   | _ -> ());
   (match (f.shrunk, f.shrunk_report) with
   | Some q, Some r ->

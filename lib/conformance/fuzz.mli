@@ -36,7 +36,7 @@ type stats = {
   analyzed : int;  (** programs run through the static analyzer *)
   dispatch_checks : int;
       (** dynamic perform dispatches held against the handler-resolution
-          candidate sets (instrumented runs, all campaign configs) *)
+          candidate sets (every fiber leg, all campaign configs) *)
   bound_checks : int;
       (** counter tables held against the static cost bounds *)
   failures : failure list;
@@ -70,14 +70,13 @@ val campaign :
     (default false) additionally runs {!Static.analyze} on every
     program and records a failure whenever the analyzer's [Safe] or
     [Must] claims contradict a backend's observed outcome (or the
-    analyzer itself raises).  With [analyze] on the campaign also
-    re-runs the fiber backend instrumented — under the default config
-    and every listed policy — recording the actual handler identity at
-    each dynamic perform site and the final counter table, and fails on
-    any dispatch outside the site's statically resolved candidate set,
-    any handler-less [Unhandled] at a site not flagged
-    [+toplevel]/[+via-c], and any measured counter exceeding its finite
-    static bound ({!Static.dispatch_contradiction},
+    analyzer itself raises).  With [analyze] on, every fiber leg
+    (under the default config and every listed policy) also records
+    the handler identity at each dynamic perform, and the campaign
+    fails on any dispatch outside the site's statically resolved
+    candidate set, any handler-less [Unhandled] at a site not flagged
+    [+toplevel]/[+via-c], and any measured counter exceeding its
+    finite static bound ({!Static.dispatch_contradiction},
     {!Static.bound_contradiction}).  When the metrics registry is
     enabled, each analyzed program's per-site resolution census is
     recorded as [perform_site_resolution_total{class=...}].  [shrink]
@@ -102,13 +101,14 @@ val campaign :
     generating programs the backend then rejects — when [fiber_config]
     does not have multishot cloning enabled.
 
-    Each program is compiled once ({!Fiber_backend.compile}), and each
-    shrink candidate once more: the oracle's fiber leg, every policy
-    leg, every soundness probe and the analyzer share that one value,
-    and its DWARF unwind table is built at most once, by the first
-    sampled leg.  A program that does not compile is a
-    [Model_error "fiber compile: ..."] on every fiber leg and makes the
-    analyzer raise, as a separate compile in each would. *)
+    Each program, and each shrink candidate, is compiled once
+    ({!Fiber_backend.compile}) and run once per configuration: every
+    check above, the oracle's, the policy differential's and the
+    analyzer's, reads those runs, and its DWARF unwind table is built
+    at most once, by the first sampled leg.  A program that does not
+    compile is a [Model_error "fiber compile: ..."] on every fiber leg
+    and makes the analyzer raise, as a separate compile in each
+    would. *)
 
 val replay_corpus : unit -> (string * string) list
 (** Runs every {!Corpus} entry through the oracle and pins its native

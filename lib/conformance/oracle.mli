@@ -1,5 +1,5 @@
-(** Differential oracle: run one program on all three models and diff
-    the normalised outcomes.
+(** Differential oracle: one program's outcomes on all three models,
+    diffed.
 
     Comparison rules:
     - a pair where either side ran out of fuel is {i skipped}
@@ -22,42 +22,31 @@ val compare_pair : Outcome.t -> Outcome.t -> verdict
 type report = {
   program : Retrofit_fiber.Ir.program;
   sem : Outcome.t;
-  fib : Outcome.t;
+  fib : Fiber_backend.result;
+      (** the fiber leg: outcome, audit and DWARF tallies, counters *)
   nat : Outcome.t;
   pairs : (string * verdict) list;
       (** ["semantics<->fiber"], ["fiber<->native"],
           ["semantics<->native"] *)
-  audit_checks : int;
-  audit_visits : int;  (** audit work: {!Retrofit_fiber.Audit.audit_visits} *)
-  audit_violations : (string * string) list;
-  dwarf_probes : int;
-  dwarf_failures : string list;
 }
 
-val run :
-  ?audit:bool ->
-  ?dwarf_seed:int ->
-  ?fiber_config:Retrofit_fiber.Config.t ->
-  ?sem_one_shot:bool ->
-  ?with_native:bool ->
-  ?compiled:Fiber_backend.compiled ->
+val judge :
   Retrofit_fiber.Ir.program ->
+  sem:Outcome.t ->
+  fib:Fiber_backend.result ->
+  nat:Outcome.t ->
   report
-(** [sem_one_shot] defaults to [true] so the §4 machine enforces the
-    same one-shot discipline as the other two models; pass [false] to
-    deliberately reintroduce multi-shot semantics (used by the
-    mutation-catching tests and by multishot campaigns).
+(** The report of outcomes already in hand; runs nothing.  A campaign
+    runs each leg under its own discipline (a multishot campaign's
+    semantics machine clones continuations, and its native leg is
+    [Fuel_out], so every pair involving it skips) and judges them
+    here. *)
 
-    [with_native] defaults to [true]; pass [false] to drop the native
-    leg — its outcome is recorded as [Fuel_out] so every pair involving
-    it is skipped.  Multishot campaigns need this: host continuations
-    are genuinely one-shot, so the native backend cannot execute
-    programs that resume twice.
-
-    [compiled], when given, must be {!Fiber_backend.compile} of the
-    program; a caller that runs the program on other legs too passes
-    its one compiled value here.  Without it the fiber leg compiles the
-    program itself. *)
+val run : ?audit:bool -> ?dwarf_seed:int -> Retrofit_fiber.Ir.program -> report
+(** Runs the program on the one-shot semantics machine, on the fiber
+    machine under {!Retrofit_fiber.Config.mc} ({!Fiber_backend.run},
+    audited unless [audit] is [false], DWARF-sampled when [dwarf_seed]
+    is given) and natively, then {!judge}s the outcomes. *)
 
 val ok : report -> bool
 

@@ -23,21 +23,13 @@ let analyze ?compiled (p : Retrofit_fiber.Ir.program) : claims =
    as it never actually resumed a dead continuation.  Otherwise
    multi-shot claims fall back to the flow analysis, which is sound
    for every discipline. *)
-let sharpen ~flow ~(must : A.Analyze.must) ~usable label =
-  if usable then
-    match must with
-    | A.Analyze.M_raises l when l = label -> A.Diag.Must
-    | _ when not flow -> A.Diag.Safe
-    | A.Analyze.M_value | A.Analyze.M_raises _ -> A.Diag.Safe
-    | A.Analyze.M_unknown -> A.Diag.May
-  else if flow then A.Diag.May
-  else A.Diag.Safe
-
 let verdicts ~one_shot (c : claims) =
-  let usable = one_shot || not c.A.Analyze.hit_violation in
-  ( sharpen ~flow:c.A.Analyze.flow_unhandled_may ~must:c.A.Analyze.must ~usable
-      "Unhandled",
-    sharpen ~flow:c.A.Analyze.flow_one_shot_may ~must:c.A.Analyze.must ~usable
+  let must =
+    if one_shot || not c.A.Analyze.hit_violation then c.A.Analyze.must
+    else A.Analyze.M_unknown
+  in
+  ( A.Analyze.refine ~flow_may:c.A.Analyze.flow_unhandled_may ~must "Unhandled",
+    A.Analyze.refine ~flow_may:c.A.Analyze.flow_one_shot_may ~must
       "Invalid_argument" )
 
 let contradiction ?(one_shot = true) (c : claims) (o : Outcome.t) :
@@ -84,7 +76,7 @@ let check ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
       match
         probe "fiber"
           (not fiber_config.Retrofit_fiber.Config.multishot)
-          r.Oracle.fib
+          r.Oracle.fib.Fiber_backend.outcome
       with
       | Some _ as s -> s
       | None -> probe "native" true r.Oracle.nat)
@@ -92,11 +84,13 @@ let check ?(fiber_config = Retrofit_fiber.Config.mc) ?(sem_one_shot = true)
 (* ------------------------------------------------------------------ *)
 (* Handler-resolution and cost-bound soundness.  The resolution pass
    claims a candidate-handler set per perform site and the cost pass a
-   per-counter upper bound per stack policy; both are held against an
-   instrumented fiber run.  The runtime map is built from the compiled
-   form inside [claims]; the campaign analyzes the very value its
-   probes execute ({!Fiber_backend.program}), so the pcs are the ones
-   [on_perform] reports, and a spec id is the handle index it reports. *)
+   per-counter upper bound per stack policy; both are held against the
+   campaign's fiber legs themselves, audited and DWARF-sampled as they
+   are: each leg's [on_perform] stream and final counter table.  The
+   runtime map is built from the compiled form inside [claims]; the
+   campaign analyzes the very value its legs execute
+   ({!Fiber_backend.program}), so the pcs are the ones [on_perform]
+   reports, and a spec id is the handle index it reports. *)
 
 let runtime_map (c : claims) = A.Resolve.runtime_map c.A.Analyze.resolve
 

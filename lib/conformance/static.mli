@@ -24,7 +24,7 @@ val analyze :
     The campaign passes the one {!Fiber_backend.compile} value every
     leg of the program runs ({!Fiber_backend.program}), so the analyzer
     is not charged for a second compile and its claims are about the
-    code the soundness probes execute.  Without it the analyzer
+    code its fiber legs execute.  Without it the analyzer
     compiles the program itself, raising
     {!Retrofit_fiber.Compile.Error} on a program that does not
     compile. *)
@@ -53,8 +53,10 @@ val check :
     The resolution pass claims, per perform site, the set of handle
     specs that can dynamically receive it; the cost pass claims a
     per-counter upper bound per stack policy.  Both are checked against
-    an instrumented {!Fiber_backend.exec} — the [on_perform] observation
-    stream and the returned counter table. *)
+    a {!Fiber_backend.exec} — its [on_perform] observation stream and
+    its returned counter table.  The campaign checks every fiber leg it
+    runs, audited and DWARF-sampled as it is: neither the auditor nor
+    the unwinder moves a dispatch or a bounded counter. *)
 
 val runtime_map : claims -> (int, Retrofit_analysis.Resolve.site) Hashtbl.t
 (** Perform pc to static site over the compiled form inside the claims:

@@ -112,6 +112,11 @@ val audit_violations : audit -> (string * string) list
     and a fiber or slot handed to code outside it ([note_handed_out]:
     every later pass marks everything changed). *)
 
+val no_fiber : Fiber.t
+(** A placeholder fiber (id -1) that no machine runs or writes, made
+    once: the auditor's empty change slots, and a machine's current
+    fiber until its main fiber exists. *)
+
 val note_dirty : audit -> Fiber.t -> unit
 
 val note_base : Mstate.t -> audit -> int -> unit

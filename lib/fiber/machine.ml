@@ -1193,8 +1193,6 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
   for i = 0 to Array.length names - 1 do
     cfun_impls.(i) <- List.assoc_opt names.(i) cfuns
   done;
-  let dummy_seg = Segment.create ~base:0 ~size:1 in
-  let dummy = Fiber.create ~id:(-1) ~seg:dummy_seg ~parent:None ~handler:None in
   let t =
     {
       cfg;
@@ -1202,7 +1200,7 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
       t_counters = counters;
       cells = Counter.cells counters;
       cache;
-      current = dummy;
+      current = Audit.no_fiber;
       fibers_live = Itbl.create 64;
       by_base = Imap.empty;
       conts = Vec.create ();

@@ -94,6 +94,24 @@ let catches_fiber_multishot_mutation () =
             (Printf.sprintf "shrunk repro has %d nodes (<= 15)" n)
             true (n <= 15))
 
+(* The whole report of a failing, shrinking campaign, byte for byte:
+   the oracle report of the program and of its minimized form, under
+   the analyzer and every campaign policy.  Generated with
+   [print_string (Fuzz.failure_to_string f)] for this campaign's one
+   failure; a change to how a campaign judges or shrinks a failing
+   program that moves one line fails here. *)
+let failing_campaign_report_pinned () =
+  let ic = open_in "golden/fuzz_failure.golden" in
+  let want = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let fiber_config = F.Config.with_multishot true F.Config.mc in
+  let stats =
+    C.Fuzz.campaign ~fiber_config ~seed:42 ~count:200 ~analyze:true
+      ~policies:C.Fuzz.default_policies ~max_failures:1 ()
+  in
+  Alcotest.(check string) "failure report matches golden" want
+    (String.concat "" (List.map C.Fuzz.failure_to_string stats.C.Fuzz.failures))
+
 (* Same check against the other side: a semantics machine allowed to
    resume continuations twice must disagree with the two faithful
    models. *)
@@ -182,7 +200,12 @@ let callbacks_make_room_under_every_red_zone () =
    equal a fresh compile's in everything it reports: outcome, audit
    passes, visits and violations, DWARF probes and failures, and every
    counter.  A run that wrote into the compiled program, its C stubs or
-   its unwind table would show in a later run. *)
+   its unwind table would show in a later run.
+
+   The campaign also judges the analyzer's claims on those same legs,
+   so each must equal a bare run (no auditor, no sampling) of the value
+   in its outcome, its [on_perform] (site, handler) sequence and every
+   counter but [addr_index_probe], which the unwinder's lookups bump. *)
 let shared_compile_runs_like_fresh () =
   let module B = C.Fiber_backend in
   let module Counter = Retrofit_util.Counter in
@@ -197,17 +220,40 @@ let shared_compile_runs_like_fresh () =
       (r.B.dwarf_probes, r.B.dwarf_failures),
       List.map (Counter.value r.B.counters) Counter.all )
   in
+  (* a run with its outcome, dispatches and counters bar the unwinder's *)
+  let observed run =
+    let obs = ref [] in
+    let r = run (fun ~site ~eff:_ ~handler -> obs := (site, handler) :: !obs) in
+    let counted = List.filter (( <> ) Counter.Addr_index_probe) Counter.all in
+    ( C.Outcome.to_string r.B.outcome,
+      List.rev !obs,
+      List.map (Counter.value r.B.counters) counted,
+      r )
+  in
   let check_program name seed p =
     let compiled = B.compile p in
     List.iteri
       (fun k config ->
-        let shared = B.exec ~config ~dwarf_seed:seed compiled in
+        let o, dispatches, counters, shared =
+          observed (fun on_perform ->
+              B.exec ~config ~dwarf_seed:seed ~on_perform compiled)
+        in
         let fresh = B.run ~config ~dwarf_seed:seed p in
         if summary shared <> summary fresh then
           Alcotest.failf "%s, run %d (%s): shared compile gave %s, fresh compile %s" name k
             (F.Config.name config)
             (C.Outcome.to_string shared.B.outcome)
-            (C.Outcome.to_string fresh.B.outcome))
+            (C.Outcome.to_string fresh.B.outcome);
+        let o', dispatches', counters', _ =
+          observed (fun on_perform -> B.exec ~config ~audit:false ~on_perform compiled)
+        in
+        if o <> o' || dispatches <> dispatches' || counters <> counters' then
+          Alcotest.failf
+            "%s, run %d (%s): audited and sampled gave %s, %d dispatches; bare %s, %d \
+             dispatches%s"
+            name k (F.Config.name config) o (List.length dispatches) o'
+            (List.length dispatches')
+            (if counters <> counters' then " (counters differ)" else ""))
       configs
   in
   List.iter (fun (e : C.Corpus.entry) -> check_program e.name 1 e.program) C.Corpus.entries;
@@ -216,8 +262,7 @@ let shared_compile_runs_like_fresh () =
     check_program (Printf.sprintf "seed-1 program #%d" i) s (C.Gen.program_of_seed s)
   done;
   (* a program that does not compile reports the compiler's message
-     through both paths, and through the oracle with and without its
-     compiled value *)
+     through both paths and through the oracle *)
   let bad =
     { F.Ir.fns = [ { F.Ir.fn_name = "main"; params = []; body = F.Ir.Call ("nope", []) } ];
       main = "main" }
@@ -238,8 +283,7 @@ let shared_compile_runs_like_fresh () =
     [
       ("exec", (B.exec compiled).B.outcome);
       ("run", (B.run bad).B.outcome);
-      ("oracle, shared", (C.Oracle.run ~compiled bad).C.Oracle.fib);
-      ("oracle, own compile", (C.Oracle.run bad).C.Oracle.fib);
+      ("oracle", (C.Oracle.run bad).C.Oracle.fib.B.outcome);
     ]
 
 let suite =
@@ -252,6 +296,7 @@ let suite =
     test "campaign: three models agree" campaign_agrees;
     test "campaign is deterministic" campaign_is_deterministic;
     test "catches disabled fiber one-shot check" catches_fiber_multishot_mutation;
+    test "failing campaign report pinned" failing_campaign_report_pinned;
     test "catches multi-shot semantics machine" catches_semantics_multishot_mutation;
     test "shrinker preserves interestingness" shrinker_preserves_interestingness;
     test "callbacks make room under every red zone" callbacks_make_room_under_every_red_zone;
